@@ -11,7 +11,7 @@
 #   fmt           cargo fmt --check
 #   clippy        cargo clippy --workspace --all-targets -- -D warnings
 #   build         cargo build --release
-#   test          cargo test -q
+#   test          cargo test -q --no-fail-fast (every test binary runs)
 #   lint          cl-lint --deny-warnings (regenerates results/lint.md)
 #   bench-smoke   CL_BENCH_SMOKE=1 cargo bench (compile+smoke every target)
 #   chaos         cl-chaos 25-round fault-injection soak -> target/ci-chaos
@@ -85,7 +85,9 @@ stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 
 stage_build() { cargo build --release; }
 
-stage_test() { cargo test -q; }
+# --no-fail-fast: one failing test binary must not stop the oracle binaries
+# after it from running; cargo still exits nonzero at the end.
+stage_test() { cargo test -q --no-fail-fast; }
 
 stage_lint() { cargo run --release --quiet --bin cl-lint -- --deny-warnings; }
 

@@ -17,7 +17,6 @@
 //! the disabled-tracing path).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use cl_analyze::flow::{analyze_flow, BufUse, FlagClass, FlowAnalysis, FlowCommand, FlowOp};
 use cl_analyze::launch_footprint;
@@ -85,18 +84,7 @@ impl FlowLog {
         write: bool,
         via_map: Option<u64>,
     ) {
-        let esz = std::mem::size_of::<T>();
-        let lo = (buf.byte_offset() + elems.start * esz) as i128;
-        let end = (buf.byte_offset() + elems.end * esz) as i128;
-        let mut u = transfer_use(buf);
-        if write {
-            u = u.writes(lo, end);
-        } else {
-            u = u.may_reads(lo, end);
-        }
-        let op = FlowOp::HostAccess { write, via_map };
-        let label = op.describe();
-        self.push(FlowCommand::new(op, label, vec![u]));
+        self.push(host_access_command(buf, elems, write, via_map));
     }
 }
 
@@ -144,13 +132,17 @@ fn binding_use(b: &ArgBinding) -> BufUse {
     .preinit(b.preinit)
 }
 
+/// A kernel's arg bindings lowered to flow uses, plus whether the kernel
+/// carries an access spec at all.
+pub(crate) type LoweredUses = (Vec<BufUse>, bool);
+
 /// Lower one kernel enqueue into flow uses: bindings are captured once,
 /// and each binding's element footprint (when the kernel has a spec) is
 /// scaled to region-absolute bytes. Bindings without a matching spec
 /// buffer — and all bindings of spec-less kernels — get conservative
 /// whole-window may sets in the directions the allocation flags permit.
 /// Returns `(uses, has_spec)`.
-pub(crate) fn launch_uses(kernel: &dyn Kernel, resolved: &ResolvedRange) -> (Vec<BufUse>, bool) {
+pub(crate) fn launch_uses(kernel: &dyn Kernel, resolved: &ResolvedRange) -> LoweredUses {
     let bindings = kernel.buffer_bindings();
     if bindings.is_empty() {
         return (Vec::new(), false);
@@ -187,44 +179,62 @@ pub(crate) fn launch_uses(kernel: &dyn Kernel, resolved: &ResolvedRange) -> (Vec
     (uses, spec.is_some())
 }
 
-/// Deferred unmap recording carried by `TypedMap`/`TypedMapMut`: when the
-/// host view drops, the `Unmap` command lands in the log (host writes
-/// through a writable mapping become visible at unmap).
-pub(crate) struct FlowUnmap {
-    log: Arc<FlowLog>,
-    map_id: u64,
-    template: BufUse,
-    lo: i128,
-    end: i128,
-    writes: bool,
+/// A command whose label is its op's description.
+fn described(op: FlowOp, uses: Vec<BufUse>) -> FlowCommand {
+    let label = op.describe();
+    FlowCommand::new(op, label, uses)
 }
 
-impl FlowUnmap {
-    pub(crate) fn new(log: Arc<FlowLog>, map_id: u64, template: BufUse, writes: bool) -> Self {
-        let (lo, end) = (template.span.0 as i128, template.span.1 as i128);
-        FlowUnmap {
-            log,
-            map_id,
-            template,
-            lo,
-            end,
-            writes,
-        }
-    }
+/// The Launch command of one enqueue of `kernel` with its lowered uses.
+pub(crate) fn launch_command(kernel: &str, (uses, has_spec): LoweredUses) -> FlowCommand {
+    let op = FlowOp::Launch {
+        kernel: kernel.to_string(),
+        has_spec,
+    };
+    FlowCommand::new(op, kernel, uses)
+}
 
-    pub(crate) fn map_id(&self) -> u64 {
-        self.map_id
-    }
+/// The Map command for mapping `id` of the window `u`. A read-intent map
+/// definitely consumes the mapped bytes, so it carries a must-read over
+/// the window; a writable map's host writes ride its Unmap instead.
+pub(crate) fn map_command(id: u64, u: &BufUse, writable: bool) -> FlowCommand {
+    let (lo, end) = (u.span.0 as i128, u.span.1 as i128);
+    let u = if writable {
+        u.clone()
+    } else {
+        u.clone().reads(lo, end)
+    };
+    described(FlowOp::Map { id, writable }, vec![u])
+}
 
-    pub(crate) fn record(self) {
-        let mut u = self.template;
-        if self.writes {
-            u = u.writes(self.lo, self.end);
-        }
-        self.log.push(FlowCommand::new(
-            FlowOp::Unmap { id: self.map_id },
-            format!("unmap#{}", self.map_id),
-            vec![u],
-        ));
-    }
+/// The Unmap command closing mapping `id` of the window `u`: host writes
+/// through a writable mapping become visible here.
+pub(crate) fn unmap_command(id: u64, u: &BufUse, writable: bool) -> FlowCommand {
+    let (lo, end) = (u.span.0 as i128, u.span.1 as i128);
+    let u = if writable {
+        u.clone().writes(lo, end)
+    } else {
+        u.clone()
+    };
+    described(FlowOp::Unmap { id }, vec![u])
+}
+
+/// The HostAccess command for a raw host access to `elems` (element range
+/// within the buffer's window): a definite write, or a possible read.
+pub(crate) fn host_access_command<T: Pod>(
+    buf: &Buffer<T>,
+    elems: std::ops::Range<usize>,
+    write: bool,
+    via_map: Option<u64>,
+) -> FlowCommand {
+    let esz = std::mem::size_of::<T>();
+    let lo = (buf.byte_offset() + elems.start * esz) as i128;
+    let end = (buf.byte_offset() + elems.end * esz) as i128;
+    let u = transfer_use(buf);
+    let u = if write {
+        u.writes(lo, end)
+    } else {
+        u.may_reads(lo, end)
+    };
+    described(FlowOp::HostAccess { write, via_map }, vec![u])
 }

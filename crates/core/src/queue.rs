@@ -17,14 +17,14 @@ use cl_util::sync::Mutex;
 
 use crate::buffer::{Buffer, Pod};
 use crate::context::Context;
-use crate::device::DeviceKind;
+use crate::device::{Device, DeviceKind};
 use crate::error::ClError;
 use crate::event::{CommandKind, Event, ProfilingInfo};
 use crate::exec::execute_kernel;
-use crate::flow::{self, FlowLog};
+use crate::flow::{self, FlowLog, LoweredUses};
 use crate::kernel::Kernel;
 use crate::ndrange::{NDRange, ResolvedRange};
-use crate::race::{self, RaceLog};
+use crate::race::RaceLog;
 use crate::sched::{Dispatch, EventRef, Scheduler};
 use crate::trace::{self, Span, TraceLog};
 
@@ -194,21 +194,14 @@ impl QueueConfig {
     }
 }
 
-/// A memoized enqueue plan: everything `enqueue_kernel` derives from the
-/// (kernel, NDRange) pair before execution. Re-enqueueing an unchanged
-/// pair — the shape of every figure sweep and benchmark loop — skips the
-/// range resolution, the debug-mode contract checks, and the lowering of
-/// the kernel's arg-binding vector into flow uses.
-///
-/// The kernel is held [`Weak`] and verified with [`Arc::ptr_eq`] on
-/// upgrade, so a cached plan can neither keep a kernel (and its buffers)
-/// alive nor be mistaken for a new kernel allocated at a recycled address.
-struct EnqueuePlan {
-    kernel: Weak<dyn Kernel>,
-    range: NDRange,
+/// Everything `enqueue_kernel` derives from a (kernel, NDRange) pair before
+/// execution.
+#[derive(Clone)]
+struct Plan {
     resolved: ResolvedRange,
     /// Lowered flow uses + has_spec; present iff lowering was needed when
-    /// the plan was built (recording queue, or any debug build).
+    /// the plan was built (recording or out-of-order queue, or any debug
+    /// build).
     lowered: Option<LoweredUses>,
     /// Proven workgroup-fusion factor applied by native dispatch (1 = no
     /// coarsening). Computed once per plan — the legality proof and cost
@@ -216,9 +209,23 @@ struct EnqueuePlan {
     coarsen: usize,
 }
 
-/// A kernel's arg bindings lowered to flow uses, plus whether the kernel
-/// carries an access spec at all.
-type LoweredUses = (Vec<BufUse>, bool);
+/// A memoized [`Plan`]. Re-enqueueing an unchanged (kernel, NDRange) pair —
+/// the shape of every figure sweep and benchmark loop — skips the range
+/// resolution, the debug-mode contract checks, and the lowering of the
+/// kernel's arg-binding vector into flow uses.
+///
+/// The kernel is held [`Weak`] and verified with [`Arc::ptr_eq`] on
+/// upgrade, so a cached plan can neither keep a kernel (and its buffers)
+/// alive nor be mistaken for a new kernel allocated at a recycled address.
+struct EnqueuePlan {
+    kernel: Weak<dyn Kernel>,
+    range: NDRange,
+    plan: Plan,
+}
+
+/// A tuner trial: the decision key and the configuration whose launch
+/// time the enqueue reports back.
+type Trial = (cl_tune::TuneKey, cl_tune::TunedConfig);
 
 /// Entries kept in the per-queue plan cache. Small on purpose: sweeps
 /// alternate between a handful of kernels, and a linear scan of eight
@@ -301,25 +308,34 @@ impl CommandQueue {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Look up a memoized plan for (`kernel`, `range`). Dead entries
-    /// (kernel dropped) found along the way are evicted.
+    /// Whether anything reads command footprints: the out-of-order
+    /// scheduler, the flow log, or the race log. When nothing does, the
+    /// footprint is never built.
+    fn reads_footprints(&self) -> bool {
+        self.sched.is_some() || self.flow.is_some() || self.race.is_some()
+    }
+
+    /// Look up a memoized plan for (`kernel`, `range`) that carries lowered
+    /// uses if `need_lowered`. Dead entries (kernel dropped) found along the
+    /// way are evicted.
     fn cached_plan(
         &self,
         kernel: &Arc<dyn Kernel>,
         range: NDRange,
-    ) -> Option<(ResolvedRange, Option<LoweredUses>, usize)> {
+        need_lowered: bool,
+    ) -> Option<Plan> {
         let mut plans = self.plans.lock();
         let mut hit = None;
         plans.retain(|p| match p.kernel.upgrade() {
             None => false,
             Some(k) => {
                 if hit.is_none() && p.range == range && Arc::ptr_eq(&k, kernel) {
-                    hit = Some((p.resolved, p.lowered.clone(), p.coarsen));
+                    hit = Some(p.plan.clone());
                 }
                 true
             }
         });
-        hit
+        hit.filter(|p| !need_lowered || p.lowered.is_some())
     }
 
     /// Memoize a freshly built plan, evicting the oldest entry at capacity.
@@ -368,158 +384,106 @@ impl CommandQueue {
     }
 
     /// Resolve (and memoize) the enqueue plan for a (kernel, range) pair:
-    /// range resolution, the debug contract gates, and — when `need_lowered`
-    /// — the lowering of arg bindings into flow uses. Shared by the blocking
-    /// and DAG-submit enqueue paths.
-    fn plan_for(
+    /// range resolution, the debug contract gates, the lowering of arg
+    /// bindings into flow uses when `need_lowered`, and the fusion factor.
+    /// Shared by the blocking and DAG-submit enqueue paths.
+    ///
+    /// Tuned in-order queues route NULL-local cache misses through
+    /// [`cl_tune::Tuner::decide`]. A converged decision builds a plan that
+    /// is remembered under the *original* NULL-local range, so the steady
+    /// state is a plain cache hit with no tuner involvement. A trial
+    /// decision builds a throwaway plan and returns the [`Trial`] whose
+    /// launch time the caller must report back. Explicit local sizes,
+    /// [`CoarsenMode::Force`] and out-of-order queues bypass the tuner.
+    fn plan(
         &self,
         kernel: &Arc<dyn Kernel>,
         range: NDRange,
         need_lowered: bool,
-    ) -> Result<(ResolvedRange, Option<LoweredUses>, usize), ClError> {
+    ) -> Result<(Plan, Option<Trial>), ClError> {
+        if let Some(plan) = self.cached_plan(kernel, range, need_lowered) {
+            return Ok((plan, None));
+        }
         let device = self.ctx.device();
-        match self
-            .cached_plan(kernel, range)
-            .filter(|(_, lowered, _)| !need_lowered || lowered.is_some())
-        {
-            Some(plan) => Ok(plan),
-            None => {
-                let resolved =
-                    range.resolve_with(device.default_wg(), device.null_target_groups())?;
-                #[cfg(debug_assertions)]
-                check_contract(kernel, &resolved)?;
-                // Lower the launch for recording and/or the debug
-                // flag-contract gate. Bindings and the footprint are
-                // captured at most once per (kernel, range) — workgroup
-                // chunks never re-resolve argument metadata. With recording
-                // off (release), this is one branch.
-                let lowered = need_lowered.then(|| flow::launch_uses(kernel.as_ref(), &resolved));
-                #[cfg(debug_assertions)]
-                if let Some((uses, _)) = &lowered {
-                    check_flag_contract(kernel.name(), uses)?;
+        let tuner = self.tuner.as_ref().filter(|_| {
+            self.sched.is_none()
+                && range.local().is_none()
+                && !matches!(self.cfg.coarsen, CoarsenMode::Force(_))
+        });
+        let (tuned, trial) = match tuner {
+            None => (None, None),
+            Some(tuner) => {
+                let key = cl_tune::TuneKey {
+                    kernel: kernel.name().to_string(),
+                    global: range.global(),
+                    dims: range.dims(),
+                    device: device.name().to_string(),
+                    workers: device.pool().workers(),
+                };
+                match tuner.decide(&key, || tune_candidates(kernel, range, device)) {
+                    cl_tune::Decision::Fallback => (None, None),
+                    cl_tune::Decision::Converged(cfg) => (Some(cfg), None),
+                    cl_tune::Decision::Trial(cfg) => (Some(cfg), Some((key, cfg))),
                 }
-                let coarsen =
-                    coarsen_factor(kernel, &resolved, self.cfg.coarsen, device.pool().workers())?;
-                self.remember_plan(EnqueuePlan {
-                    kernel: Arc::downgrade(kernel),
-                    range,
-                    resolved,
-                    lowered: lowered.clone(),
-                    coarsen,
-                });
-                Ok((resolved, lowered, coarsen))
             }
-        }
-    }
-
-    /// [`plan_for`](Self::plan_for) with the tuner in the loop. Tuned
-    /// queues route NULL-local launches through [`cl_tune::Tuner::decide`]:
-    /// converged decisions build a plan that is remembered in the enqueue-
-    /// plan cache (so the steady state is a cache hit — one branch, no
-    /// tuner involvement), trial decisions build a throwaway plan and
-    /// return the `(key, config)` pair whose launch time the caller must
-    /// report back. Explicit local sizes and [`CoarsenMode::Force`] bypass
-    /// the tuner entirely, as does an untuned queue.
-    #[allow(clippy::type_complexity)]
-    fn plan_with_tuner(
-        &self,
-        kernel: &Arc<dyn Kernel>,
-        range: NDRange,
-        need_lowered: bool,
-    ) -> Result<
-        (
-            ResolvedRange,
-            Option<LoweredUses>,
-            usize,
-            Option<(cl_tune::TuneKey, cl_tune::TunedConfig)>,
-        ),
-        ClError,
-    > {
-        let bypass = self.tuner.is_none()
-            || range.local().is_some()
-            || matches!(self.cfg.coarsen, CoarsenMode::Force(_));
-        if bypass {
-            return self
-                .plan_for(kernel, range, need_lowered)
-                .map(|(r, l, c)| (r, l, c, None));
-        }
-        // Converged decisions ride the plan cache: a hit here IS the tuned
-        // steady-state path, same cost as an untuned cache hit.
-        if let Some((resolved, lowered, coarsen)) = self
-            .cached_plan(kernel, range)
-            .filter(|(_, lowered, _)| !need_lowered || lowered.is_some())
-        {
-            return Ok((resolved, lowered, coarsen, None));
-        }
-        let tuner = self.tuner.as_ref().expect("checked above");
-        let device = self.ctx.device();
-        let key = cl_tune::TuneKey {
-            kernel: kernel.name().to_string(),
-            global: range.global(),
-            dims: range.dims(),
-            device: device.name().to_string(),
-            workers: device.pool().workers(),
         };
-        match tuner.decide(&key, || tune_candidates(kernel, range, device)) {
-            cl_tune::Decision::Fallback => self
-                .plan_for(kernel, range, need_lowered)
-                .map(|(r, l, c)| (r, l, c, None)),
-            cl_tune::Decision::Converged(cfg) => self
-                .build_tuned_plan(kernel, range, cfg, need_lowered, true)
-                .map(|(r, l, c)| (r, l, c, None)),
-            cl_tune::Decision::Trial(cfg) => self
-                .build_tuned_plan(kernel, range, cfg, need_lowered, false)
-                .map(|(r, l, c)| (r, l, c, Some((key, cfg)))),
-        }
-    }
-
-    /// Build (and optionally memoize) the enqueue plan for a tuner-chosen
-    /// configuration: resolve the NULL-local range with the tuned explicit
-    /// workgroup size, run the same debug contract gates as the untuned
-    /// path, and clamp the tuned chunk request to what the coarsening
-    /// prover certifies (`Proven{k_max}`; anything weaker runs uncoarsened
-    /// — the tuner proposes, the prover disposes). Trial plans are not
-    /// remembered: only converged decisions enter the plan cache, keyed
-    /// under the *original* NULL-local range so future enqueues hit.
-    fn build_tuned_plan(
-        &self,
-        kernel: &Arc<dyn Kernel>,
-        range: NDRange,
-        cfg: cl_tune::TunedConfig,
-        need_lowered: bool,
-        remember: bool,
-    ) -> Result<(ResolvedRange, Option<LoweredUses>, usize), ClError> {
-        let device = self.ctx.device();
-        let resolved = range
-            .local1(cfg.wg)
+        let resolved = tuned
+            .map_or(range, |cfg| range.local1(cfg.wg))
             .resolve_with(device.default_wg(), device.null_target_groups())?;
         #[cfg(debug_assertions)]
         check_contract(kernel, &resolved)?;
+        // Bindings and the footprint are captured at most once per
+        // (kernel, range) — workgroup chunks never re-resolve argument
+        // metadata. With lowering not needed (release), this is one branch.
         let lowered = need_lowered.then(|| flow::launch_uses(kernel.as_ref(), &resolved));
         #[cfg(debug_assertions)]
-        if let Some((uses, _)) = &lowered {
-            check_flag_contract(kernel.name(), uses)?;
+        if let Some(lowered) = &lowered {
+            check_flag_contract(&flow::launch_command(kernel.name(), lowered.clone()))?;
         }
-        let coarsen = match self.cfg.coarsen {
-            CoarsenMode::Off => 1,
-            _ => kernel
-                .access_spec(&resolved)
-                .map(|spec| cl_analyze::analyze_coarsen(&spec))
-                .map_or(1, |analysis| match analysis.verdict {
-                    cl_analyze::CoarsenVerdict::Proven { k_max } => cfg.chunk.min(k_max).max(1),
-                    _ => 1,
-                }),
+        let coarsen = coarsen_factor(
+            kernel,
+            &resolved,
+            self.cfg.coarsen,
+            device.pool().workers(),
+            tuned.map(|cfg| cfg.chunk),
+        )?;
+        let plan = Plan {
+            resolved,
+            lowered,
+            coarsen,
         };
-        if remember {
+        if trial.is_none() {
             self.remember_plan(EnqueuePlan {
                 kernel: Arc::downgrade(kernel),
                 range,
-                resolved,
-                lowered: lowered.clone(),
-                coarsen,
+                plan: plan.clone(),
             });
         }
-        Ok((resolved, lowered, coarsen))
+        Ok((plan, trial))
+    }
+
+    /// The execution half of a planned launch, carrying `cmd` into the race
+    /// log when the context records one.
+    fn launch(
+        &self,
+        kernel: &Arc<dyn Kernel>,
+        plan: &Plan,
+        seq: u64,
+        queued_ns: u64,
+        cmd: Option<FlowCommand>,
+    ) -> Launch {
+        Launch {
+            device: self.ctx.device().clone(),
+            kernel: Arc::clone(kernel),
+            resolved: plan.resolved,
+            coarsen: plan.coarsen,
+            timeout: self.cfg.launch_timeout,
+            trace: self.trace.clone(),
+            race: self.race.clone().zip(cmd),
+            queue_id: self.id,
+            seq,
+            queued_ns,
+        }
     }
 
     /// `clEnqueueNDRangeKernel` (blocking). The workgroup size comes from
@@ -537,106 +501,40 @@ impl CommandQueue {
             return self.submit_kernel(kernel, range, &[])?.wait(None);
         }
         let queued_ns = trace::now_ns();
-        let device = self.ctx.device();
-        // Scoped sink install: the pool reports steals and worker lifecycle
-        // events into this queue's log only while one of its traced launches
-        // is in flight, so untraced queues sharing the pool stay silent and
-        // a traced queue doesn't collect other queues' scheduling noise.
-        let _sink = self.trace.as_ref().map(|log| {
-            device
-                .pool()
-                .set_event_sink(Arc::clone(log) as Arc<dyn cl_pool::PoolEventSink>);
-            SinkGuard {
-                pool: device.pool(),
-            }
-        });
-        // Self-healing: respawn any worker a previous launch's fatal fault
-        // retired, so a faulted queue recovers on its next enqueue. One
-        // atomic load when nothing died. (Runs under the sink install so a
-        // respawn triggered by this enqueue lands in the trace.)
-        let respawned = device.pool().recover() as u64;
         // Re-enqueues of an unchanged (kernel, range) pair reuse the
         // memoized plan: resolution, contract checks, and lowering ran — and
         // passed — when the plan was built. Failing launches are never
         // cached, so a rejected kernel is re-checked (and re-rejected)
         // every time.
         let need_lowered = self.flow.is_some() || self.race.is_some() || cfg!(debug_assertions);
-        let (resolved, lowered, coarsen, trial) =
-            self.plan_with_tuner(kernel, range, need_lowered)?;
+        let (mut plan, trial) = self.plan(kernel, range, need_lowered)?;
+        let cmd = (self.flow.is_some() || self.race.is_some())
+            .then(|| flow::launch_command(kernel.name(), plan.lowered.take().unwrap_or_default()));
         // Debug-build enqueue gate #3, cross-queue: would this launch race
         // with another queue's recorded commands? Unlike the per-kernel
-        // gates above it depends on *stream state*, so it runs even on
-        // plan-cache hits. Same `CL_SKIP_STATIC_CHECK` opt-out.
+        // gates it depends on *stream state*, so it runs even on plan-cache
+        // hits. Same `CL_SKIP_STATIC_CHECK` opt-out.
         #[cfg(debug_assertions)]
-        if let (Some(rl), Some((uses, has_spec))) = (&self.race, &lowered) {
-            check_cross_queue(rl, self.id, kernel.name(), uses, *has_spec)?;
+        if let (Some(rl), Some(cmd)) = (&self.race, &cmd) {
+            check_cross_queue(rl, self.id, cmd)?;
         }
         let seq = self.next_seq();
-        if let Some(log) = &self.flow {
+        if let (Some(log), Some(cmd)) = (&self.flow, &cmd) {
             // Recorded before execution so faulted launches still appear in
             // the stream the lints see.
-            let (uses, has_spec) = lowered.clone().unwrap_or_default();
-            log.push(FlowCommand::new(
-                FlowOp::Launch {
-                    kernel: kernel.name().to_string(),
-                    has_spec,
-                },
-                kernel.name(),
-                uses,
-            ));
+            log.push(cmd.clone());
         }
-        let res = execute_kernel(
-            device,
-            kernel,
-            &resolved,
-            self.cfg.launch_timeout,
-            self.trace.as_ref(),
-            queued_ns,
-            coarsen,
-        );
-        if let Some(rl) = &self.race {
-            // Launches record as *asynchronous* commands — OpenCL
-            // semantics, which the hb analysis certifies against — with the
-            // observed execution window for the dynamic layer. Faulted
-            // launches record unobserved (0, 0).
-            let (uses, has_spec) = lowered.unwrap_or_default();
-            let (start_ns, end_ns) = match &res {
-                Ok(ev) => (ev.profiling.started_ns, ev.profiling.completed_ns),
-                Err(_) => (0, 0),
-            };
-            rl.push(
-                HbRecord::command(
-                    self.id,
-                    seq,
-                    FlowCommand::new(
-                        FlowOp::Launch {
-                            kernel: kernel.name().to_string(),
-                            has_spec,
-                        },
-                        kernel.name(),
-                        uses,
-                    ),
-                    false,
-                )
-                .observed(start_ns, end_ns),
-            );
-        }
-        let mut ev = res?;
-        ev.workers_respawned = respawned;
-        ev.queue_id = self.id;
-        ev.seq = seq;
+        let ev = self.launch(kernel, &plan, seq, queued_ns, cmd).run(None)?;
         // Close the tuning loop: report the trial's execution window (the
-        // PR 3 profiling timestamps; modeled time on modeled devices) back
-        // to the bandit. Failed launches return above and are never
-        // observed, so a faulting config cannot win on a short bogus time.
-        if let Some((key, tcfg)) = trial {
-            if let Some(tuner) = &self.tuner {
-                let ns = ev
-                    .profiling
-                    .completed_ns
-                    .saturating_sub(ev.profiling.started_ns);
-                tuner.observe(&key, tcfg, ns as f64);
-            }
+        // profiling timestamps; modeled time on modeled devices) back to the
+        // bandit. Failed launches return above and are never observed, so a
+        // faulting config cannot win on a short bogus time.
+        if let (Some((key, tcfg)), Some(tuner)) = (trial, &self.tuner) {
+            let ns = ev
+                .profiling
+                .completed_ns
+                .saturating_sub(ev.profiling.started_ns);
+            tuner.observe(&key, tcfg, ns as f64);
         }
         Ok(ev)
     }
@@ -678,94 +576,45 @@ impl CommandQueue {
         // unconditional here. All per-kernel debug gates run at submit time;
         // the cross-queue gate is skipped — it assumes in-order program
         // order, and OOO streams are certified offline by `cl-race` instead.
-        let (resolved, lowered, coarsen) = self.plan_for(kernel, range, true)?;
+        let (mut plan, _) = self.plan(kernel, range, true)?;
         let seq = self.next_seq();
-        let (uses, has_spec) = lowered.unwrap_or_default();
-        let flow_cmd = FlowCommand::new(
-            FlowOp::Launch {
-                kernel: kernel.name().to_string(),
-                has_spec,
-            },
-            kernel.name(),
-            uses.clone(),
-        );
+        let cmd = flow::launch_command(kernel.name(), plan.lowered.take().unwrap_or_default());
         if let Some(log) = &self.flow {
             // Recorded at submit so faulted launches still appear in the
             // stream the lints see (submit order = program order).
-            log.push(flow_cmd.clone());
+            log.push(cmd.clone());
         }
-        let conservative = uses.is_empty();
-        let device = self.ctx.device().clone();
-        let trace = self.trace.clone();
-        let race = self.race.clone();
-        let timeout = self.cfg.launch_timeout;
-        let k = Arc::clone(kernel);
-        let qid = self.id;
-        let record_cmd = flow_cmd.clone();
+        let conservative = cmd.uses.is_empty();
+        let launch = self.launch(
+            kernel,
+            &plan,
+            seq,
+            queued_ns,
+            self.race.is_some().then(|| cmd.clone()),
+        );
         // Deadline-armed launches hard-block their calling thread in the
         // watchdog wait, so they get a dedicated thread; without a deadline
         // the launch claims chunks and helps — safe on a pool worker.
-        let dispatch = if timeout.is_some() {
+        let dispatch = if self.cfg.launch_timeout.is_some() {
             Dispatch::Thread
         } else {
             Dispatch::Pool
         };
         let waits_cell: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         let waits_in_work = Arc::clone(&waits_cell);
-        let work = Box::new(move || {
-            let _sink = trace.as_ref().map(|log| {
-                device
-                    .pool()
-                    .set_event_sink(Arc::clone(log) as Arc<dyn cl_pool::PoolEventSink>);
-                SinkGuard {
-                    pool: device.pool(),
-                }
-            });
-            let respawned = device.pool().recover() as u64;
-            let res = execute_kernel(
-                &device,
-                &k,
-                &resolved,
-                timeout,
-                trace.as_ref(),
-                queued_ns,
-                coarsen,
-            );
-            if let Some(rl) = &race {
-                // Recorded at completion: a dependency's record is always
-                // pushed before its dependents' (completion order), so
-                // wait edges always point forward in the stream.
-                let (start_ns, end_ns) = match &res {
-                    Ok(ev) => (ev.profiling.started_ns, ev.profiling.completed_ns),
-                    Err(_) => (0, 0),
-                };
-                rl.push(
-                    HbRecord::command(qid, seq, record_cmd, false)
-                        .observed(start_ns, end_ns)
-                        .ooo_waits(waits_in_work.lock().clone()),
-                );
-            }
-            res.map(|mut ev| {
-                ev.workers_respawned = respawned;
-                ev.queue_id = qid;
-                ev.seq = seq;
-                ev
-            })
-        });
-        let ev = sched.submit(
+        sched.submit(
             kernel.name(),
             self.id,
             seq,
-            Some(flow_cmd),
+            Some(cmd),
             conservative,
             wait,
             false,
             false,
             dispatch,
-            work,
+            Box::new(move || launch.run(Some(&waits_in_work))),
             &waits_cell,
-        )?;
-        Ok(ev)
+        )
     }
 
     /// `clEnqueueMarkerWithWaitList`: completes once every event in `wait`
@@ -802,26 +651,13 @@ impl CommandQueue {
         let qid = self.id;
         let waits_cell: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         let waits_in_work = Arc::clone(&waits_cell);
-        let label_owned = label.to_string();
         let work = Box::new(move || {
             if let Some(rl) = &race {
                 // Markers carry no uses — inert in pair classification, but
                 // their wait edges order transitively through them.
+                let cmd = flow::launch_command(label, (Vec::new(), true));
                 rl.push(
-                    HbRecord::command(
-                        qid,
-                        seq,
-                        FlowCommand::new(
-                            FlowOp::Launch {
-                                kernel: label_owned.clone(),
-                                has_spec: true,
-                            },
-                            label_owned.clone(),
-                            Vec::new(),
-                        ),
-                        false,
-                    )
-                    .ooo_waits(waits_in_work.lock().clone()),
+                    HbRecord::command(qid, seq, cmd, false).ooo_waits(waits_in_work.lock().clone()),
                 );
             }
             Ok(Event::new(CommandKind::Marker, 0.0, false))
@@ -843,22 +679,16 @@ impl CommandQueue {
     }
 
     /// Out-of-order queues: block until every pending command whose
-    /// footprint conflicts with `uses` has completed, so a blocking
+    /// footprint conflicts with `footprint` has completed, so a blocking
     /// (in-order) host operation can safely touch the buffers. Independent
     /// pending commands keep running. Returns the drained commands'
     /// `(queue, seq)` pairs for happens-before recording.
-    fn drain_conflicting(
-        &self,
-        op: FlowOp,
-        label: &str,
-        uses: Vec<BufUse>,
-    ) -> Result<Vec<(u64, u64)>, ClError> {
+    fn drain(&self, footprint: &FlowCommand) -> Result<Vec<(u64, u64)>, ClError> {
         let Some(sched) = &self.sched else {
             return Ok(Vec::new());
         };
-        let cmd = FlowCommand::new(op, label, uses);
         let mut waits = Vec::new();
-        for e in sched.conflicting_events(&cmd) {
+        for e in sched.conflicting_events(footprint) {
             if let Err(err) = e.wait(self.cfg.launch_timeout) {
                 if e.completion_tick().is_none() {
                     // Still pending at the deadline: the wait itself timed
@@ -876,29 +706,51 @@ impl CommandQueue {
         Ok(waits)
     }
 
-    /// Record a completed blocking transfer into the context's race log:
+    /// Record a completed blocking command into the context's race log:
     /// the command plus its host-sync effect (the enqueuing thread observed
-    /// completion, ordering it before everything enqueued later). The
-    /// command is built lazily, so the disabled path is one branch.
-    fn record_race_transfer(
-        &self,
-        ev: &Event,
-        waits: Vec<(u64, u64)>,
-        build: impl FnOnce() -> (FlowOp, String, Vec<BufUse>),
-    ) {
-        if let Some(rl) = &self.race {
-            let (op, label, uses) = build();
-            let mut rec =
-                HbRecord::command(self.id, ev.seq, FlowCommand::new(op, label, uses), true)
-                    .observed(ev.profiling.started_ns, ev.profiling.completed_ns);
-            if self.sched.is_some() {
-                // On an out-of-order queue program order means nothing; the
-                // record carries the drained commands as explicit wait edges
-                // instead (plus its host-sync effect, from `blocking`).
-                rec = rec.ooo_waits(waits);
-            }
-            rl.push(rec);
+    /// completion, ordering it before everything enqueued later).
+    fn race_record(&self, rl: &RaceLog, ev: &Event, cmd: FlowCommand, waits: Vec<(u64, u64)>) {
+        let mut rec = HbRecord::command(self.id, ev.seq, cmd, true)
+            .observed(ev.profiling.started_ns, ev.profiling.completed_ns);
+        if self.sched.is_some() {
+            // On an out-of-order queue program order means nothing; the
+            // record carries the drained commands as explicit wait edges
+            // instead (plus its host-sync effect, from `blocking`).
+            rec = rec.ooo_waits(waits);
         }
+        rl.push(rec);
+    }
+
+    /// The one path of the blocking copy transfers. The command's footprint
+    /// is built once — and only when the scheduler, the flow log or the race
+    /// log reads it — and serves all three: the pending commands it
+    /// conflicts with drain before `body` runs, then it is recorded in the
+    /// flow log and the race log.
+    fn transfer(
+        &self,
+        kind: CommandKind,
+        queued_ns: u64,
+        bytes: usize,
+        footprint: impl FnOnce() -> FlowCommand,
+        body: impl FnOnce() -> Result<(), ClError>,
+    ) -> Result<Event, ClError> {
+        let cmd = self.reads_footprints().then(footprint);
+        let waits = match &cmd {
+            Some(cmd) => self.drain(cmd)?,
+            None => Vec::new(),
+        };
+        let started_ns = trace::now_ns();
+        body()?;
+        let ev = self.transfer_event(kind, queued_ns, started_ns, bytes);
+        if let Some(cmd) = cmd {
+            if let Some(log) = &self.flow {
+                log.push(cmd.clone());
+            }
+            if let Some(rl) = &self.race {
+                self.race_record(rl, &ev, cmd, waits);
+            }
+        }
+        Ok(ev)
     }
 
     /// `clEnqueueWriteBuffer` (blocking): host → buffer through the staging
@@ -913,34 +765,26 @@ impl CommandQueue {
         self.check_ctx(buf)?;
         let bytes = std::mem::size_of_val(src);
         let byte_off = elem_offset_bytes::<T>(buf.byte_offset(), offset)?;
-        let (lo, end) = (byte_off as i128, (byte_off + bytes) as i128);
-        let waits = self.drain_conflicting(
-            FlowOp::WriteBuffer,
-            "write",
-            vec![flow::transfer_use(buf).writes(lo, end)],
-        )?;
-        let started_ns = trace::now_ns();
-        let raw = unsafe { std::slice::from_raw_parts(src.as_ptr() as *const u8, bytes) };
-        self.ctx
-            .inner
-            .transfer
-            .write_buffer(&buf.inner.region, byte_off, raw)?;
-        if let Some(log) = &self.flow {
-            log.push(FlowCommand::new(
-                FlowOp::WriteBuffer,
-                format!("write {bytes}B"),
-                vec![flow::transfer_use(buf).writes(lo, end)],
-            ));
-        }
-        let ev = self.transfer_event(CommandKind::WriteBuffer, queued_ns, started_ns, bytes, true);
-        self.record_race_transfer(&ev, waits, || {
-            (
-                FlowOp::WriteBuffer,
-                format!("write {bytes}B"),
-                vec![flow::transfer_use(buf).writes(lo, end)],
-            )
-        });
-        Ok(ev)
+        let footprint = || {
+            let u = flow::transfer_use(buf).writes(byte_off as i128, (byte_off + bytes) as i128);
+            FlowCommand::new(FlowOp::WriteBuffer, format!("write {bytes}B"), vec![u])
+        };
+        self.transfer(
+            CommandKind::WriteBuffer,
+            queued_ns,
+            bytes,
+            footprint,
+            || {
+                // SAFETY: `src` is a live `&[T]` of exactly `bytes` bytes, and any
+                // byte pattern is a valid `u8`.
+                let raw = unsafe { std::slice::from_raw_parts(src.as_ptr() as *const u8, bytes) };
+                Ok(self
+                    .ctx
+                    .inner
+                    .transfer
+                    .write_buffer(&buf.inner.region, byte_off, raw)?)
+            },
+        )
     }
 
     /// `clEnqueueReadBuffer` (blocking): buffer → host through the staging
@@ -955,34 +799,84 @@ impl CommandQueue {
         self.check_ctx(buf)?;
         let bytes = std::mem::size_of_val(dst);
         let byte_off = elem_offset_bytes::<T>(buf.byte_offset(), offset)?;
-        let (lo, end) = (byte_off as i128, (byte_off + bytes) as i128);
-        let waits = self.drain_conflicting(
-            FlowOp::ReadBuffer,
-            "read",
-            vec![flow::transfer_use(buf).reads(lo, end)],
-        )?;
-        let started_ns = trace::now_ns();
-        let raw = unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr() as *mut u8, bytes) };
-        self.ctx
-            .inner
-            .transfer
-            .read_buffer(&buf.inner.region, byte_off, raw)?;
-        if let Some(log) = &self.flow {
-            log.push(FlowCommand::new(
-                FlowOp::ReadBuffer,
-                format!("read {bytes}B"),
-                vec![flow::transfer_use(buf).reads(lo, end)],
-            ));
+        let footprint = || {
+            let u = flow::transfer_use(buf).reads(byte_off as i128, (byte_off + bytes) as i128);
+            FlowCommand::new(FlowOp::ReadBuffer, format!("read {bytes}B"), vec![u])
+        };
+        self.transfer(CommandKind::ReadBuffer, queued_ns, bytes, footprint, || {
+            // SAFETY: `dst` is a live, uniquely borrowed `&mut [T]` of exactly
+            // `bytes` bytes, and `T: Pod` accepts any byte pattern written.
+            let raw = unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr() as *mut u8, bytes) };
+            Ok(self
+                .ctx
+                .inner
+                .transfer
+                .read_buffer(&buf.inner.region, byte_off, raw)?)
+        })
+    }
+
+    /// The map command behind [`map_buffer`](Self::map_buffer) and
+    /// [`map_buffer_mut`](Self::map_buffer_mut).
+    fn map<'q, T: Pod>(
+        &'q self,
+        buf: &'q Buffer<T>,
+        writable: bool,
+    ) -> Result<(Mapping<'q>, Event), ClError> {
+        let queued_ns = trace::now_ns();
+        self.check_ctx(buf)?;
+        let window = self.reads_footprints().then(|| flow::transfer_use(buf));
+        let mut waits = Vec::new();
+        if let (Some(_), Some(u)) = (&self.sched, &window) {
+            // The host may read the mapped bytes from the moment the map
+            // returns, and write them through a writable mapping, so the
+            // drain covers both — although the recorded Map carries only the
+            // read, and the host's writes are recorded at Unmap.
+            let (lo, end) = (u.span.0 as i128, u.span.1 as i128);
+            let mut access = u.clone().reads(lo, end);
+            if writable {
+                access = access.writes(lo, end);
+            }
+            let op = FlowOp::Map { id: 0, writable };
+            waits = self.drain(&FlowCommand::new(op, "map", vec![access]))?;
         }
-        let ev = self.transfer_event(CommandKind::ReadBuffer, queued_ns, started_ns, bytes, true);
-        self.record_race_transfer(&ev, waits, || {
-            (
-                FlowOp::ReadBuffer,
-                format!("read {bytes}B"),
-                vec![flow::transfer_use(buf).reads(lo, end)],
-            )
+        let started_ns = trace::now_ns();
+        let mode = if writable {
+            MapMode::ReadWrite
+        } else {
+            MapMode::Read
+        };
+        let guard = self.ctx.inner.transfer.map(
+            &buf.inner.region,
+            buf.byte_offset(),
+            buf.byte_len(),
+            mode,
+        )?;
+        let ev = self.transfer_event(
+            CommandKind::MapBuffer,
+            queued_ns,
+            started_ns,
+            buf.byte_len(),
+        );
+        let flow_id = self.flow.as_ref().zip(window.as_ref()).map(|(log, u)| {
+            let id = log.next_map_id();
+            log.push(flow::map_command(id, u, writable));
+            id
         });
-        Ok(ev)
+        let race_id = self.race.as_ref().zip(window.as_ref()).map(|(rl, u)| {
+            let id = rl.next_map_id();
+            self.race_record(rl, &ev, flow::map_command(id, u, writable), waits);
+            id
+        });
+        let mapping = Mapping {
+            queue: self,
+            window,
+            writable,
+            flow_id,
+            race_id,
+            map_seq: ev.seq,
+            guard,
+        };
+        Ok((mapping, ev))
     }
 
     /// `clEnqueueMapBuffer` with `CL_MAP_READ` (blocking): zero-copy host
@@ -991,78 +885,10 @@ impl CommandQueue {
         &'q self,
         buf: &'q Buffer<T>,
     ) -> Result<(TypedMap<'q, T>, Event), ClError> {
-        let queued_ns = trace::now_ns();
-        self.check_ctx(buf)?;
-        let map_use = flow::transfer_use(buf);
-        let (map_lo, map_end) = (map_use.span.0 as i128, map_use.span.1 as i128);
-        let waits = self.drain_conflicting(
-            FlowOp::Map {
-                id: 0,
-                writable: false,
-            },
-            "map",
-            vec![map_use.reads(map_lo, map_end)],
-        )?;
-        let started_ns = trace::now_ns();
-        let guard = self.ctx.inner.transfer.map(
-            &buf.inner.region,
-            buf.byte_offset(),
-            buf.byte_len(),
-            MapMode::Read,
-        )?;
-        let ev = self.transfer_event(
-            CommandKind::MapBuffer,
-            queued_ns,
-            started_ns,
-            buf.byte_len(),
-            false,
-        );
-        // Read-intent map: the host definitely consumes the mapped bytes,
-        // so the Map command carries a must-read over the range.
-        let flow = self.flow.as_ref().map(|log| {
-            let id = log.next_map_id();
-            let u = flow::transfer_use(buf);
-            let (lo, end) = (u.span.0 as i128, u.span.1 as i128);
-            log.push(FlowCommand::new(
-                FlowOp::Map {
-                    id,
-                    writable: false,
-                },
-                format!("map#{id} (ro)"),
-                vec![u.clone().reads(lo, end)],
-            ));
-            flow::FlowUnmap::new(Arc::clone(log), id, u, false)
-        });
-        let race = self.race.as_ref().map(|rl| {
-            let id = rl.next_map_id();
-            let u = flow::transfer_use(buf);
-            let (lo, end) = (u.span.0 as i128, u.span.1 as i128);
-            let mut rec = HbRecord::command(
-                self.id,
-                ev.seq,
-                FlowCommand::new(
-                    FlowOp::Map {
-                        id,
-                        writable: false,
-                    },
-                    format!("map#{id} (ro)"),
-                    vec![u.clone().reads(lo, end)],
-                ),
-                true,
-            )
-            .observed(ev.profiling.started_ns, ev.profiling.completed_ns);
-            if self.sched.is_some() {
-                rec = rec.ooo_waits(waits.clone());
-            }
-            rl.push(rec);
-            race::RaceUnmap::new(Arc::clone(rl), self.id, Arc::clone(&self.seq), id, u, false)
-                .ooo_after(self.sched.is_some().then_some((self.id, ev.seq)))
-        });
+        let (map, ev) = self.map(buf, false)?;
         Ok((
             TypedMap {
-                guard,
-                flow,
-                race,
+                map,
                 _t: PhantomData,
             },
             ev,
@@ -1074,68 +900,10 @@ impl CommandQueue {
         &'q self,
         buf: &'q Buffer<T>,
     ) -> Result<(TypedMapMut<'q, T>, Event), ClError> {
-        let queued_ns = trace::now_ns();
-        self.check_ctx(buf)?;
-        let waits = self.drain_conflicting(
-            FlowOp::Map {
-                id: 0,
-                writable: true,
-            },
-            "map",
-            vec![flow::transfer_use(buf)],
-        )?;
-        let started_ns = trace::now_ns();
-        let guard = self.ctx.inner.transfer.map(
-            &buf.inner.region,
-            buf.byte_offset(),
-            buf.byte_len(),
-            MapMode::ReadWrite,
-        )?;
-        let ev = self.transfer_event(
-            CommandKind::MapBuffer,
-            queued_ns,
-            started_ns,
-            buf.byte_len(),
-            false,
-        );
-        // Write-intent map: host writes become visible at unmap, so the
-        // write sets ride the deferred Unmap command, not the Map.
-        let flow = self.flow.as_ref().map(|log| {
-            let id = log.next_map_id();
-            let u = flow::transfer_use(buf);
-            log.push(FlowCommand::new(
-                FlowOp::Map { id, writable: true },
-                format!("map#{id} (rw)"),
-                vec![u.clone()],
-            ));
-            flow::FlowUnmap::new(Arc::clone(log), id, u, true)
-        });
-        let race = self.race.as_ref().map(|rl| {
-            let id = rl.next_map_id();
-            let u = flow::transfer_use(buf);
-            let mut rec = HbRecord::command(
-                self.id,
-                ev.seq,
-                FlowCommand::new(
-                    FlowOp::Map { id, writable: true },
-                    format!("map#{id} (rw)"),
-                    vec![u.clone()],
-                ),
-                true,
-            )
-            .observed(ev.profiling.started_ns, ev.profiling.completed_ns);
-            if self.sched.is_some() {
-                rec = rec.ooo_waits(waits.clone());
-            }
-            rl.push(rec);
-            race::RaceUnmap::new(Arc::clone(rl), self.id, Arc::clone(&self.seq), id, u, true)
-                .ooo_after(self.sched.is_some().then_some((self.id, ev.seq)))
-        });
+        let (map, ev) = self.map(buf, true)?;
         Ok((
             TypedMapMut {
-                guard,
-                flow,
-                race,
+                map,
                 _t: PhantomData,
             },
             ev,
@@ -1161,42 +929,26 @@ impl CommandQueue {
         let bytes = count.checked_mul(elem).ok_or(ClError::BufferTooLarge)?;
         let src_off = elem_offset_bytes::<T>(src.byte_offset(), src_offset)?;
         let dst_off = elem_offset_bytes::<T>(dst.byte_offset(), dst_offset)?;
-        let waits = self.drain_conflicting(
-            FlowOp::CopyBuffer,
-            "copy",
-            vec![
+        let footprint = || {
+            let uses = vec![
                 flow::transfer_use(src).reads(src_off as i128, (src_off + bytes) as i128),
                 flow::transfer_use(dst).writes(dst_off as i128, (dst_off + bytes) as i128),
-            ],
-        )?;
-        let started_ns = trace::now_ns();
-        // Bounds are enforced by the region; stage through a scratch Vec so
-        // overlapping src/dst windows behave like memmove.
-        let mut scratch = vec![0u8; bytes];
-        src.inner.region.read_into(src_off, &mut scratch)?;
-        dst.inner.region.write_from(dst_off, &scratch)?;
-        if let Some(log) = &self.flow {
-            log.push(FlowCommand::new(
-                FlowOp::CopyBuffer,
-                format!("copy {bytes}B"),
-                vec![
-                    flow::transfer_use(src).reads(src_off as i128, (src_off + bytes) as i128),
-                    flow::transfer_use(dst).writes(dst_off as i128, (dst_off + bytes) as i128),
-                ],
-            ));
-        }
-        let ev = self.transfer_event(CommandKind::WriteBuffer, queued_ns, started_ns, bytes, true);
-        self.record_race_transfer(&ev, waits, || {
-            (
-                FlowOp::CopyBuffer,
-                format!("copy {bytes}B"),
-                vec![
-                    flow::transfer_use(src).reads(src_off as i128, (src_off + bytes) as i128),
-                    flow::transfer_use(dst).writes(dst_off as i128, (dst_off + bytes) as i128),
-                ],
-            )
-        });
-        Ok(ev)
+            ];
+            FlowCommand::new(FlowOp::CopyBuffer, format!("copy {bytes}B"), uses)
+        };
+        self.transfer(
+            CommandKind::WriteBuffer,
+            queued_ns,
+            bytes,
+            footprint,
+            || {
+                // Bounds are enforced by the region; stage through a scratch Vec
+                // so overlapping src/dst windows behave like memmove.
+                let mut scratch = vec![0u8; bytes];
+                src.inner.region.read_into(src_off, &mut scratch)?;
+                Ok(dst.inner.region.write_from(dst_off, &scratch)?)
+            },
+        )
     }
 
     /// `clEnqueueFillBuffer` (blocking): fill the buffer's window with a
@@ -1204,45 +956,31 @@ impl CommandQueue {
     pub fn fill_buffer<T: Pod>(&self, buf: &Buffer<T>, value: T) -> Result<Event, ClError> {
         let queued_ns = trace::now_ns();
         self.check_ctx(buf)?;
-        let fill_lo = buf.byte_offset() as i128;
-        let waits = self.drain_conflicting(
-            FlowOp::FillBuffer,
-            "fill",
-            vec![flow::transfer_use(buf).writes(fill_lo, fill_lo + buf.byte_len() as i128)],
-        )?;
-        let started_ns = trace::now_ns();
-        let elem = std::mem::size_of::<T>();
-        let raw = unsafe { std::slice::from_raw_parts(&value as *const T as *const u8, elem) };
-        // Write the pattern element-by-element through a staged row to keep
-        // the fill a single region write.
-        let mut staged = vec![0u8; buf.byte_len()];
-        for chunk in staged.chunks_mut(elem) {
-            chunk.copy_from_slice(raw);
-        }
-        buf.inner.region.write_from(buf.byte_offset(), &staged)?;
-        let lo = buf.byte_offset() as i128;
-        if let Some(log) = &self.flow {
-            log.push(FlowCommand::new(
-                FlowOp::FillBuffer,
-                format!("fill {}B", staged.len()),
-                vec![flow::transfer_use(buf).writes(lo, lo + staged.len() as i128)],
-            ));
-        }
-        let ev = self.transfer_event(
+        let (lo, bytes) = (buf.byte_offset(), buf.byte_len());
+        let footprint = || {
+            let u = flow::transfer_use(buf).writes(lo as i128, (lo + bytes) as i128);
+            FlowCommand::new(FlowOp::FillBuffer, format!("fill {bytes}B"), vec![u])
+        };
+        self.transfer(
             CommandKind::WriteBuffer,
             queued_ns,
-            started_ns,
-            staged.len(),
-            true,
-        );
-        self.record_race_transfer(&ev, waits, || {
-            (
-                FlowOp::FillBuffer,
-                format!("fill {}B", staged.len()),
-                vec![flow::transfer_use(buf).writes(lo, lo + staged.len() as i128)],
-            )
-        });
-        Ok(ev)
+            bytes,
+            footprint,
+            || {
+                let elem = std::mem::size_of::<T>();
+                // SAFETY: `value` is a live `T` of `elem` bytes, and any byte
+                // pattern is a valid `u8`.
+                let raw =
+                    unsafe { std::slice::from_raw_parts(&value as *const T as *const u8, elem) };
+                // Write the pattern element-by-element through a staged row to
+                // keep the fill a single region write.
+                let mut staged = vec![0u8; bytes];
+                for chunk in staged.chunks_mut(elem) {
+                    chunk.copy_from_slice(raw);
+                }
+                Ok(buf.inner.region.write_from(lo, &staged)?)
+            },
+        )
     }
 
     /// `clEnqueueUnmapMemObject` by buffer window: force-release the one
@@ -1268,7 +1006,6 @@ impl CommandQueue {
             queued_ns,
             started_ns,
             buf.byte_len(),
-            false,
         ))
     }
 
@@ -1305,25 +1042,24 @@ impl CommandQueue {
     }
 
     /// Build a completed transfer's event: duration (wall for native,
-    /// modeled for modeled devices), bytes, the four profiling timestamps,
-    /// and — when tracing — a [`SpanKind::Transfer`](crate::SpanKind) span.
+    /// modeled — a map or a copy — for modeled devices), bytes, the four
+    /// profiling timestamps, and — when tracing — a
+    /// [`SpanKind::Transfer`](crate::SpanKind) span.
     fn transfer_event(
         &self,
         kind: CommandKind,
         queued_ns: u64,
         started_ns: u64,
         bytes: usize,
-        is_copy: bool,
     ) -> Event {
         let end_ns = trace::now_ns();
         let (duration_s, modeled) = match self.ctx.device().kind() {
             DeviceKind::NativeCpu => (end_ns.saturating_sub(started_ns) as f64 / 1e9, false),
             DeviceKind::ModeledCpu(_) | DeviceKind::ModeledGpu(_) => {
                 let model = self.ctx.device().transfer_model();
-                let d = if is_copy {
-                    model.copy_time(bytes)
-                } else {
-                    model.map_time(bytes)
+                let d = match kind {
+                    CommandKind::MapBuffer | CommandKind::UnmapBuffer => model.map_time(bytes),
+                    _ => model.copy_time(bytes),
                 };
                 (d, true)
             }
@@ -1356,6 +1092,76 @@ impl CommandQueue {
     }
 }
 
+/// One planned kernel launch: run in place by an in-order queue, or moved
+/// into an out-of-order queue's work closure.
+struct Launch {
+    device: Device,
+    kernel: Arc<dyn Kernel>,
+    resolved: ResolvedRange,
+    coarsen: usize,
+    timeout: Option<std::time::Duration>,
+    trace: Option<Arc<TraceLog>>,
+    /// The context's race log and the Launch command recorded into it.
+    race: Option<(Arc<RaceLog>, FlowCommand)>,
+    queue_id: u64,
+    seq: u64,
+    queued_ns: u64,
+}
+
+impl Launch {
+    /// Execute the launch, record it in the race log, and stamp its event.
+    /// `ooo_waits` holds an out-of-order command's wait edges, which replace
+    /// program order in its race record.
+    fn run(self, ooo_waits: Option<&Mutex<Vec<(u64, u64)>>>) -> Result<Event, ClError> {
+        let pool = self.device.pool();
+        // Scoped sink install: the pool reports steals and worker lifecycle
+        // events into this queue's log only while one of its traced launches
+        // is in flight, so untraced queues sharing the pool stay silent and
+        // a traced queue doesn't collect other queues' scheduling noise.
+        let _sink = self.trace.as_ref().map(|log| {
+            pool.set_event_sink(Arc::clone(log) as Arc<dyn cl_pool::PoolEventSink>);
+            SinkGuard { pool }
+        });
+        // Self-healing: respawn any worker a previous launch's fatal fault
+        // retired, so a faulted queue recovers on its next enqueue. One
+        // atomic load when nothing died. (Runs under the sink install so a
+        // respawn triggered by this enqueue lands in the trace.)
+        let respawned = pool.recover() as u64;
+        let res = execute_kernel(
+            &self.device,
+            &self.kernel,
+            &self.resolved,
+            self.timeout,
+            self.trace.as_ref(),
+            self.queued_ns,
+            self.coarsen,
+        );
+        if let Some((rl, cmd)) = self.race {
+            // Launches record as *asynchronous* commands — OpenCL
+            // semantics, which the hb analysis certifies against — with the
+            // observed execution window for the dynamic layer. Faulted
+            // launches record unobserved (0, 0). Out-of-order launches
+            // record at completion: a dependency's record is always pushed
+            // before its dependents', so wait edges point forward.
+            let (start_ns, end_ns) = res.as_ref().map_or((0, 0), |ev| {
+                (ev.profiling.started_ns, ev.profiling.completed_ns)
+            });
+            let mut rec =
+                HbRecord::command(self.queue_id, self.seq, cmd, false).observed(start_ns, end_ns);
+            if let Some(waits) = ooo_waits {
+                rec = rec.ooo_waits(waits.lock().clone());
+            }
+            rl.push(rec);
+        }
+        res.map(|mut ev| {
+            ev.workers_respawned = respawned;
+            ev.queue_id = self.queue_id;
+            ev.seq = self.seq;
+            ev
+        })
+    }
+}
+
 /// Uninstalls the pool event sink a traced enqueue installed, even on the
 /// error paths.
 struct SinkGuard<'p> {
@@ -1378,27 +1184,23 @@ fn elem_offset_bytes<T: Pod>(base: usize, offset: usize) -> Result<usize, ClErro
         .ok_or(ClError::BufferTooLarge)
 }
 
-/// Debug-build enqueue gate: kernels that publish an access spec are run
-/// through the static lints, and a *proven* contract violation (conflicting
-/// writes, local race, divergent barrier, out-of-bounds) rejects the launch
-/// before it executes. Unproven properties pass — they are what the dynamic
-/// `validate_disjoint_writes` exists for. Set `CL_SKIP_STATIC_CHECK=1` to
-/// opt out (e.g. when deliberately launching a racy fixture).
 /// Decide the workgroup-fusion factor for one (kernel, resolved range)
 /// plan under the queue's [`CoarsenMode`]. Runs once per plan-cache miss.
 ///
 /// `Auto` coarsens only kernels whose access spec the prover certifies
-/// (`Proven`), by the cost model's chosen factor; spec-less, `Unknown`,
-/// and `Illegal` kernels silently run uncoarsened. `Force(k)` is an
-/// assertion of legality the prover must back: any kernel it cannot
-/// certify is rejected at enqueue time with
-/// [`ClError::ContractViolation`] — in release builds too, unlike the
-/// debug-only contract gates.
+/// (`Proven`), by the cost model's chosen factor — or, for a tuned plan, by
+/// the tuner's `tuned_chunk` clamped to the proven `k_max` (the tuner
+/// proposes, the prover disposes); spec-less, `Unknown`, and `Illegal`
+/// kernels silently run uncoarsened. `Force(k)` is an assertion of legality
+/// the prover must back: any kernel it cannot certify is rejected at
+/// enqueue time with [`ClError::ContractViolation`] — in release builds
+/// too, unlike the debug-only contract gates.
 fn coarsen_factor(
     kernel: &Arc<dyn Kernel>,
-    resolved: &crate::ndrange::ResolvedRange,
+    resolved: &ResolvedRange,
     mode: CoarsenMode,
     workers: usize,
+    tuned_chunk: Option<usize>,
 ) -> Result<usize, ClError> {
     let analyzed = |k: &Arc<dyn Kernel>| {
         k.access_spec(resolved)
@@ -1406,9 +1208,13 @@ fn coarsen_factor(
     };
     match mode {
         CoarsenMode::Off => Ok(1),
-        CoarsenMode::Auto => Ok(match analyzed(kernel) {
-            None => 1,
-            Some((analysis, spec)) => {
+        CoarsenMode::Auto => Ok(match (analyzed(kernel), tuned_chunk) {
+            (None, _) => 1,
+            (Some((analysis, _)), Some(chunk)) => match analysis.verdict {
+                cl_analyze::CoarsenVerdict::Proven { k_max } => chunk.min(k_max).max(1),
+                _ => 1,
+            },
+            (Some((analysis, spec)), None) => {
                 let profile = kernel.profile();
                 // Arithmetic ops per 4-byte element moved — the one feature
                 // the access spec cannot carry.
@@ -1448,7 +1254,7 @@ fn coarsen_factor(
 fn tune_candidates(
     kernel: &Arc<dyn Kernel>,
     range: NDRange,
-    device: &crate::device::Device,
+    device: &Device,
 ) -> Vec<cl_tune::TunedConfig> {
     let Ok(default) = range.resolve_with(device.default_wg(), device.null_target_groups()) else {
         return Vec::new();
@@ -1471,11 +1277,14 @@ fn tune_candidates(
     )
 }
 
+/// Debug-build enqueue gate: kernels that publish an access spec are run
+/// through the static lints, and a *proven* contract violation (conflicting
+/// writes, local race, divergent barrier, out-of-bounds) rejects the launch
+/// before it executes. Unproven properties pass — they are what the dynamic
+/// `validate_disjoint_writes` exists for. Set `CL_SKIP_STATIC_CHECK=1` to
+/// opt out (e.g. when deliberately launching a racy fixture).
 #[cfg(debug_assertions)]
-fn check_contract(
-    kernel: &Arc<dyn Kernel>,
-    resolved: &crate::ndrange::ResolvedRange,
-) -> Result<(), ClError> {
+fn check_contract(kernel: &Arc<dyn Kernel>, resolved: &ResolvedRange) -> Result<(), ClError> {
     if std::env::var_os("CL_SKIP_STATIC_CHECK").is_some() {
         return Ok(());
     }
@@ -1506,22 +1315,11 @@ fn check_contract(
 /// warnings in offline `cl-flow` analysis). Same `CL_SKIP_STATIC_CHECK`
 /// opt-out as [`check_contract`].
 #[cfg(debug_assertions)]
-fn check_flag_contract(
-    kernel_name: &str,
-    uses: &[cl_analyze::flow::BufUse],
-) -> Result<(), ClError> {
-    if uses.is_empty() || std::env::var_os("CL_SKIP_STATIC_CHECK").is_some() {
+fn check_flag_contract(launch: &FlowCommand) -> Result<(), ClError> {
+    if launch.uses.is_empty() || std::env::var_os("CL_SKIP_STATIC_CHECK").is_some() {
         return Ok(());
     }
-    let cmd = FlowCommand::new(
-        FlowOp::Launch {
-            kernel: kernel_name.to_string(),
-            has_spec: true,
-        },
-        kernel_name,
-        uses.to_vec(),
-    );
-    let analysis = cl_analyze::analyze_flow(std::slice::from_ref(&cmd));
+    let analysis = cl_analyze::analyze_flow(std::slice::from_ref(launch));
     // Only the flag-contract lint is meaningful on a single-command stream
     // (read-before-write etc. need the full history this gate cannot see).
     let findings: Vec<String> = analysis
@@ -1535,7 +1333,7 @@ fn check_flag_contract(
         .collect();
     if !findings.is_empty() {
         return Err(ClError::ContractViolation {
-            kernel: kernel_name.to_string(),
+            kernel: launch.label.clone(),
             findings,
         });
     }
@@ -1551,70 +1349,44 @@ fn check_flag_contract(
 /// business, not this launch's. Same `CL_SKIP_STATIC_CHECK` opt-out as the
 /// other gates.
 #[cfg(debug_assertions)]
-fn check_cross_queue(
-    race: &RaceLog,
-    queue_id: u64,
-    kernel_name: &str,
-    uses: &[BufUse],
-    has_spec: bool,
-) -> Result<(), ClError> {
-    if uses.is_empty() || std::env::var_os("CL_SKIP_STATIC_CHECK").is_some() {
+fn check_cross_queue(race: &RaceLog, queue_id: u64, launch: &FlowCommand) -> Result<(), ClError> {
+    if launch.uses.is_empty() || std::env::var_os("CL_SKIP_STATIC_CHECK").is_some() {
         return Ok(());
     }
-    let cmd = FlowCommand::new(
-        FlowOp::Launch {
-            kernel: kernel_name.to_string(),
-            has_spec,
-        },
-        kernel_name,
-        uses.to_vec(),
-    );
     let findings =
-        cl_analyze::hb::incremental_race_check(&race.records(), queue_id, u64::MAX, &cmd);
+        cl_analyze::hb::incremental_race_check(&race.records(), queue_id, u64::MAX, launch);
     if !findings.is_empty() {
         return Err(ClError::ContractViolation {
-            kernel: kernel_name.to_string(),
+            kernel: launch.label.clone(),
             findings,
         });
     }
     Ok(())
 }
 
-/// A read mapping viewed as a `[T]` slice. Unmaps on drop.
-pub struct TypedMap<'a, T: Pod> {
-    guard: MapGuard<'a>,
-    /// Deferred `Unmap` recording for flow analysis; `None` when the
-    /// queue is not recording.
-    flow: Option<flow::FlowUnmap>,
-    /// Deferred `Unmap` recording for the context's race log; `None` when
-    /// the context is not recording.
-    race: Option<race::RaceUnmap>,
-    _t: PhantomData<T>,
+/// A live mapping and its deferred Unmap records — the body behind
+/// [`TypedMap`] and [`TypedMapMut`]. When the host view drops, the Unmap
+/// command lands in the flow log and the race log (host writes through a
+/// writable mapping become visible at unmap, and the unmap is a blocking
+/// sync point), and then the guard releases the mapping.
+struct Mapping<'q> {
+    queue: &'q CommandQueue,
+    /// The mapped window's base use; present iff the queue reads
+    /// footprints.
+    window: Option<BufUse>,
+    writable: bool,
+    /// The flow log's id for this mapping, when the queue records.
+    flow_id: Option<u64>,
+    /// The race log's id for this mapping, when the context records.
+    race_id: Option<u64>,
+    /// The Map command's sequence number: on an out-of-order queue the
+    /// Unmap record orders after it by an explicit wait edge.
+    map_seq: u64,
+    guard: MapGuard<'q>,
 }
 
-impl<T: Pod> TypedMap<'_, T> {
-    /// The flow-analysis mapping id, when the queue records its command
-    /// stream (for attributing host accesses via
-    /// [`FlowLog::record_host_access`]).
-    pub fn map_id(&self) -> Option<u64> {
-        self.flow.as_ref().map(|f| f.map_id())
-    }
-}
-
-impl<T: Pod> Drop for TypedMap<'_, T> {
-    fn drop(&mut self) {
-        if let Some(f) = self.flow.take() {
-            f.record();
-        }
-        if let Some(r) = self.race.take() {
-            r.record();
-        }
-    }
-}
-
-impl<T: Pod> std::ops::Deref for TypedMap<'_, T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
+impl Mapping<'_> {
+    fn as_slice<T: Pod>(&self) -> &[T] {
         let bytes = self.guard.as_slice();
         // SAFETY: T is Pod; the region is REGION_ALIGN-aligned and the
         // mapping starts at offset 0.
@@ -1625,16 +1397,63 @@ impl<T: Pod> std::ops::Deref for TypedMap<'_, T> {
             )
         }
     }
+
+    fn as_mut_slice<T: Pod>(&mut self) -> &mut [T] {
+        let bytes = self.guard.as_mut_slice();
+        let len = bytes.len() / std::mem::size_of::<T>();
+        // SAFETY: as for `as_slice`, plus unique access through &mut self.
+        unsafe { std::slice::from_raw_parts_mut(bytes.as_mut_ptr() as *mut T, len) }
+    }
 }
 
-/// A write mapping viewed as a mutable `[T]` slice. Unmaps on drop.
+impl Drop for Mapping<'_> {
+    fn drop(&mut self) {
+        let (q, Some(u)) = (self.queue, &self.window) else {
+            return;
+        };
+        if let (Some(log), Some(id)) = (&q.flow, self.flow_id) {
+            log.push(flow::unmap_command(id, u, self.writable));
+        }
+        if let (Some(rl), Some(id)) = (&q.race, self.race_id) {
+            let now = trace::now_ns();
+            let cmd = flow::unmap_command(id, u, self.writable);
+            let mut rec = HbRecord::command(q.id, q.next_seq(), cmd, true).observed(now, now);
+            if q.sched.is_some() {
+                // Program order is meaningless on an out-of-order queue: the
+                // unmap orders after its map via an explicit wait edge.
+                rec = rec.ooo_waits(vec![(q.id, self.map_seq)]);
+            }
+            rl.push(rec);
+        }
+    }
+}
+
+/// A read mapping viewed as a `[T]` slice. Unmaps on drop.
+pub struct TypedMap<'a, T: Pod> {
+    map: Mapping<'a>,
+    _t: PhantomData<T>,
+}
+
+impl<T: Pod> TypedMap<'_, T> {
+    /// The flow-analysis mapping id, when the queue records its command
+    /// stream (for attributing host accesses via
+    /// [`FlowLog::record_host_access`]).
+    pub fn map_id(&self) -> Option<u64> {
+        self.map.flow_id
+    }
+}
+
+impl<T: Pod> std::ops::Deref for TypedMap<'_, T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        self.map.as_slice()
+    }
+}
+
+/// A write mapping viewed as a mutable `[T]` slice. Unmaps on drop; the
+/// host's writes are recorded at the unmap, where they become visible.
 pub struct TypedMapMut<'a, T: Pod> {
-    guard: MapGuard<'a>,
-    /// Deferred `Unmap` recording (carrying the host's writes, which
-    /// become visible at unmap); `None` when the queue is not recording.
-    flow: Option<flow::FlowUnmap>,
-    /// Deferred `Unmap` recording for the context's race log.
-    race: Option<race::RaceUnmap>,
+    map: Mapping<'a>,
     _t: PhantomData<T>,
 }
 
@@ -1642,41 +1461,20 @@ impl<T: Pod> TypedMapMut<'_, T> {
     /// The flow-analysis mapping id, when the queue records its command
     /// stream.
     pub fn map_id(&self) -> Option<u64> {
-        self.flow.as_ref().map(|f| f.map_id())
-    }
-}
-
-impl<T: Pod> Drop for TypedMapMut<'_, T> {
-    fn drop(&mut self) {
-        if let Some(f) = self.flow.take() {
-            f.record();
-        }
-        if let Some(r) = self.race.take() {
-            r.record();
-        }
+        self.map.flow_id
     }
 }
 
 impl<T: Pod> std::ops::Deref for TypedMapMut<'_, T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        let bytes = self.guard.as_slice();
-        // SAFETY: as for TypedMap.
-        unsafe {
-            std::slice::from_raw_parts(
-                bytes.as_ptr() as *const T,
-                bytes.len() / std::mem::size_of::<T>(),
-            )
-        }
+        self.map.as_slice()
     }
 }
 
 impl<T: Pod> std::ops::DerefMut for TypedMapMut<'_, T> {
     fn deref_mut(&mut self) -> &mut [T] {
-        let bytes = self.guard.as_mut_slice();
-        let len = bytes.len() / std::mem::size_of::<T>();
-        // SAFETY: as for TypedMap, plus unique access through &mut self.
-        unsafe { std::slice::from_raw_parts_mut(bytes.as_mut_ptr() as *mut T, len) }
+        self.map.as_mut_slice()
     }
 }
 

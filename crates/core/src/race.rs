@@ -14,14 +14,12 @@
 //! `overhead/race-off` entry gates that path).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use cl_analyze::flow::{BufUse, FlowCommand, FlowOp};
 use cl_analyze::hb::{analyze_hb, vector_clock_check, HbAnalysis, HbRecord, VcReport};
 use cl_util::sync::Mutex;
 
 use crate::buffer::{Buffer, Pod};
-use crate::flow::transfer_use;
+use crate::flow::host_access_command;
 
 /// An in-memory recording of a context's multi-queue command stream.
 #[derive(Default)]
@@ -90,97 +88,13 @@ impl RaceLog {
         write: bool,
         via_map: Option<u64>,
     ) {
-        let esz = std::mem::size_of::<T>();
-        let lo = (buf.byte_offset() + elems.start * esz) as i128;
-        let end = (buf.byte_offset() + elems.end * esz) as i128;
-        let mut u = transfer_use(buf);
-        if write {
-            u = u.writes(lo, end);
-        } else {
-            u = u.may_reads(lo, end);
-        }
-        let op = FlowOp::HostAccess { write, via_map };
-        let label = op.describe();
-        self.push(HbRecord::command(
-            queue,
-            0,
-            FlowCommand::new(op, label, vec![u]),
-            false,
-        ));
+        let cmd = host_access_command(buf, elems, write, via_map);
+        self.push(HbRecord::command(queue, 0, cmd, false));
     }
 }
 
 impl std::fmt::Debug for RaceLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "RaceLog({} records)", self.len())
-    }
-}
-
-/// Deferred unmap recording for the race log, carried by
-/// `TypedMap`/`TypedMapMut` beside the flow-log counterpart: the `Unmap`
-/// command (a blocking sync point — the host's writes publish here) lands
-/// when the host view drops.
-pub(crate) struct RaceUnmap {
-    log: Arc<RaceLog>,
-    queue: u64,
-    seq: Arc<AtomicU64>,
-    map_id: u64,
-    template: BufUse,
-    writes: bool,
-    /// On an out-of-order queue, program order is meaningless — the unmap
-    /// record orders after its map via an explicit wait edge instead.
-    ooo_after: Option<(u64, u64)>,
-}
-
-impl RaceUnmap {
-    pub(crate) fn new(
-        log: Arc<RaceLog>,
-        queue: u64,
-        seq: Arc<AtomicU64>,
-        map_id: u64,
-        template: BufUse,
-        writes: bool,
-    ) -> Self {
-        RaceUnmap {
-            log,
-            queue,
-            seq,
-            map_id,
-            template,
-            writes,
-            ooo_after: None,
-        }
-    }
-
-    /// Mark the deferred record as belonging to an out-of-order queue,
-    /// ordered after its map command (`Some((queue, map_seq))`).
-    pub(crate) fn ooo_after(mut self, after: Option<(u64, u64)>) -> Self {
-        self.ooo_after = after;
-        self
-    }
-
-    pub(crate) fn record(self) {
-        let (lo, end) = (self.template.span.0 as i128, self.template.span.1 as i128);
-        let mut u = self.template;
-        if self.writes {
-            u = u.writes(lo, end);
-        }
-        let now = crate::trace::now_ns();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut rec = HbRecord::command(
-            self.queue,
-            seq,
-            FlowCommand::new(
-                FlowOp::Unmap { id: self.map_id },
-                format!("unmap#{}", self.map_id),
-                vec![u],
-            ),
-            true,
-        )
-        .observed(now, now);
-        if let Some(after) = self.ooo_after {
-            rec = rec.ooo_waits(vec![after]);
-        }
-        self.log.push(rec);
     }
 }

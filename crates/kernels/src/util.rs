@@ -11,14 +11,23 @@ pub fn random_u32(seed: u64, n: usize, bound: u32) -> Vec<u32> {
 }
 
 /// Largest relative error between two float slices (absolute error where
-/// the reference magnitude is below `floor`).
+/// the reference magnitude is below `floor`). A NaN in either slice counts
+/// as an infinite error, so the result is never finite and an `err < tol`
+/// or `err > tol` check rejects it.
 pub fn max_rel_error(got: &[f32], want: &[f32], floor: f32) -> f32 {
     assert_eq!(got.len(), want.len(), "length mismatch");
     got.iter()
         .zip(want)
         .map(|(&g, &w)| {
             let denom = w.abs().max(floor);
-            (g - w).abs() / denom
+            let e = (g - w).abs() / denom;
+            // `f32::max` below would drop a NaN; a select keeps the fold
+            // vectorizable, unlike a NaN-propagating branch.
+            if e.is_nan() {
+                f32::INFINITY
+            } else {
+                e
+            }
         })
         .fold(0.0, f32::max)
 }
@@ -59,6 +68,19 @@ mod tests {
     fn rel_error_math() {
         let e = max_rel_error(&[1.0, 2.2], &[1.0, 2.0], 1e-5);
         assert!((e - 0.1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn rel_error_of_an_all_nan_output_is_not_finite() {
+        assert!(!max_rel_error(&[f32::NAN; 4], &[1.0; 4], 1e-5).is_finite());
+    }
+
+    #[test]
+    fn rel_error_of_a_single_nan_is_not_finite() {
+        let got = [1.0, f32::NAN, 3.0, 4.0];
+        let want = [1.0, 2.0, 3.0, 4.0];
+        assert!(!max_rel_error(&got, &want, 1e-5).is_finite());
+        assert!(!max_rel_error(&want, &got, 1e-5).is_finite());
     }
 
     #[test]

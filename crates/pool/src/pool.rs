@@ -510,11 +510,19 @@ impl ThreadPool {
     /// retired by a fatal fault (their handles join immediately). Idempotent:
     /// handles are drained, so a second call — or the implicit call from
     /// `Drop` — is a no-op and never double-joins.
+    ///
+    /// Called on one of the pool's own workers — a task that held the last
+    /// handle to the pool — the calling worker is not joined (a thread
+    /// cannot join itself): it sees the shutdown flag and exits once the
+    /// task returns.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.notify_all();
+        let me = std::thread::current().id();
         for h in self.handles.lock().drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 
@@ -718,6 +726,37 @@ mod tests {
         let t0 = Instant::now();
         while hits.load(Ordering::SeqCst) < 64 {
             assert!(t0.elapsed() < Duration::from_secs(10));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn dropping_the_last_handle_on_a_worker_does_not_self_join() {
+        // Regression: a task that owns the last `Arc<ThreadPool>` drops it
+        // on a worker, so `shutdown` runs on that worker and used to join
+        // the worker's own handle ("Resource deadlock avoided" panic).
+        let pool = Arc::new(ThreadPool::new(PoolConfig::default().workers(2)).unwrap());
+        let inner = Arc::downgrade(&pool.inner);
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let last = Arc::clone(&pool);
+        pool.spawn(move || {
+            go_rx.recv().unwrap();
+            drop(last);
+            done_tx.send(()).unwrap();
+        });
+        drop(pool);
+        go_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("dropping the last pool handle on a worker panicked");
+        // Every worker exits: the last one releases the shared state.
+        let t0 = Instant::now();
+        while inner.strong_count() > 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "a worker kept running"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
     }

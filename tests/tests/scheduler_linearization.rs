@@ -315,3 +315,38 @@ fn failed_dependency_fails_only_the_dependent_subgraph() {
     q.read_buffer(&b2, 0, &mut got).unwrap();
     assert!(got.iter().all(|&x| x == 7 + 13));
 }
+
+#[test]
+fn writable_map_drains_a_pending_writer() {
+    // The host may read and write a writable mapping from the moment it
+    // returns, so on an out-of-order queue `map_buffer_mut` must wait for a
+    // pending kernel that writes the mapped bytes, as `map_buffer` does.
+    let ctx = Context::new(Device::native_cpu(2).unwrap());
+    let q = ctx.queue_with(QueueConfig::default().out_of_order(true));
+    let buf = ctx.buffer::<u32>(MemFlags::default(), LEN).unwrap();
+    let mut want = vec![1u32; LEN];
+    q.write_buffer(&buf, 0, &want).unwrap();
+    let gate = user_event();
+    let ev = q
+        .submit_kernel(
+            &muladd(&buf, 3, 7, "gated".into()),
+            NDRange::d1(LEN),
+            &[gate.event()],
+        )
+        .unwrap();
+    let signaller = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(100));
+        gate.signal();
+    });
+    {
+        let (m, _) = q.map_buffer_mut(&buf).unwrap();
+        assert!(
+            ev.completion_tick().is_some(),
+            "map_buffer_mut returned while the kernel writing its bytes was pending"
+        );
+        muladd_ref(&mut want, 3, 7);
+        assert_eq!(&m[..], &want[..]);
+    }
+    signaller.join().unwrap();
+    q.finish().unwrap();
+}
