@@ -2,7 +2,7 @@
 //! interleaved with launches, and the affinity-style dependent-kernel
 //! pattern of Figure 9 expressed through the public API.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use integration_tests::native_ctx;
 use ocl_rt::{Buffer, GroupCtx, Kernel, MemFlags, NDRange};
@@ -45,8 +45,17 @@ impl Kernel for MulInPlace {
     }
 }
 
+/// Serializes the tests in this file. `cl_mem::live_bytes` is one
+/// process-wide counter, so the leak check below only holds while no other
+/// test allocates or frees buffers between its readings.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn dependent_kernels_chain_through_a_shared_buffer() {
+    let _serial = serial();
     const N: usize = 10_000;
     let ctx = native_ctx();
     let q = ctx.queue();
@@ -75,6 +84,7 @@ fn dependent_kernels_chain_through_a_shared_buffer() {
 
 #[test]
 fn host_edits_via_mapping_are_visible_to_kernels() {
+    let _serial = serial();
     const N: usize = 1024;
     let ctx = native_ctx();
     let q = ctx.queue();
@@ -101,6 +111,7 @@ fn host_edits_via_mapping_are_visible_to_kernels() {
 
 #[test]
 fn repeated_launches_reuse_buffers_without_leaks() {
+    let _serial = serial();
     const N: usize = 4096;
     let (dev_before, _) = cl_mem::live_bytes();
     {
@@ -128,6 +139,7 @@ fn repeated_launches_reuse_buffers_without_leaks() {
 
 #[test]
 fn pinned_device_runs_the_same_pipeline() {
+    let _serial = serial();
     const N: usize = 2048;
     let device = ocl_rt::Device::native_cpu_pinned(2, cl_pool::PinPolicy::Compact).unwrap();
     let ctx = ocl_rt::Context::new(device);

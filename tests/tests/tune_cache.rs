@@ -163,6 +163,10 @@ fn child_cache_writer() {
 fn spawn_writer(cache: &std::path::Path, kernel: &str, resaves: usize) -> std::process::Child {
     Command::new(std::env::current_exe().expect("test exe"))
         .args(["child_cache_writer", "--exact", "--test-threads", "1"])
+        // The child's own test listing would interleave with this binary's
+        // report lines; its panic message still reaches stderr.
+        .arg("--nocapture")
+        .stdout(std::process::Stdio::null())
         .env("TUNE_CHILD_KERNEL", kernel)
         .env("TUNE_CHILD_CACHE", cache)
         .env("TUNE_CHILD_RESAVES", resaves.to_string())
