@@ -11,7 +11,8 @@
 #   fmt           cargo fmt --check
 #   clippy        cargo clippy --workspace --all-targets -- -D warnings
 #   build         cargo build --release
-#   test          cargo test -q --no-fail-fast (every test binary runs)
+#   test          cargo test --no-fail-fast -- --quiet (every test binary
+#                 runs), then a per-binary pass/fail table
 #   lint          cl-lint --deny-warnings (regenerates results/lint.md)
 #   bench-smoke   CL_BENCH_SMOKE=1 cargo bench (compile+smoke every target)
 #   chaos         cl-chaos 25-round fault-injection soak -> target/ci-chaos
@@ -42,7 +43,7 @@ while [[ $# -gt 0 ]]; do
             ONLY="${1:?--stage needs a name}"
             ;;
         --help | -h)
-            sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -86,8 +87,49 @@ stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 stage_build() { cargo build --release; }
 
 # --no-fail-fast: one failing test binary must not stop the oracle binaries
-# after it from running; cargo still exits nonzero at the end.
-stage_test() { cargo test -q --no-fail-fast; }
+# after it from running; cargo still exits nonzero at the end, and so does
+# the stage. The test output is as terse as `cargo test -q`, but cargo's
+# own `Running`/`Doc-tests` lines stay (its -q drops them): they name each
+# binary for the table printed after the run.
+stage_test() {
+    local log=target/ci-test.log status=0
+    mkdir -p target
+    cargo test --no-fail-fast -- --quiet 2>&1 | tee "$log" || status=$?
+    test_table "$log"
+    return "$status"
+}
+
+# test_table LOG — one row per test binary in a `cargo test` log: its name,
+# ok/FAILED and its passed/failed/ignored counts. A binary that printed no
+# `test result:` line (it crashed or did not start) is FAILED.
+test_table() {
+    awk '
+        function flush() {
+            if (name == "") return
+            if (result == "") { result = "FAILED"; counts = "(no result line)" }
+            if (result != "ok") bad++
+            printf "  %-56s %-7s %s\n", name, result, counts
+            n++; name = ""; result = ""; counts = ""
+        }
+        BEGIN { print "Test binaries:"; printf "  %-56s %-7s %s\n", "binary", "result", "passed/failed/ignored" }
+        /^ *Running / {
+            flush()
+            bin = $NF; sub(/^\(/, "", bin); sub(/\)$/, "", bin)
+            sub(/.*\//, "", bin); sub(/-[0-9a-f]+$/, "", bin)
+            src = ($2 == "unittests") ? $3 : $2
+            name = bin " (" src ")"
+        }
+        /^ *Doc-tests / { flush(); name = "doc " $2 }
+        /^test result: / && name != "" {
+            result = ($3 == "ok.") ? "ok" : "FAILED"
+            counts = $4 "/" $6 "/" $8
+        }
+        END {
+            flush()
+            printf "  %d binaries, %d failed\n", n, bad
+        }
+    ' "$1"
+}
 
 stage_lint() { cargo run --release --quiet --bin cl-lint -- --deny-warnings; }
 

@@ -33,6 +33,10 @@ use crate::trace::{self, Span, TraceLog};
 /// alias. Id 0 is reserved for "unattributed".
 static NEXT_QUEUE_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Largest pattern row `fill_buffer` stages, the size of cl-mem's copy-path
+/// staging window: a fill never allocates in proportion to the buffer.
+const FILL_ROW: usize = 256 << 10;
+
 /// Queue construction options (`clCreateCommandQueue` properties analog).
 #[derive(Debug, Clone, Default)]
 pub struct QueueConfig {
@@ -753,8 +757,8 @@ impl CommandQueue {
         Ok(ev)
     }
 
-    /// `clEnqueueWriteBuffer` (blocking): host → buffer through the staging
-    /// copy path.
+    /// `clEnqueueWriteBuffer` (blocking): host → buffer, two copies through a
+    /// bounded staging window.
     pub fn write_buffer<T: Pod>(
         &self,
         buf: &Buffer<T>,
@@ -787,8 +791,8 @@ impl CommandQueue {
         )
     }
 
-    /// `clEnqueueReadBuffer` (blocking): buffer → host through the staging
-    /// copy path.
+    /// `clEnqueueReadBuffer` (blocking): buffer → host, two copies through a
+    /// bounded staging window.
     pub fn read_buffer<T: Pod>(
         &self,
         buf: &Buffer<T>,
@@ -942,11 +946,10 @@ impl CommandQueue {
             bytes,
             footprint,
             || {
-                // Bounds are enforced by the region; stage through a scratch Vec
-                // so overlapping src/dst windows behave like memmove.
-                let mut scratch = vec![0u8; bytes];
-                src.inner.region.read_into(src_off, &mut scratch)?;
-                Ok(dst.inner.region.write_from(dst_off, &scratch)?)
+                Ok(dst
+                    .inner
+                    .region
+                    .copy_from(dst_off, &src.inner.region, src_off, bytes)?)
             },
         )
     }
@@ -972,13 +975,18 @@ impl CommandQueue {
                 // pattern is a valid `u8`.
                 let raw =
                     unsafe { std::slice::from_raw_parts(&value as *const T as *const u8, elem) };
-                // Write the pattern element-by-element through a staged row to
-                // keep the fill a single region write.
-                let mut staged = vec![0u8; bytes];
-                for chunk in staged.chunks_mut(elem) {
+                // Replicate the element into one row of at most FILL_ROW bytes
+                // (whole elements, at least one) and write it piece by piece.
+                let row_len = (bytes.min(FILL_ROW) / elem).max(1) * elem;
+                let mut row = vec![0u8; row_len];
+                for chunk in row.chunks_exact_mut(elem) {
                     chunk.copy_from_slice(raw);
                 }
-                Ok(buf.inner.region.write_from(lo, &staged)?)
+                for start in (0..bytes).step_by(row_len) {
+                    let n = row_len.min(bytes - start);
+                    buf.inner.region.write_from(lo + start, &row[..n])?;
+                }
+                Ok(())
             },
         )
     }

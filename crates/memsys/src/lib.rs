@@ -15,7 +15,9 @@
 //!   - *Copy* (`clEnqueueReadBuffer`/`clEnqueueWriteBuffer`): the runtime
 //!     moves bytes through an intermediate staging object — "the OpenCL
 //!     runtime should allocate a separate memory object and copy the data"
-//!     (paper, Section III-D). Two real `memcpy`s per transfer.
+//!     (paper, Section III-D). Two real `memcpy`s per transfer, through a
+//!     bounded staging window filled and drained piece by piece, so the
+//!     staging object never grows with the transfer.
 //!   - *Map* (`clEnqueueMapBuffer`): "only returning a pointer is needed" —
 //!     zero copies on a CPU device.
 //!

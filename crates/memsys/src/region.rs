@@ -131,7 +131,8 @@ impl MemRegion {
         self.ptr.as_ptr()
     }
 
-    fn check(&self, offset: usize, len: usize) -> Result<(), MemError> {
+    /// `Ok` when `offset..offset + len` lies inside the region.
+    pub(crate) fn check(&self, offset: usize, len: usize) -> Result<(), MemError> {
         if offset.checked_add(len).is_none_or(|end| end > self.len) {
             return Err(MemError::OutOfBounds {
                 offset,
@@ -163,6 +164,31 @@ impl MemRegion {
         // SAFETY: bounds checked; disjointness per the region contract.
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.as_ptr().add(offset), src.len());
+        }
+        Ok(())
+    }
+
+    /// Copy `len` bytes from `src` at `src_offset` into this region at
+    /// `offset` (`clEnqueueCopyBuffer`). Both ranges are checked before any
+    /// byte moves, and the copy has `memmove` semantics, so `src` may be this
+    /// region and the two ranges may overlap.
+    pub fn copy_from(
+        &self,
+        offset: usize,
+        src: &MemRegion,
+        src_offset: usize,
+        len: usize,
+    ) -> Result<(), MemError> {
+        src.check(src_offset, len)?;
+        self.check(offset, len)?;
+        // SAFETY: both ranges bounds checked; `ptr::copy` tolerates overlap;
+        // disjointness from other accessors per the region contract.
+        unsafe {
+            std::ptr::copy(
+                src.ptr.as_ptr().add(src_offset),
+                self.ptr.as_ptr().add(offset),
+                len,
+            );
         }
         Ok(())
     }
@@ -287,6 +313,24 @@ mod tests {
         drop(r);
         let after = live_bytes();
         assert_eq!(after.1, during.1 - 4096);
+    }
+
+    #[test]
+    fn copy_from_checks_both_ranges_before_moving() {
+        let a = MemRegion::alloc(16, AllocLocation::Device).unwrap();
+        let b = MemRegion::alloc(32, AllocLocation::Device).unwrap();
+        b.fill(9);
+        assert!(matches!(
+            b.copy_from(0, &a, 8, 16),
+            Err(MemError::OutOfBounds { size: 16, .. })
+        ));
+        assert!(matches!(
+            a.copy_from(8, &b, 0, 16),
+            Err(MemError::OutOfBounds { size: 16, .. })
+        ));
+        let mut got = vec![0u8; 16];
+        a.read_into(0, &mut got).unwrap();
+        assert!(got.iter().all(|&x| x == 0), "a failed copy moves nothing");
     }
 
     #[test]

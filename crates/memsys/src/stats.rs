@@ -13,7 +13,9 @@ pub struct TransferStats {
     pub map_calls: AtomicU64,
     /// Number of unmap calls.
     pub unmap_calls: AtomicU64,
-    /// Staging buffers allocated by the copy path.
+    /// Staging windows allocated by the copy path: one per copy call, each
+    /// at most 256 KiB however large the transfer (the two copies go through
+    /// a bounded staging window).
     pub staging_allocs: AtomicU64,
 }
 

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use integration_tests::native_ctx;
-use ocl_rt::{Buffer, GroupCtx, Kernel, MemFlags, NDRange};
+use ocl_rt::{Buffer, GroupCtx, Kernel, MemFlags, NDRange, Pod};
 
 struct Negate {
     data: Buffer<f32>,
@@ -138,6 +138,58 @@ fn fill_buffer_sets_every_element() {
     assert_eq!(got[24], 0xDEAD_BEEF);
     assert!(got[25..75].iter().all(|&x| x == 7));
     assert_eq!(got[75], 0xDEAD_BEEF);
+}
+
+/// A 12-byte element: 256 KiB is not a whole number of them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(C)]
+struct Rgb([f32; 3]);
+
+// SAFETY: three `f32`s, no padding, valid for any bit pattern.
+unsafe impl Pod for Rgb {}
+
+#[test]
+fn fill_sub_buffer_with_a_multi_byte_element_larger_than_a_row() {
+    let ctx = native_ctx();
+    let q = ctx.queue();
+    // 600 000 bytes in the window: two full 256 KiB rows and a tail, none
+    // of them a multiple of the window.
+    let (n, origin, count) = (50_010, 3, 50_000);
+    let before: Vec<Rgb> = (0..n)
+        .map(|i| Rgb([i as f32, -(i as f32), 0.5 * i as f32]))
+        .collect();
+    let parent = ctx.buffer_from(MemFlags::default(), &before).unwrap();
+    let sub = parent.sub_buffer(origin, count).unwrap();
+    let value = Rgb([1.5, -2.0, 3.25]);
+    q.fill_buffer(&sub, value).unwrap();
+    let mut got = vec![Rgb([0.0; 3]); n];
+    q.read_buffer(&parent, 0, &mut got).unwrap();
+    for (i, (g, b)) in got.iter().zip(&before).enumerate() {
+        if (origin..origin + count).contains(&i) {
+            assert_eq!(*g, value, "element {i} inside the window");
+        } else {
+            assert_eq!(*g, *b, "element {i} outside the window");
+        }
+    }
+}
+
+#[test]
+fn copy_between_overlapping_sub_buffers_is_memmove() {
+    let ctx = native_ctx();
+    let q = ctx.queue();
+    let init: Vec<u32> = (0..1000).collect();
+    // Forward (destination after source) and backward, 600 elements each.
+    for (from, to) in [(0, 100), (100, 0)] {
+        let parent = ctx.buffer_from(MemFlags::default(), &init).unwrap();
+        let src = parent.sub_buffer(from, 600).unwrap();
+        let dst = parent.sub_buffer(to, 600).unwrap();
+        q.copy_buffer(&src, 0, &dst, 0, 600).unwrap();
+        let mut want = init.clone();
+        want.copy_within(from..from + 600, to);
+        let mut got = vec![0u32; 1000];
+        q.read_buffer(&parent, 0, &mut got).unwrap();
+        assert!(got == want, "copy {from} -> {to} differs from copy_within");
+    }
 }
 
 #[test]
