@@ -14,7 +14,6 @@
 #   test          cargo test --no-fail-fast -- --quiet (every test binary
 #                 runs), then a per-binary pass/fail table
 #   lint          cl-lint --deny-warnings (regenerates results/lint.md)
-#   bench-smoke   CL_BENCH_SMOKE=1 cargo bench (compile+smoke every target)
 #   chaos         cl-chaos 25-round fault-injection soak -> target/ci-chaos
 #   trace         cl-trace --stable --workers 2 (regenerates results/trace.md)
 #   traced-chaos  CL_TRACE=1 soak; asserts target/chaos-traced/chaos-trace.json
@@ -43,7 +42,7 @@ while [[ $# -gt 0 ]]; do
             ONLY="${1:?--stage needs a name}"
             ;;
         --help | -h)
-            sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -132,11 +131,6 @@ test_table() {
 }
 
 stage_lint() { cargo run --release --quiet --bin cl-lint -- --deny-warnings; }
-
-# Every `cargo bench` target must still compile and run. The smoke profile
-# (3 samples, 10ms/50ms budgets) proves that without paying full
-# measurement time.
-stage_bench_smoke() { CL_BENCH_SMOKE=1 cargo bench; }
 
 # Soak output goes to target/, not results/: its report carries wall-clock
 # and geometry noise, while results/ holds only committed deterministic
@@ -239,7 +233,6 @@ run_stage clippy
 run_stage build
 run_stage test
 run_stage lint
-run_stage bench-smoke
 run_stage chaos soak
 run_stage trace
 run_stage traced-chaos soak

@@ -69,8 +69,7 @@ pub struct QueueConfig {
     /// infrastructure — leave `None` outside the `cl-sched` harness.
     pub sched_bug: Option<crate::sched::SchedBug>,
     /// Workgroup-fusion (thread-coarsening) policy for native dispatch; see
-    /// [`CoarsenMode`]. [`QueueConfig::from_env`] reads `CL_NO_COARSEN` and
-    /// `CL_COARSEN`.
+    /// [`CoarsenMode`]. [`QueueConfig::from_env`] reads `CL_COARSEN`.
     pub coarsen: CoarsenMode,
     /// Online autotuning of NULL-local launches: consult the shared
     /// per-process [`cl_tune::Tuner`] for (workgroup size, chunk factor)
@@ -97,13 +96,31 @@ pub enum CoarsenMode {
     /// chosen factor; run everything else uncoarsened. The default.
     #[default]
     Auto,
-    /// Never coarsen (`CL_NO_COARSEN=1`).
+    /// Never coarsen (`CL_COARSEN=off`).
     Off,
     /// Coarsen by exactly this factor (`CL_COARSEN=<K>`, clamped to the
     /// proven `k_max`). Refused at enqueue time — with
     /// [`ClError::ContractViolation`] — for any kernel the prover cannot
     /// certify, including kernels without an access spec.
     Force(usize),
+}
+
+impl CoarsenMode {
+    /// The mode a `CL_COARSEN` value selects: `off` → [`CoarsenMode::Off`],
+    /// an integer `K ≥ 1` → [`CoarsenMode::Force`]`(K)`, anything else
+    /// (unset, `0`, unparsable) → [`CoarsenMode::Auto`].
+    pub fn from_env_value(value: Option<&str>) -> CoarsenMode {
+        let Some(v) = value.map(str::trim) else {
+            return CoarsenMode::Auto;
+        };
+        if v.eq_ignore_ascii_case("off") {
+            return CoarsenMode::Off;
+        }
+        v.parse::<usize>()
+            .ok()
+            .filter(|&k| k >= 1)
+            .map_or(CoarsenMode::Auto, CoarsenMode::Force)
+    }
 }
 
 impl QueueConfig {
@@ -124,17 +141,7 @@ impl QueueConfig {
                 })
                 .unwrap_or(false)
         };
-        // CL_NO_COARSEN wins over CL_COARSEN: the kill switch must be able
-        // to neutralize a forced factor left in the environment.
-        let coarsen = if env_on("CL_NO_COARSEN") {
-            CoarsenMode::Off
-        } else {
-            std::env::var("CL_COARSEN")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&k| k >= 1)
-                .map_or(CoarsenMode::Auto, CoarsenMode::Force)
-        };
+        let coarsen = CoarsenMode::from_env_value(std::env::var("CL_COARSEN").ok().as_deref());
         QueueConfig {
             launch_timeout,
             tracing: env_on("CL_TRACE"),

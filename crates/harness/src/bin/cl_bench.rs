@@ -43,6 +43,7 @@ use std::time::Duration;
 use cl_harness::bench::{
     compare, sample, BenchRecord, BenchStats, GateConfig, HistoryEntry, Provenance, Report,
 };
+use cl_harness::parse_flag;
 use cl_pool::deque::{Steal, Worker};
 use cl_serve::{ServeConfig, Server, TenantConfig};
 use ocl_rt::{Context, GroupCtx, Kernel, MemFlags, NDRange, QueueConfig};
@@ -688,7 +689,7 @@ fn parse_args() -> Opts {
         match args[i].as_str() {
             "--workers" => {
                 i += 1;
-                o.workers = parse(&args, i, "--workers");
+                o.workers = parse_flag(&args, i, "--workers");
             }
             "--fast" => o.fast = true,
             "--out" => {
@@ -728,19 +729,19 @@ fn parse_args() -> Opts {
             }
             "--inject-regression" => {
                 i += 1;
-                o.inject = parse(&args, i, "--inject-regression");
+                o.inject = parse_flag(&args, i, "--inject-regression");
             }
             "--abs-floor-ns" => {
                 i += 1;
-                o.gate.abs_floor_ns = parse(&args, i, "--abs-floor-ns");
+                o.gate.abs_floor_ns = parse_flag(&args, i, "--abs-floor-ns");
             }
             "--rel-floor" => {
                 i += 1;
-                o.gate.rel_floor = parse(&args, i, "--rel-floor");
+                o.gate.rel_floor = parse_flag(&args, i, "--rel-floor");
             }
             "--mad-k" => {
                 i += 1;
-                o.gate.mad_k = parse(&args, i, "--mad-k");
+                o.gate.mad_k = parse_flag(&args, i, "--mad-k");
             }
             "--help" | "-h" => {
                 println!(
@@ -769,11 +770,4 @@ fn path(args: &[String], i: usize, flag: &str) -> PathBuf {
         args.get(i)
             .unwrap_or_else(|| panic!("{flag} needs a value")),
     )
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    args.get(i)
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
-        .parse()
-        .unwrap_or_else(|_| panic!("{flag}: not a valid value: {}", args[i]))
 }

@@ -44,6 +44,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cl_harness::parse_flag;
 use cl_kernels::chaos::{reference, ChaosKernel, ChaosMode};
 use cl_util::XorShift;
 use ocl_rt::{ClError, Context, Device, Kernel, MemFlags, NDRange, QueueConfig};
@@ -111,27 +112,27 @@ fn main() {
         match args[i].as_str() {
             "--rounds" => {
                 i += 1;
-                rounds = parse(&args, i, "--rounds");
+                rounds = parse_flag(&args, i, "--rounds");
             }
             "--xq-rounds" => {
                 i += 1;
-                xq_rounds = parse(&args, i, "--xq-rounds");
+                xq_rounds = parse_flag(&args, i, "--xq-rounds");
             }
             "--ooo-rounds" => {
                 i += 1;
-                ooo_rounds = parse(&args, i, "--ooo-rounds");
+                ooo_rounds = parse_flag(&args, i, "--ooo-rounds");
             }
             "--seed" => {
                 i += 1;
-                seed = parse(&args, i, "--seed");
+                seed = parse_flag(&args, i, "--seed");
             }
             "--workers" => {
                 i += 1;
-                workers = parse(&args, i, "--workers");
+                workers = parse_flag(&args, i, "--workers");
             }
             "--timeout-ms" => {
                 i += 1;
-                timeout_ms = parse(&args, i, "--timeout-ms");
+                timeout_ms = parse_flag(&args, i, "--timeout-ms");
             }
             "--out" => {
                 i += 1;
@@ -540,13 +541,6 @@ fn main() {
     {
         std::process::exit(1);
     }
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    args.get(i)
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
-        .parse()
-        .unwrap_or_else(|_| panic!("{flag}: not a valid value: {}", args[i]))
 }
 
 /// Does `res` report the fault `mode` injected, the way the fault model

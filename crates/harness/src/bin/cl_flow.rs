@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 
 use cl_analyze::flow::{FlowAnalysis, FlowCommand, FlowLintKind, HazardKind};
 use cl_analyze::{Severity, Verdict};
+use cl_harness::parse_flag;
 use cl_kernels::apps::square::Square;
 use cl_kernels::apps::vectoradd::VectorAdd;
 use cl_kernels::util::random_f32;
@@ -321,11 +322,11 @@ fn main() {
         match args[i].as_str() {
             "--workers" => {
                 i += 1;
-                workers = parse(&args, i, "--workers");
+                workers = parse_flag(&args, i, "--workers");
             }
             "--seed" => {
                 i += 1;
-                seed = parse(&args, i, "--seed");
+                seed = parse_flag(&args, i, "--seed");
             }
             "--out" => {
                 i += 1;
@@ -600,11 +601,4 @@ fn render_csv(clean: &[Scenario], seeded: &[Seeded]) -> String {
         ]));
     }
     csv
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    args.get(i)
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
-        .parse()
-        .unwrap_or_else(|_| panic!("{flag}: not a valid value: {}", args[i]))
 }

@@ -43,6 +43,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cl_harness::parse_flag;
 use cl_kernels::chaos::{reference, ChaosKernel, ChaosMode};
 use cl_serve::{ClError, RetryPolicy, ServeConfig, Server, StatsSnapshot, Tenant, TenantConfig};
 use cl_util::XorShift;
@@ -97,27 +98,27 @@ fn main() {
         match args[i].as_str() {
             "--tenants" => {
                 i += 1;
-                tenants = parse(&args, i, "--tenants");
+                tenants = parse_flag(&args, i, "--tenants");
             }
             "--faulty" => {
                 i += 1;
-                faulty = parse(&args, i, "--faulty");
+                faulty = parse_flag(&args, i, "--faulty");
             }
             "--rounds" => {
                 i += 1;
-                rounds = parse(&args, i, "--rounds");
+                rounds = parse_flag(&args, i, "--rounds");
             }
             "--seed" => {
                 i += 1;
-                seed = parse(&args, i, "--seed");
+                seed = parse_flag(&args, i, "--seed");
             }
             "--workers" => {
                 i += 1;
-                workers = parse(&args, i, "--workers");
+                workers = parse_flag(&args, i, "--workers");
             }
             "--timeout-ms" => {
                 i += 1;
-                timeout_ms = parse(&args, i, "--timeout-ms");
+                timeout_ms = parse_flag(&args, i, "--timeout-ms");
             }
             "--stable" => stable = true,
             "--out" => {
@@ -199,13 +200,6 @@ fn main() {
     if violations > 0 || scen_failed > 0 {
         std::process::exit(1);
     }
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    args.get(i)
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
-        .parse()
-        .unwrap_or_else(|_| panic!("{flag}: not a valid value: {}", args[i]))
 }
 
 /// Phase 1: N concurrent tenants, the first `faulty` of them injecting

@@ -42,6 +42,7 @@ use std::sync::mpsc;
 use std::thread;
 
 use cl_analyze::hb::{HbAnalysis, HbLintKind, OrderVerdict, VcReport};
+use cl_harness::parse_flag;
 use cl_kernels::apps::square::Square;
 use cl_kernels::apps::vectoradd::VectorAdd;
 use cl_kernels::race::{TileFill, TileSquare};
@@ -467,11 +468,11 @@ fn main() {
         match args[i].as_str() {
             "--workers" => {
                 i += 1;
-                workers = parse(&args, i, "--workers");
+                workers = parse_flag(&args, i, "--workers");
             }
             "--seed" => {
                 i += 1;
-                seed = parse(&args, i, "--seed");
+                seed = parse_flag(&args, i, "--seed");
             }
             "--out" => {
                 i += 1;
@@ -705,11 +706,4 @@ fn render_csv(clean: &[Scenario], seeded: &[Seeded]) -> String {
         ]));
     }
     csv
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    args.get(i)
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
-        .parse()
-        .unwrap_or_else(|_| panic!("{flag}: not a valid value: {}", args[i]))
 }

@@ -34,6 +34,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use cl_harness::parse_flag;
 use ocl_rt::{Context, Device, MemFlags, QueueConfig, Span, SpanKind, TraceLog};
 
 /// Profiling breakdown of one traced launch, derived from its launch span
@@ -167,11 +168,11 @@ fn main() {
         match args[i].as_str() {
             "--workers" => {
                 i += 1;
-                workers = parse(&args, i, "--workers");
+                workers = parse_flag(&args, i, "--workers");
             }
             "--seed" => {
                 i += 1;
-                seed = parse(&args, i, "--seed");
+                seed = parse_flag(&args, i, "--seed");
             }
             "--out" => {
                 i += 1;
@@ -456,11 +457,4 @@ fn render_md(
         );
     }
     md
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    args.get(i)
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
-        .parse()
-        .unwrap_or_else(|_| panic!("{flag}: not a valid value: {}", args[i]))
 }

@@ -22,12 +22,19 @@ pub mod figures;
 pub mod measure;
 pub mod profiles;
 pub mod report;
-pub mod stats;
 pub mod tables;
 
-pub use measure::{measure_native, Config};
+pub use measure::Config;
 pub use report::{Figure, Series};
-pub use stats::{measure_stable, summarize, Measurement};
+
+/// The value after flag `args[i - 1]` of a harness binary's command line,
+/// parsed as `T`. Panics if it is missing or does not parse.
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
+    args.get(i)
+        .unwrap_or_else(|| panic!("{flag} needs a value"))
+        .parse()
+        .unwrap_or_else(|_| panic!("{flag}: not a valid value: {}", args[i]))
+}
 
 /// All figure experiments in paper order.
 pub fn all_figures(cfg: &Config) -> Vec<Figure> {

@@ -1,9 +1,4 @@
-//! Measurement configuration and the native wall-clock runner.
-
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use ocl_rt::{CommandQueue, Kernel, NDRange};
+//! Experiment configuration shared by every figure and table.
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -16,12 +11,6 @@ pub struct Config {
     pub native: bool,
     /// Seed for workload generation.
     pub seed: u64,
-    /// Minimum accumulated kernel time per native measurement. The paper
-    /// iterates to 90 s (Section III-A); the default here is scaled down,
-    /// with the same repeat-and-average structure.
-    pub min_measure_time: Duration,
-    /// Upper bound on repetitions per native measurement.
-    pub max_iters: u32,
 }
 
 impl Default for Config {
@@ -30,8 +19,6 @@ impl Default for Config {
             quick: true,
             native: false,
             seed: 0x0C1_2013,
-            min_measure_time: Duration::from_millis(100),
-            max_iters: 1000,
         }
     }
 }
@@ -44,11 +31,6 @@ impl Config {
         }
     }
 
-    pub fn with_native(mut self, on: bool) -> Self {
-        self.native = on;
-        self
-    }
-
     /// Pick `full` unless quick mode, then `quick`.
     pub fn size(&self, full: usize, quick: usize) -> usize {
         if self.quick {
@@ -59,53 +41,14 @@ impl Config {
     }
 }
 
-/// The paper's methodology (Section III-A): repeat the kernel until the
-/// accumulated time is significant, then report the mean per-invocation
-/// time in seconds.
-pub fn measure_native(
-    queue: &CommandQueue,
-    kernel: &Arc<dyn Kernel>,
-    range: NDRange,
-    cfg: &Config,
-) -> f64 {
-    // Warm-up invocation (first-touch, pool wake-up).
-    queue
-        .enqueue_kernel(kernel, range)
-        .expect("warm-up launch failed");
-    let t0 = Instant::now();
-    let mut iters = 0u32;
-    while t0.elapsed() < cfg.min_measure_time && iters < cfg.max_iters {
-        queue
-            .enqueue_kernel(kernel, range)
-            .expect("measured launch failed");
-        iters += 1;
-    }
-    t0.elapsed().as_secs_f64() / iters.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocl_rt::{Context, Device};
 
     #[test]
     fn size_respects_quick() {
         let quick = Config::default();
         assert_eq!(quick.size(1000, 10), 10);
         assert_eq!(Config::full().size(1000, 10), 1000);
-    }
-
-    #[test]
-    fn measure_returns_positive_mean() {
-        let ctx = Context::new(Device::native_cpu(2).unwrap());
-        let q = ctx.queue();
-        let built = cl_kernels::apps::square::build(&ctx, 4096, 1, Some(256), 1);
-        let cfg = Config {
-            min_measure_time: Duration::from_millis(5),
-            max_iters: 50,
-            ..Default::default()
-        };
-        let t = measure_native(&q, &built.kernel, built.range, &cfg);
-        assert!(t > 0.0 && t < 1.0);
     }
 }

@@ -22,7 +22,7 @@
 //! Absolute constants are order-of-magnitude calibrations for the paper's
 //! 2010-era hardware; what the reproduction must match is the *shape* of
 //! each figure, and every constant is a plain struct field an experiment can
-//! sweep (see `bench_ablation_scheduling`).
+//! sweep (see `repro --only extra-scheduling`).
 
 mod cpu;
 mod gpu;

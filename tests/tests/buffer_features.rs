@@ -82,21 +82,21 @@ fn sub_buffer_out_of_bounds_rejected() {
 fn copy_buffer_moves_device_side() {
     let ctx = native_ctx();
     let q = ctx.queue();
-    let src = ctx
-        .buffer_from(
-            MemFlags::default(),
-            &(0..50).map(|i| i as f32).collect::<Vec<_>>(),
-        )
-        .unwrap();
-    let dst = ctx.buffer::<f32>(MemFlags::default(), 50).unwrap();
-    let ev = q.copy_buffer(&src, 5, &dst, 10, 20).unwrap();
-    assert_eq!(ev.bytes, 80);
-    let mut got = vec![0.0f32; 50];
-    q.read_buffer(&dst, 0, &mut got).unwrap();
-    assert_eq!(got[9], 0.0);
-    assert_eq!(got[10], 5.0);
-    assert_eq!(got[29], 24.0);
-    assert_eq!(got[30], 0.0);
+    let host: Vec<f32> = (0..50).map(|i| i as f32).collect();
+    // Device-resident and pinned host-resident buffers behave alike.
+    for flags in [MemFlags::default(), MemFlags::ALLOC_HOST_PTR] {
+        let src = ctx.buffer::<f32>(flags, 50).unwrap();
+        q.write_buffer(&src, 0, &host).unwrap();
+        let dst = ctx.buffer::<f32>(flags, 50).unwrap();
+        let ev = q.copy_buffer(&src, 5, &dst, 10, 20).unwrap();
+        assert_eq!(ev.bytes, 80);
+        let mut got = vec![0.0f32; 50];
+        q.read_buffer(&dst, 0, &mut got).unwrap();
+        assert_eq!(got[9], 0.0, "{flags:?}");
+        assert_eq!(got[10], 5.0, "{flags:?}");
+        assert_eq!(got[29], 24.0, "{flags:?}");
+        assert_eq!(got[30], 0.0, "{flags:?}");
+    }
 }
 
 #[test]

@@ -209,23 +209,25 @@ fn unknown_fixture_refused_under_force_runs_under_auto() {
         .expect("Auto must fall back to factor 1 on an Unknown verdict");
 }
 
-/// `CL_NO_COARSEN=1` wins over everything: QueueConfig::from_env yields
-/// Off even when CL_COARSEN requests a factor. (Env mutation is process
-/// global, so this test restores both variables.)
+/// `CL_COARSEN=off` turns coarsening off, an integer K ≥ 1 forces K, and
+/// every other value keeps Auto. Calls the parser `QueueConfig::from_env`
+/// uses, so no process-wide variable is touched while sibling tests build
+/// queues from the environment.
 #[test]
 fn no_coarsen_env_wins() {
-    let saved_no = std::env::var("CL_NO_COARSEN").ok();
-    let saved_k = std::env::var("CL_COARSEN").ok();
-    std::env::set_var("CL_NO_COARSEN", "1");
-    std::env::set_var("CL_COARSEN", "8");
-    let cfg = QueueConfig::from_env();
-    match saved_no {
-        Some(v) => std::env::set_var("CL_NO_COARSEN", v),
-        None => std::env::remove_var("CL_NO_COARSEN"),
+    let parse = CoarsenMode::from_env_value;
+    assert_eq!(parse(Some("off")), CoarsenMode::Off);
+    assert_eq!(parse(Some(" OFF ")), CoarsenMode::Off);
+    assert_eq!(parse(Some("8")), CoarsenMode::Force(8));
+    assert_eq!(parse(Some(" 1 ")), CoarsenMode::Force(1));
+    for auto in [
+        None,
+        Some("0"),
+        Some(""),
+        Some("on"),
+        Some("-2"),
+        Some("4x"),
+    ] {
+        assert_eq!(parse(auto), CoarsenMode::Auto, "{auto:?}");
     }
-    match saved_k {
-        Some(v) => std::env::set_var("CL_COARSEN", v),
-        None => std::env::remove_var("CL_COARSEN"),
-    }
-    assert_eq!(cfg.coarsen, CoarsenMode::Off);
 }

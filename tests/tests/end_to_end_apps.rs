@@ -9,6 +9,7 @@ use cl_kernels::apps::{
 use cl_kernels::parboil::{cp, mrifhd, mriq};
 use cl_kernels::{ilp, mbench};
 use integration_tests::all_ctxs;
+use ocl_rt::{Context, Device};
 
 #[test]
 fn all_simple_apps_on_all_devices() {
@@ -49,6 +50,8 @@ fn all_parboil_kernels_on_all_devices() {
             ("cp", cp::build(&ctx, 64, 32, 64, 1, Some((16, 8)), 1)),
             ("phimag", mriq::build_phimag(&ctx, 3072, 1, Some(512), 2)),
             ("computeq", mriq::build_q(&ctx, 256, 64, 1, Some(128), 3)),
+            // Figure 2's coalesced variant: four voxels per workitem.
+            ("computeq-x4", mriq::build_q(&ctx, 256, 64, 4, None, 3)),
             ("rhophi", mrifhd::build_rhophi(&ctx, 3072, 1, Some(512), 4)),
             ("fh", mrifhd::build_fh(&ctx, 256, 64, 1, Some(128), 5)),
         ];
@@ -64,7 +67,14 @@ fn all_parboil_kernels_on_all_devices() {
 
 #[test]
 fn microbenchmarks_on_all_devices() {
-    for (name, ctx) in all_ctxs() {
+    // Plus a native device with the implicit vectorizer off: the scalar
+    // chains of the Figure 6 ILP experiment.
+    let mut scalar = Device::native_cpu(2).unwrap();
+    scalar.set_vectorize(false);
+    let ctxs = all_ctxs()
+        .into_iter()
+        .chain([("native-scalar", Context::new(scalar))]);
+    for (name, ctx) in ctxs {
         let q = ctx.queue();
         for ilp_k in 1..=4 {
             let built = ilp::build(&ctx, 512, ilp_k, 20, 128, 6);

@@ -4,17 +4,18 @@
 //! vs the in-order reference and in an order that **linearizes** the event
 //! graph (completion ticks strictly increase along every edge, every event
 //! completes exactly once). Plus the deadlock/misuse surface: cyclic wait
-//! lists, abandoned user events, and `finish()` against a command stuck on
-//! an unsignalled gate.
+//! lists, abandoned user events, `finish()` against a command stuck on an
+//! unsignalled gate, and a queue whose last handle dies on a pool worker.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use cl_kernels::sched::{muladd_ref, MulAdd};
+use cl_pool::{PoolConfig, ThreadPool};
 use cl_util::XorShift;
 use ocl_rt::{
-    check_linearization, user_event, ClError, Context, Device, EventRef, Kernel, MemFlags, NDRange,
-    QueueConfig,
+    check_linearization, user_event, ClError, Context, Device, EventRef, GroupCtx, Kernel,
+    MemFlags, NDRange, QueueConfig,
 };
 use perf_model::{CpuSpec, GpuSpec};
 
@@ -349,4 +350,84 @@ fn writable_map_drains_a_pending_writer() {
     }
     signaller.join().unwrap();
     q.finish().unwrap();
+}
+
+struct NoSink;
+
+impl cl_pool::PoolEventSink for NoSink {
+    fn on_steal(&self, _: Option<cl_pool::WorkerId>) {}
+    fn on_worker_lost(&self, _: cl_pool::WorkerId) {}
+    fn on_worker_respawned(&self, _: cl_pool::WorkerId) {}
+}
+
+/// Blocks its workgroup until the host sends (or hangs up).
+struct Hold(Mutex<mpsc::Receiver<()>>);
+
+impl Kernel for Hold {
+    fn name(&self) -> &str {
+        "hold"
+    }
+    fn run_group(&self, _g: &mut GroupCtx) {
+        let _ = self.0.lock().unwrap().recv();
+    }
+}
+
+#[test]
+fn last_queue_handle_released_on_a_pool_worker_does_not_self_join() {
+    // Regression: once the host has dropped the queue, the context and
+    // every device handle, the pool task running an out-of-order command
+    // holds the last `Arc<Scheduler>`, and through it the last
+    // `Arc<ThreadPool>`. Dropping it shuts the pool down from one of its
+    // own workers, which must not join itself.
+    const PREFIX: &str = "cl-pool-teardown";
+    let panics = Arc::new(Mutex::new(Vec::<String>::new()));
+    let seen = Arc::clone(&panics);
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let thread = std::thread::current();
+        if let Some(name) = thread.name().filter(|n| n.starts_with(PREFIX)) {
+            seen.lock().unwrap().push(format!("{name}: {info}"));
+        }
+        prev(info);
+    }));
+
+    let cfg = PoolConfig {
+        name_prefix: PREFIX.into(),
+        ..PoolConfig::default().workers(2)
+    };
+    let device = Device::native_with_pool(Arc::new(ThreadPool::new(cfg).unwrap()));
+    let pool = Arc::downgrade(device.pool());
+    // The pool's shared state drops the sink only after its last worker
+    // has exited, so this Weak dying means shutdown has run to the end.
+    let sink = {
+        let sink: Arc<dyn cl_pool::PoolEventSink> = Arc::new(NoSink);
+        device.pool().set_event_sink(Arc::clone(&sink));
+        Arc::downgrade(&sink)
+    };
+
+    let ctx = Context::new(device);
+    let q = ctx.queue_with(QueueConfig::default().out_of_order(true));
+    let (open, held) = mpsc::channel();
+    let hold: Arc<dyn Kernel> = Arc::new(Hold(Mutex::new(held)));
+    let gate = user_event();
+    let ev = q
+        .submit_kernel(&hold, NDRange::d1(1), &[gate.event()])
+        .unwrap();
+    // Signalling dispatches the command onto the pool, where it blocks
+    // until every host handle is gone.
+    gate.signal();
+    drop((hold, q, ctx));
+    open.send(()).unwrap();
+
+    assert!(ev.wait(Some(Duration::from_secs(10))).is_ok());
+    let t0 = Instant::now();
+    while pool.strong_count() > 0 || sink.strong_count() > 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the pool outlived its last queue handle"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let panics = panics.lock().unwrap();
+    assert!(panics.is_empty(), "pool workers panicked: {panics:?}");
 }
