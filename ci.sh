@@ -13,6 +13,9 @@
 #   build         cargo build --release
 #   test          cargo test --no-fail-fast -- --quiet (every test binary
 #                 runs), then a per-binary pass/fail table
+#   test-release  the integration tests again in the release profile, with
+#                 the same table (release-only defaults such as coarse
+#                 faulting-gid reports get exercised)
 #   lint          cl-lint --deny-warnings (regenerates results/lint.md)
 #   chaos         cl-chaos 25-round fault-injection soak -> target/ci-chaos
 #   trace         cl-trace --stable --workers 2 (regenerates results/trace.md)
@@ -42,7 +45,7 @@ while [[ $# -gt 0 ]]; do
             ONLY="${1:?--stage needs a name}"
             ;;
         --help | -h)
-            sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -94,6 +97,18 @@ stage_test() {
     local log=target/ci-test.log status=0
     mkdir -p target
     cargo test --no-fail-fast -- --quiet 2>&1 | tee "$log" || status=$?
+    test_table "$log"
+    return "$status"
+}
+
+# The integration tests in the release profile: release builds keep their
+# own defaults (coarse faulting-gid reports, no debug contract gate), and
+# each test asserts its profile's contract.
+stage_test_release() {
+    local log=target/ci-test-release.log status=0
+    mkdir -p target
+    cargo test --release --no-fail-fast -p integration-tests -- --quiet 2>&1 |
+        tee "$log" || status=$?
     test_table "$log"
     return "$status"
 }
@@ -232,6 +247,7 @@ run_stage fmt
 run_stage clippy
 run_stage build
 run_stage test
+run_stage test-release
 run_stage lint
 run_stage chaos soak
 run_stage trace

@@ -45,8 +45,8 @@ pub enum ClError {
         message: String,
     },
     /// The launch exceeded `QueueConfig::launch_timeout`
-    /// (`CL_LAUNCH_TIMEOUT_MS`): the watchdog tripped the abort protocol
-    /// and the launch was abandoned. Covers livelocked/stalled kernels the
+    /// (`CL_LAUNCH_TIMEOUT_MS`): the enqueuing thread tripped the abort
+    /// protocol at the deadline and the launch was abandoned. Covers livelocked/stalled kernels the
     /// panic path cannot catch.
     LaunchTimedOut {
         kernel: String,

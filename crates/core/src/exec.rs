@@ -28,13 +28,15 @@
 //! no-ops; barrier-parked peers are released through
 //! `CentralBarrier::wait_abortable`. A [`FatalFault`] payload additionally
 //! retires the worker (device-lost model) — the queue respawns it on the
-//! next enqueue. An optional watchdog deadline trips the same abort path
-//! for stalls the panic path cannot see and returns
-//! [`ClError::LaunchTimedOut`].
+//! next enqueue. An optional deadline trips the same abort path for stalls
+//! the panic path cannot see and returns [`ClError::LaunchTimedOut`]; the
+//! enqueuing thread itself is the watchdog, so no launch starts a thread.
 //!
 //! The launch state is `Arc`-owned (not borrowed from the enqueue frame)
 //! precisely so a timed-out launch can be *abandoned*: the host returns
-//! while a stuck chunk still holds its reference.
+//! while a stuck chunk still holds its reference. The same state and chunk
+//! body run affinity-bound launches ([`crate::AffinityExecutor`]), one
+//! workgroup per lane task.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,23 +57,23 @@ use crate::trace::{self, Span, TraceLog};
 
 /// After a timeout is reported, how long the host waits for in-flight
 /// chunks to notice the abort signal and park the launch state before the
-/// enqueue call returns anyway. Only a stuck chunk (which the watchdog
+/// enqueue call returns anyway. Only a stuck chunk (which the deadline
 /// exists for) outlives this.
 const ABANDON_GRACE: Duration = Duration::from_millis(50);
 
-struct LaunchState {
+pub(crate) struct LaunchState {
     kernel: Arc<dyn Kernel>,
     range: ResolvedRange,
     /// The launch's undispatched chunks; workers and the helping host claim
     /// from it until dry.
     source: cl_pool::ChunkSource,
-    fault: LaunchFault,
-    latch: Latch,
+    pub(crate) fault: LaunchFault,
+    pub(crate) latch: Latch,
     barriers: AtomicU64,
     items: AtomicU64,
     panics: AtomicU64,
-    simd_ok: bool,
-    width: usize,
+    /// SIMD width for `run_group_simd`; `None` runs scalar `run_group`.
+    simd_width: Option<usize>,
     /// The queue's trace log when tracing is enabled; `None` costs the hot
     /// path only `Option` checks.
     trace: Option<Arc<TraceLog>>,
@@ -82,6 +84,40 @@ struct LaunchState {
 }
 
 impl LaunchState {
+    /// A launch of `kernel` over `range`, cut into chunks of
+    /// `groups_per_chunk` consecutive workgroups. With `trace`, the launch
+    /// takes a fresh id in that log and records its chunk spans there.
+    pub(crate) fn new(
+        kernel: &Arc<dyn Kernel>,
+        range: &ResolvedRange,
+        groups_per_chunk: usize,
+        simd_width: Option<usize>,
+        trace: Option<&Arc<TraceLog>>,
+    ) -> Arc<Self> {
+        let n_groups = range.n_groups();
+        let n_chunks = n_groups.div_ceil(groups_per_chunk);
+        let launch_id = trace.map_or(0, |log| {
+            // One reallocation up front instead of amortized growth while
+            // chunks are recording.
+            log.reserve(n_chunks + 2);
+            log.begin_launch()
+        });
+        Arc::new(LaunchState {
+            kernel: Arc::clone(kernel),
+            range: *range,
+            source: cl_pool::ChunkSource::new(n_groups, groups_per_chunk),
+            fault: LaunchFault::new(),
+            latch: Latch::new(n_chunks as u64),
+            barriers: AtomicU64::new(0),
+            items: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
+            simd_width,
+            trace: trace.cloned(),
+            launch_id,
+            started_ns: AtomicU64::new(0),
+        })
+    }
+
     /// Stamp the launch's COMMAND_START timestamp, first chunk wins. One
     /// relaxed load per chunk after that.
     fn mark_started(&self) {
@@ -96,7 +132,7 @@ impl LaunchState {
     }
 
     /// Execute workgroups `chunk` (linear ids), containing any panic.
-    fn run_chunk(&self, chunk: std::ops::Range<usize>) {
+    pub(crate) fn run_chunk(&self, chunk: std::ops::Range<usize>) {
         // Count the chunk down even if a FatalFault re-raise unwinds out.
         let _done = LatchGuard(&self.latch);
         self.mark_started();
@@ -122,7 +158,9 @@ impl LaunchState {
                     launch: self.launch_id,
                     group: linear,
                 });
-                let used_simd = self.simd_ok && self.kernel.run_group_simd(&mut g, self.width);
+                let used_simd = self
+                    .simd_width
+                    .is_some_and(|width| self.kernel.run_group_simd(&mut g, width));
                 if !used_simd {
                     self.kernel.run_group(&mut g);
                 }
@@ -188,6 +226,34 @@ impl LaunchState {
         }
     }
 
+    /// The completed launch's event: its workgroup count, the counters its
+    /// chunks summed, and the given timing.
+    pub(crate) fn event(&self, duration_s: f64, modeled: bool, profiling: ProfilingInfo) -> Event {
+        let mut ev = Event::new(CommandKind::NdRangeKernel, duration_s, modeled);
+        ev.groups = self.range.n_groups() as u64;
+        ev.barriers = self.barriers.load(Ordering::Relaxed);
+        ev.items = self.items.load(Ordering::Relaxed);
+        ev.panics = self.panics.load(Ordering::Relaxed);
+        ev.profiling = profiling;
+        ev
+    }
+
+    /// Record the launch's span (`ok`: it completed without a fault), when
+    /// traced.
+    fn record_launch(&self, profiling: ProfilingInfo, ok: bool) {
+        if let Some(log) = &self.trace {
+            log.record(Span::launch(
+                self.launch_id,
+                self.kernel.name(),
+                self.range.n_groups(),
+                self.items.load(Ordering::Relaxed),
+                self.barriers.load(Ordering::Relaxed),
+                profiling,
+                ok,
+            ));
+        }
+    }
+
     /// Claim and run chunks until the source is dry. A `FatalFault`
     /// re-raised by [`Self::run_chunk`] unwinds out of the loop — on a pool
     /// worker that retires the worker; remaining chunks stay claimable by
@@ -210,7 +276,6 @@ pub(crate) fn execute_kernel(
 ) -> Result<Event, ClError> {
     let n_groups = range.n_groups();
     let pool = device.pool();
-    let launch_id = trace_log.map_or(0, |t| t.begin_launch());
 
     // Native devices: one chunk per workgroup (the paper's per-workgroup
     // scheduling overhead stays real), unless the queue attached a proven
@@ -224,27 +289,14 @@ pub(crate) fn execute_kernel(
         }
     };
     let n_chunks = n_groups.div_ceil(groups_per_chunk);
-
-    let state = Arc::new(LaunchState {
-        kernel: Arc::clone(kernel),
-        range: *range,
-        source: cl_pool::ChunkSource::new(n_groups, groups_per_chunk),
-        fault: LaunchFault::new(),
-        latch: Latch::new(n_chunks as u64),
-        barriers: AtomicU64::new(0),
-        items: AtomicU64::new(0),
-        panics: AtomicU64::new(0),
-        simd_ok: device.vectorizes() && range.local[1] == 1 && range.local[2] == 1,
-        width: device.simd_width(),
-        trace: trace_log.cloned(),
-        launch_id,
-        started_ns: AtomicU64::new(0),
-    });
-    if let Some(log) = trace_log {
-        // One reallocation up front instead of amortized growth while
-        // chunks are recording.
-        log.reserve(n_chunks + 2);
-    }
+    let simd = device.vectorizes() && range.local[1] == 1 && range.local[2] == 1;
+    let state = LaunchState::new(
+        kernel,
+        range,
+        groups_per_chunk,
+        simd.then(|| device.simd_width()),
+        trace_log,
+    );
 
     // CL_PROFILING_COMMAND_SUBMIT: validation is done, the launch's claim
     // tasks go to the pool now. At most one claim loop per worker — each
@@ -277,55 +329,26 @@ pub(crate) fn execute_kernel(
         }
         Some(timeout) => {
             // With a deadline armed the host must NOT help: it could pick up
-            // the stuck chunk itself and never observe the deadline. A
-            // watchdog thread trips the abort path at the deadline; the
-            // host then grants in-flight chunks a short grace window.
-            let deadline = t0 + timeout;
-            let watchdog_state = Arc::clone(&state);
-            let watchdog = std::thread::Builder::new()
-                .name("cl-watchdog".into())
-                .spawn(move || {
-                    if !watchdog_state.latch.wait_deadline(deadline) {
-                        if let Some(log) = &watchdog_state.trace {
-                            log.record(Span::abort(watchdog_state.launch_id, "timeout"));
-                        }
-                        watchdog_state.fault.trip(FaultRecord {
-                            kind: FaultKind::Timeout,
-                            kernel: watchdog_state.kernel.name().to_string(),
-                            gid: [0, 0, 0],
-                            group: 0,
-                            worker: None,
-                            message: format!("launch exceeded {timeout:?}"),
-                        });
-                    }
+            // the stuck chunk itself and never observe the deadline. It is
+            // the watchdog instead: it waits for the latch until the
+            // deadline, then trips the abort path and grants in-flight
+            // chunks a short grace window.
+            let done = state.latch.wait_deadline(t0 + timeout);
+            if !done {
+                if let Some(log) = &state.trace {
+                    log.record(Span::abort(state.launch_id, "timeout"));
+                }
+                state.fault.trip(FaultRecord {
+                    kind: FaultKind::Timeout(timeout),
+                    kernel: kernel.name().to_string(),
+                    gid: [0, 0, 0],
+                    group: 0,
+                    worker: None,
+                    message: format!("launch exceeded {timeout:?}"),
                 });
-            match watchdog {
-                Ok(handle) => {
-                    let done = state.latch.wait_deadline(deadline + ABANDON_GRACE);
-                    let _ = handle.join();
-                    done
-                }
-                Err(_) => {
-                    // No thread available for the watchdog: the host plays
-                    // watchdog itself (it just cannot help with chunks).
-                    let done = state.latch.wait_deadline(deadline);
-                    if !done {
-                        if let Some(log) = &state.trace {
-                            log.record(Span::abort(state.launch_id, "timeout"));
-                        }
-                        state.fault.trip(FaultRecord {
-                            kind: FaultKind::Timeout,
-                            kernel: kernel.name().to_string(),
-                            gid: [0, 0, 0],
-                            group: 0,
-                            worker: None,
-                            message: format!("launch exceeded {timeout:?}"),
-                        });
-                        state.latch.wait_deadline(Instant::now() + ABANDON_GRACE);
-                    }
-                    done
-                }
+                state.latch.wait_deadline(Instant::now() + ABANDON_GRACE);
             }
+            done
         }
     };
     let elapsed = t0.elapsed();
@@ -343,35 +366,15 @@ pub(crate) fn execute_kernel(
         first_chunk_ns.clamp(submitted_ns, end_ns)
     };
 
+    let mut profiling = ProfilingInfo {
+        queued_ns,
+        submitted_ns,
+        started_ns,
+        completed_ns: end_ns,
+    };
     if let Some(rec) = state.fault.take() {
-        if let Some(log) = trace_log {
-            let profiling = ProfilingInfo {
-                queued_ns,
-                submitted_ns,
-                started_ns,
-                completed_ns: end_ns,
-            };
-            log.record(Span::launch(
-                launch_id,
-                &rec.kernel,
-                n_groups,
-                state.items.load(Ordering::Relaxed),
-                state.barriers.load(Ordering::Relaxed),
-                profiling,
-                false,
-            ));
-        }
-        return Err(match rec.kind {
-            FaultKind::Timeout => ClError::LaunchTimedOut {
-                kernel: rec.kernel,
-                timeout: launch_timeout.unwrap_or(elapsed),
-            },
-            FaultKind::Panic | FaultKind::FatalPanic => ClError::KernelPanicked {
-                gid: rec.gid,
-                message: rec.annotated_message(),
-                kernel: rec.kernel,
-            },
-        });
+        state.record_launch(profiling, false);
+        return Err(rec.into_error());
     }
     debug_assert!(completed, "no fault recorded but latch not done");
 
@@ -388,34 +391,9 @@ pub(crate) fn execute_kernel(
     // Modeled devices report the modeled execution window (the device
     // under study), native devices the measured one — mirroring how
     // profiling-enabled OpenCL queues report device time.
-    let completed_ns = if modeled {
-        started_ns + (duration_s * 1e9) as u64
-    } else {
-        end_ns
-    };
-    let profiling = ProfilingInfo {
-        queued_ns,
-        submitted_ns,
-        started_ns,
-        completed_ns,
-    };
-
-    let mut ev = Event::new(CommandKind::NdRangeKernel, duration_s, modeled);
-    ev.groups = n_groups as u64;
-    ev.barriers = state.barriers.load(Ordering::Relaxed);
-    ev.items = state.items.load(Ordering::Relaxed);
-    ev.panics = state.panics.load(Ordering::Relaxed);
-    ev.profiling = profiling;
-    if let Some(log) = trace_log {
-        log.record(Span::launch(
-            launch_id,
-            kernel.name(),
-            n_groups,
-            ev.items,
-            ev.barriers,
-            profiling,
-            true,
-        ));
+    if modeled {
+        profiling.completed_ns = started_ns + (duration_s * 1e9) as u64;
     }
-    Ok(ev)
+    state.record_launch(profiling, true);
+    Ok(state.event(duration_s, modeled, profiling))
 }

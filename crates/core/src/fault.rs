@@ -10,6 +10,8 @@ use std::time::{Duration, Instant};
 use cl_pool::AbortSignal;
 use cl_util::sync::{Condvar, Mutex};
 
+use crate::error::ClError;
+
 /// What class of fault a launch suffered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FaultKind {
@@ -18,8 +20,9 @@ pub(crate) enum FaultKind {
     /// A workitem raised a `FatalFault`; the worker retired and will be
     /// respawned by the queue's self-healing path.
     FatalPanic,
-    /// The launch watchdog fired before all groups completed.
-    Timeout,
+    /// The launch's deadline (its `launch_timeout`) passed before all
+    /// groups completed.
+    Timeout(Duration),
 }
 
 /// The first fault observed during one launch — first fault wins, matching
@@ -34,7 +37,7 @@ pub(crate) struct FaultRecord {
     /// Linear workgroup id.
     pub(crate) group: usize,
     /// Pool worker that contained the fault (`None`: the host thread, while
-    /// helping, or the watchdog).
+    /// helping or when its deadline passed).
     pub(crate) worker: Option<usize>,
     pub(crate) message: String,
 }
@@ -72,11 +75,22 @@ impl LaunchFault {
 }
 
 impl FaultRecord {
-    /// The payload message, annotated with where the fault was contained.
-    pub(crate) fn annotated_message(&self) -> String {
-        match self.worker {
-            Some(w) => format!("{} [workgroup {}, worker {}]", self.message, self.group, w),
-            None => format!("{} [workgroup {}, host thread]", self.message, self.group),
+    /// The enqueue's error for this fault. A panic's message is annotated
+    /// with where the fault was contained.
+    pub(crate) fn into_error(self) -> ClError {
+        match self.kind {
+            FaultKind::Timeout(timeout) => ClError::LaunchTimedOut {
+                kernel: self.kernel,
+                timeout,
+            },
+            FaultKind::Panic | FaultKind::FatalPanic => ClError::KernelPanicked {
+                message: match self.worker {
+                    Some(w) => format!("{} [workgroup {}, worker {w}]", self.message, self.group),
+                    None => format!("{} [workgroup {}, host thread]", self.message, self.group),
+                },
+                gid: self.gid,
+                kernel: self.kernel,
+            },
         }
     }
 }

@@ -40,10 +40,11 @@ const FILL_ROW: usize = 256 << 10;
 /// Queue construction options (`clCreateCommandQueue` properties analog).
 #[derive(Debug, Clone, Default)]
 pub struct QueueConfig {
-    /// Deadline for a single kernel enqueue. When set, a watchdog thread
-    /// trips the launch's abort protocol at the deadline and the enqueue
-    /// returns [`ClError::LaunchTimedOut`]. `None` (the default) disables
-    /// the watchdog; [`QueueConfig::from_env`] reads `CL_LAUNCH_TIMEOUT_MS`.
+    /// Deadline for a single kernel enqueue. When set, the enqueuing
+    /// thread waits for the launch instead of helping run it, trips the
+    /// launch's abort protocol at the deadline, and the enqueue returns
+    /// [`ClError::LaunchTimedOut`]. `None` (the default) disables the
+    /// deadline; [`QueueConfig::from_env`] reads `CL_LAUNCH_TIMEOUT_MS`.
     pub launch_timeout: Option<std::time::Duration>,
     /// Record structured [`Span`]s for every command the queue runs into a
     /// per-queue [`TraceLog`] (the `CL_QUEUE_PROFILING_ENABLE` analog, plus

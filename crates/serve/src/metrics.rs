@@ -5,8 +5,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cl_util::sync::Mutex;
 
-/// Latency samples kept per tenant. Load runs are far smaller than this;
-/// the cap only bounds memory on pathological soaks.
+/// Latency samples kept per tenant: the most recent ones, so a long soak's
+/// percentiles describe its latest window rather than its warm-up. Load
+/// runs are far smaller than this; the cap only bounds memory.
 const MAX_SAMPLES: usize = 1 << 16;
 
 /// Live counters for one tenant. All increments are relaxed: the fields are
@@ -21,22 +22,26 @@ pub struct TenantStats {
     pub(crate) shed: AtomicU64,
     pub(crate) retries: AtomicU64,
     pub(crate) rejected_evicted: AtomicU64,
-    latencies_ns: Mutex<Vec<u64>>,
+    /// Latency ring and the total number of samples ever recorded; once
+    /// full, sample `n` overwrites slot `n % MAX_SAMPLES`.
+    latencies_ns: Mutex<(Vec<u64>, usize)>,
 }
 
 impl TenantStats {
     pub(crate) fn record_latency(&self, ns: u64) {
-        let mut l = self.latencies_ns.lock();
-        if l.len() < MAX_SAMPLES {
-            l.push(ns);
+        let mut guard = self.latencies_ns.lock();
+        let (ring, recorded) = &mut *guard;
+        if ring.len() < MAX_SAMPLES {
+            ring.push(ns);
+        } else {
+            ring[*recorded % MAX_SAMPLES] = ns;
         }
+        *recorded += 1;
     }
 
     /// A point-in-time copy with percentiles computed.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let lat = self.latencies_ns.lock();
-        let mut sorted = lat.clone();
-        drop(lat);
+        let mut sorted = self.latencies_ns.lock().0.clone();
         sorted.sort_unstable();
         let pct = |q: f64| -> u64 {
             if sorted.is_empty() {
@@ -105,6 +110,20 @@ mod tests {
         assert_eq!(snap.p50_ns, 51); // nearest-rank on 0-based index
         assert_eq!(snap.p99_ns, 99);
         assert_eq!(snap.max_ns, 100);
+    }
+
+    #[test]
+    fn percentiles_describe_the_latest_window() {
+        let s = TenantStats::default();
+        for _ in 0..MAX_SAMPLES {
+            s.record_latency(1_000);
+        }
+        for _ in 0..1_000 {
+            s.record_latency(1_000_000);
+        }
+        let snap = s.snapshot();
+        assert_eq!(snap.samples, MAX_SAMPLES);
+        assert!(snap.p99_ns >= 1_000_000, "p99 {} ns", snap.p99_ns);
     }
 
     #[test]

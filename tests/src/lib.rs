@@ -22,3 +22,15 @@ pub fn all_ctxs() -> Vec<(&'static str, Context)> {
         ),
     ]
 }
+
+/// The global id a contained panic at item `gid` of a 1-D launch with
+/// `local`-wide groups reports, per the build profile's contract: the exact
+/// item in debug builds, its group's base item in release builds
+/// (`CL_EXACT_GID=1`/`0` overrides either way).
+pub fn reported_gid(gid: usize, local: usize) -> [usize; 3] {
+    let exact = match std::env::var("CL_EXACT_GID") {
+        Ok(v) => v == "1",
+        Err(_) => cfg!(debug_assertions),
+    };
+    [if exact { gid } else { gid - gid % local }, 0, 0]
+}

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cl_kernels::chaos::{reference, ChaosKernel, ChaosMode};
-use integration_tests::native_ctx;
+use integration_tests::{native_ctx, reported_gid};
 use ocl_rt::{Buffer, ClError, Context, Kernel, MemFlags, NDRange, QueueConfig};
 
 fn chaos(
@@ -40,7 +40,7 @@ fn panic_is_contained_and_names_the_exact_workitem() {
             message,
         } => {
             assert_eq!(kernel, "chaos");
-            assert_eq!(gid, [517, 0, 0]);
+            assert_eq!(gid, reported_gid(517, 64));
             assert!(message.contains("injected panic at gid 517"), "{message}");
             assert!(message.contains("workgroup 8"), "{message}");
         }
@@ -61,7 +61,7 @@ fn exploding_panic_payload_is_contained() {
     let err = q.enqueue_kernel(&k, NDRange::d1(N).local1(32)).unwrap_err();
     match err {
         ClError::KernelPanicked { gid, message, .. } => {
-            assert_eq!(gid, [33, 0, 0]);
+            assert_eq!(gid, reported_gid(33, 32));
             assert!(message.contains("contained"), "{message}");
         }
         other => panic!("expected KernelPanicked, got {other:?}"),
@@ -157,7 +157,7 @@ fn fatal_fault_retires_a_worker_and_the_next_enqueue_heals_it() {
     let err = q.enqueue_kernel(&k, NDRange::d1(N).local1(64)).unwrap_err();
     match err {
         ClError::KernelPanicked { gid, message, .. } => {
-            assert_eq!(gid, [100, 0, 0]);
+            assert_eq!(gid, reported_gid(100, 64));
             assert!(message.contains("fatal"), "{message}");
         }
         other => panic!("expected KernelPanicked, got {other:?}"),
@@ -212,4 +212,30 @@ fn launch_timeout_comes_from_the_environment() {
     let ev = q.enqueue_kernel(&clean, NDRange::d1(N).local1(32)).unwrap();
     assert_eq!(ev.panics, 0);
     assert_eq!(read_all(&q, &out, N), reference(N));
+}
+
+/// The enqueuing thread is its own launch's watchdog: an armed launch,
+/// stalled until its deadline, runs without any extra thread.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_armed_launch_starts_no_thread() {
+    const N: usize = 512;
+    let ctx = native_ctx();
+    let q = ctx.queue_with(QueueConfig::default().launch_timeout(Duration::from_millis(300)));
+    let (_out, k) = chaos(&ctx, N, ChaosMode::StallUntilAbort { group: 1 }, N / 64);
+    let launch = std::thread::spawn(move || q.enqueue_kernel(&k, NDRange::d1(N).local1(64)));
+    std::thread::sleep(Duration::from_millis(100));
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect();
+    assert!(
+        !names.iter().any(|name| name == "cl-watchdog"),
+        "threads during an armed launch: {names:?}"
+    );
+    assert!(matches!(
+        launch.join().unwrap(),
+        Err(ClError::LaunchTimedOut { .. })
+    ));
 }

@@ -9,6 +9,7 @@ use std::time::Duration;
 use cl_kernels::chaos::{reference, ChaosKernel, ChaosMode};
 use cl_serve::{Backoff, RetryPolicy, ServeConfig, Server, Tenant, TenantConfig};
 use cl_util::XorShift;
+use integration_tests::reported_gid;
 use ocl_rt::{Buffer, ClError, Kernel, MemFlags, NDRange};
 
 /// A chaos kernel + its output buffer in `t`'s private context.
@@ -367,7 +368,7 @@ fn ooo_tenant_faults_are_contained_and_heal() {
 
     let (_out, bad) = chaos(&t, N, ChaosMode::PanicAt { gid: 42 }, N / 64);
     match t.launch(&bad, range) {
-        Err(ClError::KernelPanicked { gid, .. }) => assert_eq!(gid, [42, 0, 0]),
+        Err(ClError::KernelPanicked { gid, .. }) => assert_eq!(gid, reported_gid(42, 64)),
         other => panic!("expected KernelPanicked, got {other:?}"),
     }
     // The OOO queue drains and the handle heals.
