@@ -65,8 +65,12 @@ pub enum EventStatus {
 
 enum Waiter {
     /// A scheduler node (`node index` in that scheduler) waiting on this
-    /// event. Fired once at completion with the outcome.
-    Node(Weak<Scheduler>, usize),
+    /// event. Fired once at completion with the outcome. The strong handle
+    /// keeps the scheduler alive while the node waits, so releasing every
+    /// handle to its queue does not abandon the command (as OpenCL keeps
+    /// enqueued commands alive past `clReleaseCommandQueue`); the waiter
+    /// list is taken at completion, which drops it.
+    Node(Arc<Scheduler>, usize),
     /// A user-event auto-signal countdown (`UserEvent::signal_after`).
     Auto(Arc<AutoSignal>),
 }
@@ -134,11 +138,7 @@ impl EventCore {
         if notify {
             for w in waiters {
                 match w {
-                    Waiter::Node(sched, idx) => {
-                        if let Some(s) = sched.upgrade() {
-                            s.dep_done(idx, err.clone());
-                        }
-                    }
+                    Waiter::Node(sched, idx) => sched.dep_done(idx, err.clone()),
                     Waiter::Auto(auto) => auto.dep_done(err.clone()),
                 }
             }
@@ -487,12 +487,6 @@ impl SchedBug {
             SchedBug::SkipCommand => "skip-command",
         }
     }
-
-    pub(crate) fn from_env() -> Option<SchedBug> {
-        std::env::var("CL_SCHED_BUG")
-            .ok()
-            .and_then(|s| SchedBug::parse(&s))
-    }
 }
 
 type Work = Box<dyn FnOnce() -> Result<Event, ClError> + Send + 'static>;
@@ -699,7 +693,7 @@ impl Scheduler {
         let mut resolved = 0;
         let mut resolved_err = None;
         for d in &deps {
-            if let Some(err) = d.core.add_waiter(Waiter::Node(Arc::downgrade(self), idx)) {
+            if let Some(err) = d.core.add_waiter(Waiter::Node(Arc::clone(self), idx)) {
                 resolved += 1;
                 if let Some(e) = err {
                     resolved_err.get_or_insert(e);

@@ -203,6 +203,36 @@ fn abandoned_user_event_fails_dependents_not_hangs() {
 }
 
 #[test]
+fn gated_command_outlives_its_dropped_queue() {
+    // `clReleaseCommandQueue` does not cancel enqueued commands: a command
+    // still waiting on its gate runs once the gate opens, even though the
+    // host has released every handle to the queue that took it.
+    let ctx = Context::new(Device::native_cpu(2).unwrap());
+    let q = ctx.queue_with(QueueConfig::default().out_of_order(true));
+    let buf = ctx.buffer::<u32>(MemFlags::default(), LEN).unwrap();
+    let mut want: Vec<u32> = (0..LEN as u32).collect();
+    q.write_buffer(&buf, 0, &want).unwrap();
+    let gate = user_event();
+    let ev = q
+        .submit_kernel(
+            &muladd(&buf, 3, 7, "gated".into()),
+            NDRange::d1(LEN),
+            &[gate.event()],
+        )
+        .unwrap();
+    drop(q);
+    gate.signal();
+    assert!(
+        ev.wait(Some(Duration::from_secs(10))).is_ok(),
+        "the gated command was abandoned with its queue"
+    );
+    muladd_ref(&mut want, 3, 7);
+    let mut got = vec![0u32; LEN];
+    ctx.queue().read_buffer(&buf, 0, &mut got).unwrap();
+    assert_eq!(got, want);
+}
+
+#[test]
 fn finish_watchdog_drains_queue_stuck_on_user_event() {
     // PR 2 watchdog story extended to the DAG: finish() must not hang on a
     // command gated on a user event nobody signals — it fails the stuck
