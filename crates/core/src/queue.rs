@@ -127,30 +127,36 @@ impl CoarsenMode {
 impl QueueConfig {
     /// Defaults, overridden by the environment: `CL_LAUNCH_TIMEOUT_MS=<ms>`
     /// arms the launch watchdog (0 or unparsable values leave it off);
-    /// `CL_TRACE=1` (or `true`) enables span tracing.
+    /// `CL_TRACE=1` (or `true`) enables span tracing. See
+    /// [`QueueConfig::from_vars`] for every variable read.
     pub fn from_env() -> Self {
-        let launch_timeout = std::env::var("CL_LAUNCH_TIMEOUT_MS")
-            .ok()
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// The configuration [`QueueConfig::from_env`] builds when `var` gives
+    /// each variable's value: `CL_LAUNCH_TIMEOUT_MS`, `CL_TRACE`, `CL_FLOW`,
+    /// `CL_OOO`, `CL_SCHED_BUG`, `CL_COARSEN` and `CL_TUNE`. Flags are on
+    /// for `1` or `true`. Tests pass a map here instead of setting
+    /// process-wide variables that sibling tests would read mid-run.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let launch_timeout = var("CL_LAUNCH_TIMEOUT_MS")
             .and_then(|v| v.trim().parse::<u64>().ok())
             .filter(|&ms| ms > 0)
             .map(std::time::Duration::from_millis);
-        let env_on = |name: &str| {
-            std::env::var(name)
-                .map(|v| {
-                    let v = v.trim();
-                    v == "1" || v.eq_ignore_ascii_case("true")
-                })
-                .unwrap_or(false)
+        let on = |name: &str| {
+            var(name).is_some_and(|v| {
+                let v = v.trim();
+                v == "1" || v.eq_ignore_ascii_case("true")
+            })
         };
-        let coarsen = CoarsenMode::from_env_value(std::env::var("CL_COARSEN").ok().as_deref());
         QueueConfig {
             launch_timeout,
-            tracing: env_on("CL_TRACE"),
-            recording: env_on("CL_FLOW"),
-            out_of_order: env_on("CL_OOO"),
-            sched_bug: crate::sched::SchedBug::from_env(),
-            coarsen,
-            tune: cl_tune::Tuner::enabled_from_env(),
+            tracing: on("CL_TRACE"),
+            recording: on("CL_FLOW"),
+            out_of_order: on("CL_OOO"),
+            sched_bug: var("CL_SCHED_BUG").and_then(|s| crate::sched::SchedBug::parse(&s)),
+            coarsen: CoarsenMode::from_env_value(var("CL_COARSEN").as_deref()),
+            tune: on("CL_TUNE"),
             tuner: None,
         }
     }

@@ -191,18 +191,17 @@ fn fatal_fault_retires_a_worker_and_the_next_enqueue_heals_it() {
 
 #[test]
 fn launch_timeout_comes_from_the_environment() {
-    // A generous deadline: arms the watchdog path without ever tripping it
-    // even under heavy test parallelism.
-    std::env::set_var("CL_LAUNCH_TIMEOUT_MS", "60000");
-    let cfg = QueueConfig::from_env();
-    std::env::remove_var("CL_LAUNCH_TIMEOUT_MS");
-    assert_eq!(cfg.launch_timeout, Some(Duration::from_secs(60)));
-
-    std::env::set_var("CL_LAUNCH_TIMEOUT_MS", "0");
-    let off = QueueConfig::from_env();
-    std::env::remove_var("CL_LAUNCH_TIMEOUT_MS");
-    assert_eq!(off.launch_timeout, None);
-    assert_eq!(QueueConfig::from_env().launch_timeout, None);
+    let timeout = |value: Option<&str>| {
+        QueueConfig::from_vars(|name| {
+            value
+                .filter(|_| name == "CL_LAUNCH_TIMEOUT_MS")
+                .map(String::from)
+        })
+        .launch_timeout
+    };
+    assert_eq!(timeout(Some("60000")), Some(Duration::from_secs(60)));
+    assert_eq!(timeout(Some("0")), None);
+    assert_eq!(timeout(None), None);
 
     // And the armed queue still runs healthy kernels to completion.
     const N: usize = 256;

@@ -255,14 +255,14 @@ fn disabled_tracing_records_no_spans_anywhere() {
 
 #[test]
 fn cl_trace_env_enables_tracing() {
-    std::env::set_var("CL_TRACE", "1");
-    assert!(QueueConfig::from_env().tracing);
-    std::env::set_var("CL_TRACE", "true");
-    assert!(QueueConfig::from_env().tracing);
-    std::env::set_var("CL_TRACE", "0");
-    assert!(!QueueConfig::from_env().tracing);
-    std::env::remove_var("CL_TRACE");
-    assert!(!QueueConfig::from_env().tracing);
+    let tracing = |value: Option<&str>| {
+        QueueConfig::from_vars(|name| value.filter(|_| name == "CL_TRACE").map(String::from))
+            .tracing
+    };
+    assert!(tracing(Some("1")));
+    assert!(tracing(Some("true")));
+    assert!(!tracing(Some("0")));
+    assert!(!tracing(None));
 }
 
 #[test]
