@@ -2,9 +2,15 @@
 # Offline CI, split into named stages with per-stage wall-clock timing.
 #
 #   ci.sh [--fast] [--stage NAME]
+#   ci.sh pair REV
 #
 #   --fast        skip the soak stages (chaos, traced-chaos)
 #   --stage NAME  run a single stage by name
+#   pair REV      the pair gate alone: 10 alternating runs of REV's
+#                 cl-bench (parent) and the working tree's (change), then
+#                 cl-bench --pair; exits 1 on a regression. REV's binary
+#                 is built from `git archive REV` under target/pair/; runs
+#                 land in target/pair/runs with each run's host steal share
 #
 # Stages, in order:
 #
@@ -26,7 +32,9 @@
 #   serve         cl-load 64-tenant serving soak (regenerates results/serve.md)
 #   coarsen       cl-coarsen --stable --workers 2 (regenerates results/coarsen.md)
 #   tune          cl-tune --stable --workers 2 (regenerates results/tune.md)
-#   bench-gate    cl-bench --fast vs BENCH_BASELINE.json -> BENCH.json
+#   bench-gate    `pair HEAD` twice: the plain pair must pass, and a pair
+#                 whose change side runs with --inject-regression 2 must
+#                 fail (the gate can fail, and only on a real change)
 #   drift         git diff --exit-code results/ (regenerated reports committed?)
 #
 # The drift stage is why lint/trace/flow/race/serve pin --workers 2 and --stable:
@@ -37,6 +45,7 @@ cd "$(dirname "$0")"
 
 FAST=0
 ONLY=""
+PAIR_REV=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --fast) FAST=1 ;;
@@ -44,8 +53,13 @@ while [[ $# -gt 0 ]]; do
             shift
             ONLY="${1:?--stage needs a name}"
             ;;
+        pair)
+            shift
+            PAIR_REV="${1:?pair needs a revision}"
+            ;;
         --help | -h)
-            sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
+            # The leading comment block, up to the first non-comment line.
+            awk 'NR > 1 { if (!/^#/) exit; sub(/^# ?/, ""); print }' "$0"
             exit 0
             ;;
         *)
@@ -221,19 +235,89 @@ stage_tune() {
     cargo run --release --quiet --bin cl-tune -- --stable --workers 2 --out results
 }
 
-# The performance gate: run the microbenchmark suite and compare against
-# the committed baseline; a median regression beyond max(abs floor, k*MAD)
-# exits nonzero. BENCH.json is the machine-readable run artifact. On
-# failure, echo the baseline's provenance header so the log names the
-# machine/revision the thresholds came from (refresh with
-# `cl-bench --refresh-baseline`).
+# The performance gate compares like with like: the parent and the change
+# measured alternately on this host, judged by `cl-bench --pair` (a time
+# entry fails only when 25% slower in 9 of 10 pairs; a count fails when it
+# rises in any pair). The seeded pair proves the gate can still fail.
 stage_bench_gate() {
-    if ! cargo run --release --quiet --bin cl-bench -- --fast; then
-        echo "bench-gate: baseline provenance:" >&2
-        grep -o '"provenance": {[^}]*}' BENCH_BASELINE.json >&2 ||
-            echo "bench-gate: (no provenance header in BENCH_BASELINE.json)" >&2
+    pair_runs target/pair/clean HEAD
+    target/release/cl-bench --pair target/pair/clean
+    pair_runs target/pair/seeded HEAD --inject-regression 2
+    if target/release/cl-bench --pair target/pair/seeded; then
+        echo "bench-gate: a seeded 2x slowdown passed the pair gate" >&2
         return 1
     fi
+}
+
+PAIRS=10
+
+# pair_runs OUT REV [ARGS...] — write OUT/parent-NN.json from REV's
+# cl-bench and OUT/change-NN.json from the working tree's (ARGS go to the
+# change side only), NN = 01..10, alternating which side runs first. REV's
+# binary is built from `git archive REV` in its own target directory, so
+# nothing is written to .git; when REV is HEAD and the tree is clean, both
+# sides run target/release/cl-bench. A side that exits nonzero or writes
+# no JSON fails. Prints each run's host steal share (/proc/stat): the
+# share of CPU time the hypervisor gave other guests during the run.
+pair_runs() {
+    local out="$1" rev="$2"
+    shift 2
+    cargo build --release --quiet --bin cl-bench
+    local change="$PWD/target/release/cl-bench" parent
+    if [[ "$(git rev-parse "$rev^{commit}")" == "$(git rev-parse HEAD)" &&
+        -z "$(git status --porcelain)" ]]; then
+        parent="$change"
+    else
+        local src
+        src="target/pair/src-$(git rev-parse --short "$rev^{commit}")"
+        if [[ ! -f "$src/Cargo.toml" ]]; then
+            mkdir -p "$src"
+            git archive "$rev" | tar -x -C "$src"
+        fi
+        cargo build --release --quiet --offline --manifest-path "$src/Cargo.toml" \
+            --bin cl-bench --target-dir target/pair/target
+        parent="$PWD/target/pair/target/release/cl-bench"
+    fi
+    rm -rf "$out"
+    mkdir -p "$out"
+    echo "pair: parent $rev ($parent), change working tree ($change${*:+ $*})"
+    local i nn p c
+    for ((i = 1; i <= PAIRS; i++)); do
+        nn=$(printf %02d "$i")
+        if ((i % 2)); then
+            p=$(pair_side "$out" "parent-$nn" "$parent")
+            c=$(pair_side "$out" "change-$nn" "$change" "$@")
+            echo "pair $nn: parent first, host steal share parent $p, change $c"
+        else
+            c=$(pair_side "$out" "change-$nn" "$change" "$@")
+            p=$(pair_side "$out" "parent-$nn" "$parent")
+            echo "pair $nn: change first, host steal share change $c, parent $p"
+        fi
+    done
+}
+
+# pair_side DIR NAME BIN [ARGS...] — one `BIN --fast` run from inside DIR,
+# writing DIR/NAME.json (output in DIR/NAME.log); prints the run's host
+# steal share.
+pair_side() {
+    local dir="$1" name="$2" bin="$3" s0 t0 s1 t1
+    shift 3
+    read -r s0 t0 < <(cpu_ticks)
+    if ! (cd "$dir" && "$bin" --fast --out "$name.json" "$@" >"$name.log" 2>&1); then
+        echo "pair: $name exited nonzero, see $dir/$name.log" >&2
+        return 1
+    fi
+    if [[ ! -s "$dir/$name.json" ]]; then
+        echo "pair: $name wrote no JSON" >&2
+        return 1
+    fi
+    read -r s1 t1 < <(cpu_ticks)
+    awk -v s="$((s1 - s0))" -v t="$((t1 - t0))" 'BEGIN { printf "%.4f", (t > 0 ? s / t : 0) }'
+}
+
+# cpu_ticks — "STEAL TOTAL" jiffies from the aggregate cpu line of /proc/stat.
+cpu_ticks() {
+    awk '/^cpu / { t = 0; for (i = 2; i <= 9; i++) t += $i; print $9, t; exit }' /proc/stat
 }
 
 stage_drift() {
@@ -242,6 +326,11 @@ stage_drift() {
         return 1
     fi
 }
+
+if [[ -n "$PAIR_REV" ]]; then
+    pair_runs target/pair/runs "$PAIR_REV"
+    exec target/release/cl-bench --pair target/pair/runs
+fi
 
 run_stage fmt
 run_stage clippy

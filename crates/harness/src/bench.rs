@@ -1,4 +1,4 @@
-//! # Benchmark gate: robust statistics, `BENCH.json` IO, baseline compare
+//! # Benchmark gate: robust statistics, `BENCH.json` IO, paired comparison
 //!
 //! Support library for the `cl-bench` binary (DESIGN.md §12). Three
 //! pieces:
@@ -8,18 +8,15 @@
 //!   than mean/stddev: a single scheduler hiccup in a 1-core CI container
 //!   shifts a mean by orders of magnitude but moves the median by at most
 //!   one rank position.
-//! * **Report IO** — [`Report`] is the schema of `BENCH.json`: the
-//!   current run's records plus an optional `history` of labelled past
-//!   runs (the committed baseline carries `pre-optimization` /
-//!   `post-optimization` entries there). Writing uses `format!`; reading
-//!   uses `cl_util::json`.
-//! * **Gate** — [`compare`] implements the noise-aware threshold: a
-//!   benchmark fails only when its median regresses beyond
-//!   `max(abs_floor, rel_floor·base_median, k·max(base_MAD, cur_MAD))`.
-//!   Each term guards a distinct failure mode — the absolute floor keeps
-//!   nanosecond-scale benches from gating on timer granularity, the
-//!   relative floor absorbs machine-to-machine constant factors, and the
-//!   MAD term scales with however noisy *this* run actually was.
+//! * **Report IO** — [`Report`] is the schema of `BENCH.json`, the records
+//!   of one run. Writing uses `format!`; reading uses `cl_util::json`.
+//! * **Pair gate** — [`compare_pairs`] judges a change against its parent
+//!   revision from alternating runs of both on one host. Each pair yields
+//!   one change/parent ratio of run medians per entry; a time entry fails
+//!   only when nine tenths of the pairs are slower by more than
+//!   [`PAIR_BOUND`], and a count entry fails when the change's count is
+//!   higher in any pair. Both sides are measured the same way at the same
+//!   moment, so no stored baseline, host floor or noise model is needed.
 
 use cl_util::json::{self, Json};
 use std::time::Instant;
@@ -98,37 +95,16 @@ pub fn sample<F: FnMut() -> u64>(
 pub struct BenchRecord {
     pub name: String,
     /// What one "operation" is, e.g. "ns/enqueue", "ns/group", "ns/task".
+    /// Any unit that is not a time (`ns/…`) marks a deterministic count.
     pub unit: String,
     pub stats: BenchStats,
 }
 
-/// A labelled past run embedded in a report's `history` array.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistoryEntry {
-    pub label: String,
-    pub benches: Vec<BenchRecord>,
-}
-
-/// Where a baseline was recorded: attached by `cl-bench
-/// --refresh-baseline` and echoed by the gate on failure, so a regression
-/// report always names the machine and revision it was measured against.
-/// Optional in the wire format — reports without it still parse.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Provenance {
-    pub host: String,
-    pub workers: usize,
-    pub git_rev: String,
-    /// UTC date the baseline was recorded, `YYYY-MM-DD`.
-    pub date: String,
-}
-
-impl std::fmt::Display for Provenance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "host={} workers={} git={} date={}",
-            self.host, self.workers, self.git_rev, self.date
-        )
+impl BenchRecord {
+    /// Counts (e.g. autotuner trials) repeat exactly, so the pair gate
+    /// compares them exactly instead of by ratio.
+    pub fn is_count(&self) -> bool {
+        !self.unit.starts_with("ns/")
     }
 }
 
@@ -137,21 +113,17 @@ impl std::fmt::Display for Provenance {
 pub struct Report {
     pub schema: u32,
     pub workers: usize,
-    pub provenance: Option<Provenance>,
     pub benches: Vec<BenchRecord>,
-    pub history: Vec<HistoryEntry>,
 }
 
-pub const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 1;
 
 impl Report {
     pub fn new(workers: usize, benches: Vec<BenchRecord>) -> Self {
         Report {
             schema: SCHEMA_VERSION,
             workers,
-            provenance: None,
             benches,
-            history: Vec::new(),
         }
     }
 
@@ -165,28 +137,18 @@ impl Report {
         s.push_str("{\n");
         s.push_str(&format!("  \"schema\": {},\n", self.schema));
         s.push_str(&format!("  \"workers\": {},\n", self.workers));
-        if let Some(p) = &self.provenance {
-            s.push_str(&format!(
-                "  \"provenance\": {{ \"host\": \"{}\", \"workers\": {}, \
-                 \"git_rev\": \"{}\", \"date\": \"{}\" }},\n",
-                json::escape(&p.host),
-                p.workers,
-                json::escape(&p.git_rev),
-                json::escape(&p.date),
-            ));
-        }
         s.push_str("  \"benches\": [\n");
-        s.push_str(&records_json(&self.benches, "    "));
-        s.push_str("  ],\n");
-        s.push_str("  \"history\": [\n");
-        for (i, h) in self.history.iter().enumerate() {
+        for (i, b) in self.benches.iter().enumerate() {
             s.push_str(&format!(
-                "    {{ \"label\": \"{}\", \"benches\": [\n",
-                json::escape(&h.label)
+                "    {{ \"name\": \"{}\", \"unit\": \"{}\", \"median\": {:.1}, \"mad\": {:.1}, \"min\": {:.1}, \"samples\": {} }}",
+                json::escape(&b.name),
+                json::escape(&b.unit),
+                b.stats.median,
+                b.stats.mad,
+                b.stats.min,
+                b.stats.samples,
             ));
-            s.push_str(&records_json(&h.benches, "      "));
-            s.push_str("    ] }");
-            s.push_str(if i + 1 < self.history.len() {
+            s.push_str(if i + 1 < self.benches.len() {
                 ",\n"
             } else {
                 "\n"
@@ -207,62 +169,13 @@ impl Report {
             ));
         }
         let workers = field_f64(&v, "workers")? as usize;
-        // Provenance is optional and tolerated-malformed: a hand-edited or
-        // pre-provenance baseline must still gate.
-        let provenance = v.get("provenance").and_then(|p| {
-            Some(Provenance {
-                host: p.get("host").and_then(Json::as_str)?.to_string(),
-                workers: p.get("workers").and_then(Json::as_f64)? as usize,
-                git_rev: p.get("git_rev").and_then(Json::as_str)?.to_string(),
-                date: p.get("date").and_then(Json::as_str)?.to_string(),
-            })
-        });
         let benches = parse_records(v.get("benches").ok_or("missing 'benches'")?)?;
-        let history = match v.get("history") {
-            None => Vec::new(),
-            Some(h) => {
-                let arr = h.as_arr().ok_or("'history' must be an array")?;
-                let mut out = Vec::with_capacity(arr.len());
-                for e in arr {
-                    out.push(HistoryEntry {
-                        label: e
-                            .get("label")
-                            .and_then(Json::as_str)
-                            .ok_or("history entry missing 'label'")?
-                            .to_string(),
-                        benches: parse_records(
-                            e.get("benches").ok_or("history entry missing 'benches'")?,
-                        )?,
-                    });
-                }
-                out
-            }
-        };
         Ok(Report {
             schema,
             workers,
-            provenance,
             benches,
-            history,
         })
     }
-}
-
-fn records_json(records: &[BenchRecord], indent: &str) -> String {
-    let mut s = String::new();
-    for (i, b) in records.iter().enumerate() {
-        s.push_str(&format!(
-            "{indent}{{ \"name\": \"{}\", \"unit\": \"{}\", \"median\": {:.1}, \"mad\": {:.1}, \"min\": {:.1}, \"samples\": {} }}",
-            json::escape(&b.name),
-            json::escape(&b.unit),
-            b.stats.median,
-            b.stats.mad,
-            b.stats.min,
-            b.stats.samples,
-        ));
-        s.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
-    }
-    s
 }
 
 fn field_f64(v: &Json, key: &str) -> Result<f64, String> {
@@ -297,95 +210,114 @@ fn parse_records(v: &Json) -> Result<Vec<BenchRecord>, String> {
     Ok(out)
 }
 
-/// Gate thresholds. A benchmark regresses only when
-/// `cur.median - base.median > max(abs_floor_ns, rel_floor·base.median,
-/// mad_k·max(base.mad, cur.mad))`.
-#[derive(Debug, Clone, Copy)]
-pub struct GateConfig {
-    /// Absolute slack in ns: differences below timer/scheduler granularity
-    /// never gate.
-    pub abs_floor_ns: f64,
-    /// Relative slack as a fraction of the baseline median.
-    pub rel_floor: f64,
-    /// Noise multiplier applied to the larger of the two runs' MADs.
-    pub mad_k: f64,
-}
+/// How much slower than its parent a change may run in one pair before
+/// that pair counts against it: `BENCHMARK.json`'s end-to-end bound.
+pub const PAIR_BOUND: f64 = 0.25;
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        // Generous by design: the gate must be quiet on a loaded 1-core CI
-        // container and still catch the order-of-magnitude regressions
-        // that matter (an accidental per-launch allocation, a lost fast
-        // path). Tighten per-machine via cl-bench flags if you have quiet
-        // hardware.
-        GateConfig {
-            abs_floor_ns: 25_000.0,
-            rel_floor: 0.5,
-            mad_k: 6.0,
-        }
-    }
-}
-
-/// Outcome of comparing one benchmark against its baseline.
+/// The pair gate's verdict on one entry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GateVerdict {
+pub struct PairVerdict {
     pub name: String,
     pub unit: String,
-    pub base_median: f64,
-    pub cur_median: f64,
-    /// `cur_median - base_median` (positive = slower).
-    pub delta: f64,
-    /// The computed tolerance for this benchmark.
-    pub allowed: f64,
+    /// Change/parent ratio of the run medians, one per pair. Empty when
+    /// the entry is missing from some run: such an entry is listed, not
+    /// gated.
+    pub ratios: Vec<f64>,
+    /// Pairs that count against the change: a time ratio above
+    /// `1 + PAIR_BOUND`, or a count higher than the parent's.
+    pub past: usize,
     pub regressed: bool,
 }
 
-/// Compare a current run against a baseline. Benchmarks present in only
-/// one of the two reports are skipped (new benchmarks don't fail the gate;
-/// removed ones are reported by the caller from the returned names).
-pub fn compare(base: &Report, cur: &Report, cfg: &GateConfig) -> Vec<GateVerdict> {
-    let mut out = Vec::new();
-    for cb in &cur.benches {
-        let Some(bb) = base.find(&cb.name) else {
-            continue;
-        };
-        let delta = cb.stats.median - bb.stats.median;
-        let allowed = cfg
-            .abs_floor_ns
-            .max(cfg.rel_floor * bb.stats.median)
-            .max(cfg.mad_k * bb.stats.mad.max(cb.stats.mad));
-        out.push(GateVerdict {
-            name: cb.name.clone(),
-            unit: cb.unit.clone(),
-            base_median: bb.stats.median,
-            cur_median: cb.stats.median,
-            delta,
-            allowed,
-            regressed: delta > allowed,
-        });
+/// Judge a change against its parent from `(parent, change)` run pairs.
+/// A time entry regresses when at least nine tenths of the pairs are past
+/// the bound, so one noisy pair in ten cannot fail the gate and one quiet
+/// pair cannot pass a real slowdown. A count entry regresses when the
+/// change's count is higher in any pair. Entries come out in first-seen
+/// order.
+pub fn compare_pairs(pairs: &[(Report, Report)]) -> Vec<PairVerdict> {
+    let mut entries: Vec<&BenchRecord> = Vec::new();
+    for (parent, change) in pairs {
+        for b in parent.benches.iter().chain(&change.benches) {
+            if !entries.iter().any(|e| e.name == b.name) {
+                entries.push(b);
+            }
+        }
     }
-    out
+    entries
+        .into_iter()
+        .map(|entry| {
+            let medians: Option<Vec<(f64, f64)>> = pairs
+                .iter()
+                .map(|(p, c)| {
+                    Some((
+                        p.find(&entry.name)?.stats.median,
+                        c.find(&entry.name)?.stats.median,
+                    ))
+                })
+                .collect();
+            let medians = medians.unwrap_or_default();
+            let ratios: Vec<f64> = medians.iter().map(|&(p, c)| ratio(p, c)).collect();
+            let (past, regressed) = if entry.is_count() {
+                let past = medians.iter().filter(|(p, c)| c > p).count();
+                (past, past > 0)
+            } else {
+                let past = ratios.iter().filter(|&&r| r > 1.0 + PAIR_BOUND).count();
+                (past, !ratios.is_empty() && past * 10 >= ratios.len() * 9)
+            };
+            PairVerdict {
+                name: entry.name.clone(),
+                unit: entry.unit.clone(),
+                ratios,
+                past,
+                regressed,
+            }
+        })
+        .collect()
+}
+
+/// `change / parent`, defined for a zero parent (a count can be 0).
+fn ratio(parent: f64, change: f64) -> f64 {
+    match (parent == 0.0, change == 0.0) {
+        (true, true) => 1.0,
+        (true, false) => f64::INFINITY,
+        _ => change / parent,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(name: &str, median: f64, mad: f64) -> BenchRecord {
+    fn rec(name: &str, unit: &str, median: f64) -> BenchRecord {
         BenchRecord {
             name: name.to_string(),
-            unit: "ns/op".to_string(),
+            unit: unit.to_string(),
             stats: BenchStats {
                 median,
-                mad,
+                mad: median * 0.05,
                 min: median * 0.9,
-                samples: 20,
+                samples: 6,
             },
         }
     }
 
     fn report(benches: Vec<BenchRecord>) -> Report {
-        Report::new(4, benches)
+        Report::new(2, benches)
+    }
+
+    /// Ten pairs of one time entry, the change `factor`× slower in the
+    /// first `slow` pairs and equal in the rest.
+    fn time_pairs(slow: usize, factor: f64) -> Vec<(Report, Report)> {
+        (0..10)
+            .map(|i| {
+                let f = if i < slow { factor } else { 1.0 };
+                (
+                    report(vec![rec("a", "ns/op", 1_000.0)]),
+                    report(vec![rec("a", "ns/op", 1_000.0 * f)]),
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -414,88 +346,89 @@ mod tests {
 
     #[test]
     fn gate_detects_clear_regression() {
-        // Baseline 100µs median, tiny MAD; current 300µs. delta=200µs,
-        // allowed = max(25µs, 50µs, 6·1µs) = 50µs → regression.
-        let base = report(vec![rec("a", 100_000.0, 1_000.0)]);
-        let cur = report(vec![rec("a", 300_000.0, 1_000.0)]);
-        let v = &compare(&base, &cur, &GateConfig::default())[0];
+        let v = &compare_pairs(&time_pairs(10, 2.0))[0];
         assert!(v.regressed, "{v:?}");
-        assert_eq!(v.delta, 200_000.0);
+        assert_eq!(v.past, 10);
+        assert_eq!(v.ratios, vec![2.0; 10]);
     }
 
     #[test]
     fn gate_passes_improvement() {
-        let base = report(vec![rec("a", 100_000.0, 1_000.0)]);
-        let cur = report(vec![rec("a", 40_000.0, 1_000.0)]);
-        let v = &compare(&base, &cur, &GateConfig::default())[0];
+        let v = &compare_pairs(&time_pairs(10, 0.4))[0];
         assert!(!v.regressed, "improvements never gate: {v:?}");
-        assert!(v.delta < 0.0);
+        assert_eq!(v.past, 0);
     }
 
     #[test]
-    fn gate_passes_noise_within_k_mad() {
-        // delta=120µs exceeds the abs (25µs) and rel (50µs) floors, but the
-        // baseline was noisy: MAD 25µs → allowed = 6·25µs = 150µs.
-        let base = report(vec![rec("a", 100_000.0, 25_000.0)]);
-        let cur = report(vec![rec("a", 220_000.0, 2_000.0)]);
-        let v = &compare(&base, &cur, &GateConfig::default())[0];
-        assert!(!v.regressed, "noise within k·MAD must pass: {v:?}");
-        // And a *current*-run noise spike widens tolerance symmetrically.
-        let cur2 = report(vec![rec("a", 220_000.0, 30_000.0)]);
-        let base2 = report(vec![rec("a", 100_000.0, 1_000.0)]);
-        assert!(!compare(&base2, &cur2, &GateConfig::default())[0].regressed);
+    fn gate_needs_nine_of_ten_pairs() {
+        let v = &compare_pairs(&time_pairs(8, 2.0))[0];
+        assert_eq!(v.past, 8);
+        assert!(!v.regressed, "two quiet pairs in ten pass: {v:?}");
+        assert!(compare_pairs(&time_pairs(9, 2.0))[0].regressed);
+        // Exactly at the bound is not past it.
+        let v = &compare_pairs(&time_pairs(10, 1.0 + PAIR_BOUND))[0];
+        assert_eq!(v.past, 0, "{v:?}");
+        assert!(compare_pairs(&time_pairs(10, 1.26))[0].regressed);
+        // With fewer pairs the rule is the same fraction: 1 of 1 fails.
+        assert!(compare_pairs(&time_pairs(10, 2.0)[..1])[0].regressed);
     }
 
     #[test]
-    fn gate_abs_floor_protects_tiny_benches() {
-        // 2µs → 20µs is a 10× regression but under the 25µs absolute
-        // floor: sub-granularity, must pass.
-        let base = report(vec![rec("a", 2_000.0, 100.0)]);
-        let cur = report(vec![rec("a", 20_000.0, 100.0)]);
-        assert!(!compare(&base, &cur, &GateConfig::default())[0].regressed);
-        // With the floor lowered, the same delta gates.
-        let tight = GateConfig {
-            abs_floor_ns: 1_000.0,
-            rel_floor: 0.5,
-            mad_k: 6.0,
+    fn gate_compares_counts_exactly() {
+        let pairs = |change: [f64; 3]| -> Vec<(Report, Report)> {
+            change
+                .iter()
+                .map(|&c| {
+                    (
+                        report(vec![rec("trials", "trials", 42.0)]),
+                        report(vec![rec("trials", "trials", c)]),
+                    )
+                })
+                .collect()
         };
-        assert!(compare(&base, &cur, &tight)[0].regressed);
+        // One extra trial in one pair of three fails: counts have no noise.
+        let v = &compare_pairs(&pairs([42.0, 43.0, 42.0]))[0];
+        assert!(v.regressed && v.past == 1, "{v:?}");
+        assert!(!compare_pairs(&pairs([42.0; 3]))[0].regressed);
+        assert!(!compare_pairs(&pairs([40.0; 3]))[0].regressed);
+        // A zero count on both sides is a tie, not a NaN.
+        let zero = vec![(
+            report(vec![rec("z", "trials", 0.0)]),
+            report(vec![rec("z", "trials", 0.0)]),
+        )];
+        assert_eq!(compare_pairs(&zero)[0].ratios, vec![1.0]);
     }
 
     #[test]
     fn gate_skips_unmatched_benches() {
-        let base = report(vec![rec("a", 1.0, 0.0), rec("gone", 1.0, 0.0)]);
-        let cur = report(vec![rec("a", 1.0, 0.0), rec("new", 9e9, 0.0)]);
-        let vs = compare(&base, &cur, &GateConfig::default());
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].name, "a");
+        let parent = report(vec![rec("a", "ns/op", 1.0), rec("gone", "ns/op", 1.0)]);
+        let change = report(vec![rec("a", "ns/op", 1.0), rec("new", "ns/op", 9e9)]);
+        let vs = compare_pairs(&[(parent.clone(), change.clone())]);
+        let names: Vec<&str> = vs.iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(names, ["a", "gone", "new"]);
+        assert_eq!(vs[0].ratios, vec![1.0]);
+        for v in &vs[1..] {
+            assert!(v.ratios.is_empty() && !v.regressed, "{v:?}");
+        }
+        // Missing from one pair of two is one-sided too.
+        let mut change2 = change.clone();
+        change2.benches.retain(|b| b.name != "a");
+        let vs = compare_pairs(&[(parent.clone(), change), (parent, change2)]);
+        assert!(vs[0].ratios.is_empty() && !vs[0].regressed);
     }
 
     #[test]
     fn report_round_trips_through_json() {
-        let mut r = report(vec![
-            rec("enqueue/empty-1g", 12_345.5, 321.25),
-            rec("dispatch/wg64", 789.0, 10.0),
+        let r = report(vec![
+            rec("dispatch/wg64", "ns/group", 12_345.5),
+            rec("tune/convergence-trials", "trials", 42.0),
         ]);
-        r.history.push(HistoryEntry {
-            label: "pre-optimization".to_string(),
-            benches: vec![rec("enqueue/empty-1g", 20_000.0, 400.0)],
-        });
-        r.provenance = Some(Provenance {
-            host: "ci-box".to_string(),
-            workers: 2,
-            git_rev: "abc1234".to_string(),
-            date: "2026-08-09".to_string(),
-        });
         let text = r.to_json();
         let back = Report::from_json(&text).expect("round trip");
         // f64 values survive the fixed-point format: compare to 0.1 ns.
         assert_eq!(back.schema, r.schema);
         assert_eq!(back.workers, r.workers);
-        assert_eq!(back.provenance, r.provenance);
         assert_eq!(back.benches.len(), 2);
-        assert_eq!(back.history.len(), 1);
-        assert_eq!(back.history[0].label, "pre-optimization");
         for (a, b) in r.benches.iter().zip(&back.benches) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.unit, b.unit);
@@ -503,6 +436,8 @@ mod tests {
             assert!((a.stats.mad - b.stats.mad).abs() < 0.1);
             assert_eq!(a.stats.samples, b.stats.samples);
         }
+        assert!(!back.benches[0].is_count());
+        assert!(back.benches[1].is_count());
     }
 
     #[test]
@@ -513,18 +448,5 @@ mod tests {
             Report::from_json(r#"{"schema": 99, "workers": 1, "benches": []}"#).is_err(),
             "future schema must be refused, not misread"
         );
-    }
-
-    #[test]
-    fn provenance_is_optional_and_tolerated_malformed() {
-        // Pre-provenance baselines (no key at all) parse with None.
-        let r = Report::from_json(r#"{"schema": 1, "workers": 1, "benches": []}"#).expect("no key");
-        assert_eq!(r.provenance, None);
-        // A malformed provenance object degrades to None, never an error.
-        let r = Report::from_json(
-            r#"{"schema": 1, "workers": 1, "provenance": {"host": 7}, "benches": []}"#,
-        )
-        .expect("bad provenance tolerated");
-        assert_eq!(r.provenance, None);
     }
 }

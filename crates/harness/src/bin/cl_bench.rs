@@ -1,50 +1,38 @@
-//! `cl-bench` — the continuous performance gate (DESIGN.md §12).
+//! `cl-bench` — the paired performance gate (DESIGN.md §12).
 //!
 //! ```text
-//! cl-bench [--workers W] [--fast] [--out FILE] [--baseline FILE]
-//!          [--refresh-baseline] [--record-baseline FILE]
-//!          [--make-baseline FILE=LABEL ...]
-//!          [--gate-only RUN.json] [--check-json FILE]
-//!          [--inject-regression FACTOR]
-//!          [--abs-floor-ns N] [--rel-floor F] [--mad-k K]
+//! cl-bench [--workers W] [--fast] [--out FILE] [--inject-regression F]
+//! cl-bench --pair DIR
+//! cl-bench --check-json FILE
 //! ```
 //!
-//! Runs the curated hot-path suite (enqueue latency, dispatch cost across
-//! workgroup sizes, deque steal throughput, copy-vs-map transfer,
-//! disabled-path instrumentation overheads), writes the run to `BENCH.json`,
-//! and compares it against the committed `BENCH_BASELINE.json` with
-//! noise-aware thresholds: a benchmark fails only when its median regresses
-//! beyond `max(abs_floor, rel_floor·base, k·MAD)`. Nonzero exit on
-//! regression.
+//! A plain run measures the curated hot-path suite (dispatch cost across
+//! workgroup sizes, fused vs serial dispatch, disabled-path
+//! instrumentation overheads, autotuner steady state, serving-layer tail
+//! latency, out-of-order scheduler overhead) and writes it to `BENCH.json`
+//! (or `--out FILE`). The fixed costs perfbench already names — empty
+//! enqueues, transfers, the pool's steal path, the serving layer's enqueue
+//! veneer — live only there.
 //!
-//! Maintenance flags:
-//!
-//! * `--refresh-baseline` — measure the suite and write it to the
-//!   baseline path with a provenance header (host, workers, git rev,
-//!   date), so a later gate failure names the machine and revision the
-//!   thresholds came from. No gating.
-//! * `--record-baseline FILE` — also write this run as a fresh baseline
-//!   (no gating).
-//! * `--make-baseline a.json=label-a b.json=label-b` — assemble a baseline
-//!   from saved runs: the *last* file's benches become the gating set, and
-//!   every file is kept as a labelled `history` entry (this is how the
-//!   committed baseline carries its pre/post-optimization evidence).
-//! * `--gate-only RUN.json` — skip measurement and gate a saved run
-//!   (deterministic; used by the gate's own tests).
-//! * `--inject-regression F` — multiply every measured median by `F`
-//!   before gating, to prove the gate trips (used by tests and CI docs).
+//! * `--pair DIR` — the gate. Reads `DIR/parent-NN.json` and
+//!   `DIR/change-NN.json`, the `--out` files of alternating runs of two
+//!   revisions on one host (`ci.sh pair REV` makes them), and prints one
+//!   row per entry: median and min–max change/parent ratio, pairs past
+//!   the bound, verdict. Exits 1 when a time entry is more than 25% slower
+//!   in nine tenths of the pairs or a count is higher in any pair
+//!   (`cl_harness::bench::compare_pairs`).
+//! * `--inject-regression F` — multiply every measured time median by `F`
+//!   before writing the run, to prove the gate trips (used by CI and the
+//!   gate's tests). Counts are left alone.
 //! * `--check-json FILE` — parse-validate any JSON artifact and exit
 //!   (used by CI on the traced-chaos export).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cl_harness::bench::{
-    compare, sample, BenchRecord, BenchStats, GateConfig, HistoryEntry, Provenance, Report,
-};
+use cl_harness::bench::{compare_pairs, median, sample, BenchRecord, BenchStats, Report};
 use cl_harness::parse_flag;
-use cl_pool::deque::{Steal, Worker};
 use cl_serve::{ServeConfig, Server, TenantConfig};
 use ocl_rt::{Context, GroupCtx, Kernel, MemFlags, NDRange, QueueConfig};
 
@@ -64,14 +52,9 @@ struct Opts {
     workers: usize,
     fast: bool,
     out: PathBuf,
-    baseline: PathBuf,
-    refresh_baseline: bool,
-    record_baseline: Option<PathBuf>,
-    make_baseline: Vec<(PathBuf, String)>,
-    gate_only: Option<PathBuf>,
+    pair: Option<PathBuf>,
     check_json: Option<PathBuf>,
     inject: f64,
-    gate: GateConfig,
 }
 
 fn main() {
@@ -97,130 +80,79 @@ fn main() {
         return;
     }
 
-    // --make-baseline: assemble a baseline from saved run files.
-    if !opts.make_baseline.is_empty() {
-        let mut history = Vec::new();
-        let mut gating: Option<Report> = None;
-        for (path, label) in &opts.make_baseline {
-            let r = load_report(path);
-            history.push(HistoryEntry {
-                label: label.clone(),
-                benches: r.benches.clone(),
-            });
-            gating = Some(r);
-        }
-        let mut base = gating.expect("at least one --make-baseline file");
-        base.history = history;
-        std::fs::write(&opts.out, base.to_json()).expect("write baseline");
-        println!(
-            "cl-bench: baseline written to {} ({} benches, {} history entries)",
-            opts.out.display(),
-            base.benches.len(),
-            base.history.len()
-        );
+    if let Some(dir) = &opts.pair {
+        gate_pairs(dir);
         return;
     }
 
-    // --refresh-baseline: measure and write the baseline with provenance.
-    if opts.refresh_baseline {
-        let mut run = run_suite(&opts);
-        run.provenance = Some(collect_provenance(opts.workers));
-        std::fs::write(&opts.baseline, run.to_json()).expect("write baseline");
-        println!(
-            "cl-bench: baseline refreshed at {} ({} benches; {})",
-            opts.baseline.display(),
-            run.benches.len(),
-            run.provenance.as_ref().expect("provenance just set"),
-        );
-        return;
-    }
-
-    // Obtain the current run: measure, or load with --gate-only.
-    let mut run = match &opts.gate_only {
-        Some(path) => load_report(path),
-        None => run_suite(&opts),
-    };
-
+    let mut run = run_suite(&opts);
     if opts.inject != 1.0 {
         eprintln!(
-            "cl-bench: injecting synthetic regression factor {} into medians",
+            "cl-bench: injecting synthetic regression factor {} into time medians",
             opts.inject
         );
-        for b in &mut run.benches {
+        for b in run.benches.iter_mut().filter(|b| !b.is_count()) {
             b.stats.median *= opts.inject;
         }
     }
+    std::fs::write(&opts.out, run.to_json()).expect("write BENCH.json");
+    println!("cl-bench: run written to {}", opts.out.display());
+}
 
-    if opts.gate_only.is_none() {
-        std::fs::write(&opts.out, run.to_json()).expect("write BENCH.json");
-        println!("cl-bench: run written to {}", opts.out.display());
-        if let Some(path) = &opts.record_baseline {
-            std::fs::write(path, run.to_json()).expect("write baseline");
-            println!(
-                "cl-bench: baseline recorded to {} (no gate)",
-                path.display()
-            );
-            return;
-        }
-    }
-
-    // Gate against the baseline.
-    if !opts.baseline.exists() {
-        eprintln!(
-            "cl-bench: no baseline at {} — nothing to gate against (run with \
-             --record-baseline to create one)",
-            opts.baseline.display()
-        );
-        return;
-    }
-    let base = load_report(&opts.baseline);
-    let verdicts = compare(&base, &run, &opts.gate);
-    let mut regressions = 0usize;
+/// `--pair DIR`: gate the change runs against the parent runs and exit 1
+/// on a regression.
+fn gate_pairs(dir: &Path) {
+    let pairs = load_pairs(dir);
+    let verdicts = compare_pairs(&pairs);
     println!(
-        "\n| benchmark | unit | baseline | current | delta | allowed | verdict |\n\
-         |---|---|---:|---:|---:|---:|---|"
+        "cl-bench: {} pairs from {}\n\n\
+         | entry | unit | median ratio | min–max ratio | pairs past bound | verdict |\n\
+         |---|---|---:|---:|---:|---|",
+        pairs.len(),
+        dir.display()
     );
     for v in &verdicts {
-        if v.regressed {
-            regressions += 1;
+        if v.ratios.is_empty() {
+            println!("| {} | {} | — | — | — | one side only |", v.name, v.unit);
+            continue;
         }
+        let lo = v.ratios.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = v.ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         println!(
-            "| {} | {} | {:.0} | {:.0} | {:+.0} | {:.0} | {} |",
+            "| {} | {} | {:.2} | {lo:.2}–{hi:.2} | {}/{} | {} |",
             v.name,
             v.unit,
-            v.base_median,
-            v.cur_median,
-            v.delta,
-            v.allowed,
+            median(&v.ratios),
+            v.past,
+            v.ratios.len(),
             if v.regressed { "REGRESSED" } else { "ok" }
         );
     }
-    let gated = verdicts.len();
-    let missing: Vec<&str> = base
-        .benches
-        .iter()
-        .filter(|b| run.find(&b.name).is_none())
-        .map(|b| b.name.as_str())
-        .collect();
-    if !missing.is_empty() {
-        println!("\nbaseline benches absent from this run (not gated): {missing:?}");
-    }
-    if regressions > 0 {
-        eprintln!("\ncl-bench: {regressions}/{gated} benchmarks REGRESSED beyond tolerance");
-        // Name the machine the thresholds came from: a "regression" against
-        // a baseline recorded on different hardware is a provenance bug,
-        // not a performance bug.
-        match &base.provenance {
-            Some(p) => eprintln!("cl-bench: baseline provenance: {p}"),
-            None => eprintln!(
-                "cl-bench: baseline {} has no provenance header (refresh with \
-                 --refresh-baseline)",
-                opts.baseline.display()
-            ),
-        }
+    let regressed = verdicts.iter().filter(|v| v.regressed).count();
+    let gated = verdicts.iter().filter(|v| !v.ratios.is_empty()).count();
+    if regressed > 0 {
+        eprintln!("\ncl-bench: {regressed}/{gated} entries REGRESSED against the parent");
         std::process::exit(1);
     }
-    println!("\ncl-bench: gate passed ({gated} benchmarks within tolerance)");
+    println!("\ncl-bench: pair gate passed ({gated} entries gated)");
+}
+
+/// The `(parent, change)` runs in `dir`: `parent-01.json` with
+/// `change-01.json`, and so on up to the first missing `parent-NN.json`.
+fn load_pairs(dir: &Path) -> Vec<(Report, Report)> {
+    let mut pairs = Vec::new();
+    for nn in 1.. {
+        let parent = dir.join(format!("parent-{nn:02}.json"));
+        if !parent.exists() {
+            break;
+        }
+        let change = dir.join(format!("change-{nn:02}.json"));
+        pairs.push((load_report(&parent), load_report(&change)));
+    }
+    if pairs.is_empty() {
+        fail(&format!("{}: no parent-01.json", dir.display()));
+    }
+    pairs
 }
 
 /// Run the curated hot-path suite and collect a [`Report`].
@@ -247,22 +179,6 @@ fn run_suite(opts: &Opts) -> Report {
         samples
     );
 
-    // --- Enqueue→completion latency of an empty kernel -------------------
-    // One group: the floor of a blocking enqueue (resolve + dispatch of a
-    // single chunk + event). 64 groups: adds the per-chunk fan-out.
-    let empty: Arc<dyn Kernel> = Arc::new(EmptyKernel);
-    const BATCH: u64 = 8;
-    for (label, groups) in [("enqueue/empty-1g", 1usize), ("enqueue/empty-64g", 64)] {
-        let range = NDRange::d1(64 * groups).local1(64);
-        let stats = sample(warm, samples, BATCH, || {
-            for _ in 0..BATCH {
-                q.enqueue_kernel(&empty, range).expect("empty enqueue");
-            }
-            groups as u64
-        });
-        push(label, "ns/enqueue", stats);
-    }
-
     // --- Dispatch cost per group across workgroup sizes (Table II sweep) -
     // Same kernel object and NDRange reused across enqueues, so repeated
     // launches of an unchanged (kernel, range) pair — the case the
@@ -284,8 +200,8 @@ fn run_suite(opts: &Opts) -> Report {
     // The same Proven kernel and geometry on two queues. The default
     // (Auto) queue fuses K workgroups per chunk under the `cl_analyze`
     // coarsening certificate; the Off queue runs the historical one chunk
-    // per group. Both gated — the committed baseline ratio between them IS
-    // the documented fused-dispatch speedup.
+    // per group. Both gated; the ratio between them is the fused-dispatch
+    // speedup.
     let built = cl_kernels::apps::square::build(&ctx, SWEEP_N, 1, Some(64), 7);
     let groups = (SWEEP_N / 64) as u64;
     let q_off = ctx.queue_with(
@@ -309,65 +225,14 @@ fn run_suite(opts: &Opts) -> Report {
     built.verify(&q_off).expect("serial results");
     push("overhead/coarsen-off", "ns/group", stats);
 
-    // --- Deque steal throughput ------------------------------------------
-    // Push N unit tasks into a worker deque, drain them through a stealer's
-    // steal_batch_and_pop into a second local queue — the pool's sibling
-    // steal path, minus the threads.
-    const STEAL_N: usize = 10_000;
-    let stats = sample(warm, samples, STEAL_N as u64, || {
-        let owner = Worker::new_fifo();
-        for i in 0..STEAL_N {
-            owner.push(i);
-        }
-        let stealer = owner.stealer();
-        let local = Worker::new_fifo();
-        let mut drained = 0u64;
-        loop {
-            match stealer.steal_batch_and_pop(&local) {
-                Steal::Success(_) => drained += 1,
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-            while local.pop().is_some() {
-                drained += 1;
-            }
-        }
-        assert_eq!(drained, STEAL_N as u64);
-        drained
-    });
-    push("pool/steal", "ns/task", stats);
-
-    // --- Transfer: explicit copy vs zero-copy map (Figure 7 path) --------
-    const TX_BYTES: usize = 4 << 20;
-    let host: Vec<u8> = (0..TX_BYTES).map(|b| b as u8).collect();
-    let buf = ctx
-        .buffer::<u8>(MemFlags::default(), TX_BYTES)
-        .expect("buf");
-    let mut back = vec![0u8; TX_BYTES];
-    let stats = sample(warm, samples, 2, || {
-        q.write_buffer(&buf, 0, &host).expect("write");
-        q.read_buffer(&buf, 0, &mut back).expect("read");
-        back[0] as u64
-    });
-    push("transfer/copy-4MiB", "ns/xfer", stats);
-    let stats = sample(warm, samples, 2, || {
-        {
-            let (mut m, _ev) = q.map_buffer_mut(&buf).expect("map mut");
-            m[0] = m[0].wrapping_add(1);
-        }
-        let (m, _ev) = q.map_buffer(&buf).expect("map");
-        let x = m[0] as u64;
-        drop(m);
-        x
-    });
-    push("transfer/map-4MiB", "ns/xfer", stats);
-
     // --- Disabled-path instrumentation overheads -------------------------
     // The PR 3 tracer and PR 4 flow recorder must cost one skipped Option
     // branch when off. trace-off: empty kernel (no buffers — isolates the
     // span-record sites). flow-off: square (has buffer bindings, so a
     // release-mode regression that starts lowering flow uses eagerly would
     // surface here).
+    let empty: Arc<dyn Kernel> = Arc::new(EmptyKernel);
+    const BATCH: u64 = 8;
     let stats = sample(warm, samples, BATCH, || {
         let range = NDRange::d1(256).local1(64);
         for _ in 0..BATCH {
@@ -461,36 +326,21 @@ fn run_suite(opts: &Opts) -> Report {
     push("tune/converged-enqueue", "ns/enqueue", stats);
     // The pinned successive-halving schedule makes the trial count a
     // deterministic property of the shortlist — record it so a prior or
-    // schedule change shows up as a baseline diff.
+    // schedule change that costs more trials fails the pair gate.
     push(
         "tune/convergence-trials",
         "trials",
         BenchStats::from_samples(&[tuner.trials(&key) as f64]),
     );
 
-    // --- Serving layer: tenant-path enqueue overhead ---------------------
-    // One uncontended tenant launching the empty kernel through the full
-    // PR 7 admission path (quota CAS + fairness-gate fast path + enqueue).
-    // Gated against enqueue/empty-1g's sibling baseline: the serving layer
-    // must stay a thin veneer, not a second dispatcher.
-    let srv =
-        Server::new(opts.workers, ServeConfig::default().max_waiting(256)).expect("serve server");
-    let tenant = srv.tenant(TenantConfig::default());
-    let range = NDRange::d1(64).local1(64);
-    let stats = sample(warm, samples, BATCH, || {
-        for _ in 0..BATCH {
-            tenant.launch(&empty, range).expect("serve enqueue");
-        }
-        BATCH
-    });
-    drop(tenant);
-    push("serve/enqueue-overhead", "ns/enqueue", stats);
-
     // --- Serving layer: p99 launch latency under a 64-tenant burst -------
     // Each sample is one burst: 64 tenants launch concurrently through the
     // shared gate and the burst's p99 enqueue→completion latency is the
     // sample value. Catches fairness-gate regressions (a broken WRR or a
     // lost notify shows up as a tail blow-up long before it deadlocks).
+    let srv =
+        Server::new(opts.workers, ServeConfig::default().max_waiting(256)).expect("serve server");
+    let range = NDRange::d1(64).local1(64);
     const BURST_TENANTS: usize = 64;
     const BURST_LAUNCHES: usize = 4;
     let mut p99s = Vec::with_capacity(samples);
@@ -606,59 +456,7 @@ fn run_suite(opts: &Opts) -> Report {
     Report::new(opts.workers, benches)
 }
 
-/// Best-effort provenance for a refreshed baseline: every field degrades
-/// to "unknown" rather than failing, so the refresh works in containers
-/// without a hostname or outside a git checkout.
-fn collect_provenance(workers: usize) -> Provenance {
-    let host = std::env::var("HOSTNAME")
-        .ok()
-        .filter(|h| !h.trim().is_empty())
-        .or_else(|| {
-            std::fs::read_to_string("/etc/hostname")
-                .ok()
-                .map(|h| h.trim().to_string())
-                .filter(|h| !h.is_empty())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    let git_rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    let date = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| {
-            let (y, m, day) = civil_from_days((d.as_secs() / 86_400) as i64);
-            format!("{y:04}-{m:02}-{day:02}")
-        })
-        .unwrap_or_else(|_| "unknown".to_string());
-    Provenance {
-        host,
-        workers,
-        git_rev,
-        date,
-    }
-}
-
-/// Days-since-epoch to proleptic-Gregorian (year, month, day).
-fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = (z - era * 146_097) as u64;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe as i64 + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (y + i64::from(m <= 2), m, d)
-}
-
-fn load_report(path: &PathBuf) -> Report {
+fn load_report(path: &Path) -> Report {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("{}: unreadable: {e}", path.display())));
     Report::from_json(&text).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())))
@@ -675,14 +473,9 @@ fn parse_args() -> Opts {
         workers: usize::min(4, cl_pool::available_cores().max(1)),
         fast: false,
         out: PathBuf::from("BENCH.json"),
-        baseline: PathBuf::from("BENCH_BASELINE.json"),
-        refresh_baseline: false,
-        record_baseline: None,
-        make_baseline: Vec::new(),
-        gate_only: None,
+        pair: None,
         check_json: None,
         inject: 1.0,
-        gate: GateConfig::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -696,32 +489,9 @@ fn parse_args() -> Opts {
                 i += 1;
                 o.out = path(&args, i, "--out");
             }
-            "--baseline" => {
+            "--pair" => {
                 i += 1;
-                o.baseline = path(&args, i, "--baseline");
-            }
-            "--refresh-baseline" => o.refresh_baseline = true,
-            "--record-baseline" => {
-                i += 1;
-                o.record_baseline = Some(path(&args, i, "--record-baseline"));
-            }
-            "--make-baseline" => {
-                // Consume every following FILE=LABEL operand.
-                while let Some(spec) = args.get(i + 1).filter(|s| !s.starts_with("--")) {
-                    i += 1;
-                    let (file, label) = spec
-                        .split_once('=')
-                        .unwrap_or_else(|| panic!("--make-baseline wants FILE=LABEL: {spec}"));
-                    o.make_baseline
-                        .push((PathBuf::from(file), label.to_string()));
-                }
-                if o.make_baseline.is_empty() {
-                    fail("--make-baseline needs at least one FILE=LABEL");
-                }
-            }
-            "--gate-only" => {
-                i += 1;
-                o.gate_only = Some(path(&args, i, "--gate-only"));
+                o.pair = Some(path(&args, i, "--pair"));
             }
             "--check-json" => {
                 i += 1;
@@ -731,26 +501,11 @@ fn parse_args() -> Opts {
                 i += 1;
                 o.inject = parse_flag(&args, i, "--inject-regression");
             }
-            "--abs-floor-ns" => {
-                i += 1;
-                o.gate.abs_floor_ns = parse_flag(&args, i, "--abs-floor-ns");
-            }
-            "--rel-floor" => {
-                i += 1;
-                o.gate.rel_floor = parse_flag(&args, i, "--rel-floor");
-            }
-            "--mad-k" => {
-                i += 1;
-                o.gate.mad_k = parse_flag(&args, i, "--mad-k");
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: cl-bench [--workers W] [--fast] [--out FILE] [--baseline FILE]\n\
-                     \x20               [--refresh-baseline] [--record-baseline FILE]\n\
-                     \x20               [--make-baseline FILE=LABEL ...]\n\
-                     \x20               [--gate-only RUN.json] [--check-json FILE]\n\
-                     \x20               [--inject-regression F] [--abs-floor-ns N] \
-                     [--rel-floor F] [--mad-k K]"
+                    "usage: cl-bench [--workers W] [--fast] [--out FILE] [--inject-regression F]\n\
+                     \x20      cl-bench --pair DIR\n\
+                     \x20      cl-bench --check-json FILE"
                 );
                 std::process::exit(0);
             }

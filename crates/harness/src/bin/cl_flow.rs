@@ -545,8 +545,9 @@ fn render_md(
         md.push_str(
             "Skipped in stable mode: the sweep's numbers are wall-clock and \
              would churn this committed report. The continuous measurement \
-             lives in `cl-bench` as `overhead/flow-off`, gated against \
-             `BENCH_BASELINE.json`. With recording off the queue holds no \
+             lives in `cl-bench` as `overhead/flow-off`, gated against the \
+             parent revision by `cl-bench --pair`. With recording off the \
+             queue holds no \
              `FlowLog`, launch bindings are never queried, and every record \
              site is one skipped `Option` branch.\n",
         );

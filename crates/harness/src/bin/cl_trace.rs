@@ -442,7 +442,8 @@ fn render_md(
         md.push_str(
             "Skipped in stable mode (pure wall-clock comparison). The \
              continuous measurement lives in `cl-bench` as \
-             `overhead/trace-off`, gated against `BENCH_BASELINE.json`.\n",
+             `overhead/trace-off`, gated against the parent revision by \
+             `cl-bench --pair`.\n",
         );
     } else {
         let _ = writeln!(

@@ -42,4 +42,4 @@ pub use machine::{CpuSpec, GpuSpec};
 pub use occupancy_table::{occupancy_table, render_occupancy_table, OccupancyLimit, OccupancyRow};
 pub use profile::KernelProfile;
 pub use transfer::{TransferModel, TransferPath};
-pub use warpsim::{simulate_sm, SmRun, WarpSimConfig};
+pub use warpsim::{SmRun, WarpSimConfig};

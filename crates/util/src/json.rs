@@ -2,8 +2,8 @@
 //! artifacts (`BENCH.json`, trace exports).
 //!
 //! The workspace builds hermetically (no `serde`), so the handful of
-//! places that *read* JSON back — the benchmark gate comparing a run
-//! against its committed baseline, CI validating that a trace artifact
+//! places that *read* JSON back — the benchmark gate comparing a change's
+//! runs against its parent's, CI validating that a trace artifact
 //! parses — share this parser instead. It accepts standard JSON (RFC
 //! 8259): objects, arrays, strings with escapes, numbers, booleans,
 //! null. It is a validator and reader, not a serializer; writers in this
