@@ -27,7 +27,7 @@
 #   trace         cl-trace --stable --workers 2 (regenerates results/trace.md)
 #   traced-chaos  CL_TRACE=1 soak; asserts target/chaos-traced/chaos-trace.json
 #   flow          cl-flow --stable --workers 2 (regenerates results/flow.md)
-#   race          cl-race --stable --workers 2 (regenerates results/race.md)
+#   race          cl-race --workers 2 (regenerates results/race.md)
 #   sched         cl-sched OOO DAG fuzz + seeded-bug catch (regenerates results/sched.md)
 #   serve         cl-load 64-tenant serving soak (regenerates results/serve.md)
 #   coarsen       cl-coarsen --stable --workers 2 (regenerates results/coarsen.md)
@@ -37,9 +37,10 @@
 #                 fail (the gate can fail, and only on a real change)
 #   drift         git diff --exit-code results/ (regenerated reports committed?)
 #
-# The drift stage is why lint/trace/flow/race/serve pin --workers 2 and --stable:
-# the committed reports must be byte-identical on any machine. Regenerate
-# them the same way before committing a change that shifts their contents.
+# The drift stage is why lint/trace/flow/race/serve pin --workers 2, and why
+# the harnesses whose reports carry wall-clock cells run --stable: the
+# committed reports must be byte-identical on any machine. Regenerate them
+# the same way before committing a change that shifts their contents.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -193,16 +194,17 @@ stage_flow() {
 # nonempty. The report is deterministic (no wall-clock cells), so it is
 # drift-tracked like flow.md.
 stage_race() {
-    cargo run --release --quiet --bin cl-race -- --stable --workers 2
+    cargo run --release --quiet --bin cl-race -- --workers 2
 }
 
 # Out-of-order scheduler certification: randomized command DAGs replayed on
 # the native and both modeled devices must be bit-exact against the
 # in-order reference with completion order linearizing the event graph, and
-# every seeded scheduler bug (CL_SCHED_BUG) must be caught. Nonzero exit on
-# any miss. --stable keeps results/sched.md drift-tracked.
+# every seeded scheduler bug (armed through QueueConfig::sched_bug) must be
+# caught. Nonzero exit on any miss. The report carries no wall-clock cells,
+# so results/sched.md is drift-tracked as it comes.
 stage_sched() {
-    cargo run --release --quiet --bin cl-sched -- --stable --out results
+    cargo run --release --quiet --bin cl-sched -- --out results
 }
 
 # Multi-tenant serving soak: 64 concurrent tenants (8 seeded-faulty) over

@@ -1,98 +1,27 @@
-//! Command-stream recording — the runtime side of `cl-flow`.
+//! Command lowering — what every recorded command becomes.
 //!
-//! When a queue is created with [`crate::queue::QueueConfig::recording`]
-//! (or `CL_FLOW=1`), every command it executes is lowered into a
-//! [`cl_analyze::flow::FlowCommand`] and appended to the queue's
-//! [`FlowLog`]: kernel enqueues with their arg→buffer bindings and static
-//! footprints, all transfer commands, and map/unmap pairs. The log can then
-//! be analyzed offline with [`cl_analyze::analyze_flow`] — dependence DAG
-//! plus the five inter-command lints.
+//! With recording on ([`crate::context::ContextConfig::race_recording`] /
+//! `CL_RACE=1`), every command a queue executes is lowered into a
+//! [`cl_analyze::flow::FlowCommand`] and lands in the context's
+//! [`crate::RaceLog`]: kernel enqueues with their arg→buffer bindings and
+//! static footprints, all transfer commands, and map/unmap pairs. One
+//! queue's stream ([`crate::RaceLog::queue_commands`]) feeds
+//! [`cl_analyze::analyze_flow`] — dependence DAG plus the five
+//! inter-command lints (`cl-flow`); the whole log feeds the cross-queue
+//! happens-before analysis (`cl-race`).
 //!
 //! Launch lowering happens **once per enqueue**: bindings are queried a
 //! single time via [`crate::kernel::Kernel::buffer_bindings`] and the
 //! footprint is scaled from elements to region-absolute bytes right there —
-//! workgroup chunks never re-resolve argument metadata. With recording
-//! disabled the queue holds no log and every record site is a single
-//! `Option` branch (measured by `cl-flow` the same way `cl-trace` measures
-//! the disabled-tracing path).
+//! workgroup chunks never re-resolve argument metadata.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use cl_analyze::flow::{analyze_flow, BufUse, FlagClass, FlowAnalysis, FlowCommand, FlowOp};
+use cl_analyze::flow::{BufUse, FlagClass, FlowCommand, FlowOp};
 use cl_analyze::launch_footprint;
 use cl_mem::MemFlags;
-use cl_util::sync::Mutex;
 
 use crate::buffer::{Buffer, Pod};
 use crate::kernel::{ArgBinding, Kernel};
 use crate::ndrange::ResolvedRange;
-
-/// An in-memory recording of a queue's command stream.
-#[derive(Default)]
-pub struct FlowLog {
-    commands: Mutex<Vec<FlowCommand>>,
-    next_map_id: AtomicU64,
-}
-
-impl FlowLog {
-    pub fn new() -> Self {
-        FlowLog::default()
-    }
-
-    pub(crate) fn push(&self, cmd: FlowCommand) {
-        self.commands.lock().push(cmd);
-    }
-
-    pub(crate) fn next_map_id(&self) -> u64 {
-        self.next_map_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Snapshot of the recorded stream.
-    pub fn commands(&self) -> Vec<FlowCommand> {
-        self.commands.lock().clone()
-    }
-
-    /// Number of recorded commands.
-    pub fn len(&self) -> usize {
-        self.commands.lock().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.commands.lock().is_empty()
-    }
-
-    /// Drop all recorded commands.
-    pub fn clear(&self) {
-        self.commands.lock().clear();
-    }
-
-    /// Analyze the recorded stream: dependence DAG + five lints.
-    pub fn analyze(&self) -> FlowAnalysis {
-        analyze_flow(&self.commands.lock())
-    }
-
-    /// Record a raw host access to `elems` (element range within the
-    /// buffer's window). `via_map: None` models touching device memory
-    /// outside any mapping — the unsynchronized-host-access violation;
-    /// `Some(id)` attributes the access to a mapping obtained from
-    /// [`crate::queue::CommandQueue::map_buffer`] (see `TypedMap::map_id`).
-    pub fn record_host_access<T: Pod>(
-        &self,
-        buf: &Buffer<T>,
-        elems: std::ops::Range<usize>,
-        write: bool,
-        via_map: Option<u64>,
-    ) {
-        self.push(host_access_command(buf, elems, write, via_map));
-    }
-}
-
-impl std::fmt::Debug for FlowLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FlowLog({} commands)", self.len())
-    }
-}
 
 pub(crate) fn flag_class(flags: MemFlags) -> FlagClass {
     if !flags.kernel_can_write() {

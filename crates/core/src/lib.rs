@@ -99,7 +99,6 @@ pub use context::{Context, ContextConfig};
 pub use device::{Device, DeviceKind, Platform};
 pub use error::ClError;
 pub use event::{CommandKind, Event, ProfilingInfo};
-pub use flow::FlowLog;
 pub use kernel::{ArgBinding, GroupCtx, Kernel, LocalBuf, WorkItem};
 pub use ndrange::{NDRange, ResolvedRange};
 pub use program::{BuildOptions, Program};

@@ -21,7 +21,7 @@ use crate::device::{Device, DeviceKind};
 use crate::error::ClError;
 use crate::event::{CommandKind, Event, ProfilingInfo};
 use crate::exec::execute_kernel;
-use crate::flow::{self, FlowLog, LoweredUses};
+use crate::flow::{self, LoweredUses};
 use crate::kernel::Kernel;
 use crate::ndrange::{NDRange, ResolvedRange};
 use crate::race::RaceLog;
@@ -52,12 +52,6 @@ pub struct QueueConfig {
     /// disabled queues allocate no log and record nothing;
     /// [`QueueConfig::from_env`] reads `CL_TRACE`.
     pub tracing: bool,
-    /// Record the queue's command stream (launches with arg→buffer
-    /// bindings, transfers, map/unmap) into a per-queue [`FlowLog`] for
-    /// offline dataflow analysis (`cl-flow`). Off by default — disabled
-    /// queues allocate no log and every record site is one branch;
-    /// [`QueueConfig::from_env`] reads `CL_FLOW`.
-    pub recording: bool,
     /// `CL_QUEUE_OUT_OF_ORDER_EXEC_MODE` analog: commands land in a pending
     /// event DAG and a scheduler dispatches every ready command concurrently
     /// onto the device pool, completing events in dependency order. Legacy
@@ -66,8 +60,8 @@ pub struct QueueConfig {
     /// overlap for free. Off by default; [`QueueConfig::from_env`] reads
     /// `CL_OOO`.
     pub out_of_order: bool,
-    /// Seeded scheduler defect for oracle validation (`CL_SCHED_BUG`). Test
-    /// infrastructure — leave `None` outside the `cl-sched` harness.
+    /// Seeded scheduler defect for oracle validation. Test infrastructure —
+    /// leave `None` outside the `cl-sched` harness.
     pub sched_bug: Option<crate::sched::SchedBug>,
     /// Workgroup-fusion (thread-coarsening) policy for native dispatch; see
     /// [`CoarsenMode`]. [`QueueConfig::from_env`] reads `CL_COARSEN`.
@@ -134,10 +128,10 @@ impl QueueConfig {
     }
 
     /// The configuration [`QueueConfig::from_env`] builds when `var` gives
-    /// each variable's value: `CL_LAUNCH_TIMEOUT_MS`, `CL_TRACE`, `CL_FLOW`,
-    /// `CL_OOO`, `CL_SCHED_BUG`, `CL_COARSEN` and `CL_TUNE`. Flags are on
-    /// for `1` or `true`. Tests pass a map here instead of setting
-    /// process-wide variables that sibling tests would read mid-run.
+    /// each variable's value: `CL_LAUNCH_TIMEOUT_MS`, `CL_TRACE`, `CL_OOO`,
+    /// `CL_COARSEN` and `CL_TUNE`. Flags are on for `1` or `true`. Tests
+    /// pass a map here instead of setting process-wide variables that
+    /// sibling tests would read mid-run.
     pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
         let launch_timeout = var("CL_LAUNCH_TIMEOUT_MS")
             .and_then(|v| v.trim().parse::<u64>().ok())
@@ -152,9 +146,8 @@ impl QueueConfig {
         QueueConfig {
             launch_timeout,
             tracing: on("CL_TRACE"),
-            recording: on("CL_FLOW"),
             out_of_order: on("CL_OOO"),
-            sched_bug: var("CL_SCHED_BUG").and_then(|s| crate::sched::SchedBug::parse(&s)),
+            sched_bug: None,
             coarsen: CoarsenMode::from_env_value(var("CL_COARSEN").as_deref()),
             tune: on("CL_TUNE"),
             tuner: None,
@@ -170,12 +163,6 @@ impl QueueConfig {
     /// Enable or disable span tracing.
     pub fn tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Enable or disable command-stream recording.
-    pub fn recording(mut self, on: bool) -> Self {
-        self.recording = on;
         self
     }
 
@@ -218,8 +205,8 @@ impl QueueConfig {
 struct Plan {
     resolved: ResolvedRange,
     /// Lowered flow uses + has_spec; present iff lowering was needed when
-    /// the plan was built (recording or out-of-order queue, or any debug
-    /// build).
+    /// the plan was built (recording context or out-of-order queue, or any
+    /// debug build).
     lowered: Option<LoweredUses>,
     /// Proven workgroup-fusion factor applied by native dispatch (1 = no
     /// coarsening). Computed once per plan — the legality proof and cost
@@ -258,10 +245,7 @@ pub struct CommandQueue {
     /// The queue's span sink; allocated once iff `cfg.tracing`. Clones of
     /// the queue share it (as clones share the underlying `cl_command_queue`).
     trace: Option<Arc<TraceLog>>,
-    /// The queue's command-stream recording; allocated once iff
-    /// `cfg.recording`, shared by clones like the trace log.
-    flow: Option<Arc<FlowLog>>,
-    /// The owning context's multi-queue race recording, cached here so the
+    /// The owning context's command recording, cached here so the
     /// disabled path stays one `Option` branch per record site. `None`
     /// unless the context was created with
     /// [`crate::ContextConfig::race_recording`] / `CL_RACE=1`.
@@ -289,7 +273,6 @@ impl CommandQueue {
 
     pub(crate) fn with_config(ctx: Context, cfg: QueueConfig) -> Self {
         let trace = cfg.tracing.then(|| Arc::new(TraceLog::new()));
-        let flow = cfg.recording.then(|| Arc::new(FlowLog::new()));
         let race = ctx.inner.race.clone();
         let sched = cfg.out_of_order.then(|| {
             Arc::new(Scheduler::new(
@@ -306,7 +289,6 @@ impl CommandQueue {
             ctx,
             cfg,
             trace,
-            flow,
             race,
             id: NEXT_QUEUE_ID.fetch_add(1, Ordering::Relaxed),
             seq: Arc::new(AtomicU64::new(0)),
@@ -327,10 +309,10 @@ impl CommandQueue {
     }
 
     /// Whether anything reads command footprints: the out-of-order
-    /// scheduler, the flow log, or the race log. When nothing does, the
-    /// footprint is never built.
+    /// scheduler or the race log. When nothing does, the footprint is
+    /// never built.
     fn reads_footprints(&self) -> bool {
-        self.sched.is_some() || self.flow.is_some() || self.race.is_some()
+        self.sched.is_some() || self.race.is_some()
     }
 
     /// Look up a memoized plan for (`kernel`, `range`) that carries lowered
@@ -379,12 +361,6 @@ impl CommandQueue {
     /// ([`QueueConfig::tracing`] / `CL_TRACE=1`).
     pub fn trace(&self) -> Option<&Arc<TraceLog>> {
         self.trace.as_ref()
-    }
-
-    /// The queue's command-stream recording, when enabled
-    /// ([`QueueConfig::recording`] / `CL_FLOW=1`).
-    pub fn flow(&self) -> Option<&Arc<FlowLog>> {
-        self.flow.as_ref()
     }
 
     /// The tuner this queue consults for NULL-local launches, when tuning
@@ -524,9 +500,11 @@ impl CommandQueue {
         // passed — when the plan was built. Failing launches are never
         // cached, so a rejected kernel is re-checked (and re-rejected)
         // every time.
-        let need_lowered = self.flow.is_some() || self.race.is_some() || cfg!(debug_assertions);
+        let need_lowered = self.race.is_some() || cfg!(debug_assertions);
         let (mut plan, trial) = self.plan(kernel, range, need_lowered)?;
-        let cmd = (self.flow.is_some() || self.race.is_some())
+        let cmd = self
+            .race
+            .is_some()
             .then(|| flow::launch_command(kernel.name(), plan.lowered.take().unwrap_or_default()));
         // Debug-build enqueue gate #3, cross-queue: would this launch race
         // with another queue's recorded commands? Unlike the per-kernel
@@ -537,11 +515,6 @@ impl CommandQueue {
             check_cross_queue(rl, self.id, cmd)?;
         }
         let seq = self.next_seq();
-        if let (Some(log), Some(cmd)) = (&self.flow, &cmd) {
-            // Recorded before execution so faulted launches still appear in
-            // the stream the lints see.
-            log.push(cmd.clone());
-        }
         let ev = self.launch(kernel, &plan, seq, queued_ns, cmd).run(None)?;
         // Close the tuning loop: report the trial's execution window (the
         // profiling timestamps; modeled time on modeled devices) back to the
@@ -597,11 +570,6 @@ impl CommandQueue {
         let (mut plan, _) = self.plan(kernel, range, true)?;
         let seq = self.next_seq();
         let cmd = flow::launch_command(kernel.name(), plan.lowered.take().unwrap_or_default());
-        if let Some(log) = &self.flow {
-            // Recorded at submit so faulted launches still appear in the
-            // stream the lints see (submit order = program order).
-            log.push(cmd.clone());
-        }
         let conservative = cmd.uses.is_empty();
         let launch = self.launch(
             kernel,
@@ -740,10 +708,9 @@ impl CommandQueue {
     }
 
     /// The one path of the blocking copy transfers. The command's footprint
-    /// is built once — and only when the scheduler, the flow log or the race
-    /// log reads it — and serves all three: the pending commands it
-    /// conflicts with drain before `body` runs, then it is recorded in the
-    /// flow log and the race log.
+    /// is built once — and only when the scheduler or the race log reads
+    /// it — and serves both: the pending commands it conflicts with drain
+    /// before `body` runs, then it is recorded in the race log.
     fn transfer(
         &self,
         kind: CommandKind,
@@ -760,13 +727,8 @@ impl CommandQueue {
         let started_ns = trace::now_ns();
         body()?;
         let ev = self.transfer_event(kind, queued_ns, started_ns, bytes);
-        if let Some(cmd) = cmd {
-            if let Some(log) = &self.flow {
-                log.push(cmd.clone());
-            }
-            if let Some(rl) = &self.race {
-                self.race_record(rl, &ev, cmd, waits);
-            }
+        if let (Some(rl), Some(cmd)) = (&self.race, cmd) {
+            self.race_record(rl, &ev, cmd, waits);
         }
         Ok(ev)
     }
@@ -875,22 +837,15 @@ impl CommandQueue {
             started_ns,
             buf.byte_len(),
         );
-        let flow_id = self.flow.as_ref().zip(window.as_ref()).map(|(log, u)| {
-            let id = log.next_map_id();
-            log.push(flow::map_command(id, u, writable));
-            id
-        });
-        let race_id = self.race.as_ref().zip(window.as_ref()).map(|(rl, u)| {
+        let record = self.race.as_ref().zip(window).map(|(rl, u)| {
             let id = rl.next_map_id();
-            self.race_record(rl, &ev, flow::map_command(id, u, writable), waits);
-            id
+            self.race_record(rl, &ev, flow::map_command(id, &u, writable), waits);
+            (id, u)
         });
         let mapping = Mapping {
             queue: self,
-            window,
+            record,
             writable,
-            flow_id,
-            race_id,
             map_seq: ev.seq,
             guard,
         };
@@ -1388,19 +1343,15 @@ fn check_cross_queue(race: &RaceLog, queue_id: u64, launch: &FlowCommand) -> Res
 
 /// A live mapping and its deferred Unmap records — the body behind
 /// [`TypedMap`] and [`TypedMapMut`]. When the host view drops, the Unmap
-/// command lands in the flow log and the race log (host writes through a
-/// writable mapping become visible at unmap, and the unmap is a blocking
-/// sync point), and then the guard releases the mapping.
+/// command lands in the race log (host writes through a writable mapping
+/// become visible at unmap, and the unmap is a blocking sync point), and
+/// then the guard releases the mapping.
 struct Mapping<'q> {
     queue: &'q CommandQueue,
-    /// The mapped window's base use; present iff the queue reads
-    /// footprints.
-    window: Option<BufUse>,
+    /// The mapping's race-log id and the mapped window's base use; present
+    /// iff the context records.
+    record: Option<(u64, BufUse)>,
     writable: bool,
-    /// The flow log's id for this mapping, when the queue records.
-    flow_id: Option<u64>,
-    /// The race log's id for this mapping, when the context records.
-    race_id: Option<u64>,
     /// The Map command's sequence number: on an out-of-order queue the
     /// Unmap record orders after it by an explicit wait edge.
     map_seq: u64,
@@ -1430,23 +1381,19 @@ impl Mapping<'_> {
 
 impl Drop for Mapping<'_> {
     fn drop(&mut self) {
-        let (q, Some(u)) = (self.queue, &self.window) else {
+        let q = self.queue;
+        let (Some(rl), Some((id, u))) = (&q.race, &self.record) else {
             return;
         };
-        if let (Some(log), Some(id)) = (&q.flow, self.flow_id) {
-            log.push(flow::unmap_command(id, u, self.writable));
+        let now = trace::now_ns();
+        let cmd = flow::unmap_command(*id, u, self.writable);
+        let mut rec = HbRecord::command(q.id, q.next_seq(), cmd, true).observed(now, now);
+        if q.sched.is_some() {
+            // Program order is meaningless on an out-of-order queue: the
+            // unmap orders after its map via an explicit wait edge.
+            rec = rec.ooo_waits(vec![(q.id, self.map_seq)]);
         }
-        if let (Some(rl), Some(id)) = (&q.race, self.race_id) {
-            let now = trace::now_ns();
-            let cmd = flow::unmap_command(id, u, self.writable);
-            let mut rec = HbRecord::command(q.id, q.next_seq(), cmd, true).observed(now, now);
-            if q.sched.is_some() {
-                // Program order is meaningless on an out-of-order queue: the
-                // unmap orders after its map via an explicit wait edge.
-                rec = rec.ooo_waits(vec![(q.id, self.map_seq)]);
-            }
-            rl.push(rec);
-        }
+        rl.push(rec);
     }
 }
 
@@ -1457,11 +1404,11 @@ pub struct TypedMap<'a, T: Pod> {
 }
 
 impl<T: Pod> TypedMap<'_, T> {
-    /// The flow-analysis mapping id, when the queue records its command
-    /// stream (for attributing host accesses via
-    /// [`FlowLog::record_host_access`]).
+    /// The mapping's id in the context's [`RaceLog`], when the context
+    /// records (for attributing host accesses via
+    /// [`RaceLog::record_host_access`]).
     pub fn map_id(&self) -> Option<u64> {
-        self.map.flow_id
+        self.map.record.as_ref().map(|(id, _)| *id)
     }
 }
 
@@ -1480,10 +1427,10 @@ pub struct TypedMapMut<'a, T: Pod> {
 }
 
 impl<T: Pod> TypedMapMut<'_, T> {
-    /// The flow-analysis mapping id, when the queue records its command
-    /// stream.
+    /// The mapping's id in the context's [`RaceLog`], when the context
+    /// records.
     pub fn map_id(&self) -> Option<u64> {
-        self.map.flow_id
+        self.map.record.as_ref().map(|(id, _)| *id)
     }
 }
 
@@ -1705,8 +1652,8 @@ mod tests {
     #[test]
     fn recording_captures_the_command_stream() {
         use cl_analyze::HazardKind;
-        let ctx = ctx_native();
-        let q = ctx.queue_with(QueueConfig::default().recording(true));
+        let ctx = race_ctx();
+        let q = ctx.queue();
         let buf = ctx.buffer::<f32>(MemFlags::default(), 16).unwrap();
         q.write_buffer(&buf, 0, &[1.0f32; 16]).unwrap();
         q.run(AddOne { data: buf.clone() }, NDRange::d1(16))
@@ -1714,9 +1661,9 @@ mod tests {
         let mut out = vec![0.0f32; 16];
         q.read_buffer(&buf, 0, &mut out).unwrap();
 
-        let log = q.flow().expect("recording queue has a flow log");
-        assert_eq!(log.len(), 3);
-        let cmds = log.commands();
+        let log = ctx.race().expect("recording context has a log");
+        let cmds = log.queue_commands(q.id());
+        assert_eq!(cmds.len(), 3);
         assert!(matches!(cmds[0].op, FlowOp::WriteBuffer));
         assert!(
             matches!(&cmds[1].op, FlowOp::Launch { kernel, has_spec } if kernel == "add_one" && !has_spec)
@@ -1724,7 +1671,7 @@ mod tests {
         assert!(matches!(cmds[2].op, FlowOp::ReadBuffer));
         // The spec-less kernel gets conservative whole-window may sets from
         // its binding, so the chain is connected but unproven.
-        let a = log.analyze();
+        let a = cl_analyze::analyze_flow(&cmds);
         assert!(!a.has_violations(), "{:?}", a.findings);
         assert!(a
             .edges
@@ -1732,32 +1679,33 @@ mod tests {
             .any(|e| e.kind == HazardKind::Raw && e.from == 1 && e.to == 2));
     }
 
+    /// Without recording, maps hand out no ids and nothing is logged.
     #[test]
     fn disabled_recording_has_no_log() {
         let ctx = ctx_native();
         let q = ctx.queue();
-        assert!(q.flow().is_none());
+        assert!(ctx.race().is_none());
         let buf = ctx.buffer::<f32>(MemFlags::default(), 4).unwrap();
         q.write_buffer(&buf, 0, &[0.0f32; 4]).unwrap();
-        assert!(q.flow().is_none());
+        assert!(q.map_buffer_mut(&buf).unwrap().0.map_id().is_none());
+        assert!(ctx.race().is_none());
     }
 
     #[test]
     fn map_unmap_pairs_record_with_live_ids() {
-        let ctx = ctx_native();
-        let q = ctx.queue_with(QueueConfig::default().recording(true));
+        let ctx = race_ctx();
+        let q = ctx.queue();
         let buf = ctx.buffer::<f32>(MemFlags::default(), 8).unwrap();
         {
             let (mut m, _) = q.map_buffer_mut(&buf).unwrap();
             assert!(m.map_id().is_some());
             m[0] = 4.0;
         }
-        let log = q.flow().unwrap();
-        let cmds = log.commands();
+        let cmds = ctx.race().unwrap().queue_commands(q.id());
         assert_eq!(cmds.len(), 2);
         assert!(matches!(cmds[0].op, FlowOp::Map { writable: true, .. }));
         assert!(matches!(cmds[1].op, FlowOp::Unmap { .. }));
-        let a = log.analyze();
+        let a = cl_analyze::analyze_flow(&cmds);
         assert!(!a.has_violations(), "{:?}", a.findings);
     }
 
@@ -1876,6 +1824,44 @@ mod tests {
         assert!(!analysis.has_races(), "{:?}", analysis.findings);
         assert!(vc.agrees(), "{:?}", vc.disagreements);
         assert!(vc.linearization_failures.is_empty());
+    }
+
+    /// Two queues interleave their commands into one recording context;
+    /// each queue's view holds only its own, in order, and the shared map
+    /// counter still pairs every Map with its Unmap.
+    #[test]
+    fn queue_commands_split_the_shared_log_by_queue() {
+        let ctx = race_ctx();
+        let (qa, qb) = (ctx.queue(), ctx.queue());
+        let a = ctx.buffer::<f32>(MemFlags::default(), 16).unwrap();
+        let b = ctx.buffer::<f32>(MemFlags::default(), 16).unwrap();
+        qa.write_buffer(&a, 0, &[1.0f32; 16]).unwrap();
+        qb.write_buffer(&b, 0, &[2.0f32; 16]).unwrap();
+        qa.run(AddOne { data: a.clone() }, NDRange::d1(16)).unwrap();
+        qb.run(AddOne { data: b.clone() }, NDRange::d1(16)).unwrap();
+        {
+            let (ma, _) = qa.map_buffer(&a).unwrap();
+            let (mb, _) = qb.map_buffer(&b).unwrap();
+            assert_ne!(ma.map_id(), mb.map_id());
+            assert_eq!((ma[0], mb[0]), (2.0, 3.0));
+        }
+        let log = ctx.race().unwrap();
+        assert_eq!(log.len(), 8);
+        for (q, buf) in [(&qa, &a), (&qb, &b)] {
+            let cmds = log.queue_commands(q.id());
+            assert_eq!(cmds.len(), 4);
+            assert!(cmds.iter().all(|c| c.uses[0].buffer == buf.id()));
+            assert!(matches!(cmds[0].op, FlowOp::WriteBuffer));
+            assert!(matches!(&cmds[1].op, FlowOp::Launch { kernel, .. } if kernel == "add_one"));
+            let (FlowOp::Map { id: map, .. }, FlowOp::Unmap { id: unmap }) =
+                (&cmds[2].op, &cmds[3].op)
+            else {
+                panic!("expected map, unmap: {:?}", (&cmds[2].op, &cmds[3].op));
+            };
+            assert_eq!(map, unmap);
+            let a = cl_analyze::analyze_flow(&cmds);
+            assert!(!a.has_violations(), "{:?}", a.findings);
+        }
     }
 
     /// Events attribute to their owning queue: stable id + per-queue

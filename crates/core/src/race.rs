@@ -1,12 +1,13 @@
-//! Context-level multi-queue recording — the runtime side of `cl-race`.
+//! Context-level command recording — the one recorder behind `cl-flow`
+//! and `cl-race`.
 //!
-//! Where [`crate::flow::FlowLog`] records ONE queue's stream for dataflow
-//! analysis, a `RaceLog` aggregates the streams of *every* queue of a
-//! context, tagged with queue ids and interleaved with the sync points
-//! (`finish`, markers, blocking transfers) that order them. The log feeds
+//! A `RaceLog` aggregates the streams of *every* queue of a context,
+//! tagged with queue ids and interleaved with the sync points (`finish`,
+//! markers, blocking transfers) that order them. The whole log feeds
 //! [`cl_analyze::hb`]: happens-before classification of every cross-queue
 //! conflicting pair, the over-synchronization certifier, and the dynamic
-//! vector-clock layer.
+//! vector-clock layer. One queue's commands ([`RaceLog::queue_commands`])
+//! feed the single-stream dataflow analysis, [`cl_analyze::analyze_flow`].
 //!
 //! Recording is opt-in per context ([`crate::context::ContextConfig`] /
 //! `CL_RACE=1`); with it off the context holds no log and every record
@@ -15,7 +16,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cl_analyze::hb::{analyze_hb, vector_clock_check, HbAnalysis, HbRecord, VcReport};
+use cl_analyze::flow::FlowCommand;
+use cl_analyze::hb::{analyze_hb, vector_clock_check, HbAnalysis, HbOp, HbRecord, VcReport};
 use cl_util::sync::Mutex;
 
 use crate::buffer::{Buffer, Pod};
@@ -44,6 +46,22 @@ impl RaceLog {
     /// Snapshot of the recorded stream.
     pub fn records(&self) -> Vec<HbRecord> {
         self.records.lock().clone()
+    }
+
+    /// Queue `queue`'s commands in recording order, sync points dropped:
+    /// the single-stream view [`cl_analyze::analyze_flow`] takes. Commands
+    /// record at completion, so on an out-of-order queue this is
+    /// completion order, not submission order.
+    pub fn queue_commands(&self, queue: u64) -> Vec<FlowCommand> {
+        self.records
+            .lock()
+            .iter()
+            .filter(|r| r.queue == queue)
+            .filter_map(|r| match &r.op {
+                HbOp::Command { cmd, .. } => Some(cmd.clone()),
+                HbOp::Finish | HbOp::Marker => None,
+            })
+            .collect()
     }
 
     /// Number of recorded entries (commands and sync points).
@@ -76,10 +94,10 @@ impl RaceLog {
     }
 
     /// Record a raw host access to `elems` (element range within the
-    /// buffer's window) performed outside any queue — attributed to the
-    /// pseudo-queue `queue` it raced with. See
-    /// [`crate::flow::FlowLog::record_host_access`] for the single-stream
-    /// analog.
+    /// buffer's window) performed outside any queue, attributed to
+    /// `queue`. `via_map: None` models touching device memory outside any
+    /// mapping — the unsynchronized-host-access violation; `Some(id)`
+    /// attributes the access to a live mapping (see `TypedMap::map_id`).
     pub fn record_host_access<T: Pod>(
         &self,
         queue: u64,

@@ -436,8 +436,8 @@ impl Drop for UserEvent {
     }
 }
 
-/// Seeded scheduler defects for oracle validation (`CL_SCHED_BUG` /
-/// `QueueConfig::sched_bug`). Each fires once per queue; a correct oracle
+/// Seeded scheduler defects for oracle validation
+/// (`QueueConfig::sched_bug`). Each fires once per queue; a correct oracle
 /// (`check_linearization` + bit-exactness + the finish watchdog) must catch
 /// every one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -456,18 +456,6 @@ pub enum SchedBug {
 }
 
 impl SchedBug {
-    /// Parse a bug name (the `CL_SCHED_BUG` values).
-    pub fn parse(s: &str) -> Option<SchedBug> {
-        match s {
-            "drop-edge" => Some(SchedBug::DropEdge),
-            "premature-ready" => Some(SchedBug::PrematureReady),
-            "lost-wakeup" => Some(SchedBug::LostWakeup),
-            "double-dispatch" => Some(SchedBug::DoubleDispatch),
-            "skip-command" => Some(SchedBug::SkipCommand),
-            _ => None,
-        }
-    }
-
     /// All seeded bugs, for harness sweeps.
     pub const ALL: [SchedBug; 5] = [
         SchedBug::DropEdge,
@@ -477,7 +465,7 @@ impl SchedBug {
         SchedBug::SkipCommand,
     ];
 
-    /// The bug's `CL_SCHED_BUG` name.
+    /// The bug's name, the key of its row in `cl-sched`'s report.
     pub fn name(&self) -> &'static str {
         match self {
             SchedBug::DropEdge => "drop-edge",
@@ -515,6 +503,21 @@ struct Node {
     work: Option<Work>,
     dispatch: Dispatch,
     dispatched: bool,
+}
+
+impl Node {
+    /// Whether a command with footprint `cmd` (`None`: a marker or barrier)
+    /// must order after this node: either side has no usable footprint
+    /// (`conservative`), or `classify_pair` finds a hazard between them.
+    fn conflicts_with(&self, cmd: Option<&FlowCommand>, conservative: bool) -> bool {
+        if conservative || self.conservative {
+            return true;
+        }
+        match (cmd, &self.cmd) {
+            (Some(c), Some(nc)) => !classify_pair(nc, c).0.is_empty(),
+            _ => false,
+        }
+    }
 }
 
 struct SchedState {
@@ -616,12 +619,7 @@ impl Scheduler {
                 // Auto-infer hazards against the pending window.
                 for &li in &st.live {
                     let n = &st.nodes[li];
-                    let conflict = match (&cmd, &n.cmd) {
-                        _ if conservative || n.conservative => true,
-                        (Some(c), Some(nc)) => !classify_pair(nc, c).0.is_empty(),
-                        _ => false,
-                    };
-                    if conflict && seen.insert(n.event.id()) {
+                    if n.conflicts_with(cmd.as_ref(), conservative) && seen.insert(n.event.id()) {
                         deps.push(n.event.clone());
                     }
                 }
@@ -645,12 +643,7 @@ impl Scheduler {
                         if live.contains(&ni) || n.event.queue_id() == 0 {
                             continue;
                         }
-                        let conflict = match (&cmd, &n.cmd) {
-                            _ if conservative || n.conservative => true,
-                            (Some(c), Some(nc)) => !classify_pair(nc, c).0.is_empty(),
-                            _ => false,
-                        };
-                        if conflict {
+                        if n.conflicts_with(cmd.as_ref(), conservative) {
                             retired_waits.push((n.event.queue_id(), n.event.seq()));
                         }
                     }
@@ -828,13 +821,7 @@ impl Scheduler {
         st.live
             .iter()
             .map(|&li| &st.nodes[li])
-            .filter(|n| {
-                n.conservative
-                    || match &n.cmd {
-                        Some(nc) => !classify_pair(nc, cmd).0.is_empty(),
-                        None => false,
-                    }
-            })
+            .filter(|n| n.conflicts_with(Some(cmd), false))
             .map(|n| n.event.clone())
             .collect()
     }
@@ -1003,11 +990,10 @@ mod tests {
         assert!(v.iter().any(|m| m.contains("completed 2 times")), "{v:?}");
     }
 
+    /// `cl-sched` keys its report rows by bug name.
     #[test]
-    fn sched_bug_names_round_trip() {
-        for bug in SchedBug::ALL {
-            assert_eq!(SchedBug::parse(bug.name()), Some(bug));
-        }
-        assert_eq!(SchedBug::parse("nope"), None);
+    fn sched_bug_names_are_distinct() {
+        let names: HashSet<&str> = SchedBug::ALL.iter().map(SchedBug::name).collect();
+        assert_eq!(names.len(), SchedBug::ALL.len());
     }
 }

@@ -226,11 +226,11 @@ fn run_suite(opts: &Opts) -> Report {
     push("overhead/coarsen-off", "ns/group", stats);
 
     // --- Disabled-path instrumentation overheads -------------------------
-    // The PR 3 tracer and PR 4 flow recorder must cost one skipped Option
+    // The tracer and the command recorder must cost one skipped Option
     // branch when off. trace-off: empty kernel (no buffers — isolates the
-    // span-record sites). flow-off: square (has buffer bindings, so a
-    // release-mode regression that starts lowering flow uses eagerly would
-    // surface here).
+    // span-record sites). race-off, below, enqueues square (has buffer
+    // bindings, so a release-mode regression that starts lowering flow uses
+    // eagerly would surface there).
     let empty: Arc<dyn Kernel> = Arc::new(EmptyKernel);
     const BATCH: u64 = 8;
     let stats = sample(warm, samples, BATCH, || {
@@ -241,22 +241,12 @@ fn run_suite(opts: &Opts) -> Report {
         BATCH
     });
     push("overhead/trace-off", "ns/enqueue", stats);
-    let built = cl_kernels::apps::square::build(&ctx, 4096, 1, Some(64), 7);
-    let stats = sample(warm, samples, BATCH, || {
-        for _ in 0..BATCH {
-            q.enqueue_kernel(&built.kernel, built.range)
-                .expect("flow-off enqueue");
-        }
-        BATCH
-    });
-    built.verify(&q).expect("flow-off results");
-    push("overhead/flow-off", "ns/enqueue", stats);
 
     // race-off: two queues of one recording-DISABLED context alternating
-    // enqueues of the same built kernel — the multi-queue path the PR 6
-    // race recorder hooks. With recording off the context holds no
-    // `RaceLog` and each record site is one skipped Option branch; a
-    // regression that starts building HbRecords eagerly would surface here.
+    // enqueues of the same built kernel — the path the command recorder
+    // hooks. With recording off the context holds no `RaceLog` and each
+    // record site is one skipped Option branch; a regression that starts
+    // building HbRecords eagerly would surface here.
     let race_ctx = Context::new_with(
         ocl_rt::Device::native_cpu(opts.workers).expect("race-off device"),
         ocl_rt::ContextConfig::default().race_recording(false),

@@ -1,5 +1,5 @@
 //! `cl-flow` — replay the paper's transfer and chain scenarios on a
-//! recording queue and statically analyze the command stream.
+//! recording context and statically analyze each queue's command stream.
 //!
 //! ```text
 //! cl-flow [--workers W] [--seed S] [--out DIR] [--stable]
@@ -10,7 +10,8 @@
 //!   --stable     deterministic report: skip the wall-clock overhead sweep
 //! ```
 //!
-//! Three clean replays, each on its own recording queue:
+//! Three clean replays, each on its own queue of one recording context
+//! (each analyzed through `RaceLog::queue_commands`):
 //!
 //! 1. **Figure 7** — explicit `write_buffer` → `square` → `read_buffer`,
 //! 2. **Figure 8** — the same round trip through `map`/`unmap` pairs,
@@ -31,13 +32,13 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use cl_analyze::flow::{FlowAnalysis, FlowCommand, FlowLintKind, HazardKind};
+use cl_analyze::flow::{analyze_flow, FlowAnalysis, FlowCommand, FlowLintKind, HazardKind};
 use cl_analyze::{Severity, Verdict};
 use cl_harness::parse_flag;
 use cl_kernels::apps::square::Square;
 use cl_kernels::apps::vectoradd::VectorAdd;
 use cl_kernels::util::random_f32;
-use ocl_rt::{Context, Device, MemFlags, NDRange, QueueConfig};
+use ocl_rt::{CommandQueue, Context, ContextConfig, Device, MemFlags, NDRange, QueueConfig};
 
 const N: usize = 4096;
 
@@ -90,12 +91,20 @@ struct Seeded {
     analysis: FlowAnalysis,
 }
 
-fn recording_queue(ctx: &Context) -> ocl_rt::CommandQueue {
-    ctx.queue_with(
-        QueueConfig::default()
-            .recording(true)
-            .launch_timeout(Duration::from_secs(60)),
-    )
+/// A queue of the recording context `ctx`: everything it runs lands in
+/// the context's log.
+fn recording_queue(ctx: &Context) -> CommandQueue {
+    ctx.queue_with(QueueConfig::default().launch_timeout(Duration::from_secs(60)))
+}
+
+/// `q`'s commands in the context's log, and their flow analysis.
+fn recorded(ctx: &Context, q: &CommandQueue) -> (Vec<FlowCommand>, FlowAnalysis) {
+    let commands = ctx
+        .race()
+        .expect("recording context")
+        .queue_commands(q.id());
+    let analysis = analyze_flow(&commands);
+    (commands, analysis)
 }
 
 fn square(input: &ocl_rt::Buffer<f32>, output: &ocl_rt::Buffer<f32>) -> Square {
@@ -122,11 +131,11 @@ fn fig7(ctx: &Context, seed: u64) -> Scenario {
         back.iter().zip(&host).all(|(&y, &x)| y == x * x),
         "fig7 results"
     );
-    let log = q.flow().unwrap();
+    let (commands, analysis) = recorded(ctx, &q);
     Scenario {
         name: "Figure 7: write → square → read",
-        commands: log.commands(),
-        analysis: log.analyze(),
+        commands,
+        analysis,
     }
 }
 
@@ -149,11 +158,11 @@ fn fig8(ctx: &Context, seed: u64) -> Scenario {
             "fig8 results"
         );
     }
-    let log = q.flow().unwrap();
+    let (commands, analysis) = recorded(ctx, &q);
     Scenario {
         name: "Figure 8: map-write → square → map-read",
-        commands: log.commands(),
-        analysis: log.analyze(),
+        commands,
+        analysis,
     }
 }
 
@@ -187,9 +196,7 @@ fn fig9(ctx: &Context, seed: u64) -> (Scenario, bool) {
             .all(|(&y, (&x1, &x2))| y == (x1 + x2) * (x1 + x2)),
         "fig9 results"
     );
-    let log = q.flow().unwrap();
-    let commands = log.commands();
-    let analysis = log.analyze();
+    let (commands, analysis) = recorded(ctx, &q);
     // Command 0 is the vectoradd launch, command 1 the square launch; the
     // chain through `c` must be a proven RAW dependence.
     let chain_proven = analysis
@@ -214,7 +221,7 @@ fn seed_flag_contract(ctx: &Context, seed: u64) -> Seeded {
     let input = ctx.buffer_from(MemFlags::READ_ONLY, &host).expect("in");
     let ro_out = ctx.buffer::<f32>(MemFlags::READ_ONLY, N).expect("out");
     let res = q.run(square(&input, &ro_out), NDRange::d1(N));
-    let analysis = q.flow().unwrap().analyze();
+    let (_, analysis) = recorded(ctx, &q);
     let in_replay = analysis.verdict(FlowLintKind::FlagContract) == Verdict::Violation;
     let at_enqueue = res.is_err();
     Seeded {
@@ -241,7 +248,7 @@ fn seed_use_while_mapped(ctx: &Context, seed: u64) -> Seeded {
         // device copy now disagree — exactly what OpenCL leaves undefined.
         q.write_buffer(&buf, 0, &[0.0f32; N]).expect("write");
     }
-    let analysis = q.flow().unwrap().analyze();
+    let (_, analysis) = recorded(ctx, &q);
     let caught = analysis.verdict(FlowLintKind::UseWhileMapped) == Verdict::Violation;
     Seeded {
         kind: FlowLintKind::UseWhileMapped,
@@ -264,7 +271,7 @@ fn seed_redundant_transfer(ctx: &Context, seed: u64) -> Seeded {
     q.run(square(&input, &out), NDRange::d1(N)).expect("square");
     let mut back = vec![0.0f32; N];
     q.read_buffer(&out, 0, &mut back).expect("read");
-    let analysis = q.flow().unwrap().analyze();
+    let (_, analysis) = recorded(ctx, &q);
     let caught = analysis.verdict(FlowLintKind::RedundantTransfer) == Verdict::Violation;
     Seeded {
         kind: FlowLintKind::RedundantTransfer,
@@ -282,7 +289,7 @@ fn seed_read_before_write(ctx: &Context) -> Seeded {
     let out = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, N).expect("out");
     q.run(square(&uninit, &out), NDRange::d1(N))
         .expect("square");
-    let analysis = q.flow().unwrap().analyze();
+    let (_, analysis) = recorded(ctx, &q);
     let caught = analysis.verdict(FlowLintKind::ReadBeforeWrite) == Verdict::Violation;
     Seeded {
         kind: FlowLintKind::ReadBeforeWrite,
@@ -299,9 +306,11 @@ fn seed_host_sync(ctx: &Context, seed: u64) -> Seeded {
     let buf = ctx.buffer_from(MemFlags::default(), &host).expect("buf");
     let out = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, N).expect("out");
     // Model a host poking the allocation directly, with no map command.
-    q.flow().unwrap().record_host_access(&buf, 0..N, true, None);
+    ctx.race()
+        .expect("recording context")
+        .record_host_access(q.id(), &buf, 0..N, true, None);
     q.run(square(&buf, &out), NDRange::d1(N)).expect("square");
-    let analysis = q.flow().unwrap().analyze();
+    let (_, analysis) = recorded(ctx, &q);
     let caught = analysis.verdict(FlowLintKind::HostSync) == Verdict::Violation;
     Seeded {
         kind: FlowLintKind::HostSync,
@@ -345,7 +354,15 @@ fn main() {
         i += 1;
     }
     workers = workers.max(1);
-    let ctx = Context::new(Device::native_cpu(workers).expect("flow device"));
+    // One recording context for every scenario. Buffer ids are
+    // process-global and the report prints them, so no buffer is created
+    // before the scenarios; Figure 9 runs first and maps nothing, so Figure
+    // 8's maps take ids #0 and #1 from the log's fresh counter.
+    let device = Device::native_cpu(workers).expect("flow device");
+    let ctx = Context::new_with(
+        device.clone(),
+        ContextConfig::default().race_recording(true),
+    );
 
     // ------ Clean replays ------
     let mut failures = 0usize;
@@ -386,14 +403,14 @@ fn main() {
     // ------ Overhead: recording disabled vs enabled ------
     // The same pricing as cl-trace's disabled-tracing measurement: a
     // 12-launch square sweep twice without recording (noise band) and once
-    // with. With recording off the queue holds no FlowLog and each record
+    // with. With recording off the context holds no RaceLog and each record
     // site is one skipped Option branch.
-    let sweep = |cfg: QueueConfig| -> f64 {
-        let q = ctx.queue_with(cfg.launch_timeout(Duration::from_secs(60)));
+    let sweep = |ctx: &Context| -> f64 {
+        let q = recording_queue(ctx);
         let t0 = Instant::now();
         for _ in 0..3 {
             for factor in [1usize, 10, 100, 1000] {
-                let built = cl_kernels::apps::square::build(&ctx, 100_000, factor, None, seed);
+                let built = cl_kernels::apps::square::build(ctx, 100_000, factor, None, seed);
                 q.enqueue_kernel(&built.kernel, built.range).expect("sweep");
             }
         }
@@ -401,13 +418,14 @@ fn main() {
     };
     // Stable mode skips the sweep entirely: its numbers are wall-clock and
     // would churn the committed report. `cl-bench` carries the continuous
-    // measurement as `overhead/flow-off`.
+    // measurement as `overhead/race-off`.
     let (noise, recording_cost) = if stable {
         (0.0, 0.0)
     } else {
-        let off_a = sweep(QueueConfig::default());
-        let off_b = sweep(QueueConfig::default());
-        let on = sweep(QueueConfig::default().recording(true));
+        let off = Context::new_with(device, ContextConfig::default());
+        let off_a = sweep(&off);
+        let off_b = sweep(&off);
+        let on = sweep(&ctx);
         let base = off_a.min(off_b);
         ((off_a - off_b).abs() / base, on / base - 1.0)
     };
@@ -545,20 +563,19 @@ fn render_md(
         md.push_str(
             "Skipped in stable mode: the sweep's numbers are wall-clock and \
              would churn this committed report. The continuous measurement \
-             lives in `cl-bench` as `overhead/flow-off`, gated against the \
+             lives in `cl-bench` as `overhead/race-off`, gated against the \
              parent revision by `cl-bench --pair`. With recording off the \
-             queue holds no \
-             `FlowLog`, launch bindings are never queried, and every record \
-             site is one skipped `Option` branch.\n",
+             context holds no `RaceLog`, launch bindings are never queried, \
+             and every record site is one skipped `Option` branch.\n",
         );
     } else {
         let _ = writeln!(
             md,
             "A 12-launch square coalescing sweep, run twice with recording \
              disabled and once enabled: run-to-run noise {:.2}%, recording run \
-             {:+.2}% vs the faster disabled run. With recording off the queue \
-             holds no `FlowLog`, launch bindings are never queried, and every \
-             record site is one skipped `Option` branch.",
+             {:+.2}% vs the faster disabled run. With recording off the \
+             context holds no `RaceLog`, launch bindings are never queried, \
+             and every record site is one skipped `Option` branch.",
             noise * 100.0,
             recording_cost * 100.0,
         );

@@ -2,12 +2,11 @@
 //! reorder-safety certifier harness.
 //!
 //! ```text
-//! cl-race [--workers W] [--seed S] [--out DIR] [--stable]
+//! cl-race [--workers W] [--seed S] [--out DIR]
 //!
 //!   --workers W  pool workers of the device under test (default: min(4, cores))
 //!   --seed S     input seed for the replayed kernels (default: 7)
 //!   --out DIR    output directory for race.md / race.csv (default: results)
-//!   --stable     accepted for CI symmetry; the report is deterministic
 //! ```
 //!
 //! Four clean multi-queue scenarios run on race-recording contexts
@@ -478,12 +477,8 @@ fn main() {
                 i += 1;
                 out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
             }
-            // The report carries no wall-clock numbers (the recorder
-            // overhead lives in cl-bench), so it is deterministic with or
-            // without --stable; accepted for CI symmetry with cl-flow.
-            "--stable" => {}
             "--help" | "-h" => {
-                println!("usage: cl-race [--workers W] [--seed S] [--out DIR] [--stable]");
+                println!("usage: cl-race [--workers W] [--seed S] [--out DIR]");
                 return;
             }
             other => {

@@ -1,13 +1,12 @@
 //! `cl-sched` — randomized out-of-order scheduler fuzz + oracle validation.
 //!
 //! ```text
-//! cl-sched [--dags N] [--bug-reps N] [--seed S] [--out DIR] [--stable]
+//! cl-sched [--dags N] [--bug-reps N] [--seed S] [--out DIR]
 //!
 //!   --dags N      random DAG replays per device config (default: 60)
 //!   --bug-reps N  repetitions of each seeded-bug scenario (default: 3)
 //!   --seed S      base PRNG seed for DAG generation (default: 11)
 //!   --out DIR     output directory for sched.md (default: results)
-//!   --stable      accepted for CI symmetry; the report is deterministic
 //! ```
 //!
 //! Three experiments, any failure exits nonzero:
@@ -443,11 +442,8 @@ fn main() {
                 i += 1;
                 out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
             }
-            "--stable" => {}
             "--help" | "-h" => {
-                println!(
-                    "usage: cl-sched [--dags N] [--bug-reps N] [--seed S] [--out DIR] [--stable]"
-                );
+                println!("usage: cl-sched [--dags N] [--bug-reps N] [--seed S] [--out DIR]");
                 return;
             }
             other => {

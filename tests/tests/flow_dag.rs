@@ -1,5 +1,5 @@
-//! Static command DAG vs observed execution (DESIGN.md §11): on a queue
-//! that both records (`cl-flow`) and traces (`cl-trace`), the span log's
+//! Static command DAG vs observed execution (DESIGN.md §11): on a traced
+//! queue (`cl-trace`) of a recording context (`cl-flow`), the span log's
 //! completion order must be a linearization of the static dependence
 //! edges — on every device kind. Launch and transfer flow commands map
 //! 1:1, in order, onto `Launch`/`Transfer` spans (the blocking queue
@@ -7,21 +7,39 @@
 //! on the native device the wall-clock timestamps themselves must respect
 //! every proven edge.
 
-use cl_analyze::flow::{FlowCommand, FlowOp, HazardKind};
+use cl_analyze::flow::{analyze_flow, FlowAnalysis, FlowCommand, FlowOp, HazardKind};
 use cl_analyze::Verdict;
 use cl_kernels::apps::square::Square;
 use cl_kernels::apps::vectoradd::VectorAdd;
 use integration_tests::all_ctxs;
-use ocl_rt::{Context, MemFlags, NDRange, QueueConfig, Span, SpanKind};
+use ocl_rt::{
+    CommandQueue, Context, ContextConfig, MemFlags, NDRange, QueueConfig, Span, SpanKind,
+};
 
 const N: usize = 2048;
 
-fn recording_traced(ctx: &Context) -> ocl_rt::CommandQueue {
-    ctx.queue_with(QueueConfig::default().recording(true).tracing(true))
+/// A recording context on `ctx`'s device and a traced queue of it.
+fn recording_traced(ctx: &Context) -> (Context, CommandQueue) {
+    let rctx = Context::new_with(
+        ctx.device().clone(),
+        ContextConfig::default().race_recording(true),
+    );
+    let q = rctx.queue_with(QueueConfig::default().tracing(true));
+    (rctx, q)
+}
+
+/// `q`'s commands in the context's log, and their flow analysis.
+fn recorded(ctx: &Context, q: &CommandQueue) -> (Vec<FlowCommand>, FlowAnalysis) {
+    let cmds = ctx
+        .race()
+        .expect("recording context")
+        .queue_commands(q.id());
+    let analysis = analyze_flow(&cmds);
+    (cmds, analysis)
 }
 
 /// The spans observable commands produce, in completion order.
-fn command_spans(q: &ocl_rt::CommandQueue) -> Vec<Span> {
+fn command_spans(q: &CommandQueue) -> Vec<Span> {
     q.trace()
         .expect("tracing enabled")
         .spans()
@@ -37,8 +55,8 @@ fn command_spans(q: &ocl_rt::CommandQueue) -> Vec<Span> {
 fn check_linearization(
     device: &str,
     cmds: &[FlowCommand],
+    analysis: &FlowAnalysis,
     spans: &[Span],
-    q: &ocl_rt::CommandQueue,
 ) {
     assert_eq!(
         spans.len(),
@@ -54,7 +72,6 @@ fn check_linearization(
             _ => assert_eq!(s.kind, SpanKind::Transfer, "{device}: command {i}"),
         }
     }
-    let analysis = q.flow().unwrap().analyze();
     for e in &analysis.edges {
         // Spans sit at the same indices as their commands, so an edge is
         // linearized iff its span positions are ordered.
@@ -94,7 +111,7 @@ fn check_linearization(
 #[test]
 fn chain_completion_order_linearizes_static_edges_on_every_device() {
     for (name, ctx) in all_ctxs() {
-        let q = recording_traced(&ctx);
+        let (ctx, q) = recording_traced(&ctx);
         let ha: Vec<f32> = (0..N).map(|i| i as f32 * 0.5 - 100.0).collect();
         let hb: Vec<f32> = (0..N).map(|i| 200.0 - i as f32).collect();
         let a = ctx.buffer::<f32>(MemFlags::READ_ONLY, N).unwrap();
@@ -133,9 +150,7 @@ fn chain_completion_order_linearizes_static_edges_on_every_device() {
             "{name}: chain results"
         );
 
-        let flow = q.flow().unwrap();
-        let cmds = flow.commands();
-        let analysis = flow.analyze();
+        let (cmds, analysis) = recorded(&ctx, &q);
         assert!(
             !analysis.has_violations(),
             "{name}: {:?}",
@@ -148,7 +163,7 @@ fn chain_completion_order_linearizes_static_edges_on_every_device() {
                 .any(|e| e.kind == HazardKind::Raw && e.verdict == Verdict::Proven),
             "{name}: chain RAW not proven"
         );
-        check_linearization(name, &cmds, &command_spans(&q), &q);
+        check_linearization(name, &cmds, &analysis, &command_spans(&q));
     }
 }
 
@@ -175,7 +190,7 @@ impl XorShift {
 fn shuffled_independent_chains_stay_linearized_on_every_device() {
     for (name, ctx) in all_ctxs() {
         for seed in 1..=3u64 {
-            let q = recording_traced(&ctx);
+            let (ctx, q) = recording_traced(&ctx);
             let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let hosts: Vec<Vec<f32>> = (0..3)
                 .map(|k| (0..N).map(|i| (i + k) as f32 * 0.25 - 50.0).collect())
@@ -222,9 +237,7 @@ fn shuffled_independent_chains_stay_linearized_on_every_device() {
                 );
             }
 
-            let flow = q.flow().unwrap();
-            let cmds = flow.commands();
-            let analysis = flow.analyze();
+            let (cmds, analysis) = recorded(&ctx, &q);
             assert!(
                 !analysis.has_violations(),
                 "{name} seed {seed}: {:?}",
@@ -247,7 +260,7 @@ fn shuffled_independent_chains_stay_linearized_on_every_device() {
                 [2, 2, 2],
                 "{name} seed {seed}: each chain proves both RAW links"
             );
-            check_linearization(name, &cmds, &command_spans(&q), &q);
+            check_linearization(name, &cmds, &analysis, &command_spans(&q));
         }
     }
 }
