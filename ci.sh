@@ -22,7 +22,9 @@
 #   test-release  the integration tests again in the release profile, with
 #                 the same table (release-only defaults such as coarse
 #                 faulting-gid reports get exercised)
-#   lint          cl-lint --deny-warnings (regenerates results/lint.md)
+#   lint          cl-lint --deny-warnings (regenerates results/lint.md), then
+#                 the knob census: every CL_* name README.md or DESIGN.md
+#                 documents must be read by the code
 #   chaos         cl-chaos 25-round fault-injection soak -> target/ci-chaos
 #   trace         cl-trace --stable --workers 2 (regenerates results/trace.md)
 #   traced-chaos  CL_TRACE=1 soak; asserts target/chaos-traced/chaos-trace.json
@@ -160,7 +162,31 @@ test_table() {
     ' "$1"
 }
 
-stage_lint() { cargo run --release --quiet --bin cl-lint -- --deny-warnings; }
+stage_lint() {
+    cargo run --release --quiet --bin cl-lint -- --deny-warnings
+    knob_census
+}
+
+# OpenCL API names the docs cite; they name no knob of this runtime.
+OPENCL_NAMES="CL_MEM_READ_ONLY CL_OUT_OF_RESOURCES CL_QUEUE_OUT_OF_ORDER_EXEC_MODE"
+
+# knob_census — fail when README.md or DESIGN.md documents a CL_* name that
+# no string literal in the Rust sources under crates/, tests/ or examples/
+# reads: a documented knob must have a reader. Prints the count of names the
+# code reads.
+knob_census() {
+    local read documented missing
+    read=$(grep -rhoE --include='*.rs' '"CL_[A-Z_]+"' crates tests examples | tr -d '"' | sort -u)
+    documented=$(grep -ohE '\bCL_[A-Z_]+' README.md DESIGN.md | sort -u |
+        grep -vxF -f <(tr ' ' '\n' <<<"$OPENCL_NAMES") || true)
+    missing=$(comm -13 <(echo "$read") <(echo "$documented"))
+    echo "knob census: $(grep -c . <<<"$read") CL_* names read by the code," \
+        "$(grep -c . <<<"$documented") documented"
+    if [[ -n "$missing" ]]; then
+        echo "documented but read by no code:" $missing >&2
+        return 1
+    fi
+}
 
 # Soak output goes to target/, not results/: its report carries wall-clock
 # and geometry noise, while results/ holds only committed deterministic

@@ -66,16 +66,14 @@ pub struct QueueConfig {
     /// Workgroup-fusion (thread-coarsening) policy for native dispatch; see
     /// [`CoarsenMode`]. [`QueueConfig::from_env`] reads `CL_COARSEN`.
     pub coarsen: CoarsenMode,
-    /// Online autotuning of NULL-local launches: consult the shared
-    /// per-process [`cl_tune::Tuner`] for (workgroup size, chunk factor)
-    /// instead of the fixed heuristic. Explicit local sizes and
-    /// [`CoarsenMode::Force`] bypass the tuner; converged decisions ride
-    /// the enqueue-plan cache, so the steady-state hot path is unchanged.
-    /// Off by default; [`QueueConfig::from_env`] reads `CL_TUNE`.
-    pub tune: bool,
-    /// Use this tuner instance instead of the process-global one (tests and
-    /// harnesses inject isolated tuners with private cache files). Implies
-    /// tuning regardless of [`QueueConfig::tune`].
+    /// Online autotuning of NULL-local launches: consult this
+    /// [`cl_tune::Tuner`] for (workgroup size, chunk factor) instead of the
+    /// fixed heuristic. Explicit local sizes and [`CoarsenMode::Force`]
+    /// bypass the tuner; converged decisions ride the enqueue-plan cache,
+    /// so the steady-state hot path is unchanged. `None` by default;
+    /// [`QueueConfig::from_env`] maps `CL_TUNE` to the shared
+    /// [`cl_tune::Tuner::process`] instance, and tests inject isolated
+    /// tuners with private cache files.
     pub tuner: Option<Arc<cl_tune::Tuner>>,
 }
 
@@ -129,9 +127,10 @@ impl QueueConfig {
 
     /// The configuration [`QueueConfig::from_env`] builds when `var` gives
     /// each variable's value: `CL_LAUNCH_TIMEOUT_MS`, `CL_TRACE`, `CL_OOO`,
-    /// `CL_COARSEN` and `CL_TUNE`. Flags are on for `1` or `true`. Tests
-    /// pass a map here instead of setting process-wide variables that
-    /// sibling tests would read mid-run.
+    /// `CL_COARSEN` and `CL_TUNE` (on: the shared
+    /// [`cl_tune::Tuner::process`] instance). Flags are on for `1` or
+    /// `true`. Tests pass a map here instead of setting process-wide
+    /// variables that sibling tests would read mid-run.
     pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
         let launch_timeout = var("CL_LAUNCH_TIMEOUT_MS")
             .and_then(|v| v.trim().parse::<u64>().ok())
@@ -149,8 +148,7 @@ impl QueueConfig {
             out_of_order: on("CL_OOO"),
             sched_bug: None,
             coarsen: CoarsenMode::from_env_value(var("CL_COARSEN").as_deref()),
-            tune: on("CL_TUNE"),
-            tuner: None,
+            tuner: on("CL_TUNE").then(|| Arc::clone(cl_tune::Tuner::process())),
         }
     }
 
@@ -185,14 +183,8 @@ impl QueueConfig {
         self
     }
 
-    /// Enable or disable online autotuning of NULL-local launches.
-    pub fn tune(mut self, on: bool) -> Self {
-        self.tune = on;
-        self
-    }
-
-    /// Tune against this specific [`cl_tune::Tuner`] instead of the
-    /// process-global one.
+    /// Tune NULL-local launches against this [`cl_tune::Tuner`] (pass
+    /// [`cl_tune::Tuner::process`] for the shared per-process one).
     pub fn tuner(mut self, tuner: Arc<cl_tune::Tuner>) -> Self {
         self.tuner = Some(tuner);
         self
@@ -260,10 +252,6 @@ pub struct CommandQueue {
     /// The pending-DAG scheduler; allocated iff `cfg.out_of_order`, shared
     /// by clones like the logs.
     sched: Option<Arc<Scheduler>>,
-    /// The tuner consulted for NULL-local launches: the injected instance,
-    /// or the process-global one when `cfg.tune` is set. `None` (the
-    /// default) leaves every enqueue on the fixed heuristic.
-    tuner: Option<Arc<cl_tune::Tuner>>,
 }
 
 impl CommandQueue {
@@ -281,10 +269,6 @@ impl CommandQueue {
                 race.is_some(),
             ))
         });
-        let tuner = cfg
-            .tuner
-            .clone()
-            .or_else(|| cfg.tune.then(|| Arc::clone(cl_tune::Tuner::process())));
         CommandQueue {
             ctx,
             cfg,
@@ -294,7 +278,6 @@ impl CommandQueue {
             seq: Arc::new(AtomicU64::new(0)),
             plans: Arc::new(Mutex::new(Vec::new())),
             sched,
-            tuner,
         }
     }
 
@@ -363,11 +346,10 @@ impl CommandQueue {
         self.trace.as_ref()
     }
 
-    /// The tuner this queue consults for NULL-local launches, when tuning
-    /// is enabled ([`QueueConfig::tune`] / `CL_TUNE=1`, or an injected
-    /// [`QueueConfig::tuner`]).
+    /// The tuner this queue consults for NULL-local launches
+    /// ([`QueueConfig::tuner`]; `CL_TUNE=1` sets the process tuner).
     pub fn tuner(&self) -> Option<&Arc<cl_tune::Tuner>> {
-        self.tuner.as_ref()
+        self.cfg.tuner.as_ref()
     }
 
     fn check_ctx<T: Pod>(&self, buf: &Buffer<T>) -> Result<(), ClError> {
@@ -399,7 +381,7 @@ impl CommandQueue {
             return Ok((plan, None));
         }
         let device = self.ctx.device();
-        let tuner = self.tuner.as_ref().filter(|_| {
+        let tuner = self.cfg.tuner.as_ref().filter(|_| {
             self.sched.is_none()
                 && range.local().is_none()
                 && !matches!(self.cfg.coarsen, CoarsenMode::Force(_))
@@ -520,7 +502,7 @@ impl CommandQueue {
         // profiling timestamps; modeled time on modeled devices) back to the
         // bandit. Failed launches return above and are never observed, so a
         // faulting config cannot win on a short bogus time.
-        if let (Some((key, tcfg)), Some(tuner)) = (trial, &self.tuner) {
+        if let (Some((key, tcfg)), Some(tuner)) = (trial, &self.cfg.tuner) {
             let ns = ev
                 .profiling
                 .completed_ns

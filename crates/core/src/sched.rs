@@ -31,7 +31,7 @@
 //! notified, so a correct scheduler can never violate it; the seeded
 //! [`SchedBug`]s exist to prove the oracle catches a scheduler that can.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -64,7 +64,7 @@ pub enum EventStatus {
 }
 
 enum Waiter {
-    /// A scheduler node (`node index` in that scheduler) waiting on this
+    /// A scheduler node (`node id` in that scheduler) waiting on this
     /// event. Fired once at completion with the outcome. The strong handle
     /// keeps the scheduler alive while the node waits, so releasing every
     /// handle to its queue does not abandon the command (as OpenCL keeps
@@ -490,24 +490,19 @@ pub(crate) enum Dispatch {
     Thread,
 }
 
-struct Node {
-    event: EventRef,
+/// What a submitted command touches, as hazard inference sees it.
+struct Footprint {
     /// Flow footprint used to auto-infer hazards against later submits
     /// (`None` for markers/barriers — they order via wait lists only).
     cmd: Option<FlowCommand>,
     /// No usable footprint (kernel publishes no bindings): conservatively
     /// conflicts with every other command.
     conservative: bool,
-    deps_remaining: usize,
-    failed_dep: Option<ClError>,
-    work: Option<Work>,
-    dispatch: Dispatch,
-    dispatched: bool,
 }
 
-impl Node {
+impl Footprint {
     /// Whether a command with footprint `cmd` (`None`: a marker or barrier)
-    /// must order after this node: either side has no usable footprint
+    /// must order after this one: either side has no usable footprint
     /// (`conservative`), or `classify_pair` finds a hazard between them.
     fn conflicts_with(&self, cmd: Option<&FlowCommand>, conservative: bool) -> bool {
         if conservative || self.conservative {
@@ -520,13 +515,59 @@ impl Node {
     }
 }
 
+struct Node {
+    /// Scheduler-local id, the key [`Waiter::Node`] carries.
+    id: usize,
+    event: EventRef,
+    footprint: Footprint,
+    deps_remaining: usize,
+    failed_dep: Option<ClError>,
+    work: Option<Work>,
+    dispatch: Dispatch,
+    dispatched: bool,
+    /// Completed; the next [`SchedState::sweep`] removes the node.
+    finished: bool,
+}
+
 struct SchedState {
+    /// Nodes by id, in submission order: the auto-inference window. The
+    /// pool worker that completes a node only marks it `finished`; the
+    /// next `submit`, `finish` or `conflicting_events` on the host sweeps
+    /// it out (`submit` frees what it swept after releasing the lock). The
+    /// table never outgrows the pending window, and no worker frees a node
+    /// under the lock the submit path waits on.
     nodes: Vec<Node>,
-    /// Indices of not-yet-completed nodes (the auto-inference window).
-    live: Vec<usize>,
-    pending: usize,
-    /// Index of the most recent barrier; later submits depend on it.
-    barrier: Option<usize>,
+    /// Id the next submitted node gets.
+    next_id: usize,
+    /// `(queue, seq)` and footprint of completed nodes by id, kept only
+    /// under `hb_retired`.
+    retired: BTreeMap<usize, (u64, u64, Footprint)>,
+    /// The most recent barrier; later submits depend on it.
+    barrier: Option<EventRef>,
+}
+
+impl SchedState {
+    /// Node `id`, or `None` once it has been swept. `nodes` is sorted by
+    /// id: ids are handed out in submission order.
+    fn node_mut(&mut self, id: usize) -> Option<&mut Node> {
+        let i = self.nodes.binary_search_by_key(&id, |n| n.id).ok()?;
+        Some(&mut self.nodes[i])
+    }
+
+    /// Remove the finished nodes. With `keep_retired` each one's `(queue,
+    /// seq, footprint)` moves to `retired`; otherwise they are returned, for
+    /// the caller to drop after releasing the lock.
+    #[must_use]
+    fn sweep(&mut self, keep_retired: bool) -> Vec<Node> {
+        let mut swept: Vec<Node> = self.nodes.extract_if(.., |n| n.finished).collect();
+        if keep_retired {
+            for n in swept.drain(..) {
+                let r = (n.event.queue_id(), n.event.seq(), n.footprint);
+                self.retired.insert(n.id, r);
+            }
+        }
+        swept
+    }
 }
 
 /// Per-queue scheduler: owns the pending DAG and dispatches ready nodes
@@ -537,10 +578,11 @@ pub(crate) struct Scheduler {
     cv: Condvar,
     bug: Option<SchedBug>,
     bug_used: AtomicU64,
-    /// With race recording on, `submit` also scans *retired* nodes for
-    /// conflicts so the happens-before log sees completion-before-submit
-    /// orderings the live window cannot express. Off by default: the scan
-    /// is O(history) per submit and only the race layer consumes it.
+    /// With race recording on, completed nodes stay in
+    /// [`SchedState::retired`] and `submit` scans them for conflicts, so
+    /// the happens-before log sees completion-before-submit orderings the
+    /// live window cannot express. Off by default: the scan is O(history)
+    /// per submit and only the race layer consumes it.
     hb_retired: bool,
 }
 
@@ -550,8 +592,8 @@ impl Scheduler {
             pool,
             state: Mutex::new(SchedState {
                 nodes: Vec::new(),
-                live: Vec::new(),
-                pending: 0,
+                next_id: 0,
+                retired: BTreeMap::new(),
                 barrier: None,
             }),
             cv: Condvar::new(),
@@ -604,29 +646,31 @@ impl Scheduler {
             }
         }
         let idx;
+        let swept;
         let mut retired_waits: Vec<(u64, u64)> = Vec::new();
         {
             let mut st = self.state.lock();
-            idx = st.nodes.len();
+            swept = st.sweep(self.hb_retired);
+            idx = st.next_id;
+            st.next_id += 1;
             if wait_all_pending {
-                for &li in &st.live {
-                    let e = &st.nodes[li].event;
-                    if seen.insert(e.id()) {
-                        deps.push(e.clone());
+                for n in &st.nodes {
+                    if seen.insert(n.event.id()) {
+                        deps.push(n.event.clone());
                     }
                 }
             } else {
                 // Auto-infer hazards against the pending window.
-                for &li in &st.live {
-                    let n = &st.nodes[li];
-                    if n.conflicts_with(cmd.as_ref(), conservative) && seen.insert(n.event.id()) {
+                for n in &st.nodes {
+                    if n.footprint.conflicts_with(cmd.as_ref(), conservative)
+                        && seen.insert(n.event.id())
+                    {
                         deps.push(n.event.clone());
                     }
                 }
-                if let Some(b) = st.barrier {
-                    let e = &st.nodes[b].event;
-                    if seen.insert(e.id()) {
-                        deps.push(e.clone());
+                if let Some(b) = &st.barrier {
+                    if seen.insert(b.id()) {
+                        deps.push(b.clone());
                     }
                 }
                 if self.hb_retired {
@@ -636,38 +680,34 @@ impl Scheduler {
                     // (completion-before-submission) and the race log's
                     // out-of-order records carry no program order, so it
                     // must be spelled out as a wait edge. The retired
-                    // node's HbRecord is pushed before it leaves `live`,
-                    // so the edge always points forward in the log.
-                    let live: HashSet<usize> = st.live.iter().copied().collect();
-                    for (ni, n) in st.nodes.iter().enumerate() {
-                        if live.contains(&ni) || n.event.queue_id() == 0 {
-                            continue;
-                        }
-                        if n.conflicts_with(cmd.as_ref(), conservative) {
-                            retired_waits.push((n.event.queue_id(), n.event.seq()));
+                    // node's HbRecord is pushed before it leaves the
+                    // window, so the edge always points forward in the log.
+                    for (queue, seq, f) in st.retired.values() {
+                        if f.conflicts_with(cmd.as_ref(), conservative) {
+                            retired_waits.push((*queue, *seq));
                         }
                     }
                 }
             }
             if is_barrier {
-                st.barrier = Some(idx);
+                st.barrier = Some(event.clone());
             }
             if !deps.is_empty() && self.arm(SchedBug::DropEdge) {
                 deps.pop();
             }
             st.nodes.push(Node {
+                id: idx,
                 event: event.clone(),
-                cmd,
-                conservative,
+                footprint: Footprint { cmd, conservative },
                 deps_remaining: deps.len(),
                 failed_dep: None,
                 work: Some(work),
                 dispatch,
                 dispatched: false,
+                finished: false,
             });
-            st.live.push(idx);
-            st.pending += 1;
         }
+        drop(swept);
         // Record dependency links on the fresh event (cycle detection for
         // user events routed through queue commands).
         {
@@ -706,20 +746,23 @@ impl Scheduler {
     }
 
     /// A dependency of node `idx` completed (with `err` if it failed).
+    /// No-op once the node itself has completed (a seeded premature
+    /// dispatch can finish it before its dependencies do).
     fn dep_done(self: &Arc<Self>, idx: usize, err: Option<ClError>) {
-        let ready = {
+        let failed = {
             let mut st = self.state.lock();
-            let n = &mut st.nodes[idx];
+            let Some(n) = st.node_mut(idx) else {
+                return;
+            };
             if let Some(e) = err {
                 n.failed_dep.get_or_insert(e);
             }
             n.deps_remaining -= 1;
-            n.deps_remaining == 0 && !n.dispatched
+            if n.deps_remaining > 0 || n.dispatched {
+                return;
+            }
+            n.failed_dep.clone()
         };
-        if !ready {
-            return;
-        }
-        let failed = self.state.lock().nodes[idx].failed_dep.clone();
         match failed {
             Some(e) => self.fail_undispatched(idx, e),
             None => self.dispatch(idx),
@@ -727,11 +770,14 @@ impl Scheduler {
     }
 
     /// Fail a not-yet-dispatched node without running its work (dependency
-    /// failure or finish-watchdog). No-op if it was already dispatched.
+    /// failure or finish-watchdog). No-op if it was already dispatched or
+    /// has completed.
     fn fail_undispatched(self: &Arc<Self>, idx: usize, source: ClError) {
         let label = {
             let mut st = self.state.lock();
-            let n = &mut st.nodes[idx];
+            let Some(n) = st.node_mut(idx) else {
+                return;
+            };
             if n.dispatched {
                 return;
             }
@@ -749,11 +795,14 @@ impl Scheduler {
     }
 
     /// Run a ready node's work: on the pool, or on a dedicated thread for
-    /// deadline-armed launches (see [`Dispatch`]).
+    /// deadline-armed launches (see [`Dispatch`]). No-op if it was already
+    /// dispatched or has completed.
     fn dispatch(self: &Arc<Self>, idx: usize) {
         let (work, how) = {
             let mut st = self.state.lock();
-            let n = &mut st.nodes[idx];
+            let Some(n) = st.node_mut(idx) else {
+                return;
+            };
             if n.dispatched {
                 return;
             }
@@ -795,9 +844,11 @@ impl Scheduler {
     }
 
     /// Complete node `idx`: stamp the event (which cascades to dependents)
-    /// and retire it from the pending window.
+    /// and mark the node finished, retiring it from the pending window.
     fn finish_node(self: &Arc<Self>, idx: usize, res: Result<Event, ClError>) {
-        let event = self.state.lock().nodes[idx].event.clone();
+        let Some(event) = self.state.lock().node_mut(idx).map(|n| n.event.clone()) else {
+            return;
+        };
         let notify = !self.arm(SchedBug::LostWakeup);
         if self.arm(SchedBug::DoubleDispatch) {
             event.core.complete(res.clone(), notify);
@@ -807,8 +858,9 @@ impl Scheduler {
         event.core.complete(res, notify);
         {
             let mut st = self.state.lock();
-            st.pending -= 1;
-            st.live.retain(|&i| i != idx);
+            if let Some(n) = st.node_mut(idx) {
+                n.finished = true;
+            }
         }
         self.cv.notify_all();
     }
@@ -817,13 +869,17 @@ impl Scheduler {
     /// set a blocking (in-order) operation on the queue must drain before it
     /// can touch the buffers. Independent pending commands keep running.
     pub(crate) fn conflicting_events(&self, cmd: &FlowCommand) -> Vec<EventRef> {
-        let st = self.state.lock();
-        st.live
+        let mut st = self.state.lock();
+        let swept = st.sweep(self.hb_retired);
+        let events = st
+            .nodes
             .iter()
-            .map(|&li| &st.nodes[li])
-            .filter(|n| n.conflicts_with(Some(cmd), false))
+            .filter(|n| n.footprint.conflicts_with(Some(cmd), false))
             .map(|n| n.event.clone())
-            .collect()
+            .collect();
+        drop(st);
+        drop(swept);
+        events
     }
 
     /// Drain the DAG (`clFinish` analog). With a timeout, still-pending
@@ -837,7 +893,10 @@ impl Scheduler {
         loop {
             let stuck = {
                 let mut st = self.state.lock();
-                if st.pending == 0 {
+                let swept = st.sweep(self.hb_retired);
+                if st.nodes.is_empty() {
+                    drop(st);
+                    drop(swept);
                     return Ok(());
                 }
                 match deadline {
@@ -852,11 +911,11 @@ impl Scheduler {
                             continue;
                         }
                         (
-                            st.pending,
-                            st.live
+                            st.nodes.len(),
+                            st.nodes
                                 .iter()
-                                .copied()
-                                .filter(|&i| !st.nodes[i].dispatched)
+                                .filter(|n| !n.dispatched)
+                                .map(|n| n.id)
                                 .collect::<Vec<_>>(),
                         )
                     }
@@ -988,6 +1047,38 @@ mod tests {
             .complete(Ok(Event::new(CommandKind::UserEvent, 0.0, false)), true);
         let v = check_linearization(&[a], &[]);
         assert!(v.iter().any(|m| m.contains("completed 2 times")), "{v:?}");
+    }
+
+    /// A completed node leaves the table: after 1 000 independent submits
+    /// drain, the scheduler holds nothing, so neither memory nor the
+    /// per-submit scans grow with the queue's history.
+    #[test]
+    fn finished_nodes_leave_the_table() {
+        let pool = Arc::new(ThreadPool::new(cl_pool::PoolConfig::default().workers(2)).unwrap());
+        let sched = Arc::new(Scheduler::new(pool, None, false));
+        let waits = Mutex::new(Vec::new());
+        for seq in 0..1000 {
+            let work: Work = Box::new(|| Ok(Event::new(CommandKind::Marker, 0.0, false)));
+            sched
+                .submit(
+                    "marker",
+                    1,
+                    seq,
+                    None,
+                    false,
+                    &[],
+                    false,
+                    false,
+                    Dispatch::Pool,
+                    work,
+                    &waits,
+                )
+                .unwrap();
+        }
+        sched.finish(None).unwrap();
+        let st = sched.state.lock();
+        assert_eq!(st.nodes.len(), 0);
+        assert!(st.retired.is_empty());
     }
 
     /// `cl-sched` keys its report rows by bug name.

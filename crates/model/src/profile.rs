@@ -106,12 +106,6 @@ impl KernelProfile {
         self
     }
 
-    /// Set the number of critical-path loads per workitem.
-    pub fn with_dependent_loads(mut self, loads: f64) -> Self {
-        self.dependent_loads = loads;
-        self
-    }
-
     /// The profile of a workitem that executes `k` original workitems in an
     /// internal loop (workitem coalescing). Work scales by `k`; the chain
     /// also scales by `k` because loop iterations execute back-to-back in

@@ -5,10 +5,11 @@
 //! run on this pool, so that differences measured between the two programming
 //! models come from the models themselves, not from two unrelated schedulers.
 //!
-//! The pool is deliberately *observable*: it counts tasks, steals, parks and
-//! (optionally) per-task dispatch latency, because per-workgroup scheduling
-//! overhead is one of the quantities the reproduced paper measures
-//! (Section III-B, Figures 1-5).
+//! The pool is deliberately *observable*: it counts tasks, steals, parks,
+//! unparks and faults, because per-workgroup scheduling overhead is one of
+//! the quantities the reproduced paper measures (Section III-B,
+//! Figures 1-5). Dispatch latency itself is read from launch events'
+//! profiling timestamps, not sampled per task.
 //!
 //! ## Design
 //!

@@ -2,11 +2,9 @@
 //!
 //! The paper's central CPU-side claim is that *per-workgroup scheduling
 //! overhead dominates when workgroups are small* (Section III-B). To verify
-//! that claim rather than assume it, the pool counts every dispatch event and
-//! can sample the queue-to-start latency of tasks.
+//! that claim rather than assume it, the pool counts every dispatch event.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Monotonic counters maintained by the pool. All counters use relaxed
 /// atomics: they are statistics, not synchronization.
@@ -28,10 +26,6 @@ pub struct PoolMetrics {
     pub workers_lost: AtomicU64,
     /// Workers respawned by `ThreadPool::recover`.
     pub workers_respawned: AtomicU64,
-    /// Sum of sampled queue→start latency, in nanoseconds.
-    pub dispatch_latency_ns: AtomicU64,
-    /// Number of latency samples contributing to `dispatch_latency_ns`.
-    pub dispatch_samples: AtomicU64,
 }
 
 impl PoolMetrics {
@@ -67,12 +61,6 @@ impl PoolMetrics {
         self.workers_respawned.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_latency(&self, latency: Duration) {
-        self.dispatch_latency_ns
-            .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
-        self.dispatch_samples.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Consistent-enough point-in-time copy of the counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -84,8 +72,6 @@ impl PoolMetrics {
             panics: self.panics.load(Ordering::Relaxed),
             workers_lost: self.workers_lost.load(Ordering::Relaxed),
             workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            dispatch_latency_ns: self.dispatch_latency_ns.load(Ordering::Relaxed),
-            dispatch_samples: self.dispatch_samples.load(Ordering::Relaxed),
         }
     }
 }
@@ -101,19 +87,9 @@ pub struct MetricsSnapshot {
     pub panics: u64,
     pub workers_lost: u64,
     pub workers_respawned: u64,
-    pub dispatch_latency_ns: u64,
-    pub dispatch_samples: u64,
 }
 
 impl MetricsSnapshot {
-    /// Average queue→start dispatch latency over the sampled tasks, or zero
-    /// if sampling was off.
-    pub fn mean_dispatch_latency(&self) -> Duration {
-        self.dispatch_latency_ns
-            .checked_div(self.dispatch_samples)
-            .map_or(Duration::ZERO, Duration::from_nanos)
-    }
-
     /// Counter-wise difference `self - earlier`, for measuring one experiment
     /// window on a shared pool.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
@@ -126,8 +102,6 @@ impl MetricsSnapshot {
             panics: self.panics - earlier.panics,
             workers_lost: self.workers_lost - earlier.workers_lost,
             workers_respawned: self.workers_respawned - earlier.workers_respawned,
-            dispatch_latency_ns: self.dispatch_latency_ns - earlier.dispatch_latency_ns,
-            dispatch_samples: self.dispatch_samples - earlier.dispatch_samples,
         }
     }
 }
@@ -148,23 +122,6 @@ mod tests {
         assert_eq!(s.tasks_stolen, 1);
         assert_eq!(s.parks, 1);
         assert_eq!(s.panics, 0);
-    }
-
-    #[test]
-    fn mean_latency_handles_zero_samples() {
-        let s = MetricsSnapshot::default();
-        assert_eq!(s.mean_dispatch_latency(), Duration::ZERO);
-    }
-
-    #[test]
-    fn mean_latency_averages() {
-        let m = PoolMetrics::default();
-        m.record_latency(Duration::from_nanos(100));
-        m.record_latency(Duration::from_nanos(300));
-        assert_eq!(
-            m.snapshot().mean_dispatch_latency(),
-            Duration::from_nanos(200)
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cl_util::sync::{Condvar, Mutex};
 
@@ -24,11 +24,7 @@ pub(crate) enum ExecOutcome {
 }
 
 /// A unit of work queued on the pool.
-pub(crate) struct Task {
-    pub(crate) job: Box<dyn FnOnce() + Send + 'static>,
-    /// Set when latency sampling is enabled; measured at execution start.
-    pub(crate) enqueued: Option<Instant>,
-}
+pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// Configuration for [`ThreadPool::new`].
 #[derive(Debug, Clone)]
@@ -37,13 +33,8 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Core-binding policy for workers.
     pub pin: PinPolicy,
-    /// Sample per-task queue→start dispatch latency (adds one `Instant::now`
-    /// per submission and one per execution).
-    pub sample_latency: bool,
     /// Prefix for worker thread names.
     pub name_prefix: String,
-    /// How many times a worker polls for work before parking.
-    pub spin_tries: u32,
 }
 
 impl Default for PoolConfig {
@@ -51,9 +42,7 @@ impl Default for PoolConfig {
         PoolConfig {
             workers: available_cores(),
             pin: PinPolicy::None,
-            sample_latency: false,
             name_prefix: "cl-pool".to_string(),
-            spin_tries: 64,
         }
     }
 }
@@ -68,12 +57,6 @@ impl PoolConfig {
     /// Set the pinning policy.
     pub fn pin(mut self, p: PinPolicy) -> Self {
         self.pin = p;
-        self
-    }
-
-    /// Enable dispatch-latency sampling.
-    pub fn sample_latency(mut self, on: bool) -> Self {
-        self.sample_latency = on;
         self
     }
 }
@@ -125,8 +108,6 @@ pub(crate) struct Inner {
     pub(crate) shutdown: AtomicBool,
     pub(crate) metrics: PoolMetrics,
     pub(crate) workers: usize,
-    pub(crate) sample_latency: bool,
-    pub(crate) spin_tries: u32,
     /// Per-worker "retired by a fatal fault" flags, set on the worker's exit
     /// path so `recover` knows exactly which threads to replace.
     pub(crate) dead: Vec<AtomicBool>,
@@ -201,11 +182,7 @@ impl Inner {
     }
 
     pub(crate) fn execute(&self, task: Task) -> ExecOutcome {
-        if let Some(t0) = task.enqueued {
-            self.metrics.record_latency(t0.elapsed());
-        }
-        let job = task.job;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
         self.metrics.record_exec();
         match result {
             Ok(()) => ExecOutcome::Done,
@@ -237,7 +214,6 @@ impl Inner {
 pub struct ThreadPool {
     pub(crate) inner: Arc<Inner>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    pin: PinPolicy,
     /// Resolved core assignment per worker id, kept so `recover` re-pins
     /// replacement threads exactly like the originals.
     cores: Vec<Option<usize>>,
@@ -262,8 +238,6 @@ impl ThreadPool {
             shutdown: AtomicBool::new(false),
             metrics: PoolMetrics::default(),
             workers: cfg.workers,
-            sample_latency: cfg.sample_latency,
-            spin_tries: cfg.spin_tries,
             dead: (0..cfg.workers).map(|_| AtomicBool::new(false)).collect(),
             worker_died: AtomicBool::new(false),
             sink_active: AtomicBool::new(false),
@@ -287,7 +261,6 @@ impl ThreadPool {
         Ok(ThreadPool {
             inner,
             handles: Mutex::new(handles),
-            pin: cfg.pin,
             cores,
             name_prefix: cfg.name_prefix,
         })
@@ -296,11 +269,6 @@ impl ThreadPool {
     /// The number of worker threads.
     pub fn workers(&self) -> usize {
         self.inner.workers
-    }
-
-    /// The pinning policy the pool was built with.
-    pub fn pin_policy(&self) -> &PinPolicy {
-        &self.pin
     }
 
     /// Pool counters.
@@ -324,11 +292,7 @@ impl ThreadPool {
 
     /// Submit a detached `'static` task.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        let enqueued = self.inner.sample_latency.then(Instant::now);
-        self.inner.injector.push(Task {
-            job: Box::new(f),
-            enqueued,
-        });
+        self.inner.injector.push(Box::new(f));
         self.inner.notify_one();
     }
 
@@ -339,14 +303,10 @@ impl ThreadPool {
     where
         F: FnOnce() + Send + 'static,
     {
-        let enqueued = self.inner.sample_latency.then(Instant::now);
         let pushed = self
             .inner
             .injector
-            .push_batch(jobs.into_iter().map(|f| Task {
-                job: Box::new(f),
-                enqueued,
-            }));
+            .push_batch(jobs.into_iter().map(|f| Box::new(f) as Task));
         match pushed {
             0 => {}
             1 => self.inner.notify_one(),
@@ -396,18 +356,6 @@ impl ThreadPool {
                 start = end;
             }
         });
-    }
-
-    /// Block the calling thread until the pool's queues are observed empty.
-    /// Only a quiescence heuristic for tests/metrics; `scope` is the real
-    /// completion mechanism.
-    pub fn wait_idle_hint(&self) {
-        while self
-            .inner
-            .steal_task()
-            .map(|t| self.inner.execute(t))
-            .is_some()
-        {}
     }
 
     /// A process-wide shared pool with default configuration.
@@ -556,6 +504,7 @@ impl Drop for ThreadPool {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
     #[test]
     fn zero_workers_is_an_error() {
@@ -650,14 +599,6 @@ mod tests {
         pool.run_indexed(64, 2, |_| {});
         let snap = pool.metrics().snapshot();
         assert!(snap.tasks_executed >= 4, "{snap:?}");
-    }
-
-    #[test]
-    fn latency_sampling_records_samples() {
-        let pool = ThreadPool::new(PoolConfig::default().workers(2).sample_latency(true)).unwrap();
-        pool.run_indexed(128, 4, |_| {});
-        let snap = pool.metrics().snapshot();
-        assert!(snap.dispatch_samples > 0);
     }
 
     #[test]

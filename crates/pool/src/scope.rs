@@ -12,12 +12,11 @@ use std::mem;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use cl_util::sync::Mutex;
 
 use crate::fault::FatalFault;
-use crate::pool::{Task, ThreadPool};
+use crate::pool::ThreadPool;
 
 struct ScopeState {
     pending: AtomicUsize,
@@ -80,8 +79,7 @@ impl<'scope> Scope<'scope> {
         // SAFETY: the pool pointer is valid for the duration of the scope
         // (it is the pool running the enclosing `scope` call).
         let pool = unsafe { &*self.pool };
-        let enqueued = pool.inner.sample_latency.then(Instant::now);
-        pool.inner.injector.push(Task { job, enqueued });
+        pool.inner.injector.push(job);
         pool.inner.notify_one();
     }
 

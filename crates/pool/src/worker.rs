@@ -11,6 +11,9 @@ use crate::affinity::pin_current_thread;
 use crate::pool::{ExecOutcome, Inner, Task};
 use crate::WorkerId;
 
+/// How many times an idle worker polls for work before parking.
+const SPIN_TRIES: u32 = 64;
+
 thread_local! {
     static WORKER_ID: Cell<Option<WorkerId>> = const { Cell::new(None) };
     static WORKER_CORE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -102,7 +105,7 @@ pub(crate) fn run_worker(
             }
             None => {
                 idle_spins += 1;
-                if idle_spins < inner.spin_tries {
+                if idle_spins < SPIN_TRIES {
                     std::hint::spin_loop();
                     std::thread::yield_now();
                 } else {

@@ -1,13 +1,12 @@
-//! Serving-layer configuration: per-tenant and per-server knobs, each with a
-//! `CL_SERVE_*` environment override (documented in the README table).
+//! Serving-layer configuration: per-tenant and per-server knobs, each set
+//! through a builder on its config struct (listed in the README).
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use crate::backoff::RetryPolicy;
+use ocl_rt::cl_tune::Tuner;
 
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-}
+use crate::backoff::RetryPolicy;
 
 /// Per-tenant quotas, weight, and retry policy.
 #[derive(Debug, Clone)]
@@ -51,41 +50,6 @@ impl Default for TenantConfig {
 }
 
 impl TenantConfig {
-    /// Defaults, overridden by the environment:
-    /// `CL_SERVE_WEIGHT`, `CL_SERVE_MAX_INFLIGHT`,
-    /// `CL_SERVE_MAX_PENDING_BYTES`, `CL_SERVE_RETRIES`,
-    /// `CL_SERVE_BACKOFF_BASE_US`, `CL_SERVE_BACKOFF_CAP_MS`,
-    /// `CL_SERVE_FAULT_BUDGET` (0 disables), `CL_SERVE_OOO` (1 opts the
-    /// tenant queue into out-of-order execution).
-    pub fn from_env() -> Self {
-        let mut c = TenantConfig::default();
-        if let Some(w) = env_parse::<u32>("CL_SERVE_WEIGHT") {
-            c.weight = w.max(1);
-        }
-        if let Some(n) = env_parse::<usize>("CL_SERVE_MAX_INFLIGHT") {
-            c.max_inflight = n.max(1);
-        }
-        if let Some(b) = env_parse::<usize>("CL_SERVE_MAX_PENDING_BYTES") {
-            c.max_pending_bytes = b;
-        }
-        if let Some(r) = env_parse::<u32>("CL_SERVE_RETRIES") {
-            c.retry.max_retries = r;
-        }
-        if let Some(us) = env_parse::<u64>("CL_SERVE_BACKOFF_BASE_US") {
-            c.retry.base = Duration::from_micros(us);
-        }
-        if let Some(ms) = env_parse::<u64>("CL_SERVE_BACKOFF_CAP_MS") {
-            c.retry.cap = Duration::from_millis(ms);
-        }
-        if let Some(n) = env_parse::<u32>("CL_SERVE_FAULT_BUDGET") {
-            c.fault_budget = (n > 0).then_some(n);
-        }
-        if let Some(v) = env_parse::<u8>("CL_SERVE_OOO") {
-            c.out_of_order = v != 0;
-        }
-        c
-    }
-
     /// Set the report label.
     pub fn name(mut self, n: impl Into<String>) -> Self {
         self.name = Some(n.into());
@@ -142,23 +106,18 @@ pub struct ServeConfig {
     pub slots: Option<usize>,
     /// Gate waiting-room capacity; arrivals beyond it shed load.
     pub max_waiting: usize,
-    /// Bound on time parked waiting for a slot; timing out sheds the
-    /// waiter with `Backpressure`. `None` waits indefinitely.
-    pub admit_timeout: Option<Duration>,
     /// Default launch watchdog for tenant queues (per-tenant
     /// [`TenantConfig::launch_timeout`] overrides). The serving layer arms
     /// one by default so a stalled kernel can never pin a gate slot
     /// forever.
     pub launch_timeout: Option<Duration>,
     /// Opt every tenant queue into online autotuning of NULL-local
-    /// launches. Tenants share the per-process `cl_tune::Tuner`, so
-    /// repeated traffic from many clients compounds into one learning
-    /// curve and converged decisions are reused across tenants.
-    pub tune: bool,
-    /// Tune against this specific tuner instead of the process-global one
-    /// (tests inject isolated tuners with private cache files). Implies
-    /// tuning for every tenant regardless of [`ServeConfig::tune`].
-    pub tuner: Option<std::sync::Arc<ocl_rt::cl_tune::Tuner>>,
+    /// launches against this tuner. Tenants share it, so repeated traffic
+    /// from many clients compounds into one learning curve and converged
+    /// decisions are reused across tenants. Pass [`Tuner::process`] for the
+    /// per-process tuner; tests inject isolated tuners with private cache
+    /// files. `None` (the default) leaves tenants on the fixed heuristic.
+    pub tuner: Option<Arc<Tuner>>,
 }
 
 impl Default for ServeConfig {
@@ -166,37 +125,13 @@ impl Default for ServeConfig {
         ServeConfig {
             slots: None,
             max_waiting: 64,
-            admit_timeout: None,
             launch_timeout: Some(Duration::from_secs(30)),
-            tune: false,
             tuner: None,
         }
     }
 }
 
 impl ServeConfig {
-    /// Defaults, overridden by the environment: `CL_SERVE_SLOTS` (0 → one
-    /// per worker), `CL_SERVE_MAX_WAITING`, `CL_SERVE_ADMIT_TIMEOUT_MS`
-    /// (0 → wait indefinitely), `CL_SERVE_TIMEOUT_MS` (0 → no watchdog),
-    /// and `CL_TUNE` (1 opts tenant queues into the process tuner).
-    pub fn from_env() -> Self {
-        let mut c = ServeConfig::default();
-        if let Some(s) = env_parse::<usize>("CL_SERVE_SLOTS") {
-            c.slots = (s > 0).then_some(s);
-        }
-        if let Some(w) = env_parse::<usize>("CL_SERVE_MAX_WAITING") {
-            c.max_waiting = w;
-        }
-        if let Some(ms) = env_parse::<u64>("CL_SERVE_ADMIT_TIMEOUT_MS") {
-            c.admit_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Some(ms) = env_parse::<u64>("CL_SERVE_TIMEOUT_MS") {
-            c.launch_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        c.tune = ocl_rt::cl_tune::Tuner::enabled_from_env();
-        c
-    }
-
     /// Set the gate slot count.
     pub fn slots(mut self, n: usize) -> Self {
         self.slots = Some(n.max(1));
@@ -209,26 +144,14 @@ impl ServeConfig {
         self
     }
 
-    /// Set the admission wait bound.
-    pub fn admit_timeout(mut self, t: Duration) -> Self {
-        self.admit_timeout = Some(t);
-        self
-    }
-
     /// Set the default launch watchdog for tenant queues.
     pub fn launch_timeout(mut self, t: Duration) -> Self {
         self.launch_timeout = Some(t);
         self
     }
 
-    /// Opt tenant queues into online autotuning of NULL-local launches.
-    pub fn tune(mut self, on: bool) -> Self {
-        self.tune = on;
-        self
-    }
-
-    /// Tune tenant queues against this specific tuner instance.
-    pub fn tuner(mut self, tuner: std::sync::Arc<ocl_rt::cl_tune::Tuner>) -> Self {
+    /// Tune tenant queues' NULL-local launches against this tuner.
+    pub fn tuner(mut self, tuner: Arc<Tuner>) -> Self {
         self.tuner = Some(tuner);
         self
     }
@@ -259,16 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn ooo_defaults_off_and_env_opts_in() {
+    fn ooo_defaults_off_and_builder_opts_in() {
         assert!(!TenantConfig::default().out_of_order);
         assert!(TenantConfig::default().out_of_order(true).out_of_order);
-        // Serialized against nothing: this is the only test in the crate
-        // touching CL_SERVE_OOO.
-        std::env::set_var("CL_SERVE_OOO", "1");
-        assert!(TenantConfig::from_env().out_of_order);
-        std::env::set_var("CL_SERVE_OOO", "0");
-        assert!(!TenantConfig::from_env().out_of_order);
-        std::env::remove_var("CL_SERVE_OOO");
-        assert!(!TenantConfig::from_env().out_of_order);
     }
 }

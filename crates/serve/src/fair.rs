@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cl_util::sync::{Condvar, Mutex};
 
@@ -31,8 +31,8 @@ const EVICTED: u8 = 3;
 /// Why [`WeightedGate::acquire`] refused a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcquireError {
-    /// Shed under overload (waiting room full, or the admit timeout
-    /// elapsed). Transient — maps to `ClError::Backpressure`.
+    /// Shed under overload (the waiting room is full). Transient — maps to
+    /// `ClError::Backpressure`.
     Shed,
     /// The lane was evicted before or while waiting. Terminal — maps to
     /// `ClError::TenantEvicted`.
@@ -71,7 +71,6 @@ pub struct WeightedGate {
     cv: Condvar,
     capacity: usize,
     max_waiting: usize,
-    admit_timeout: Option<Duration>,
 }
 
 /// An execution slot; releasing (dropping) it grants the next waiter.
@@ -87,8 +86,8 @@ impl Drop for SlotGuard {
 
 impl WeightedGate {
     /// A gate with `capacity` slots and a `max_waiting`-bounded waiting
-    /// room. `admit_timeout` bounds how long an acquire may stay parked.
-    pub fn new(capacity: usize, max_waiting: usize, admit_timeout: Option<Duration>) -> Arc<Self> {
+    /// room.
+    pub fn new(capacity: usize, max_waiting: usize) -> Arc<Self> {
         Arc::new(WeightedGate {
             state: Mutex::new(GateState {
                 free: capacity.max(1),
@@ -100,7 +99,6 @@ impl WeightedGate {
             cv: Condvar::new(),
             capacity: capacity.max(1),
             max_waiting,
-            admit_timeout,
         })
     }
 
@@ -236,7 +234,6 @@ impl WeightedGate {
             w
         };
 
-        let deadline = self.admit_timeout.map(|t| Instant::now() + t);
         let mut s = self.state.lock();
         loop {
             match waiter.state.load(Ordering::Acquire) {
@@ -249,37 +246,9 @@ impl WeightedGate {
                 EVICTED => return Err(AcquireError::Evicted),
                 _ => {}
             }
-            match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        // Withdraw under the lock. If the waiter is no
-                        // longer queued, a grant/shed raced the timeout —
-                        // loop once more to read the final state.
-                        let st = &mut *s;
-                        let mut withdrawn = false;
-                        for lane in &mut st.lanes {
-                            if let Some(i) = lane.queue.iter().position(|q| Arc::ptr_eq(q, &waiter))
-                            {
-                                lane.queue.remove(i);
-                                st.waiting_total -= 1;
-                                withdrawn = true;
-                                break;
-                            }
-                        }
-                        if withdrawn {
-                            return Err(AcquireError::Shed);
-                        }
-                        continue;
-                    }
-                    self.cv.wait_for(&mut s, d - now);
-                }
-                // Periodic re-check is belt and braces against a lost
-                // wakeup; grants always notify under normal operation.
-                None => {
-                    self.cv.wait_for(&mut s, Duration::from_millis(100));
-                }
-            }
+            // Periodic re-check is belt and braces against a lost wakeup;
+            // grants always notify under normal operation.
+            self.cv.wait_for(&mut s, Duration::from_millis(100));
         }
     }
 
@@ -355,7 +324,7 @@ impl WeightedGate {
 mod tests {
     use super::*;
     use std::sync::Mutex as StdMutex;
-    use std::time::Duration;
+    use std::time::Instant;
 
     fn park_until(gate: &Arc<WeightedGate>, waiting: usize) {
         let t0 = Instant::now();
@@ -370,7 +339,7 @@ mod tests {
 
     #[test]
     fn fast_path_and_single_waiter() {
-        let gate = WeightedGate::new(1, 16, None);
+        let gate = WeightedGate::new(1, 16);
         gate.register(1, 1);
         let g = gate.acquire(1).unwrap();
         let gate2 = Arc::clone(&gate);
@@ -383,7 +352,7 @@ mod tests {
 
     #[test]
     fn grant_order_is_weighted_round_robin() {
-        let gate = WeightedGate::new(1, 16, None);
+        let gate = WeightedGate::new(1, 16);
         gate.register(1, 2); // A, weight 2
         gate.register(2, 1); // B, weight 1
         let holder = gate.acquire(1).unwrap();
@@ -415,7 +384,7 @@ mod tests {
 
     #[test]
     fn shed_newest_lowest_weight_first() {
-        let gate = WeightedGate::new(1, 2, None);
+        let gate = WeightedGate::new(1, 2);
         gate.register(1, 1); // low
         gate.register(2, 5); // high
         let holder = gate.acquire(2).unwrap();
@@ -447,7 +416,7 @@ mod tests {
 
     #[test]
     fn shed_victim_is_newest_across_equal_weight_lanes() {
-        let gate = WeightedGate::new(1, 2, None);
+        let gate = WeightedGate::new(1, 2);
         gate.register(1, 1); // lowA
         gate.register(2, 1); // lowB
         gate.register(3, 5); // high
@@ -472,7 +441,7 @@ mod tests {
 
     #[test]
     fn evicted_lane_fails_parked_and_future_acquires() {
-        let gate = WeightedGate::new(1, 16, None);
+        let gate = WeightedGate::new(1, 16);
         gate.register(1, 1);
         gate.register(2, 1);
         let holder = gate.acquire(2).unwrap();
@@ -487,22 +456,8 @@ mod tests {
     }
 
     #[test]
-    fn admit_timeout_sheds_parked_waiter() {
-        let gate = WeightedGate::new(1, 16, Some(Duration::from_millis(30)));
-        gate.register(1, 1);
-        let holder = gate.acquire(1).unwrap();
-        let t0 = Instant::now();
-        assert_eq!(gate.acquire(1).map(drop), Err(AcquireError::Shed));
-        assert!(t0.elapsed() >= Duration::from_millis(30));
-        assert_eq!(gate.waiting(), 0, "timed-out waiter withdrew");
-        drop(holder);
-        // The slot is usable again after the timeout path.
-        drop(gate.acquire(1).unwrap());
-    }
-
-    #[test]
     fn deregister_frees_the_lane() {
-        let gate = WeightedGate::new(2, 16, None);
+        let gate = WeightedGate::new(2, 16);
         gate.register(1, 1);
         gate.register(2, 1);
         gate.deregister(1);

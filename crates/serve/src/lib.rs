@@ -31,8 +31,8 @@
 //!    with jittered exponential backoff ([`RetryPolicy`]), deterministic
 //!    under the tenant's seeded RNG.
 //!
-//! Knobs come from [`TenantConfig`] / [`ServeConfig`], each with a
-//! `CL_SERVE_*` environment override (see the README table).
+//! Knobs come from [`TenantConfig`] / [`ServeConfig`], each set through a
+//! builder (listed in the README).
 
 mod backoff;
 mod config;

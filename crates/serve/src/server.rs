@@ -29,7 +29,7 @@ impl Server {
     /// A server over an existing device (shared pool, modeled device, …).
     pub fn with_device(device: Device, cfg: ServeConfig) -> Self {
         let slots = cfg.slots.unwrap_or_else(|| device.pool().workers()).max(1);
-        let gate = WeightedGate::new(slots, cfg.max_waiting, cfg.admit_timeout);
+        let gate = WeightedGate::new(slots, cfg.max_waiting);
         Server {
             device,
             cfg,
@@ -48,13 +48,12 @@ impl Server {
         // Per-tenant context: buffers and race logs never alias across
         // tenants (the runtime's WrongContext check enforces it).
         let ctx = Context::new_with(self.device.clone(), ContextConfig::default());
-        // Tenants share one tuner (the injected instance or the process
-        // global): every client's NULL-local traffic feeds the same bandit,
-        // and one tenant's converged decision is every tenant's hot path.
+        // Tenants share one tuner: every client's NULL-local traffic feeds
+        // the same bandit, and one tenant's converged decision is every
+        // tenant's hot path.
         let qcfg = QueueConfig {
             launch_timeout: cfg.launch_timeout.or(self.cfg.launch_timeout),
             out_of_order: cfg.out_of_order,
-            tune: self.cfg.tune,
             tuner: self.cfg.tuner.clone(),
             ..QueueConfig::default()
         };

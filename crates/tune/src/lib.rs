@@ -33,9 +33,11 @@
 //!    ignored rather than fatal. A second process starting cold reuses the
 //!    decisions with zero additional trials.
 //!
-//! Knobs: `CL_TUNE=0/1` opts a [`QueueConfig`](../ocl_rt) into the
-//! per-process tuner; `CL_TUNE_CACHE=<path>` overrides the cache location
-//! (default `target/tune-cache.json`).
+//! Knobs: a queue tunes when its `QueueConfig::tuner` is set (`ocl_rt`'s
+//! `QueueConfig::from_env` sets [`Tuner::process`] for `CL_TUNE=1`; the
+//! serving layer's `ServeConfig::tuner` reaches every tenant queue);
+//! `CL_TUNE_CACHE=<path>` overrides the cache location (default
+//! `target/tune-cache.json`).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -383,16 +385,6 @@ impl Tuner {
             path,
             state: Mutex::new(state),
         }
-    }
-
-    /// `CL_TUNE=1`/`true` opts queues into the process tuner (default off).
-    pub fn enabled_from_env() -> bool {
-        std::env::var("CL_TUNE")
-            .map(|v| {
-                let v = v.trim();
-                v == "1" || v.eq_ignore_ascii_case("true")
-            })
-            .unwrap_or(false)
     }
 
     /// `CL_TUNE_CACHE=<path>` wins over the default `target/tune-cache.json`.

@@ -227,3 +227,13 @@ fn converged_path_stops_sampling() {
         "converged keys must never be re-sampled"
     );
 }
+
+/// `CL_TUNE=1` tunes against the shared process tuner; with the variable
+/// unset a queue keeps the fixed heuristic.
+#[test]
+fn cl_tune_selects_the_process_tuner() {
+    let on = QueueConfig::from_vars(|name| (name == "CL_TUNE").then(|| "1".to_string()));
+    let tuner = on.tuner.expect("CL_TUNE=1 sets a tuner");
+    assert!(Arc::ptr_eq(&tuner, Tuner::process()));
+    assert!(QueueConfig::from_vars(|_| None).tuner.is_none());
+}
