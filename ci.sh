@@ -24,7 +24,9 @@
 #                 faulting-gid reports get exercised)
 #   lint          cl-lint --deny-warnings (regenerates results/lint.md), then
 #                 the knob census: every CL_* name README.md or DESIGN.md
-#                 documents must be read by the code
+#                 documents must be read by the code; then the one-parser
+#                 check: no file under crates/harness/src/bin may read
+#                 std::env::args itself (flags go through cl_harness::cli)
 #   chaos         cl-chaos 25-round fault-injection soak -> target/ci-chaos
 #   trace         cl-trace --stable --workers 2 (regenerates results/trace.md)
 #   traced-chaos  CL_TRACE=1 soak; asserts target/chaos-traced/chaos-trace.json
@@ -165,6 +167,20 @@ test_table() {
 stage_lint() {
     cargo run --release --quiet --bin cl-lint -- --deny-warnings
     knob_census
+    one_flag_parser
+}
+
+# one_flag_parser — fail when a harness binary reads its command line
+# itself: `cl_harness::cli` is the one flag parser, so every binary keeps
+# the same usage, --help and exit-code contract.
+one_flag_parser() {
+    local hits
+    hits=$(grep -rn 'env::args' crates/harness/src/bin || true)
+    if [[ -n "$hits" ]]; then
+        echo "harness binaries must parse flags through cl_harness::cli:" >&2
+        echo "$hits" >&2
+        return 1
+    fi
 }
 
 # OpenCL API names the docs cite; they name no knob of this runtime.

@@ -302,14 +302,12 @@ impl FlowAnalysis {
     /// Verdict for one lint: `Proven` (clean), `Unknown` (warnings only),
     /// or `Violation` (at least one error).
     pub fn verdict(&self, kind: FlowLintKind) -> Verdict {
-        let mut v = Verdict::Proven;
-        for f in self.findings.iter().filter(|f| f.kind == kind) {
-            match f.severity {
-                Severity::Error => return Verdict::Violation,
-                Severity::Warning => v = Verdict::Unknown,
-            }
-        }
-        v
+        Verdict::fold(
+            self.findings
+                .iter()
+                .filter(|f| f.kind == kind)
+                .map(|f| f.severity),
+        )
     }
 
     /// No findings at all.

@@ -67,16 +67,35 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    fn from_findings(findings: &[Finding], kind: LintKind) -> Verdict {
-        let mine = findings.iter().filter(|f| f.kind == kind);
+    /// The verdict of one lint from its findings' severities: `Violation`
+    /// on any error, else `Unknown` on any warning, else `Proven`.
+    pub(crate) fn fold(severities: impl IntoIterator<Item = Severity>) -> Verdict {
         let mut verdict = Verdict::Proven;
-        for f in mine {
-            match f.severity {
+        for s in severities {
+            match s {
                 Severity::Error => return Verdict::Violation,
                 Severity::Warning => verdict = Verdict::Unknown,
             }
         }
         verdict
+    }
+
+    fn of(findings: &[Finding], kind: LintKind) -> Verdict {
+        Verdict::fold(
+            findings
+                .iter()
+                .filter(|f| f.kind == kind)
+                .map(|f| f.severity),
+        )
+    }
+
+    /// Report label: `proven`, `VIOLATION` or `unknown`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Verdict::Proven => "proven",
+            Verdict::Violation => "VIOLATION",
+            Verdict::Unknown => "unknown",
+        }
     }
 }
 
@@ -132,10 +151,10 @@ fn finish(
 ) -> Analysis {
     Analysis {
         kernel: spec.name.clone(),
-        disjoint_writes: Verdict::from_findings(&findings, LintKind::DisjointWrites),
-        local_races: Verdict::from_findings(&findings, LintKind::LocalRace),
-        barrier_divergence: Verdict::from_findings(&findings, LintKind::BarrierDivergence),
-        bounds: Verdict::from_findings(&findings, LintKind::OutOfBounds),
+        disjoint_writes: Verdict::of(&findings, LintKind::DisjointWrites),
+        local_races: Verdict::of(&findings, LintKind::LocalRace),
+        barrier_divergence: Verdict::of(&findings, LintKind::BarrierDivergence),
+        bounds: Verdict::of(&findings, LintKind::OutOfBounds),
         findings,
         checked_writes,
         checked_accesses,

@@ -63,6 +63,11 @@ pub struct QueueConfig {
     /// Seeded scheduler defect for oracle validation. Test infrastructure —
     /// leave `None` outside the `cl-sched` harness.
     pub sched_bug: Option<crate::sched::SchedBug>,
+    /// Let launches past the debug-build enqueue gates (static contract,
+    /// flag contract, cross-queue race), as release builds do. Test
+    /// infrastructure — for harnesses and tests that enqueue a deliberately
+    /// broken or racy launch so the offline analyses can judge it.
+    pub skip_static_check: bool,
     /// Workgroup-fusion (thread-coarsening) policy for native dispatch; see
     /// [`CoarsenMode`]. [`QueueConfig::from_env`] reads `CL_COARSEN`.
     pub coarsen: CoarsenMode,
@@ -147,6 +152,7 @@ impl QueueConfig {
             tracing: on("CL_TRACE"),
             out_of_order: on("CL_OOO"),
             sched_bug: None,
+            skip_static_check: false,
             coarsen: CoarsenMode::from_env_value(var("CL_COARSEN").as_deref()),
             tuner: on("CL_TUNE").then(|| Arc::clone(cl_tune::Tuner::process())),
         }
@@ -174,6 +180,13 @@ impl QueueConfig {
     /// [`SchedBug`](crate::sched::SchedBug)).
     pub fn sched_bug(mut self, bug: crate::sched::SchedBug) -> Self {
         self.sched_bug = Some(bug);
+        self
+    }
+
+    /// Skip the debug-build enqueue gates (see the `skip_static_check`
+    /// field).
+    pub fn skip_static_check(mut self, skip: bool) -> Self {
+        self.skip_static_check = skip;
         self
     }
 
@@ -407,14 +420,18 @@ impl CommandQueue {
             .map_or(range, |cfg| range.local1(cfg.wg))
             .resolve_with(device.default_wg(), device.null_target_groups())?;
         #[cfg(debug_assertions)]
-        check_contract(kernel, &resolved)?;
+        if !self.cfg.skip_static_check {
+            check_contract(kernel, &resolved)?;
+        }
         // Bindings and the footprint are captured at most once per
         // (kernel, range) — workgroup chunks never re-resolve argument
         // metadata. With lowering not needed (release), this is one branch.
         let lowered = need_lowered.then(|| flow::launch_uses(kernel.as_ref(), &resolved));
         #[cfg(debug_assertions)]
         if let Some(lowered) = &lowered {
-            check_flag_contract(&flow::launch_command(kernel.name(), lowered.clone()))?;
+            if !self.cfg.skip_static_check {
+                check_flag_contract(&flow::launch_command(kernel.name(), lowered.clone()))?;
+            }
         }
         let coarsen = coarsen_factor(
             kernel,
@@ -491,10 +508,12 @@ impl CommandQueue {
         // Debug-build enqueue gate #3, cross-queue: would this launch race
         // with another queue's recorded commands? Unlike the per-kernel
         // gates it depends on *stream state*, so it runs even on plan-cache
-        // hits. Same `CL_SKIP_STATIC_CHECK` opt-out.
+        // hits. Same `skip_static_check` opt-out.
         #[cfg(debug_assertions)]
         if let (Some(rl), Some(cmd)) = (&self.race, &cmd) {
-            check_cross_queue(rl, self.id, cmd)?;
+            if !self.cfg.skip_static_check {
+                check_cross_queue(rl, self.id, cmd)?;
+            }
         }
         let seq = self.next_seq();
         let ev = self.launch(kernel, &plan, seq, queued_ns, cmd).run(None)?;
@@ -1240,13 +1259,11 @@ fn tune_candidates(
 /// through the static lints, and a *proven* contract violation (conflicting
 /// writes, local race, divergent barrier, out-of-bounds) rejects the launch
 /// before it executes. Unproven properties pass — they are what the dynamic
-/// `validate_disjoint_writes` exists for. Set `CL_SKIP_STATIC_CHECK=1` to
-/// opt out (e.g. when deliberately launching a racy fixture).
+/// `validate_disjoint_writes` exists for. A queue with
+/// `QueueConfig::skip_static_check` set opts out (e.g. to launch a racy
+/// fixture on purpose).
 #[cfg(debug_assertions)]
 fn check_contract(kernel: &Arc<dyn Kernel>, resolved: &ResolvedRange) -> Result<(), ClError> {
-    if std::env::var_os("CL_SKIP_STATIC_CHECK").is_some() {
-        return Ok(());
-    }
     let Some(spec) = kernel.access_spec(resolved) else {
         return Ok(());
     };
@@ -1271,11 +1288,11 @@ fn check_contract(kernel: &Arc<dyn Kernel>, resolved: &ResolvedRange) -> Result<
 /// read of a `WRITE_ONLY` one) rejects the launch with a typed
 /// [`ClError::ContractViolation`] instead of the kernel-side view panic it
 /// would otherwise hit mid-launch. May-only overlaps pass (they surface as
-/// warnings in offline `cl-flow` analysis). Same `CL_SKIP_STATIC_CHECK`
-/// opt-out as [`check_contract`].
+/// warnings in offline `cl-flow` analysis). Same opt-out as
+/// [`check_contract`].
 #[cfg(debug_assertions)]
 fn check_flag_contract(launch: &FlowCommand) -> Result<(), ClError> {
-    if launch.uses.is_empty() || std::env::var_os("CL_SKIP_STATIC_CHECK").is_some() {
+    if launch.uses.is_empty() {
         return Ok(());
     }
     let analysis = cl_analyze::analyze_flow(std::slice::from_ref(launch));
@@ -1305,11 +1322,10 @@ fn check_flag_contract(launch: &FlowCommand) -> Result<(), ClError> {
 /// queue's recorded command is rejected with a typed
 /// [`ClError::ContractViolation`] before it executes. Only races involving
 /// the new command reject — pre-existing stream races are `cl-race`'s
-/// business, not this launch's. Same `CL_SKIP_STATIC_CHECK` opt-out as the
-/// other gates.
+/// business, not this launch's. Same opt-out as the other gates.
 #[cfg(debug_assertions)]
 fn check_cross_queue(race: &RaceLog, queue_id: u64, launch: &FlowCommand) -> Result<(), ClError> {
-    if launch.uses.is_empty() || std::env::var_os("CL_SKIP_STATIC_CHECK").is_some() {
+    if launch.uses.is_empty() {
         return Ok(());
     }
     let findings =
@@ -1591,8 +1607,8 @@ mod tests {
     }
 
     /// Debug builds reject a launch whose spec is a proven contract
-    /// violation at enqueue time, before any group runs; the
-    /// `CL_SKIP_STATIC_CHECK` escape hatch restores the old behaviour.
+    /// violation at enqueue time, before any group runs; a queue with
+    /// `skip_static_check` lets it run, as release builds do.
     #[test]
     #[cfg(debug_assertions)]
     fn proven_violation_is_rejected_at_enqueue() {
@@ -1614,10 +1630,9 @@ mod tests {
         q.read_buffer(&buf, 0, &mut out).unwrap();
         assert!(out.iter().all(|&x| x == 0.0));
 
-        std::env::set_var("CL_SKIP_STATIC_CHECK", "1");
-        let run = q.enqueue_kernel(&k, NDRange::d1(64).local1(8));
-        std::env::remove_var("CL_SKIP_STATIC_CHECK");
-        run.unwrap();
+        ctx.queue_with(QueueConfig::default().skip_static_check(true))
+            .enqueue_kernel(&k, NDRange::d1(64).local1(8))
+            .unwrap();
     }
 
     /// Single-group launches of the same kernel are contract-clean and must
@@ -1755,9 +1770,6 @@ mod tests {
                 assert_eq!(kernel, "fill_ones");
                 assert!(findings[0].contains("flag-contract"), "{findings:?}");
             }
-            // Another test's CL_SKIP_STATIC_CHECK window can race past the
-            // gate; the runtime view assert still rejects the launch.
-            ClError::KernelPanicked { .. } => {}
             other => panic!("expected ContractViolation, got {other:?}"),
         }
     }

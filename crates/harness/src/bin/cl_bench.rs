@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cl_harness::bench::{compare_pairs, median, sample, BenchRecord, BenchStats, Report};
-use cl_harness::parse_flag;
+use cl_harness::cli::{host_workers, Cli};
 use cl_serve::{ServeConfig, Server, TenantConfig};
 use ocl_rt::{Context, GroupCtx, Kernel, MemFlags, NDRange, QueueConfig};
 
@@ -48,62 +48,55 @@ impl Kernel for EmptyKernel {
     fn run_group(&self, _g: &mut GroupCtx) {}
 }
 
-struct Opts {
-    workers: usize,
-    fast: bool,
-    out: PathBuf,
-    pair: Option<PathBuf>,
-    check_json: Option<PathBuf>,
-    inject: f64,
-}
+const USAGE: &str = "usage: cl-bench [--workers W] [--fast] [--out FILE] [--inject-regression F]
+       cl-bench --pair DIR
+       cl-bench --check-json FILE";
 
 fn main() {
-    let opts = parse_args();
+    let mut cli = Cli::parse("cl-bench", USAGE);
+    let workers = cli.workers(host_workers());
+    let fast = cli.on("--fast");
+    let out: PathBuf = cli.get("--out", PathBuf::from("BENCH.json"));
+    let inject: f64 = cli.get("--inject-regression", 1.0);
 
-    // --check-json: validate an arbitrary artifact and exit.
-    if let Some(path) = &opts.check_json {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => fail(&format!("{}: unreadable: {e}", path.display())),
-        };
-        if text.trim().is_empty() {
-            fail(&format!("{}: empty file", path.display()));
+    if let Some(path) = cli.value::<PathBuf>("--check-json") {
+        match check_json(&path) {
+            Ok(bytes) => println!("cl-bench: {} is valid JSON ({bytes} bytes)", path.display()),
+            Err(e) => cli.fail(format!("{}: {e}", path.display())),
         }
-        if let Err(e) = cl_util::json::parse(&text) {
-            fail(&format!("{}: invalid JSON: {e}", path.display()));
+    } else if let Some(dir) = cli.value::<PathBuf>("--pair") {
+        match load_pairs(&dir) {
+            Ok(pairs) => gate_pairs(&mut cli, &dir, &pairs),
+            Err(e) => cli.fail(e),
         }
-        println!(
-            "cl-bench: {} is valid JSON ({} bytes)",
-            path.display(),
-            text.len()
-        );
-        return;
-    }
-
-    if let Some(dir) = &opts.pair {
-        gate_pairs(dir);
-        return;
-    }
-
-    let mut run = run_suite(&opts);
-    if opts.inject != 1.0 {
-        eprintln!(
-            "cl-bench: injecting synthetic regression factor {} into time medians",
-            opts.inject
-        );
-        for b in run.benches.iter_mut().filter(|b| !b.is_count()) {
-            b.stats.median *= opts.inject;
+    } else {
+        let mut run = run_suite(workers, fast);
+        if inject != 1.0 {
+            eprintln!("cl-bench: injecting synthetic regression factor {inject} into time medians");
+            for b in run.benches.iter_mut().filter(|b| !b.is_count()) {
+                b.stats.median *= inject;
+            }
         }
+        std::fs::write(&out, run.to_json()).expect("write BENCH.json");
+        println!("cl-bench: run written to {}", out.display());
     }
-    std::fs::write(&opts.out, run.to_json()).expect("write BENCH.json");
-    println!("cl-bench: run written to {}", opts.out.display());
+    cli.finish();
 }
 
-/// `--pair DIR`: gate the change runs against the parent runs and exit 1
-/// on a regression.
-fn gate_pairs(dir: &Path) {
-    let pairs = load_pairs(dir);
-    let verdicts = compare_pairs(&pairs);
+/// `--check-json FILE`: the file's size if it holds valid JSON.
+fn check_json(path: &Path) -> Result<usize, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
+    if text.trim().is_empty() {
+        return Err("empty file".into());
+    }
+    cl_util::json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
+    Ok(text.len())
+}
+
+/// `--pair DIR`: gate the change runs against the parent runs; a
+/// regression fails the run.
+fn gate_pairs(cli: &mut Cli, dir: &Path, pairs: &[(Report, Report)]) {
+    let verdicts = compare_pairs(pairs);
     println!(
         "cl-bench: {} pairs from {}\n\n\
          | entry | unit | median ratio | min–max ratio | pairs past bound | verdict |\n\
@@ -131,15 +124,17 @@ fn gate_pairs(dir: &Path) {
     let regressed = verdicts.iter().filter(|v| v.regressed).count();
     let gated = verdicts.iter().filter(|v| !v.ratios.is_empty()).count();
     if regressed > 0 {
-        eprintln!("\ncl-bench: {regressed}/{gated} entries REGRESSED against the parent");
-        std::process::exit(1);
+        cli.fail(format!(
+            "{regressed}/{gated} entries REGRESSED against the parent"
+        ));
+    } else {
+        println!("\ncl-bench: pair gate passed ({gated} entries gated)");
     }
-    println!("\ncl-bench: pair gate passed ({gated} entries gated)");
 }
 
 /// The `(parent, change)` runs in `dir`: `parent-01.json` with
 /// `change-01.json`, and so on up to the first missing `parent-NN.json`.
-fn load_pairs(dir: &Path) -> Vec<(Report, Report)> {
+fn load_pairs(dir: &Path) -> Result<Vec<(Report, Report)>, String> {
     let mut pairs = Vec::new();
     for nn in 1.. {
         let parent = dir.join(format!("parent-{nn:02}.json"));
@@ -147,18 +142,18 @@ fn load_pairs(dir: &Path) -> Vec<(Report, Report)> {
             break;
         }
         let change = dir.join(format!("change-{nn:02}.json"));
-        pairs.push((load_report(&parent), load_report(&change)));
+        pairs.push((load_report(&parent)?, load_report(&change)?));
     }
     if pairs.is_empty() {
-        fail(&format!("{}: no parent-01.json", dir.display()));
+        return Err(format!("{}: no parent-01.json", dir.display()));
     }
-    pairs
+    Ok(pairs)
 }
 
 /// Run the curated hot-path suite and collect a [`Report`].
-fn run_suite(opts: &Opts) -> Report {
-    let (warm, samples) = if opts.fast { (2, 6) } else { (5, 20) };
-    let ctx = Context::new(ocl_rt::Device::native_cpu(opts.workers).expect("bench device"));
+fn run_suite(workers: usize, fast: bool) -> Report {
+    let (warm, samples) = if fast { (2, 6) } else { (5, 20) };
+    let ctx = Context::new(ocl_rt::Device::native_cpu(workers).expect("bench device"));
     let q = ctx.queue_with(QueueConfig::default().launch_timeout(Duration::from_secs(60)));
     let mut benches = Vec::new();
     let mut push = |name: &str, unit: &str, stats: BenchStats| {
@@ -174,8 +169,8 @@ fn run_suite(opts: &Opts) -> Report {
     };
     eprintln!(
         "cl-bench: native CPU, {} workers, {}{} samples/bench",
-        opts.workers,
-        if opts.fast { "fast profile, " } else { "" },
+        workers,
+        if fast { "fast profile, " } else { "" },
         samples
     );
 
@@ -248,7 +243,7 @@ fn run_suite(opts: &Opts) -> Report {
     // record site is one skipped Option branch; a regression that starts
     // building HbRecords eagerly would surface here.
     let race_ctx = Context::new_with(
-        ocl_rt::Device::native_cpu(opts.workers).expect("race-off device"),
+        ocl_rt::Device::native_cpu(workers).expect("race-off device"),
         ocl_rt::ContextConfig::default().race_recording(false),
     );
     let qa = race_ctx.queue_with(QueueConfig::default().launch_timeout(Duration::from_secs(60)));
@@ -328,8 +323,7 @@ fn run_suite(opts: &Opts) -> Report {
     // shared gate and the burst's p99 enqueue→completion latency is the
     // sample value. Catches fairness-gate regressions (a broken WRR or a
     // lost notify shows up as a tail blow-up long before it deadlocks).
-    let srv =
-        Server::new(opts.workers, ServeConfig::default().max_waiting(256)).expect("serve server");
+    let srv = Server::new(workers, ServeConfig::default().max_waiting(256)).expect("serve server");
     let range = NDRange::d1(64).local1(64);
     const BURST_TENANTS: usize = 64;
     const BURST_LAUNCHES: usize = 4;
@@ -377,8 +371,11 @@ fn run_suite(opts: &Opts) -> Report {
 
     // --- OOO scheduler: ready-dispatch overhead per command -------------
     // 64 tiny MulAdd launches round-robined over 8 disjoint buffers on an
-    // out-of-order queue: mostly-ready commands whose cost is the pending-
-    // DAG bookkeeping (hazard scan + node + dispatch + completion), not
+    // out-of-order queue, all submitted behind one user-event gate that is
+    // signalled once the last is in: every sample schedules the same DAG,
+    // 8 independent chains of 8 (hazards order each buffer's commands),
+    // however fast the host submits. The cost is the pending-DAG
+    // bookkeeping (hazard scan + node + dispatch + completion), not
     // compute. Catches regressions in the submit hot path — an accidental
     // O(history) scan or a lost-wakeup stall shows up directly.
     let qo = ctx.queue_with(QueueConfig::default().out_of_order(true));
@@ -400,10 +397,13 @@ fn run_suite(opts: &Opts) -> Report {
         .collect();
     let sched_range = NDRange::d1(64).local1(64);
     let stats = sample(warm, samples, SCHED_CMDS, || {
+        let gate = ocl_rt::user_event();
+        let wait = [gate.event()];
         for i in 0..SCHED_CMDS as usize {
-            qo.submit_kernel(&sched_kernels[i % SCHED_BUFS], sched_range, &[])
+            qo.submit_kernel(&sched_kernels[i % SCHED_BUFS], sched_range, &wait)
                 .expect("sched submit");
         }
+        gate.signal();
         qo.finish().expect("sched drain");
         SCHED_CMDS
     });
@@ -443,76 +443,11 @@ fn run_suite(opts: &Opts) -> Report {
     });
     push("sched/dag-throughput", "ns/cmd", stats);
 
-    Report::new(opts.workers, benches)
+    Report::new(workers, benches)
 }
 
-fn load_report(path: &Path) -> Report {
+fn load_report(path: &Path) -> Result<Report, String> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("{}: unreadable: {e}", path.display())));
-    Report::from_json(&text).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())))
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("cl-bench: {msg}");
-    std::process::exit(1);
-}
-
-fn parse_args() -> Opts {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut o = Opts {
-        workers: usize::min(4, cl_pool::available_cores().max(1)),
-        fast: false,
-        out: PathBuf::from("BENCH.json"),
-        pair: None,
-        check_json: None,
-        inject: 1.0,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                o.workers = parse_flag(&args, i, "--workers");
-            }
-            "--fast" => o.fast = true,
-            "--out" => {
-                i += 1;
-                o.out = path(&args, i, "--out");
-            }
-            "--pair" => {
-                i += 1;
-                o.pair = Some(path(&args, i, "--pair"));
-            }
-            "--check-json" => {
-                i += 1;
-                o.check_json = Some(path(&args, i, "--check-json"));
-            }
-            "--inject-regression" => {
-                i += 1;
-                o.inject = parse_flag(&args, i, "--inject-regression");
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: cl-bench [--workers W] [--fast] [--out FILE] [--inject-regression F]\n\
-                     \x20      cl-bench --pair DIR\n\
-                     \x20      cl-bench --check-json FILE"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    o.workers = o.workers.max(1);
-    o
-}
-
-fn path(args: &[String], i: usize, flag: &str) -> PathBuf {
-    PathBuf::from(
-        args.get(i)
-            .unwrap_or_else(|| panic!("{flag} needs a value")),
-    )
+        .map_err(|e| format!("{}: unreadable: {e}", path.display()))?;
+    Report::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
 }

@@ -39,12 +39,10 @@
 //! capacity reasons unrelated to the scheduler.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cl_harness::parse_flag;
+use cl_harness::cli::{host_workers, Cli};
 use cl_kernels::chaos::{reference, ChaosKernel, ChaosMode};
 use cl_util::XorShift;
 use ocl_rt::{ClError, Context, Device, Kernel, MemFlags, NDRange, QueueConfig};
@@ -98,60 +96,17 @@ impl OooRound {
     }
 }
 
+const USAGE: &str = "usage: cl-chaos [--rounds N] [--xq-rounds N] [--ooo-rounds N] [--seed S] \
+                     [--workers W] [--timeout-ms T] [--out DIR]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut rounds = 25usize;
-    let mut xq_rounds = 5usize;
-    let mut ooo_rounds = 5usize;
-    let mut seed = 7u64;
-    let mut workers = usize::min(4, cl_pool::available_cores().max(1));
-    let mut timeout_ms = 250u64;
-    let mut out_dir = PathBuf::from("results");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rounds" => {
-                i += 1;
-                rounds = parse_flag(&args, i, "--rounds");
-            }
-            "--xq-rounds" => {
-                i += 1;
-                xq_rounds = parse_flag(&args, i, "--xq-rounds");
-            }
-            "--ooo-rounds" => {
-                i += 1;
-                ooo_rounds = parse_flag(&args, i, "--ooo-rounds");
-            }
-            "--seed" => {
-                i += 1;
-                seed = parse_flag(&args, i, "--seed");
-            }
-            "--workers" => {
-                i += 1;
-                workers = parse_flag(&args, i, "--workers");
-            }
-            "--timeout-ms" => {
-                i += 1;
-                timeout_ms = parse_flag(&args, i, "--timeout-ms");
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: cl-chaos [--rounds N] [--xq-rounds N] [--ooo-rounds N] \
-                     [--seed S] [--workers W] [--timeout-ms T] [--out DIR]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let mut cli = Cli::parse("cl-chaos", USAGE);
+    let rounds: usize = cli.get("--rounds", 25);
+    let xq_rounds: usize = cli.get("--xq-rounds", 5);
+    let ooo_rounds: usize = cli.get("--ooo-rounds", 5);
+    let seed: u64 = cli.get("--seed", 7);
+    let workers = cli.workers(host_workers());
+    let timeout_ms: u64 = cli.get("--timeout-ms", 250);
 
     // The soak asserts the *exact* faulting gid in every panic report, so
     // opt into per-item gid stamping — release builds default to coarse
@@ -164,7 +119,7 @@ fn main() {
     // The soak injects panics on purpose; keep them off stderr.
     cl_kernels::chaos::install_quiet_panic_hook();
 
-    let device = Device::native_cpu(workers.max(1)).expect("chaos device");
+    let device = Device::native_cpu(workers).expect("chaos device");
     let pool = Arc::clone(device.pool());
     let ctx = Context::new(device);
     let timeout = Duration::from_millis(timeout_ms.max(1));
@@ -184,7 +139,7 @@ fn main() {
             // rendezvous. With the watchdog armed the host does not help
             // execute chunks, so the parked groups must never outnumber the
             // workers or the deserting group could be starved of a worker.
-            groups = groups.min(workers.max(1));
+            groups = groups.min(workers);
         }
         let n = groups * local;
         let mode = match kind {
@@ -265,7 +220,7 @@ fn main() {
         let mut groups = 2 + (rng.next_u64() % 7) as usize;
         let kind = rng.next_u64() % 5;
         if kind == 4 {
-            groups = groups.min(workers.max(1));
+            groups = groups.min(workers);
         }
         let n = groups * local;
         let mode = match kind {
@@ -366,7 +321,7 @@ fn main() {
     // auto-inferred hazards, independent of chain A. The fault must fail
     // exactly chain A's dependents; chain B must come through bit-exact.
     let mut ooo_results = Vec::with_capacity(ooo_rounds);
-    for round in 0..ooo_rounds {
+    for _ in 0..ooo_rounds {
         let local = 32usize;
         let mut groups = 2 + (rng.next_u64() % 7) as usize;
         // No worker-depleting faults here (`StallUntilAbort`, `FatalAt`):
@@ -378,7 +333,7 @@ fn main() {
         // exercise dependency-failure propagation.
         let kind = rng.next_u64() % 3;
         if kind == 2 {
-            groups = groups.min(workers.max(1));
+            groups = groups.min(workers);
         }
         let n = groups * local;
         let mode = match kind {
@@ -450,12 +405,6 @@ fn main() {
         let mut host = vec![0u32; b_n];
         let independent_ok =
             b_completed && q.read_buffer(&b_buf, 0, &mut host).is_ok() && host == reference(b_n);
-        if !fault_ok || dependents_failed != 2 || !independent_ok {
-            eprintln!(
-                "cl-chaos: ooo round {round}: fault_ok={fault_ok} \
-                 dependents_failed={dependents_failed}/2 independent_ok={independent_ok}"
-            );
-        }
         ooo_results.push(OooRound {
             mode: mode.label(),
             injected: format!("{mode:?}"),
@@ -471,9 +420,8 @@ fn main() {
     let recovered = results.iter().filter(|r| r.error_ok && r.probe_ok).count();
     let xq_recovered = xq_results.iter().filter(|r| r.a_ok && r.b_ok).count();
     let ooo_isolated = ooo_results.iter().filter(|r| r.ok()).count();
-    fs::create_dir_all(&out_dir).expect("create output directory");
-    fs::write(
-        out_dir.join("chaos.md"),
+    cli.write(
+        "chaos.md",
         render_md(
             &results,
             &xq_results,
@@ -486,14 +434,12 @@ fn main() {
             ooo_isolated,
             elapsed,
         ),
-    )
-    .expect("write chaos.md");
+    );
     // Under CL_TRACE=1 the soak also exports its span log, so CI can assert
     // the traced-chaos artifact exists and parses (the trace must survive
     // every contained fault, not just clean runs).
     if let Some(log) = q.trace() {
-        let path = out_dir.join("chaos-trace.json");
-        fs::write(&path, log.to_chrome_json()).expect("write chaos-trace.json");
+        let path = cli.write("chaos-trace.json", log.to_chrome_json());
         println!(
             "cl-chaos: traced soak exported {} spans to {}",
             log.len(),
@@ -503,27 +449,27 @@ fn main() {
 
     for (i, r) in results.iter().enumerate() {
         if !(r.error_ok && r.probe_ok) {
-            eprintln!(
-                "cl-chaos: round {i} UNRECOVERED: {} ({}), error: {} (expected={}), probe ok={}",
+            cli.fail(format!(
+                "round {i} unrecovered: {} ({}), error: {} (expected={}), probe ok={}",
                 r.mode, r.injected, r.error, r.error_ok, r.probe_ok
-            );
+            ));
         }
     }
     for (i, r) in xq_results.iter().enumerate() {
         if !(r.a_ok && r.b_ok) {
-            eprintln!(
-                "cl-chaos: contention round {i} FAILED: {} ({}), queue A ok={}, queue B ok={}",
+            cli.fail(format!(
+                "contention round {i}: {} ({}), queue A ok={}, queue B ok={}",
                 r.mode, r.injected, r.a_ok, r.b_ok
-            );
+            ));
         }
     }
     for (i, r) in ooo_results.iter().enumerate() {
         if !r.ok() {
-            eprintln!(
-                "cl-chaos: ooo round {i} FAILED: {} ({}), fault ok={}, dependents \
+            cli.fail(format!(
+                "ooo round {i}: {} ({}), fault ok={}, dependents \
                  failed={}/{}, independent chain ok={}",
                 r.mode, r.injected, r.fault_ok, r.dependents_failed, r.dependents, r.independent_ok
-            );
+            ));
         }
     }
     println!(
@@ -535,12 +481,7 @@ fn main() {
         ooo_results.len(),
         elapsed.as_secs_f64()
     );
-    if recovered != results.len()
-        || xq_recovered != xq_results.len()
-        || ooo_isolated != ooo_results.len()
-    {
-        std::process::exit(1);
-    }
+    cli.finish();
 }
 
 /// Does `res` report the fault `mode` injected, the way the fault model

@@ -35,8 +35,6 @@
 //!    one machine constant and must only rank, not time).
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,6 +42,7 @@ use cl_analyze::{
     analyze_coarsen, analyze_coarsen_loop, choose_factor, features, CoarsenAnalysis, CoarsenPlan,
     CoarsenVerdict, KernelFeatures, LintGeometry,
 };
+use cl_harness::cli::Cli;
 use cl_kernels::access::SpecCoverage;
 use cl_kernels::registry::{parboil_kernels, simple_apps};
 use ocl_rt::{ClError, CoarsenMode, Context, Device, Kernel, NDRange, QueueConfig};
@@ -70,49 +69,12 @@ fn lane_summary(f: &KernelFeatures) -> String {
         .join(" ")
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workers = 2usize;
-    let mut default_wg = 256usize;
-    let mut out_dir = PathBuf::from("results");
-    let mut stable = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = args
-                    .get(i)
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("--workers needs an integer");
-            }
-            "--default-wg" => {
-                i += 1;
-                default_wg = args
-                    .get(i)
-                    .expect("--default-wg needs a size")
-                    .parse()
-                    .expect("--default-wg needs an integer");
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--stable" => stable = true,
-            "--help" | "-h" => {
-                println!("usage: cl-coarsen [--workers W] [--default-wg N] [--out DIR] [--stable]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+const USAGE: &str = "usage: cl-coarsen [--workers W] [--default-wg N] [--out DIR] [--stable]";
 
-    let mut failures: Vec<String> = Vec::new();
+fn main() {
+    let mut cli = Cli::parse("cl-coarsen", USAGE);
+    let workers = cli.workers(2);
+    let default_wg: usize = cli.get("--default-wg", 256);
 
     // --- 1. Registry sweep ----------------------------------------------
     let mut rows = Vec::new();
@@ -120,7 +82,7 @@ fn main() {
         for &global in &entry.globals {
             let (analysis, feats, plan) = match entry.coverage(global, default_wg) {
                 None => {
-                    failures.push(format!(
+                    cli.fail(format!(
                         "{}/{} at {}: kernel publishes neither spec nor exemption",
                         entry.benchmark,
                         entry.kernel,
@@ -215,7 +177,7 @@ fn main() {
             CoarsenVerdict::Unknown { .. } => "Unknown",
         };
         if got != *want {
-            failures.push(format!(
+            cli.fail(format!(
                 "seeded defect {}: expected {want}, prover said {got} ({})",
                 kernel.name(),
                 analysis.verdict.reason()
@@ -225,11 +187,11 @@ fn main() {
         // fixture — none of them carries a `Proven` certificate.
         match q_force.enqueue_kernel(kernel, *range) {
             Err(ClError::ContractViolation { .. }) => {}
-            Err(e) => failures.push(format!(
+            Err(e) => cli.fail(format!(
                 "seeded defect {}: forced coarsening refused with the wrong error: {e}",
                 kernel.name()
             )),
-            Ok(_) => failures.push(format!(
+            Ok(_) => cli.fail(format!(
                 "seeded defect {}: forced coarsening was NOT refused at enqueue",
                 kernel.name()
             )),
@@ -264,7 +226,7 @@ fn main() {
     let feats = features(&spec, ratio);
     let plan = choose_factor(&analysis, &feats, workers);
     if plan.factor <= 1 {
-        failures.push(format!(
+        cli.fail(format!(
             "timing: square at {TIME_N} should coarsen (verdict {}), got factor {}",
             analysis.verdict.label(),
             plan.factor
@@ -291,26 +253,25 @@ fn main() {
     let serial_ns = median_ns(&q_off);
     built.verify(&q_auto).expect("coarsened square results");
     let measured = serial_ns as f64 / fused_ns.max(1) as f64;
-    let agreement = if stable {
+    let agreement = if cli.stable() {
         None
     } else {
         let band = f64::max(0.5 * plan.predicted_speedup, 0.35);
         Some((measured - plan.predicted_speedup).abs() <= band)
     };
     if let Some(false) = agreement {
-        failures.push(format!(
+        cli.fail(format!(
             "timing: predicted x{:.2} vs measured x{measured:.2} disagree beyond the error band",
             plan.predicted_speedup
         ));
     }
 
     // --- Report -----------------------------------------------------------
-    fs::create_dir_all(&out_dir).expect("create output directory");
     let md = render_md(
-        &rows, workers, default_wg, plan, measured, fused_ns, serial_ns, agreement, stable,
+        &cli, &rows, workers, default_wg, plan, measured, fused_ns, serial_ns, agreement,
     );
-    fs::write(out_dir.join("coarsen.md"), md).expect("write coarsen.md");
-    fs::write(out_dir.join("coarsen.csv"), render_csv(&rows)).expect("write coarsen.csv");
+    cli.write("coarsen.md", md);
+    cli.write("coarsen.csv", render_csv(&rows));
 
     let proven = rows
         .iter()
@@ -321,20 +282,16 @@ fn main() {
          fused x{:.2} predicted x{:.2}{}",
         rows.len(),
         fixtures.len(),
-        if stable { f64::NAN } else { measured },
+        if cli.stable() { f64::NAN } else { measured },
         plan.predicted_speedup,
-        if stable { " (stable mode)" } else { "" },
+        if cli.stable() { " (stable mode)" } else { "" },
     );
-    for f in &failures {
-        eprintln!("cl-coarsen: FAIL: {f}");
-    }
-    if !failures.is_empty() {
-        std::process::exit(1);
-    }
+    cli.finish();
 }
 
 #[allow(clippy::too_many_arguments)]
 fn render_md(
+    cli: &Cli,
     rows: &[Row],
     workers: usize,
     default_wg: usize,
@@ -343,7 +300,6 @@ fn render_md(
     fused_ns: u64,
     serial_ns: u64,
     agreement: Option<bool>,
-    stable: bool,
 ) -> String {
     let mut md = String::new();
     md.push_str("# Thread-coarsening certification\n\n");
@@ -435,7 +391,6 @@ fn render_md(
         md.push_str("(none outside the seeded defects)\n");
     }
     md.push_str("\n## Fused-dispatch cross-validation\n\n");
-    let cell = |v: String| if stable { "·".to_string() } else { v };
     let _ = writeln!(
         md,
         "`square` at 65536 items, wg 64, {workers} workers: chosen factor \
@@ -444,16 +399,16 @@ fn render_md(
          relative or 0.35 absolute of the prediction, whichever is looser.",
         plan.factor,
         plan.predicted_speedup,
-        cell(serial_ns.to_string()),
-        cell(fused_ns.to_string()),
-        cell(format!("x{measured:.2}")),
+        cli.mask(serial_ns.to_string()),
+        cli.mask(fused_ns.to_string()),
+        cli.mask(format!("x{measured:.2}")),
         match agreement {
             None => "not checked (stable mode)".to_string(),
             Some(true) => "OK".to_string(),
             Some(false) => "FAILED".to_string(),
         },
     );
-    if stable {
+    if cli.stable() {
         md.push_str(
             "\n*Stable mode (`--stable`): measured-timing cells render as \
              \"·\" so the committed report is machine-independent; verdicts, \

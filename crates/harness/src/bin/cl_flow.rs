@@ -28,27 +28,17 @@
 //! noise, the same way `cl-trace` prices the disabled-tracing path.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use cl_analyze::flow::{analyze_flow, FlowAnalysis, FlowCommand, FlowLintKind, HazardKind};
 use cl_analyze::{Severity, Verdict};
-use cl_harness::parse_flag;
+use cl_harness::cli::{host_workers, Cli};
 use cl_kernels::apps::square::Square;
 use cl_kernels::apps::vectoradd::VectorAdd;
 use cl_kernels::util::random_f32;
 use ocl_rt::{CommandQueue, Context, ContextConfig, Device, MemFlags, NDRange, QueueConfig};
 
 const N: usize = 4096;
-
-fn verdict_str(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Proven => "proven",
-        Verdict::Violation => "VIOLATION",
-        Verdict::Unknown => "unknown",
-    }
-}
 
 /// One replayed scenario and its analysis.
 struct Scenario {
@@ -107,15 +97,6 @@ fn recorded(ctx: &Context, q: &CommandQueue) -> (Vec<FlowCommand>, FlowAnalysis)
     (commands, analysis)
 }
 
-fn square(input: &ocl_rt::Buffer<f32>, output: &ocl_rt::Buffer<f32>) -> Square {
-    Square {
-        input: input.clone(),
-        output: output.clone(),
-        n: N,
-        items_per_wi: 1,
-    }
-}
-
 /// Figure 7: host→device write, kernel, device→host read.
 fn fig7(ctx: &Context, seed: u64) -> Scenario {
     let q = recording_queue(ctx);
@@ -123,7 +104,7 @@ fn fig7(ctx: &Context, seed: u64) -> Scenario {
     let input = ctx.buffer::<f32>(MemFlags::READ_ONLY, N).expect("in");
     let output = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, N).expect("out");
     q.write_buffer(&input, 0, &host).expect("write");
-    q.run(square(&input, &output), NDRange::d1(N))
+    q.run(Square::elementwise(&input, &output), NDRange::d1(N))
         .expect("square");
     let mut back = vec![0.0f32; N];
     q.read_buffer(&output, 0, &mut back).expect("read");
@@ -149,7 +130,7 @@ fn fig8(ctx: &Context, seed: u64) -> Scenario {
         let (mut m, _) = q.map_buffer_mut(&input).expect("map in");
         m.copy_from_slice(&host);
     }
-    q.run(square(&input, &output), NDRange::d1(N))
+    q.run(Square::elementwise(&input, &output), NDRange::d1(N))
         .expect("square");
     {
         let (m, _) = q.map_buffer(&output).expect("map out");
@@ -187,7 +168,8 @@ fn fig9(ctx: &Context, seed: u64) -> (Scenario, bool) {
         NDRange::d1(N),
     )
     .expect("vectoradd");
-    q.run(square(&c, &d), NDRange::d1(N)).expect("square");
+    q.run(Square::elementwise(&c, &d), NDRange::d1(N))
+        .expect("square");
     let mut back = vec![0.0f32; N];
     q.read_buffer(&d, 0, &mut back).expect("read");
     assert!(
@@ -220,7 +202,7 @@ fn seed_flag_contract(ctx: &Context, seed: u64) -> Seeded {
     let host = random_f32(seed, N, -1.0, 1.0);
     let input = ctx.buffer_from(MemFlags::READ_ONLY, &host).expect("in");
     let ro_out = ctx.buffer::<f32>(MemFlags::READ_ONLY, N).expect("out");
-    let res = q.run(square(&input, &ro_out), NDRange::d1(N));
+    let res = q.run(Square::elementwise(&input, &ro_out), NDRange::d1(N));
     let (_, analysis) = recorded(ctx, &q);
     let in_replay = analysis.verdict(FlowLintKind::FlagContract) == Verdict::Violation;
     let at_enqueue = res.is_err();
@@ -268,7 +250,8 @@ fn seed_redundant_transfer(ctx: &Context, seed: u64) -> Seeded {
     // The pointless transfer: square's proven footprint overwrites all of
     // it before anything reads.
     q.write_buffer(&out, 0, &[9.0f32; N]).expect("write");
-    q.run(square(&input, &out), NDRange::d1(N)).expect("square");
+    q.run(Square::elementwise(&input, &out), NDRange::d1(N))
+        .expect("square");
     let mut back = vec![0.0f32; N];
     q.read_buffer(&out, 0, &mut back).expect("read");
     let (_, analysis) = recorded(ctx, &q);
@@ -287,7 +270,7 @@ fn seed_read_before_write(ctx: &Context) -> Seeded {
     let q = recording_queue(ctx);
     let uninit = ctx.buffer::<f32>(MemFlags::READ_ONLY, N).expect("in");
     let out = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, N).expect("out");
-    q.run(square(&uninit, &out), NDRange::d1(N))
+    q.run(Square::elementwise(&uninit, &out), NDRange::d1(N))
         .expect("square");
     let (_, analysis) = recorded(ctx, &q);
     let caught = analysis.verdict(FlowLintKind::ReadBeforeWrite) == Verdict::Violation;
@@ -309,7 +292,8 @@ fn seed_host_sync(ctx: &Context, seed: u64) -> Seeded {
     ctx.race()
         .expect("recording context")
         .record_host_access(q.id(), &buf, 0..N, true, None);
-    q.run(square(&buf, &out), NDRange::d1(N)).expect("square");
+    q.run(Square::elementwise(&buf, &out), NDRange::d1(N))
+        .expect("square");
     let (_, analysis) = recorded(ctx, &q);
     let caught = analysis.verdict(FlowLintKind::HostSync) == Verdict::Violation;
     Seeded {
@@ -320,40 +304,12 @@ fn seed_host_sync(ctx: &Context, seed: u64) -> Seeded {
     }
 }
 
+const USAGE: &str = "usage: cl-flow [--workers W] [--seed S] [--out DIR] [--stable]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workers = usize::min(4, cl_pool::available_cores().max(1));
-    let mut seed = 7u64;
-    let mut out_dir = PathBuf::from("results");
-    let mut stable = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = parse_flag(&args, i, "--workers");
-            }
-            "--seed" => {
-                i += 1;
-                seed = parse_flag(&args, i, "--seed");
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--stable" => stable = true,
-            "--help" | "-h" => {
-                println!("usage: cl-flow [--workers W] [--seed S] [--out DIR] [--stable]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    workers = workers.max(1);
+    let mut cli = Cli::parse("cl-flow", USAGE);
+    let workers = cli.workers(host_workers());
+    let seed: u64 = cli.get("--seed", 7);
     // One recording context for every scenario. Buffer ids are
     // process-global and the report prints them, so no buffer is created
     // before the scenarios; Figure 9 runs first and maps nothing, so Figure
@@ -365,21 +321,25 @@ fn main() {
     );
 
     // ------ Clean replays ------
-    let mut failures = 0usize;
     let (chain, chain_proven) = fig9(&ctx, seed);
     let clean = [fig7(&ctx, seed), fig8(&ctx, seed), chain];
     for s in &clean {
         if s.analysis.has_violations() {
-            eprintln!("cl-flow: FAILED: clean replay '{}' has violations:", s.name);
-            for f in &s.analysis.findings {
-                eprintln!("  [{}] {}", f.kind.as_str(), f.message);
-            }
-            failures += 1;
+            let findings: Vec<String> = s
+                .analysis
+                .findings
+                .iter()
+                .map(|f| format!("[{}] {}", f.kind.as_str(), f.message))
+                .collect();
+            cli.fail(format!(
+                "clean replay '{}' has violations: {}",
+                s.name,
+                findings.join("; ")
+            ));
         }
     }
     if !chain_proven {
-        eprintln!("cl-flow: FAILED: Figure 9 chain RAW dependence not proven");
-        failures += 1;
+        cli.fail("Figure 9 chain RAW dependence not proven");
     }
 
     // ------ Seeded faults ------
@@ -392,11 +352,7 @@ fn main() {
     ];
     for s in &seeded {
         if !s.caught {
-            eprintln!(
-                "cl-flow: FAILED: seeded {} fault not caught",
-                s.kind.as_str()
-            );
-            failures += 1;
+            cli.fail(format!("seeded {} fault not caught", s.kind.as_str()));
         }
     }
 
@@ -419,7 +375,7 @@ fn main() {
     // Stable mode skips the sweep entirely: its numbers are wall-clock and
     // would churn the committed report. `cl-bench` carries the continuous
     // measurement as `overhead/race-off`.
-    let (noise, recording_cost) = if stable {
+    let (noise, recording_cost) = if cli.stable() {
         (0.0, 0.0)
     } else {
         let off = Context::new_with(device, ContextConfig::default());
@@ -431,10 +387,16 @@ fn main() {
     };
 
     // ------ Reports ------
-    fs::create_dir_all(&out_dir).expect("create output directory");
-    let md = render_md(&clean, chain_proven, &seeded, noise, recording_cost, stable);
-    fs::write(out_dir.join("flow.md"), md).expect("write flow.md");
-    fs::write(out_dir.join("flow.csv"), render_csv(&clean, &seeded)).expect("write flow.csv");
+    let md = render_md(
+        &clean,
+        chain_proven,
+        &seeded,
+        noise,
+        recording_cost,
+        cli.stable(),
+    );
+    let md_path = cli.write("flow.md", md);
+    cli.write("flow.csv", render_csv(&clean, &seeded));
 
     let caught = seeded.iter().filter(|s| s.caught).count();
     println!(
@@ -447,11 +409,9 @@ fn main() {
         seeded.len(),
         noise * 100.0,
         recording_cost * 100.0,
-        out_dir.join("flow.md").display(),
+        md_path.display(),
     );
-    if failures > 0 {
-        std::process::exit(1);
-    }
+    cli.finish();
 }
 
 fn render_md(
@@ -511,7 +471,7 @@ fn render_md(
                         e.kind.as_str(),
                         e.to,
                         e.buffer_name,
-                        verdict_str(e.verdict)
+                        e.verdict.as_str()
                     )
                 })
                 .collect();

@@ -18,10 +18,9 @@
 //! under `--deny-warnings`.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 
 use cl_analyze::{analyze, analyze_coarsen, CoarsenVerdict, Severity, Verdict};
+use cl_harness::cli::Cli;
 use cl_kernels::access::SpecCoverage;
 use cl_kernels::registry::{parboil_kernels, simple_apps};
 
@@ -69,51 +68,17 @@ impl Row {
         if self.exempt.is_some() {
             "—"
         } else {
-            verdict_str(v)
+            v.as_str()
         }
     }
 }
 
-fn verdict_str(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Proven => "proven",
-        Verdict::Violation => "VIOLATION",
-        Verdict::Unknown => "unknown",
-    }
-}
+const USAGE: &str = "usage: cl-lint [--deny-warnings] [--out DIR] [--default-wg N]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut deny_warnings = false;
-    let mut out_dir = PathBuf::from("results");
-    let mut default_wg = 256usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--deny-warnings" => deny_warnings = true,
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--default-wg" => {
-                i += 1;
-                default_wg = args
-                    .get(i)
-                    .expect("--default-wg needs a size")
-                    .parse()
-                    .expect("--default-wg needs an integer");
-            }
-            "--help" | "-h" => {
-                println!("usage: cl-lint [--deny-warnings] [--out DIR] [--default-wg N]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let mut cli = Cli::parse("cl-lint", USAGE);
+    let deny_warnings = cli.on("--deny-warnings");
+    let default_wg: usize = cli.get("--default-wg", 256);
 
     let mut rows = Vec::new();
     let mut missing = Vec::new();
@@ -122,13 +87,13 @@ fn main() {
             let resolved = match entry.resolve(global, default_wg) {
                 Ok(r) => r,
                 Err(e) => {
-                    eprintln!(
-                        "cl-lint: {}/{} at {}: unresolvable geometry: {e}",
+                    cli.fail(format!(
+                        "{}/{} at {}: unresolvable geometry: {e}",
                         entry.benchmark,
                         entry.kernel,
                         global.describe()
-                    );
-                    std::process::exit(1);
+                    ));
+                    continue;
                 }
             };
             let spec = match entry.coverage(global, default_wg) {
@@ -187,13 +152,8 @@ fn main() {
         }
     }
 
-    fs::create_dir_all(&out_dir).expect("create output directory");
-    fs::write(
-        out_dir.join("lint.md"),
-        render_md(&rows, &missing, default_wg),
-    )
-    .expect("write lint.md");
-    fs::write(out_dir.join("lint.csv"), render_csv(&rows)).expect("write lint.csv");
+    cli.write("lint.md", render_md(&rows, &missing, default_wg));
+    cli.write("lint.csv", render_csv(&rows));
 
     let errors: usize = rows
         .iter()
@@ -205,36 +165,40 @@ fn main() {
         .flat_map(|r| &r.findings)
         .filter(|(s, _)| *s == Severity::Warning)
         .count();
+    // Errors always fail the run; warnings only under --deny-warnings.
     for row in &rows {
         for (sev, msg) in &row.findings {
-            let tag = match sev {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
+            let (tag, fails) = match sev {
+                Severity::Error => ("error", true),
+                Severity::Warning => ("warning", deny_warnings),
             };
-            eprintln!(
-                "cl-lint: {tag}: {}/{} at {}: {msg}",
+            let line = format!(
+                "{tag}: {}/{} at {}: {msg}",
                 row.benchmark, row.kernel, row.global
             );
+            if fails {
+                cli.fail(line);
+            } else {
+                eprintln!("cl-lint: {line}");
+            }
         }
     }
     for m in &missing {
-        eprintln!("cl-lint: error: {m}: kernel publishes no access spec");
+        cli.fail(format!("{m}: kernel publishes no access spec"));
     }
     // Coarsening regressions: a spec'd registry kernel the prover can no
     // longer certify (outside the documented allowlist) fails the run.
-    let mut coarsen_regressions = 0usize;
     for row in &rows {
         if let Some(v) = &row.coarsen {
             if !v.is_proven() && !coarsen_allowed(row.benchmark, row.kernel) {
-                coarsen_regressions += 1;
-                eprintln!(
-                    "cl-lint: error: {}/{} at {}: coarsening verdict regressed to {}: {}",
+                cli.fail(format!(
+                    "{}/{} at {}: coarsening verdict regressed to {}: {}",
                     row.benchmark,
                     row.kernel,
                     row.global,
                     v.label(),
                     v.reason()
-                );
+                ));
             }
         }
     }
@@ -245,14 +209,7 @@ fn main() {
         rows.len() - exempt,
         missing.len()
     );
-
-    if errors > 0
-        || !missing.is_empty()
-        || coarsen_regressions > 0
-        || (deny_warnings && warnings > 0)
-    {
-        std::process::exit(1);
-    }
+    cli.finish();
 }
 
 fn render_md(rows: &[Row], missing: &[String], default_wg: usize) -> String {
@@ -333,7 +290,7 @@ fn render_csv(rows: &[Row]) -> String {
             if r.exempt.is_some() {
                 "-"
             } else {
-                verdict_str(v)
+                v.as_str()
             }
         };
         csv.push_str(&cl_util::csv::row([

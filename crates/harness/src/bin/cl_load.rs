@@ -38,12 +38,10 @@
 //! wall-clock cells (p50/p99, respawns, wall time) render as "·".
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cl_harness::parse_flag;
+use cl_harness::cli::{host_workers, Cli};
 use cl_kernels::chaos::{reference, ChaosKernel, ChaosMode};
 use cl_serve::{ClError, RetryPolicy, ServeConfig, Server, StatsSnapshot, Tenant, TenantConfig};
 use cl_util::XorShift;
@@ -83,66 +81,17 @@ struct Scenario {
     detail: String,
 }
 
+const USAGE: &str = "usage: cl-load [--tenants N] [--faulty K] [--rounds R] [--seed S] \
+                     [--workers W] [--timeout-ms T] [--stable] [--out DIR]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tenants = 16usize;
-    let mut faulty = 2usize;
-    let mut rounds = 3usize;
-    let mut seed = 7u64;
-    let mut workers = usize::min(4, cl_pool::available_cores().max(1));
-    let mut timeout_ms = 250u64;
-    let mut stable = false;
-    let mut out_dir = PathBuf::from("results");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tenants" => {
-                i += 1;
-                tenants = parse_flag(&args, i, "--tenants");
-            }
-            "--faulty" => {
-                i += 1;
-                faulty = parse_flag(&args, i, "--faulty");
-            }
-            "--rounds" => {
-                i += 1;
-                rounds = parse_flag(&args, i, "--rounds");
-            }
-            "--seed" => {
-                i += 1;
-                seed = parse_flag(&args, i, "--seed");
-            }
-            "--workers" => {
-                i += 1;
-                workers = parse_flag(&args, i, "--workers");
-            }
-            "--timeout-ms" => {
-                i += 1;
-                timeout_ms = parse_flag(&args, i, "--timeout-ms");
-            }
-            "--stable" => stable = true,
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: cl-load [--tenants N] [--faulty K] [--rounds R] [--seed S] \
-                     [--workers W] [--timeout-ms T] [--stable] [--out DIR]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let tenants = tenants.max(1);
-    let faulty = faulty.min(tenants);
-    let workers = workers.max(1);
-    let timeout = Duration::from_millis(timeout_ms.max(1));
+    let mut cli = Cli::parse("cl-load", USAGE);
+    let tenants = cli.get("--tenants", 16usize).max(1);
+    let faulty = cli.get("--faulty", 2usize).min(tenants);
+    let rounds: usize = cli.get("--rounds", 3);
+    let seed: u64 = cli.get("--seed", 7);
+    let workers = cli.workers(host_workers());
+    let timeout = Duration::from_millis(cli.get("--timeout-ms", 250u64).max(1));
     // A clean launch may queue behind several watchdog-killed stalls before
     // its slot frees; the stall budget is deliberately generous — the
     // violation it guards against is an *unbounded* stall.
@@ -170,25 +119,23 @@ fn main() {
     let violations: usize = reports.iter().map(|r| r.violations()).sum();
     let scen_failed = scenarios.iter().filter(|s| !s.ok).count();
 
-    fs::create_dir_all(&out_dir).expect("create output directory");
-    fs::write(
-        out_dir.join("serve.md"),
+    cli.write(
+        "serve.md",
         render_md(
-            &reports, &scenarios, tenants, faulty, rounds, seed, workers, timeout, violations,
-            elapsed, stable,
+            &cli, &reports, &scenarios, tenants, faulty, rounds, seed, workers, timeout,
+            violations, elapsed,
         ),
-    )
-    .expect("write serve.md");
+    );
 
     for r in reports.iter().filter(|r| r.violations() > 0) {
-        eprintln!(
-            "cl-load: {} ISOLATION VIOLATION: {}/{} checks exact, {}/{} faults contained, \
+        cli.fail(format!(
+            "{} isolation violation: {}/{} checks exact, {}/{} faults contained, \
              {} stalls over budget (worst {:?})",
             r.name, r.exact, r.checks, r.contained, r.injected, r.stalled, r.worst
-        );
+        ));
     }
     for s in scenarios.iter().filter(|s| !s.ok) {
-        eprintln!("cl-load: scenario {} FAILED: {}", s.name, s.detail);
+        cli.fail(format!("scenario {}: {}", s.name, s.detail));
     }
     println!(
         "cl-load: {tenants} tenants ({faulty} faulty) x {rounds} rounds on {workers} workers: \
@@ -197,9 +144,7 @@ fn main() {
         scenarios.len(),
         elapsed.as_secs_f64()
     );
-    if violations > 0 || scen_failed > 0 {
-        std::process::exit(1);
-    }
+    cli.finish();
 }
 
 /// Phase 1: N concurrent tenants, the first `faulty` of them injecting
@@ -685,6 +630,7 @@ fn overload_scenarios(timeout: Duration) -> Vec<Scenario> {
 
 #[allow(clippy::too_many_arguments)]
 fn render_md(
+    cli: &Cli,
     reports: &[TenantReport],
     scenarios: &[Scenario],
     tenants: usize,
@@ -695,12 +641,10 @@ fn render_md(
     timeout: Duration,
     violations: usize,
     elapsed: Duration,
-    stable: bool,
 ) -> String {
-    // Volatile (wall-clock) cells render as "·" in stable mode, like
+    // Volatile (wall-clock) cells are masked in stable mode, like
     // trace.md/flow.md: the committed report must be byte-identical on any
     // machine.
-    let t = |v: String| if stable { "·".to_string() } else { v };
     let mut md = String::new();
     md.push_str("# Multi-tenant serving soak: isolation and overload\n\n");
     let _ = writeln!(
@@ -710,9 +654,9 @@ fn render_md(
          inject one contained fault per round and must observe the right `ClError`, \
          then recover bit-exactly on the same queue; clean tenants run mixed \
          launch/write/read/map traffic that must stay bit-exact and bounded.\n",
-        t(format!("{:.2}s", elapsed.as_secs_f64()))
+        cli.mask(format!("{:.2}s", elapsed.as_secs_f64()))
     );
-    if stable {
+    if cli.stable() {
         md.push_str(
             "*Stable mode (`--stable`): wall-clock cells (p50/p99, worst, wall time) \
              render as \"·\" so the committed report is machine-independent.*\n\n",
@@ -746,8 +690,8 @@ fn render_md(
             } else {
                 format!("**{}/{}**", r.contained, r.injected)
             },
-            t(format_ns(r.stats.p50_ns)),
-            t(format_ns(r.stats.p99_ns)),
+            cli.mask(format_ns(r.stats.p50_ns)),
+            cli.mask(format_ns(r.stats.p99_ns)),
         );
     }
 
@@ -766,8 +710,8 @@ fn render_md(
             md,
             "\nClean tenants: worst per-tenant p99 {}, worst single launch {} \
              (stall budget {:?}; {} launches over budget).\n",
-            t(format_ns(p99s.last().copied().unwrap_or(0))),
-            t(format!("{worst:?}")),
+            cli.mask(format_ns(p99s.last().copied().unwrap_or(0))),
+            cli.mask(format!("{worst:?}")),
             timeout * 20 + Duration::from_secs(5),
             reports.iter().map(|r| r.stalled).sum::<usize>(),
         );

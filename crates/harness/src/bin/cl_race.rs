@@ -35,18 +35,16 @@
 //! static/dynamic disagreement anywhere in the run.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 use std::sync::mpsc;
 use std::thread;
 
 use cl_analyze::hb::{HbAnalysis, HbLintKind, OrderVerdict, VcReport};
-use cl_harness::parse_flag;
+use cl_harness::cli::{host_workers, Cli};
 use cl_kernels::apps::square::Square;
 use cl_kernels::apps::vectoradd::VectorAdd;
 use cl_kernels::race::{TileFill, TileSquare};
 use cl_kernels::util::random_f32;
-use ocl_rt::{Context, ContextConfig, Device, MemFlags, NDRange};
+use ocl_rt::{CommandQueue, Context, ContextConfig, Device, MemFlags, NDRange, QueueConfig};
 
 const N: usize = 1024;
 const TILES: usize = 4;
@@ -58,13 +56,13 @@ fn race_ctx(workers: usize) -> Context {
     )
 }
 
-fn square(input: &ocl_rt::Buffer<f32>, output: &ocl_rt::Buffer<f32>) -> Square {
-    Square {
-        input: input.clone(),
-        output: output.clone(),
-        n: N,
-        items_per_wi: 1,
-    }
+/// Two queues of `ctx` that let launches past the debug-build enqueue
+/// gates: a seeded race must reach the recorder so that the offline layers
+/// are what is under test (release builds compile the gates out anyway;
+/// the gates have their own unit tests in the runtime).
+fn ungated_queues(ctx: &Context) -> (CommandQueue, CommandQueue) {
+    let cfg = || QueueConfig::from_env().skip_static_check(true);
+    (ctx.queue_with(cfg()), ctx.queue_with(cfg()))
 }
 
 /// One clean scenario: its analysis, the dynamic layer's verdict, and the
@@ -148,16 +146,22 @@ fn producer_consumer(workers: usize, seed: u64) -> Scenario {
         let href = &host;
         s.spawn(move || {
             qa.write_buffer(&producer_in, 0, href).expect("write");
-            qa.run(square(&producer_in, &producer_mid), NDRange::d1(N))
-                .expect("produce");
+            qa.run(
+                Square::elementwise(&producer_in, &producer_mid),
+                NDRange::d1(N),
+            )
+            .expect("produce");
             qa.finish().expect("queue drains");
             tx.send(()).expect("handoff");
         });
         let (consumer_mid, consumer_out) = (mid.clone(), out.clone());
         s.spawn(move || {
             rx.recv().expect("handoff");
-            qb.run(square(&consumer_mid, &consumer_out), NDRange::d1(N))
-                .expect("consume");
+            qb.run(
+                Square::elementwise(&consumer_mid, &consumer_out),
+                NDRange::d1(N),
+            )
+            .expect("consume");
             let mut back = vec![0.0f32; N];
             qb.read_buffer(&consumer_out, 0, &mut back).expect("read");
             assert!(
@@ -293,7 +297,8 @@ fn fig9_chain(workers: usize, seed: u64) -> Scenario {
     )
     .expect("vectoradd");
     qa.finish().expect("queue drains");
-    qb.run(square(&c, &d), NDRange::d1(N)).expect("square");
+    qb.run(Square::elementwise(&c, &d), NDRange::d1(N))
+        .expect("square");
     let mut back = vec![0.0f32; N];
     qb.read_buffer(&d, 0, &mut back).expect("read");
     assert!(
@@ -386,7 +391,7 @@ fn tsq(
 /// RAW with no sync: A writes the buffer, B reads it, nothing orders them.
 fn seed_raw_no_sync(workers: usize) -> Seeded {
     let ctx = race_ctx(workers);
-    let (qa, qb) = (ctx.queue(), ctx.queue());
+    let (qa, qb) = ungated_queues(&ctx);
     let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
     let out = ctx.buffer::<f32>(MemFlags::default(), N).expect("out");
     qa.run(fill(&buf, 0, N, 1.0), NDRange::d1(N)).expect("fill");
@@ -397,7 +402,7 @@ fn seed_raw_no_sync(workers: usize) -> Seeded {
 /// WAW on overlapping tiles: two queues write windows that must overlap.
 fn seed_waw_overlap(workers: usize) -> Seeded {
     let ctx = race_ctx(workers);
-    let (qa, qb) = (ctx.queue(), ctx.queue());
+    let (qa, qb) = ungated_queues(&ctx);
     let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
     qa.run(fill(&buf, 0, N, 1.0), NDRange::d1(N)).expect("a");
     qb.run(fill(&buf, N / 4, N / 4, 2.0), NDRange::d1(N / 4))
@@ -408,7 +413,7 @@ fn seed_waw_overlap(workers: usize) -> Seeded {
 /// WAR with no sync: A reads the buffer while B overwrites it.
 fn seed_war_no_sync(workers: usize) -> Seeded {
     let ctx = race_ctx(workers);
-    let (qa, qb) = (ctx.queue(), ctx.queue());
+    let (qa, qb) = ungated_queues(&ctx);
     let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
     let out = ctx.buffer::<f32>(MemFlags::default(), N).expect("out");
     qa.run(tsq(&buf, &out, 0, N), NDRange::d1(N)).expect("sq");
@@ -419,7 +424,7 @@ fn seed_war_no_sync(workers: usize) -> Seeded {
 /// Host map on B races a device write on A: the unsynchronized-host lint.
 fn seed_host_map_race(workers: usize) -> Seeded {
     let ctx = race_ctx(workers);
-    let (qa, qb) = (ctx.queue(), ctx.queue());
+    let (qa, qb) = ungated_queues(&ctx);
     let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
     qa.run(fill(&buf, 0, N, 4.0), NDRange::d1(N)).expect("fill");
     {
@@ -435,7 +440,7 @@ fn seed_host_map_race(workers: usize) -> Seeded {
 /// `finish` on the WRONG queue: syncs nothing between the conflicting pair.
 fn seed_wrong_queue_finish(workers: usize) -> Seeded {
     let ctx = race_ctx(workers);
-    let (qa, qb) = (ctx.queue(), ctx.queue());
+    let (qa, qb) = ungated_queues(&ctx);
     let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
     let out = ctx.buffer::<f32>(MemFlags::default(), N).expect("out");
     qa.run(fill(&buf, 0, N, 5.0), NDRange::d1(N)).expect("fill");
@@ -448,7 +453,7 @@ fn seed_wrong_queue_finish(workers: usize) -> Seeded {
 /// in-order queues.
 fn seed_marker_no_sync(workers: usize) -> Seeded {
     let ctx = race_ctx(workers);
-    let (qa, qb) = (ctx.queue(), ctx.queue());
+    let (qa, qb) = ungated_queues(&ctx);
     let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
     let out = ctx.buffer::<f32>(MemFlags::default(), N).expect("out");
     qa.run(fill(&buf, 0, N, 6.0), NDRange::d1(N)).expect("fill");
@@ -457,41 +462,14 @@ fn seed_marker_no_sync(workers: usize) -> Seeded {
     judge("marker instead of sync", &ctx, HbLintKind::CrossQueueRace)
 }
 
+const USAGE: &str = "usage: cl-race [--workers W] [--seed S] [--out DIR]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workers = usize::min(4, cl_pool::available_cores().max(1));
-    let mut seed = 7u64;
-    let mut out_dir = PathBuf::from("results");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = parse_flag(&args, i, "--workers");
-            }
-            "--seed" => {
-                i += 1;
-                seed = parse_flag(&args, i, "--seed");
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--help" | "-h" => {
-                println!("usage: cl-race [--workers W] [--seed S] [--out DIR]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    workers = workers.max(1);
+    let mut cli = Cli::parse("cl-race", USAGE);
+    let workers = cli.workers(host_workers());
+    let seed: u64 = cli.get("--seed", 7);
 
     // ------ Clean scenarios ------
-    let mut failures = 0usize;
     let clean = [
         producer_consumer(workers, seed),
         four_queue_tiles(workers),
@@ -500,17 +478,11 @@ fn main() {
     ];
     for sc in &clean {
         for p in &sc.problems {
-            eprintln!("cl-race: FAILED: clean scenario '{}': {p}", sc.name);
-            failures += 1;
+            cli.fail(format!("clean scenario '{}': {p}", sc.name));
         }
     }
 
     // ------ Seeded races ------
-    // Debug builds would reject these at the enqueue-time cross-queue gate
-    // before anything is recorded; skip the gate so the offline layers are
-    // what's under test (release CI compiles the gate out anyway). The
-    // gate itself is covered by the runtime's unit tests.
-    std::env::set_var("CL_SKIP_STATIC_CHECK", "1");
     let seeded = [
         seed_raw_no_sync(workers),
         seed_waw_overlap(workers),
@@ -519,21 +491,18 @@ fn main() {
         seed_wrong_queue_finish(workers),
         seed_marker_no_sync(workers),
     ];
-    std::env::remove_var("CL_SKIP_STATIC_CHECK");
     for s in &seeded {
         if !s.caught() {
-            eprintln!(
-                "cl-race: FAILED: seeded race '{}' missed (static {}, vector-clock {}, agree {})",
+            cli.fail(format!(
+                "seeded race '{}' missed (static {}, vector-clock {}, agree {})",
                 s.name, s.static_caught, s.vc_caught, s.agree
-            );
-            failures += 1;
+            ));
         }
     }
 
     // ------ Reports ------
-    fs::create_dir_all(&out_dir).expect("create output directory");
-    fs::write(out_dir.join("race.md"), render_md(&clean, &seeded)).expect("write race.md");
-    fs::write(out_dir.join("race.csv"), render_csv(&clean, &seeded)).expect("write race.csv");
+    let md_path = cli.write("race.md", render_md(&clean, &seeded));
+    cli.write("race.csv", render_csv(&clean, &seeded));
 
     let caught = seeded.iter().filter(|s| s.caught()).count();
     println!(
@@ -543,11 +512,9 @@ fn main() {
         clean.iter().map(|s| s.problems.len()).sum::<usize>(),
         seeded.len(),
         clean[3].analysis.removable_syncs().count(),
-        out_dir.join("race.md").display(),
+        md_path.display(),
     );
-    if failures > 0 {
-        std::process::exit(1);
-    }
+    cli.finish();
 }
 
 fn render_md(clean: &[Scenario], seeded: &[Seeded]) -> String {

@@ -38,11 +38,10 @@
 //!    gated copy — wall-clock numbers stay out of the drift-tracked report).
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cl_harness::cli::Cli;
 use cl_kernels::sched::{muladd_ref, MulAdd, Nap};
 use cl_util::XorShift;
 use ocl_rt::{
@@ -417,44 +416,14 @@ fn wide_dag_seconds(ctx: &Context, n: usize, millis: u64, ooo: bool) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut dags = 60usize;
-    let mut bug_reps = 3usize;
-    let mut seed = 11u64;
-    let mut out_dir = PathBuf::from("results");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dags" => {
-                i += 1;
-                dags = args[i].parse().expect("--dags needs a number");
-            }
-            "--bug-reps" => {
-                i += 1;
-                bug_reps = args[i].parse().expect("--bug-reps needs a number");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed needs a number");
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--help" | "-h" => {
-                println!("usage: cl-sched [--dags N] [--bug-reps N] [--seed S] [--out DIR]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+const USAGE: &str = "usage: cl-sched [--dags N] [--bug-reps N] [--seed S] [--out DIR]";
 
-    let mut failed = false;
+fn main() {
+    let mut cli = Cli::parse("cl-sched", USAGE);
+    let dags: usize = cli.get("--dags", 60);
+    let bug_reps: usize = cli.get("--bug-reps", 3);
+    let seed: u64 = cli.get("--seed", 11);
+
     let mut md = String::new();
     let _ = writeln!(md, "# Out-of-order scheduler fuzz (`cl-sched`)\n");
     let _ = writeln!(
@@ -509,11 +478,7 @@ fn main() {
             let violations = replay_dag(&ctx, &spec, *native);
             if !violations.is_empty() {
                 n_viol += violations.len();
-                failed = true;
-                eprintln!("FAIL [{name}] round {round}:");
-                for v in &violations {
-                    eprintln!("  {v}");
-                }
+                cli.fail(format!("[{name}] round {round}: {}", violations.join("; ")));
             }
             total_rounds += 1;
         }
@@ -557,8 +522,7 @@ fn main() {
             bug.name()
         );
         if caught != bug_reps {
-            failed = true;
-            eprintln!("FAIL: seeded bug {} escaped the oracle", bug.name());
+            cli.fail(format!("seeded bug {} escaped the oracle", bug.name()));
         }
     }
     let _ = writeln!(md);
@@ -589,17 +553,11 @@ fn main() {
     let _ = writeln!(
         md,
         "Verdict: **{}** — {} replay rounds across {} device configs.",
-        if failed { "FAIL" } else { "PASS" },
+        if cli.failed() { "FAIL" } else { "PASS" },
         total_rounds,
         configs.len()
     );
 
-    fs::create_dir_all(&out_dir).expect("create out dir");
-    let path = out_dir.join("sched.md");
-    fs::write(&path, &md).expect("write sched.md");
-    println!("wrote {}", path.display());
-
-    if failed {
-        std::process::exit(1);
-    }
+    println!("wrote {}", cli.write("sched.md", &md).display());
+    cli.finish();
 }

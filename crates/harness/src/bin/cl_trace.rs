@@ -30,11 +30,9 @@
 //!    against run-to-run noise on a fig1-style sweep.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use cl_harness::parse_flag;
+use cl_harness::cli::{host_workers, Cli};
 use ocl_rt::{Context, Device, MemFlags, QueueConfig, Span, SpanKind, TraceLog};
 
 /// Profiling breakdown of one traced launch, derived from its launch span
@@ -157,40 +155,12 @@ fn breakdown(name: &'static str, spans: &[Span], workers: usize) -> PhaseBreakdo
     b
 }
 
+const USAGE: &str = "usage: cl-trace [--workers W] [--seed S] [--out DIR] [--stable]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workers = usize::min(4, cl_pool::available_cores().max(1));
-    let mut seed = 7u64;
-    let mut out_dir = PathBuf::from("results");
-    let mut stable = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = parse_flag(&args, i, "--workers");
-            }
-            "--seed" => {
-                i += 1;
-                seed = parse_flag(&args, i, "--seed");
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--stable" => stable = true,
-            "--help" | "-h" => {
-                println!("usage: cl-trace [--workers W] [--seed S] [--out DIR] [--stable]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    workers = workers.max(1);
+    let mut cli = Cli::parse("cl-trace", USAGE);
+    let workers = cli.workers(host_workers());
+    let seed: u64 = cli.get("--seed", 7);
 
     let ctx = Context::new(Device::native_cpu(workers).expect("trace device"));
     // Armed watchdog: the host monitors instead of helping execute chunks,
@@ -203,12 +173,13 @@ fn main() {
     let log = q.trace().expect("tracing queue").clone();
 
     let mut rows: Vec<LaunchRow> = Vec::new();
-    let mut failures = 0usize;
     let mut verify_launch = |log: &TraceLog| {
         let launch = log.last_launch().expect("a launch span");
         if let Err(e) = log.verify_chunk_partition(launch.launch, launch.group_end) {
-            eprintln!("chunk partition violated for {}: {e}", launch.label);
-            failures += 1;
+            cli.fail(format!(
+                "chunk partition violated for {}: {e}",
+                launch.label
+            ));
         }
     };
 
@@ -295,7 +266,7 @@ fn main() {
     };
     // The overhead comparison is pure wall-clock — meaningless to commit in
     // the deterministic report, so --stable skips the measurement.
-    let (noise, traced_cost) = if stable {
+    let (noise, traced_cost) = if cli.stable() {
         (0.0, 0.0)
     } else {
         let off_a = sweep(QueueConfig::default());
@@ -306,57 +277,43 @@ fn main() {
     };
 
     // ------ Reports ------
-    fs::create_dir_all(&out_dir).expect("create output directory");
-    let json = log.to_chrome_json();
-    fs::write(out_dir.join("trace.json"), &json).expect("write trace.json");
+    cli.write("trace.json", log.to_chrome_json());
 
     let phases = [
         breakdown("Table II square sweep", &w1_spans, workers),
         breakdown("Figure 6 ILP ladder", &w2_spans, workers),
         breakdown("Transfer write vs map", &tx_spans, workers),
     ];
-    let md = render_md(
-        &rows,
-        &phases,
-        workers,
-        noise,
-        traced_cost,
-        log.len(),
-        stable,
-    );
-    fs::write(out_dir.join("trace.md"), md).expect("write trace.md");
+    let md = render_md(&cli, &rows, &phases, workers, noise, traced_cost, log.len());
+    let md_path = cli.write("trace.md", md);
 
     println!(
         "cl-trace: {} spans across {} launches; partition checks {}; \
          disabled-path noise {:.2}%, traced cost {:+.2}% → {}",
         log.len(),
         rows.len(),
-        if failures == 0 { "passed" } else { "FAILED" },
+        if cli.failed() { "FAILED" } else { "passed" },
         noise * 100.0,
         traced_cost * 100.0,
-        out_dir.join("trace.md").display(),
+        md_path.display(),
     );
-    if failures > 0 {
-        std::process::exit(1);
-    }
+    cli.finish();
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_md(
+    cli: &Cli,
     rows: &[LaunchRow],
     phases: &[PhaseBreakdown],
     workers: usize,
     noise: f64,
     traced_cost: f64,
     spans: usize,
-    stable: bool,
 ) -> String {
-    // In --stable mode every wall-clock-derived cell renders as "·": the
+    // In --stable mode every wall-clock-derived cell is masked: the
     // committed report must be byte-identical run to run, and only the
     // structure (launches, groups, chunks, barriers, partition proofs) is
     // deterministic. Counts that depend on scheduling (steals, span totals)
     // are volatile too.
-    let t = |v: String| if stable { "·".to_string() } else { v };
     let mut md = String::new();
     md.push_str("# Trace report (`cl-trace`)\n\n");
     let _ = writeln!(
@@ -366,9 +323,9 @@ fn render_md(
          attribution). {} spans total; the full log is exported to \
          [`trace.json`](trace.json) — load it in `chrome://tracing` or \
          <https://ui.perfetto.dev>.\n",
-        t(spans.to_string())
+        cli.mask(spans.to_string())
     );
-    if stable {
+    if cli.stable() {
         md.push_str(
             "*Stable mode (`--stable`): wall-clock cells and scheduling-dependent \
              counts render as `·` so this report can be committed and \
@@ -399,14 +356,14 @@ fn render_md(
             r.queue_cmd,
             r.groups,
             r.chunks,
-            t(r.steals.to_string()),
+            cli.mask(r.steals.to_string()),
             r.barriers,
-            t(format!("{:.1}", us(r.wall_ns))),
-            t(format!("{:.1}", us(r.submit_ns))),
-            t(format!("{:.1}", us(r.dispatch_ns))),
-            t(format!("{:.1}", us(r.compute_ns))),
-            t(format!("{:.1}", us(r.idle_ns))),
-            t(format!("{:.0}%", r.util * 100.0)),
+            cli.mask(format!("{:.1}", us(r.wall_ns))),
+            cli.mask(format!("{:.1}", us(r.submit_ns))),
+            cli.mask(format!("{:.1}", us(r.dispatch_ns))),
+            cli.mask(format!("{:.1}", us(r.compute_ns))),
+            cli.mask(format!("{:.1}", us(r.idle_ns))),
+            cli.mask(format!("{:.0}%", r.util * 100.0)),
         );
     }
 
@@ -428,17 +385,17 @@ fn render_md(
             "| {} | {} | {} | {} | {} | {} | {} | {} |",
             p.name,
             p.launches,
-            t(format!("{:.1}", us(p.wall_ns))),
-            t(format!("{:.1}", us(p.compute_ns))),
-            t(format!("{:.1}", us(p.schedule_ns))),
+            cli.mask(format!("{:.1}", us(p.wall_ns))),
+            cli.mask(format!("{:.1}", us(p.compute_ns))),
+            cli.mask(format!("{:.1}", us(p.schedule_ns))),
             p.barrier_events,
-            t(format!("{:.1}", us(p.transfer_ns))),
+            cli.mask(format!("{:.1}", us(p.transfer_ns))),
             p.transfer_bytes,
         );
     }
 
     md.push_str("\n## Disabled-path overhead\n\n");
-    if stable {
+    if cli.stable() {
         md.push_str(
             "Skipped in stable mode (pure wall-clock comparison). The \
              continuous measurement lives in `cl-bench` as \

@@ -44,6 +44,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cl_harness::bench::{mad, median};
+use cl_harness::cli::Cli;
 use cl_kernels::apps::{square, vectoradd, Built};
 use cl_tune::{schedule_trials, TuneGeometry, TuneKey, TunedConfig, Tuner};
 use ocl_rt::{CoarsenMode, Context, Device, NDRange, QueueConfig};
@@ -194,51 +195,16 @@ struct Row {
     reused: bool,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workers = 2usize;
-    let mut out_dir = PathBuf::from("results");
-    let mut cache = PathBuf::from("target/tune-cache.json");
-    let mut stable = false;
-    let mut verify_reuse = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = args
-                    .get(i)
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("--workers needs an integer");
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--cache" => {
-                i += 1;
-                cache = PathBuf::from(args.get(i).expect("--cache needs a path"));
-            }
-            "--stable" => stable = true,
-            "--verify-reuse" => verify_reuse = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: cl-tune [--workers W] [--out DIR] [--cache PATH] [--stable] \
-                     [--verify-reuse]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+const USAGE: &str = "usage: cl-tune [--workers W] [--out DIR] [--cache PATH] [--stable] \
+                     [--verify-reuse]";
 
-    if verify_reuse {
-        std::process::exit(run_reuse_check(workers, cache));
+fn main() {
+    let mut cli = Cli::parse("cl-tune", USAGE);
+    let workers = cli.workers(2);
+    let cache: PathBuf = cli.get("--cache", PathBuf::from("target/tune-cache.json"));
+    if cli.on("--verify-reuse") {
+        verify_reuse(&mut cli, workers, cache);
+        return cli.finish();
     }
 
     // Cold start: the convergence trajectory below must be earned, not
@@ -246,7 +212,6 @@ fn main() {
     let _ = fs::remove_file(&cache);
     let tuner = Arc::new(Tuner::new(Some(cache.clone())));
     let device = Device::native_cpu(workers).expect("native device");
-    let mut failures: Vec<String> = Vec::new();
     let mut rows: Vec<Row> = Vec::new();
 
     for w in workloads() {
@@ -261,7 +226,7 @@ fn main() {
         let mut launches = 0usize;
         while tuner.converged(&key).is_none() {
             if launches > budget + shortlist.len() + 4 {
-                failures.push(format!(
+                cli.fail(format!(
                     "{}/{}: no convergence after {launches} launches (budget {budget})",
                     w.name, w.n
                 ));
@@ -276,13 +241,13 @@ fn main() {
         };
         let trials = tuner.trials(&key);
         if trials > budget {
-            failures.push(format!(
+            cli.fail(format!(
                 "{}/{}: {trials} trials exceed the pinned budget {budget}",
                 w.name, w.n
             ));
         }
         if let Err(e) = built.verify(&q) {
-            failures.push(format!(
+            cli.fail(format!(
                 "{}/{}: tuned results diverge from reference: {e}",
                 w.name, w.n
             ));
@@ -330,7 +295,7 @@ fn main() {
             (chosen_ns, best_ns) = (c_ns, b_ns);
         }
         if miss {
-            failures.push(format!(
+            cli.fail(format!(
                 "{}/{}: converged to {} at {chosen_ns:.0} ns, worse than 5% off the best {} \
                  at {best_ns:.0} ns (allowed delta {allowed:.0} ns)",
                 w.name,
@@ -373,7 +338,7 @@ fn main() {
         .status();
     let reuse_ok = matches!(&status, Ok(s) if s.success());
     if !reuse_ok {
-        failures.push(format!(
+        cli.fail(format!(
             "cold-cache reuse check failed ({})",
             match &status {
                 Ok(s) => format!("exit {s}"),
@@ -385,69 +350,53 @@ fn main() {
         r.reused = reuse_ok;
     }
 
-    fs::create_dir_all(&out_dir).expect("create output directory");
-    fs::write(out_dir.join("tune.md"), render_md(&rows, workers, stable)).expect("write tune.md");
-    fs::write(out_dir.join("tune.csv"), render_csv(&rows, stable)).expect("write tune.csv");
+    cli.write("tune.md", render_md(&cli, &rows, workers));
+    cli.write("tune.csv", render_csv(&cli, &rows));
 
     println!(
         "cl-tune: {} workloads converged, {} trials total, cold-cache reuse {}{}",
         rows.len(),
         rows.iter().map(|r| r.trials).sum::<usize>(),
         if reuse_ok { "OK" } else { "FAILED" },
-        if stable { " (stable mode)" } else { "" },
+        if cli.stable() { " (stable mode)" } else { "" },
     );
-    for f in &failures {
-        eprintln!("cl-tune: FAIL: {f}");
-    }
-    if !failures.is_empty() {
-        std::process::exit(1);
-    }
+    cli.finish();
 }
 
 /// The `--verify-reuse` child: load the parent's cache cold and replay
-/// every workload. Exit 0 iff every decision is already converged and no
+/// every workload. Passes iff every decision is already converged and no
 /// launch spends a trial.
-fn run_reuse_check(workers: usize, cache: PathBuf) -> i32 {
+fn verify_reuse(cli: &mut Cli, workers: usize, cache: PathBuf) {
     let tuner = Arc::new(Tuner::new(Some(cache)));
     let device = Device::native_cpu(workers).expect("native device");
-    let mut bad = 0;
     for w in workloads() {
         let ctx = Context::new(device.clone());
         let built = (w.build)(&ctx, w.n);
         let key = key_for(&built, &device);
         if tuner.converged(&key).is_none() {
-            eprintln!(
-                "cl-tune --verify-reuse: {}/{} has no persisted decision",
+            cli.fail(format!(
+                "--verify-reuse: {}/{} has no persisted decision",
                 w.name, w.n
-            );
-            bad += 1;
+            ));
             continue;
         }
         let q = ctx.queue_with(QueueConfig::default().tuner(Arc::clone(&tuner)));
         q.enqueue_kernel(&built.kernel, built.range)
             .expect("reuse enqueue");
         if let Err(e) = built.verify(&q) {
-            eprintln!("cl-tune --verify-reuse: {}/{}: {e}", w.name, w.n);
-            bad += 1;
+            cli.fail(format!("--verify-reuse: {}/{}: {e}", w.name, w.n));
         }
         let extra = tuner.session_trials(&key);
         if extra != 0 {
-            eprintln!(
-                "cl-tune --verify-reuse: {}/{} spent {extra} trials despite the cache",
+            cli.fail(format!(
+                "--verify-reuse: {}/{} spent {extra} trials despite the cache",
                 w.name, w.n
-            );
-            bad += 1;
+            ));
         }
-    }
-    if bad == 0 {
-        0
-    } else {
-        1
     }
 }
 
-fn render_md(rows: &[Row], workers: usize, stable: bool) -> String {
-    let cell = |v: String| if stable { "·".to_string() } else { v };
+fn render_md(cli: &Cli, rows: &[Row], workers: usize) -> String {
     let mut md = String::new();
     md.push_str("# Online autotuning convergence\n\n");
     let _ = writeln!(
@@ -474,8 +423,8 @@ fn render_md(rows: &[Row], workers: usize, stable: bool) -> String {
             r.candidates,
             r.trials,
             r.budget,
-            cell(r.chosen.label()),
-            cell(format!("{:.1}", r.pct_of_best)),
+            cli.mask(r.chosen.label()),
+            cli.mask(format!("{:.1}", r.pct_of_best)),
             if r.reused { "ok" } else { "FAILED" },
         );
     }
@@ -485,7 +434,7 @@ fn render_md(rows: &[Row], workers: usize, stable: bool) -> String {
          absolute, 6·MAD); bit-correct results on the tuned queue; zero-trial \
          cold-cache reuse. Any failure exits nonzero.*\n",
     );
-    if stable {
+    if cli.stable() {
         md.push_str(
             "\n*Stable mode (`--stable`): measured cells render as \"·\" so \
              the committed report is machine-independent; candidate counts, \
@@ -496,8 +445,7 @@ fn render_md(rows: &[Row], workers: usize, stable: bool) -> String {
     md
 }
 
-fn render_csv(rows: &[Row], stable: bool) -> String {
-    let cell = |v: String| if stable { "-".to_string() } else { v };
+fn render_csv(cli: &Cli, rows: &[Row]) -> String {
     let mut csv = String::from(
         "section,kernel,n,candidates,trials,budget,chosen_wg,chosen_chunk,chosen_ns,best_wg,best_chunk,best_ns,pct_of_best,reused\n",
     );
@@ -509,13 +457,13 @@ fn render_csv(rows: &[Row], stable: bool) -> String {
             r.candidates.to_string(),
             r.trials.to_string(),
             r.budget.to_string(),
-            cell(r.chosen.wg.to_string()),
-            cell(r.chosen.chunk.to_string()),
-            cell(format!("{:.0}", r.chosen_ns)),
-            cell(r.best.wg.to_string()),
-            cell(r.best.chunk.to_string()),
-            cell(format!("{:.0}", r.best_ns)),
-            cell(format!("{:.2}", r.pct_of_best)),
+            cli.mask_as("-", r.chosen.wg.to_string()),
+            cli.mask_as("-", r.chosen.chunk.to_string()),
+            cli.mask_as("-", format!("{:.0}", r.chosen_ns)),
+            cli.mask_as("-", r.best.wg.to_string()),
+            cli.mask_as("-", r.best.chunk.to_string()),
+            cli.mask_as("-", format!("{:.0}", r.best_ns)),
+            cli.mask_as("-", format!("{:.2}", r.pct_of_best)),
             r.reused.to_string(),
         ]));
     }

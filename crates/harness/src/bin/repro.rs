@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [--full] [--native] [--out DIR] [--only figN]
+//! repro [--full] [--native] [--out DIR] [--only ID]
 //!
 //!   --full     use the paper's full problem sizes (default: scaled down)
 //!   --native   also run wall-clock measurements on this host
@@ -12,10 +12,9 @@
 //! Writes one Markdown + CSV file per figure, the tables, and a combined
 //! `EXPERIMENTS.generated.md`.
 
-use std::fs;
 use std::panic::catch_unwind;
-use std::path::PathBuf;
 
+use cl_harness::cli::Cli;
 use cl_harness::{figures, tables, Config, Figure};
 
 /// Every experiment id, in report order (`all_figures` plus the extras).
@@ -36,37 +35,23 @@ const ALL_IDS: &[&str] = &[
     "extra-scheduling",
 ];
 
+const USAGE: &str = "usage: repro [--full] [--native] [--out DIR] [--only ID]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = Config::default();
-    let mut out_dir = PathBuf::from("results");
-    let mut only: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--full" => cfg.quick = false,
-            "--native" => cfg.native = true,
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--only" => {
-                i += 1;
-                only = Some(args.get(i).expect("--only needs an id").clone());
-            }
-            "--help" | "-h" => {
-                println!("usage: repro [--full] [--native] [--out DIR] [--only figN]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+    let mut cli = Cli::parse("repro", USAGE);
+    let cfg = Config {
+        quick: !cli.on("--full"),
+        native: cli.on("--native"),
+        ..Config::default()
+    };
+    let only: Option<String> = cli.value("--only");
+    if let Some(id) = only.as_deref().filter(|id| !ALL_IDS.contains(id)) {
+        cli.usage_error(&format!(
+            "unknown experiment id: {id} (expected fig1..fig11 or extra-vectorizer/\
+             extra-occupancy/extra-scheduling)"
+        ));
     }
 
-    fs::create_dir_all(&out_dir).expect("create output directory");
     eprintln!(
         "repro: plane = modeled{}, sizes = {}",
         if cfg.native { " + native" } else { "" },
@@ -81,7 +66,6 @@ fn main() {
         None => ALL_IDS.to_vec(),
     };
     let mut figures: Vec<Figure> = Vec::with_capacity(ids.len());
-    let mut failed: Vec<String> = Vec::new();
     for id in ids {
         match catch_unwind(|| run_one(id, &cfg)) {
             Ok(fig) => figures.push(fig),
@@ -91,8 +75,7 @@ fn main() {
                     .map(|s| (*s).to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                eprintln!("repro: {id} FAILED: {msg}");
-                failed.push(id.to_string());
+                cli.fail(format!("{id}: {msg}"));
             }
         }
     }
@@ -111,32 +94,23 @@ fn main() {
 
     if only.is_none() {
         let t = tables::all_tables();
-        fs::write(out_dir.join("tables.md"), &t).expect("write tables");
+        eprintln!("wrote {}", cli.write("tables.md", &t).display());
         combined.push_str(&t);
-        eprintln!("wrote {}", out_dir.join("tables.md").display());
     }
 
     for fig in &figures {
         let md = fig.to_markdown();
-        fs::write(out_dir.join(format!("{}.md", fig.id)), &md).expect("write figure md");
-        fs::write(out_dir.join(format!("{}.csv", fig.id)), fig.to_csv()).expect("write figure csv");
+        let md_path = cli.write(&format!("{}.md", fig.id), &md);
+        cli.write(&format!("{}.csv", fig.id), fig.to_csv());
         combined.push_str(&md);
-        eprintln!("wrote {}/{}.md (+ .csv)", out_dir.display(), fig.id);
+        eprintln!("wrote {} (+ .csv)", md_path.display());
     }
 
-    fs::write(out_dir.join("EXPERIMENTS.generated.md"), combined).expect("write combined");
     eprintln!(
         "wrote {}",
-        out_dir.join("EXPERIMENTS.generated.md").display()
+        cli.write("EXPERIMENTS.generated.md", combined).display()
     );
-    if !failed.is_empty() {
-        eprintln!(
-            "repro: {} experiment(s) failed: {}",
-            failed.len(),
-            failed.join(", ")
-        );
-        std::process::exit(1);
-    }
+    cli.finish();
 }
 
 fn run_one(id: &str, cfg: &Config) -> Figure {
@@ -155,12 +129,6 @@ fn run_one(id: &str, cfg: &Config) -> Figure {
         "extra-vectorizer" => figures::extra::vectorizer_ablation(cfg),
         "extra-occupancy" => figures::extra::occupancy_figure(cfg),
         "extra-scheduling" => figures::extra::scheduling_ablation(cfg),
-        other => {
-            eprintln!(
-                "unknown experiment id: {other} (expected fig1..fig11 or extra-vectorizer/\
-                 extra-occupancy/extra-scheduling)"
-            );
-            std::process::exit(2);
-        }
+        other => unreachable!("experiment id {other} is checked against ALL_IDS"),
     }
 }

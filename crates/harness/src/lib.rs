@@ -15,9 +15,11 @@
 //!   overhead, map-vs-copy, ILP, vectorization, affinity).
 //!
 //! The `repro` binary runs everything and writes `results/` +
-//! `EXPERIMENTS.md`.
+//! `EXPERIMENTS.md`. Every binary parses its flags, writes its reports and
+//! exits through [`cli::Cli`].
 
 pub mod bench;
+pub mod cli;
 pub mod figures;
 pub mod measure;
 pub mod profiles;
@@ -26,15 +28,6 @@ pub mod tables;
 
 pub use measure::Config;
 pub use report::{Figure, Series};
-
-/// The value after flag `args[i - 1]` of a harness binary's command line,
-/// parsed as `T`. Panics if it is missing or does not parse.
-pub fn parse_flag<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    args.get(i)
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
-        .parse()
-        .unwrap_or_else(|_| panic!("{flag}: not a valid value: {}", args[i]))
-}
 
 /// All figure experiments in paper order.
 pub fn all_figures(cfg: &Config) -> Vec<Figure> {

@@ -19,6 +19,18 @@ pub struct Square {
     pub items_per_wi: usize,
 }
 
+impl Square {
+    /// `output[i] = input[i]²` over the whole input, one item per workitem.
+    pub fn elementwise(input: &Buffer<f32>, output: &Buffer<f32>) -> Square {
+        Square {
+            input: input.clone(),
+            output: output.clone(),
+            n: input.len(),
+            items_per_wi: 1,
+        }
+    }
+}
+
 impl Kernel for Square {
     fn name(&self) -> &str {
         "square"

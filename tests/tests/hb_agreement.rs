@@ -10,18 +10,12 @@
 
 use cl_kernels::race::{TileFill, TileSquare};
 use cl_util::XorShift;
-use ocl_rt::{Context, ContextConfig, Device, MemFlags, NDRange};
+use ocl_rt::{CommandQueue, Context, ContextConfig, Device, MemFlags, NDRange, QueueConfig};
 use perf_model::{CpuSpec, GpuSpec};
 
 const N: usize = 256;
 const TILES: usize = 4;
 const LEN: usize = N / TILES;
-
-/// The tests that disable the debug-mode enqueue gate via
-/// `CL_SKIP_STATIC_CHECK` run in parallel threads of one process; without
-/// serialization one could remove the variable while the other still
-/// relies on it.
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn race_ctxs() -> Vec<(&'static str, Context)> {
     let cfg = || ContextConfig::default().race_recording(true);
@@ -39,6 +33,15 @@ fn race_ctxs() -> Vec<(&'static str, Context)> {
             Context::new_with(Device::modeled_gpu(GpuSpec::gtx580()), cfg()),
         ),
     ]
+}
+
+/// Two queues of `ctx` past the debug-build enqueue gates. Debug builds
+/// would reject a racy enqueue at the cross-queue gate before anything is
+/// recorded; the offline layers are what these tests exercise (the gate
+/// has its own unit test in ocl-rt).
+fn ungated_queues(ctx: &Context) -> (CommandQueue, CommandQueue) {
+    let cfg = || QueueConfig::default().skip_static_check(true);
+    (ctx.queue_with(cfg()), ctx.queue_with(cfg()))
 }
 
 fn shuffled(rng: &mut XorShift) -> Vec<usize> {
@@ -142,8 +145,7 @@ fn synced_round(device: &str, ctx: &Context, rng: &mut XorShift) {
 fn racy_round(device: &str, ctx: &Context, rng: &mut XorShift) {
     let log = ctx.race().expect("recording on");
     log.clear();
-    let qa = ctx.queue();
-    let qb = ctx.queue();
+    let (qa, qb) = ungated_queues(ctx);
     let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
     let out = ctx.buffer::<f32>(MemFlags::default(), N).expect("out");
     for &t in &shuffled(rng) {
@@ -182,18 +184,12 @@ fn shuffled_synced_schedules_have_no_races_on_any_device() {
 
 #[test]
 fn shuffled_racy_schedules_are_caught_by_both_layers_on_any_device() {
-    // Debug builds would reject the racy enqueues at the cross-queue gate
-    // before anything is recorded; skip it so the offline layers are what
-    // this test exercises (the gate has its own unit test in ocl-rt).
-    let _env = ENV_LOCK.lock().unwrap();
-    std::env::set_var("CL_SKIP_STATIC_CHECK", "1");
     for (device, ctx) in race_ctxs() {
         let mut rng = XorShift::seed_from_u64(0xBADCAFE ^ device.len() as u64);
         for _ in 0..5 {
             racy_round(device, &ctx, &mut rng);
         }
     }
-    std::env::remove_var("CL_SKIP_STATIC_CHECK");
 }
 
 /// Static proven-ordered verdicts are never contradicted by the clocks,
@@ -201,13 +197,10 @@ fn shuffled_racy_schedules_are_caught_by_both_layers_on_any_device() {
 /// sections: the racy tile pair is caught, the synced pairs stay proven.
 #[test]
 fn mixed_schedule_keeps_proven_edges_while_catching_the_race() {
-    let _env = ENV_LOCK.lock().unwrap();
-    std::env::set_var("CL_SKIP_STATIC_CHECK", "1");
     for (device, ctx) in race_ctxs() {
         let log = ctx.race().expect("recording on");
         log.clear();
-        let qa = ctx.queue();
-        let qb = ctx.queue();
+        let (qa, qb) = ungated_queues(&ctx);
         let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
         let out = ctx.buffer::<f32>(MemFlags::default(), N).expect("out");
         // Tile 0: properly handed off (fill, finish, square).
@@ -237,7 +230,6 @@ fn mixed_schedule_keeps_proven_edges_while_catching_the_race() {
             vc.disagreements
         );
     }
-    std::env::remove_var("CL_SKIP_STATIC_CHECK");
 }
 
 /// Regression: a legacy in-order stream auto-reordered by an out-of-order
@@ -249,7 +241,6 @@ fn mixed_schedule_keeps_proven_edges_while_catching_the_race() {
 /// every device kind.
 #[test]
 fn ooo_auto_reordered_legacy_stream_stays_race_free() {
-    use ocl_rt::QueueConfig;
     for (device, ctx) in race_ctxs() {
         let mut rng = XorShift::seed_from_u64(0x5EED0_u64 ^ device.len() as u64);
         for round in 0..4 {
