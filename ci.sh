@@ -26,11 +26,15 @@
 #                 the knob census: every CL_* name README.md or DESIGN.md
 #                 documents must be read by the code; then the one-parser
 #                 check: no file under crates/harness/src/bin may read
-#                 std::env::args itself (flags go through cl_harness::cli)
+#                 std::env::args itself (flags go through cl_harness::cli);
+#                 then the env-mutation check: no Rust file under crates/,
+#                 tests/ or examples/ may call set_var or remove_var, except
+#                 cl-chaos and cl-load, which set CL_EXACT_GID for their own
+#                 process (tests pass a closure to a `*_from_vars` reader)
 #   chaos         cl-chaos 25-round fault-injection soak -> target/ci-chaos
 #   trace         cl-trace --stable --workers 2 (regenerates results/trace.md)
 #   traced-chaos  CL_TRACE=1 soak; asserts target/chaos-traced/chaos-trace.json
-#   flow          cl-flow --stable --workers 2 (regenerates results/flow.md)
+#   flow          cl-flow --workers 2 (regenerates results/flow.md)
 #   race          cl-race --workers 2 (regenerates results/race.md)
 #   sched         cl-sched OOO DAG fuzz + seeded-bug catch (regenerates results/sched.md)
 #   serve         cl-load 64-tenant serving soak (regenerates results/serve.md)
@@ -168,6 +172,7 @@ stage_lint() {
     cargo run --release --quiet --bin cl-lint -- --deny-warnings
     knob_census
     one_flag_parser
+    no_env_mutation
 }
 
 # one_flag_parser — fail when a harness binary reads its command line
@@ -178,6 +183,21 @@ one_flag_parser() {
     hits=$(grep -rn 'env::args' crates/harness/src/bin || true)
     if [[ -n "$hits" ]]; then
         echo "harness binaries must parse flags through cl_harness::cli:" >&2
+        echo "$hits" >&2
+        return 1
+    fi
+}
+
+# no_env_mutation — fail when Rust code under crates/, tests/ or examples/
+# sets or removes a process environment variable: a test that does leaks the
+# value into sibling tests that read the environment mid-run. cl-chaos and
+# cl-load set CL_EXACT_GID for their own process before any thread starts.
+no_env_mutation() {
+    local hits
+    hits=$(grep -rnE --include='*.rs' '\b(set_var|remove_var)\b' crates tests examples |
+        grep -vE '^crates/harness/src/bin/cl_(chaos|load)\.rs:' || true)
+    if [[ -n "$hits" ]]; then
+        echo "environment mutation outside cl-chaos/cl-load (pass a closure to a *_from_vars reader):" >&2
         echo "$hits" >&2
         return 1
     fi
@@ -227,7 +247,7 @@ stage_traced_chaos() {
 }
 
 stage_flow() {
-    cargo run --release --quiet --bin cl-flow -- --stable --workers 2
+    cargo run --release --quiet --bin cl-flow -- --workers 2
 }
 
 # Multi-queue happens-before analysis: clean scenarios must classify with

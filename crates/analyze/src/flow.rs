@@ -19,6 +19,7 @@
 //! runtime-independent: `ocl_rt`'s recording shim lowers its live command
 //! stream into [`FlowCommand`]s, and tests can construct streams directly.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::footprint::IntervalSet;
@@ -201,6 +202,51 @@ impl FlowCommand {
             uses,
         }
     }
+
+    /// The command publishes no footprint at all: a kernel launch with
+    /// neither arg bindings nor an access spec, which ordering must treat
+    /// as touching everything. A marker is a spec'd launch without uses —
+    /// it touches nothing.
+    pub fn footprint_unknown(&self) -> bool {
+        match self.op {
+            FlowOp::Launch { has_spec, .. } => !has_spec && self.uses.is_empty(),
+            _ => false,
+        }
+    }
+
+    /// The bytes the command may touch while it is outstanding. A writable
+    /// map reads and writes its whole window: the host may do both through
+    /// the mapping until the unmap, although the recorded Map carries no
+    /// access and the host's writes ride its Unmap.
+    fn outstanding(&self) -> Cow<'_, FlowCommand> {
+        if !matches!(self.op, FlowOp::Map { writable: true, .. }) {
+            return Cow::Borrowed(self);
+        }
+        let uses = self
+            .uses
+            .iter()
+            .map(|u| {
+                let (lo, end) = (u.span.0 as i128, u.span.1 as i128);
+                u.clone().reads(lo, end).writes(lo, end)
+            })
+            .collect();
+        Cow::Owned(FlowCommand::new(self.op.clone(), self.label.clone(), uses))
+    }
+}
+
+/// Whether two commands must stay ordered: one of them publishes no
+/// footprint ([`FlowCommand::footprint_unknown`]), or [`classify_pair`]
+/// finds a hazard — must or may — between what each may touch while
+/// outstanding. Symmetric. The one conflict rule of the runtime: the
+/// out-of-order scheduler infers dependencies and drains blocking host
+/// operations by it, and [`crate::hb`] derives completion-before-submission
+/// edges by it.
+pub fn conflicts(a: &FlowCommand, b: &FlowCommand) -> bool {
+    a.footprint_unknown()
+        || b.footprint_unknown()
+        || !classify_pair(&a.outstanding(), &b.outstanding())
+            .0
+            .is_empty()
 }
 
 /// Hazard classification for an ordered command pair on one buffer.

@@ -15,7 +15,12 @@
 //!   enqueued afterwards on any queue;
 //! * **markers** — in-queue sync points; on in-order queues they add no
 //!   edges beyond program order (recorded so the over-sync report can call
-//!   them out as removable).
+//!   them out as removable);
+//! * **wait lists** — an out-of-order queue has no program order; each of
+//!   its records carries the `(queue, seq)` of the commands it waited on,
+//!   plus a *stamp* from which [`completion_waits`] derives the orderings
+//!   the scheduler needed no dependency for: an earlier conflicting command
+//!   that had already completed when this one was submitted.
 //!
 //! Kernel launches are modeled as **asynchronous** — OpenCL semantics, the
 //! shape the ROADMAP's out-of-order scheduler will make real — even though
@@ -35,7 +40,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::flow::{classify_pair, FlowCommand, FlowOp, HazardKind, PairHazard};
+use crate::flow::{classify_pair, conflicts, FlowCommand, FlowOp, HazardKind, PairHazard};
 use crate::lints::Severity;
 
 /// One record in a context-level multi-queue stream: a command with its
@@ -58,6 +63,12 @@ pub struct HbRecord {
     /// Explicit wait-list edges as `(queue, seq)` of the commands this one
     /// waited on (explicit events, auto-inferred hazards, drained commands).
     pub waits: Vec<(u64, u64)>,
+    /// For an out-of-order command: how many records of the stream precede
+    /// the point where its dependencies were decided (its submission, or a
+    /// blocking command's drain). Commands record at completion, so every
+    /// command recorded before that point had completed; see
+    /// [`completion_waits`]. `None` for everything else.
+    pub stamp: Option<u64>,
 }
 
 /// What an [`HbRecord`] records.
@@ -75,16 +86,29 @@ pub enum HbOp {
 }
 
 impl HbRecord {
-    pub fn command(queue: u64, seq: u64, cmd: FlowCommand, blocking: bool) -> Self {
+    fn new(queue: u64, seq: u64, op: HbOp) -> Self {
         HbRecord {
             queue,
             seq,
-            op: HbOp::Command { cmd, blocking },
+            op,
             start_ns: 0,
             end_ns: 0,
             ooo: false,
             waits: Vec::new(),
+            stamp: None,
         }
+    }
+
+    pub fn command(queue: u64, seq: u64, cmd: FlowCommand, blocking: bool) -> Self {
+        HbRecord::new(queue, seq, HbOp::Command { cmd, blocking })
+    }
+
+    pub fn finish(queue: u64) -> Self {
+        HbRecord::new(queue, 0, HbOp::Finish)
+    }
+
+    pub fn marker(queue: u64) -> Self {
+        HbRecord::new(queue, 0, HbOp::Marker)
     }
 
     /// Attach the observed execution window.
@@ -102,28 +126,10 @@ impl HbRecord {
         self
     }
 
-    pub fn finish(queue: u64) -> Self {
-        HbRecord {
-            queue,
-            seq: 0,
-            op: HbOp::Finish,
-            start_ns: 0,
-            end_ns: 0,
-            ooo: false,
-            waits: Vec::new(),
-        }
-    }
-
-    pub fn marker(queue: u64) -> Self {
-        HbRecord {
-            queue,
-            seq: 0,
-            op: HbOp::Marker,
-            start_ns: 0,
-            end_ns: 0,
-            ooo: false,
-            waits: Vec::new(),
-        }
+    /// Attach the stamp of an out-of-order command (see [`HbRecord::stamp`]).
+    pub fn stamped(mut self, stamp: Option<u64>) -> Self {
+        self.stamp = stamp;
+        self
     }
 }
 
@@ -344,6 +350,36 @@ fn closure(n: usize, edges: &[(usize, usize)]) -> Vec<BitRow> {
     reach
 }
 
+/// The completion-before-submission wait edges of `records`, indexed like
+/// `records`: for each stamped record, the `(queue, seq)` of every earlier
+/// out-of-order command of its queue that was recorded before the stamp
+/// and [`conflicts`] with it. Such a command had completed when this one's
+/// dependencies were decided, so it is ordered before this one although the
+/// scheduler, which holds pending commands only, never waited on it.
+/// Unstamped records get no edges.
+pub fn completion_waits(records: &[HbRecord]) -> Vec<Vec<(u64, u64)>> {
+    let mut waits = vec![Vec::new(); records.len()];
+    // Queue -> its out-of-order commands so far, in record order.
+    let mut earlier: HashMap<u64, Vec<(usize, &FlowCommand)>> = HashMap::new();
+    for (ri, r) in records.iter().enumerate() {
+        let HbOp::Command { cmd, .. } = &r.op else {
+            continue;
+        };
+        if let (Some(stamp), Some(prev)) = (r.stamp, earlier.get(&r.queue)) {
+            waits[ri] = prev
+                .iter()
+                .take_while(|&&(pi, _)| (pi as u64) < stamp)
+                .filter(|&&(_, p)| conflicts(p, cmd))
+                .map(|&(pi, _)| (r.queue, records[pi].seq))
+                .collect();
+        }
+        if r.ooo {
+            earlier.entry(r.queue).or_default().push((ri, cmd));
+        }
+    }
+    waits
+}
+
 /// Build the happens-before graph over a context's record stream and
 /// classify every cross-queue conflicting pair.
 pub fn analyze_hb(records: &[HbRecord]) -> HbAnalysis {
@@ -382,10 +418,11 @@ pub fn analyze_hb(records: &[HbRecord]) -> HbAnalysis {
     for (ci, c) in commands.iter().enumerate() {
         cmd_by_qs.insert((c.queue, c.seq), ci);
     }
+    let derived = completion_waits(records);
     for (ci, c) in commands.iter().enumerate() {
         let rec = &records[c.record];
         if rec.ooo {
-            for w in &rec.waits {
+            for w in rec.waits.iter().chain(&derived[c.record]) {
                 // Forward-only: the closure assumes topological index order.
                 // A backward "wait" can only come from a defective scheduler
                 // stream; dropping it keeps the analysis conservative.
@@ -766,7 +803,8 @@ pub fn vector_clock_check(records: &[HbRecord], analysis: &HbAnalysis) -> VcRepo
     let mut vc_by_qs: HashMap<(u64, u64), usize> = HashMap::new();
     let mut queue_cmds: HashMap<u64, Vec<usize>> = HashMap::new();
     let mut next_ooo_comp = n_inorder;
-    for r in records {
+    let derived = completion_waits(records);
+    for (ri, r) in records.iter().enumerate() {
         match &r.op {
             HbOp::Command { blocking, .. } if r.ooo => {
                 // An OOO command's knowledge: the enqueuing host thread plus
@@ -774,7 +812,7 @@ pub fn vector_clock_check(records: &[HbRecord], analysis: &HbAnalysis) -> VcRepo
                 // queue clock: program order does not exist here.
                 let mut vc = vec![0; np];
                 join(&mut vc, &host);
-                for w in &r.waits {
+                for w in r.waits.iter().chain(&derived[ri]) {
                     if let Some(&di) = vc_by_qs.get(w) {
                         let dep = vcs[di].clone();
                         join(&mut vc, &dep);
@@ -974,6 +1012,34 @@ mod tests {
         let vc = vector_clock_check(&records, &a);
         assert!(vc.agrees(), "{:?}", vc.disagreements);
         assert!(vc.races.is_empty());
+    }
+
+    #[test]
+    fn completion_waits_come_from_conflicting_commands_recorded_before_the_stamp() {
+        let ooo = |seq, cmd, stamp| {
+            HbRecord::command(1, seq, cmd, false)
+                .ooo_waits(Vec::new())
+                .stamped(stamp)
+        };
+        let records = vec![
+            ooo(0, writer(7, "a", 0, 64), None),
+            ooo(1, writer(8, "b", 0, 64), None),
+            HbRecord::command(2, 0, writer(7, "a", 0, 64), false),
+            ooo(2, writer(7, "a", 0, 64), None),
+            ooo(3, reader(7, "a", 0, 64), Some(3)),
+        ];
+        // Only q1#0 conflicts, shares the queue and recorded before the
+        // stamp: q1#1 touches another buffer, q2#0 is another queue's, and
+        // q1#2 recorded after the stamp.
+        let waits = completion_waits(&records);
+        assert_eq!(waits[4], vec![(1, 0)]);
+        assert!(waits[..4].iter().all(Vec::is_empty));
+        let a = analyze_hb(&records);
+        let pair = |x: usize| a.pairs.iter().find(|p| (p.a, p.b) == (x, 4)).unwrap();
+        assert_eq!(pair(0).order, OrderVerdict::ProvenOrdered);
+        assert_eq!(pair(3).order, OrderVerdict::Racy);
+        let vc = vector_clock_check(&records, &a);
+        assert!(vc.agrees(), "{:?}", vc.disagreements);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! inter-command lints (`cl-flow`); the whole log feeds the cross-queue
 //! happens-before analysis (`cl-race`).
 //!
-//! Launch lowering happens **once per enqueue**: bindings are queried a
-//! single time via [`crate::kernel::Kernel::buffer_bindings`] and the
-//! footprint is scaled from elements to region-absolute bytes right there —
-//! workgroup chunks never re-resolve argument metadata.
+//! Launch lowering happens **once per enqueue plan**: bindings are queried
+//! a single time via [`crate::kernel::Kernel::buffer_bindings`], the
+//! footprint is scaled from elements to region-absolute bytes right there,
+//! and the plan shares the Launch command by `Arc` with every enqueue that
+//! reuses it — workgroup chunks never re-resolve argument metadata.
 
 use cl_analyze::flow::{BufUse, FlagClass, FlowCommand, FlowOp};
 use cl_analyze::launch_footprint;
@@ -61,22 +62,20 @@ fn binding_use(b: &ArgBinding) -> BufUse {
     .preinit(b.preinit)
 }
 
-/// A kernel's arg bindings lowered to flow uses, plus whether the kernel
-/// carries an access spec at all.
-pub(crate) type LoweredUses = (Vec<BufUse>, bool);
-
-/// Lower one kernel enqueue into flow uses: bindings are captured once,
-/// and each binding's element footprint (when the kernel has a spec) is
-/// scaled to region-absolute bytes. Bindings without a matching spec
+/// Lower one kernel enqueue into its Launch command: bindings are captured
+/// once, and each binding's element footprint (when the kernel has a spec)
+/// is scaled to region-absolute bytes. Bindings without a matching spec
 /// buffer — and all bindings of spec-less kernels — get conservative
-/// whole-window may sets in the directions the allocation flags permit.
-/// Returns `(uses, has_spec)`.
-pub(crate) fn launch_uses(kernel: &dyn Kernel, resolved: &ResolvedRange) -> LoweredUses {
+/// whole-window may sets in the directions the allocation flags permit. A
+/// kernel without bindings gets no uses and no spec: its footprint is
+/// unknown ([`FlowCommand::footprint_unknown`]).
+pub(crate) fn launch_command(kernel: &dyn Kernel, resolved: &ResolvedRange) -> FlowCommand {
     let bindings = kernel.buffer_bindings();
-    if bindings.is_empty() {
-        return (Vec::new(), false);
-    }
-    let spec = kernel.access_spec(resolved);
+    let spec = if bindings.is_empty() {
+        None
+    } else {
+        kernel.access_spec(resolved)
+    };
     let fp = spec.as_ref().map(launch_footprint);
     let uses = bindings
         .iter()
@@ -105,22 +104,28 @@ pub(crate) fn launch_uses(kernel: &dyn Kernel, resolved: &ResolvedRange) -> Lowe
             u
         })
         .collect();
-    (uses, spec.is_some())
+    let op = FlowOp::Launch {
+        kernel: kernel.name().to_string(),
+        has_spec: spec.is_some(),
+    };
+    FlowCommand::new(op, kernel.name(), uses)
+}
+
+/// The command of an out-of-order marker or barrier labelled `label`: a
+/// spec'd launch without uses, inert in pair classification — its wait
+/// edges order transitively through it.
+pub(crate) fn marker_command(label: &str) -> FlowCommand {
+    let op = FlowOp::Launch {
+        kernel: label.to_string(),
+        has_spec: true,
+    };
+    FlowCommand::new(op, label, Vec::new())
 }
 
 /// A command whose label is its op's description.
 fn described(op: FlowOp, uses: Vec<BufUse>) -> FlowCommand {
     let label = op.describe();
     FlowCommand::new(op, label, uses)
-}
-
-/// The Launch command of one enqueue of `kernel` with its lowered uses.
-pub(crate) fn launch_command(kernel: &str, (uses, has_spec): LoweredUses) -> FlowCommand {
-    let op = FlowOp::Launch {
-        kernel: kernel.to_string(),
-        has_spec,
-    };
-    FlowCommand::new(op, kernel, uses)
 }
 
 /// The Map command for mapping `id` of the window `u`. A read-intent map

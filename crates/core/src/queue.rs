@@ -21,11 +21,11 @@ use crate::device::{Device, DeviceKind};
 use crate::error::ClError;
 use crate::event::{CommandKind, Event, ProfilingInfo};
 use crate::exec::execute_kernel;
-use crate::flow::{self, LoweredUses};
+use crate::flow;
 use crate::kernel::Kernel;
 use crate::ndrange::{NDRange, ResolvedRange};
 use crate::race::RaceLog;
-use crate::sched::{Dispatch, EventRef, Scheduler};
+use crate::sched::{Dispatch, EventRef, Order, Scheduler};
 use crate::trace::{self, Span, TraceLog};
 
 /// Queue ids are process-global and never reused, so happens-before
@@ -209,10 +209,10 @@ impl QueueConfig {
 #[derive(Clone)]
 struct Plan {
     resolved: ResolvedRange,
-    /// Lowered flow uses + has_spec; present iff lowering was needed when
-    /// the plan was built (recording context or out-of-order queue, or any
-    /// debug build).
-    lowered: Option<LoweredUses>,
+    /// The lowered Launch command; present iff lowering was needed when the
+    /// plan was built (recording context or out-of-order queue, or any
+    /// debug build). Shared, never rebuilt, by every enqueue of the plan.
+    cmd: Option<Arc<FlowCommand>>,
     /// Proven workgroup-fusion factor applied by native dispatch (1 = no
     /// coarsening). Computed once per plan — the legality proof and cost
     /// model run on cache misses only.
@@ -279,7 +279,6 @@ impl CommandQueue {
             Arc::new(Scheduler::new(
                 Arc::clone(ctx.device().pool()),
                 cfg.sched_bug,
-                race.is_some(),
             ))
         });
         CommandQueue {
@@ -311,9 +310,9 @@ impl CommandQueue {
         self.sched.is_some() || self.race.is_some()
     }
 
-    /// Look up a memoized plan for (`kernel`, `range`) that carries lowered
-    /// uses if `need_lowered`. Dead entries (kernel dropped) found along the
-    /// way are evicted.
+    /// Look up a memoized plan for (`kernel`, `range`) that carries its
+    /// Launch command if `need_lowered`. Dead entries (kernel dropped)
+    /// found along the way are evicted.
     fn cached_plan(
         &self,
         kernel: &Arc<dyn Kernel>,
@@ -331,7 +330,7 @@ impl CommandQueue {
                 true
             }
         });
-        hit.filter(|p| !need_lowered || p.lowered.is_some())
+        hit.filter(|p| !need_lowered || p.cmd.is_some())
     }
 
     /// Memoize a freshly built plan, evicting the oldest entry at capacity.
@@ -374,8 +373,8 @@ impl CommandQueue {
 
     /// Resolve (and memoize) the enqueue plan for a (kernel, range) pair:
     /// range resolution, the debug contract gates, the lowering of arg
-    /// bindings into flow uses when `need_lowered`, and the fusion factor.
-    /// Shared by the blocking and DAG-submit enqueue paths.
+    /// bindings into the Launch command when `need_lowered`, and the fusion
+    /// factor. Shared by the blocking and DAG-submit enqueue paths.
     ///
     /// Tuned in-order queues route NULL-local cache misses through
     /// [`cl_tune::Tuner::decide`]. A converged decision builds a plan that
@@ -426,11 +425,11 @@ impl CommandQueue {
         // Bindings and the footprint are captured at most once per
         // (kernel, range) — workgroup chunks never re-resolve argument
         // metadata. With lowering not needed (release), this is one branch.
-        let lowered = need_lowered.then(|| flow::launch_uses(kernel.as_ref(), &resolved));
+        let cmd = need_lowered.then(|| Arc::new(flow::launch_command(kernel.as_ref(), &resolved)));
         #[cfg(debug_assertions)]
-        if let Some(lowered) = &lowered {
+        if let Some(cmd) = &cmd {
             if !self.cfg.skip_static_check {
-                check_flag_contract(&flow::launch_command(kernel.name(), lowered.clone()))?;
+                check_flag_contract(cmd)?;
             }
         }
         let coarsen = coarsen_factor(
@@ -442,7 +441,7 @@ impl CommandQueue {
         )?;
         let plan = Plan {
             resolved,
-            lowered,
+            cmd,
             coarsen,
         };
         if trial.is_none() {
@@ -463,7 +462,7 @@ impl CommandQueue {
         plan: &Plan,
         seq: u64,
         queued_ns: u64,
-        cmd: Option<FlowCommand>,
+        cmd: Option<Arc<FlowCommand>>,
     ) -> Launch {
         Launch {
             device: self.ctx.device().clone(),
@@ -501,10 +500,7 @@ impl CommandQueue {
         // every time.
         let need_lowered = self.race.is_some() || cfg!(debug_assertions);
         let (mut plan, trial) = self.plan(kernel, range, need_lowered)?;
-        let cmd = self
-            .race
-            .is_some()
-            .then(|| flow::launch_command(kernel.name(), plan.lowered.take().unwrap_or_default()));
+        let cmd = plan.cmd.take().filter(|_| self.race.is_some());
         // Debug-build enqueue gate #3, cross-queue: would this launch race
         // with another queue's recorded commands? Unlike the per-kernel
         // gates it depends on *stream state*, so it runs even on plan-cache
@@ -570,15 +566,9 @@ impl CommandQueue {
         // order, and OOO streams are certified offline by `cl-race` instead.
         let (mut plan, _) = self.plan(kernel, range, true)?;
         let seq = self.next_seq();
-        let cmd = flow::launch_command(kernel.name(), plan.lowered.take().unwrap_or_default());
-        let conservative = cmd.uses.is_empty();
-        let launch = self.launch(
-            kernel,
-            &plan,
-            seq,
-            queued_ns,
-            self.race.is_some().then(|| cmd.clone()),
-        );
+        let cmd = plan.cmd.take().expect("plan lowered on request");
+        let recorded = self.race.as_ref().map(|_| Arc::clone(&cmd));
+        let launch = self.launch(kernel, &plan, seq, queued_ns, recorded);
         // Deadline-armed launches hard-block their calling thread in the
         // watchdog wait, so they get a dedicated thread; without a deadline
         // the launch claims chunks and helps — safe on a pool worker.
@@ -587,21 +577,17 @@ impl CommandQueue {
         } else {
             Dispatch::Pool
         };
-        let waits_cell: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let waits_in_work = Arc::clone(&waits_cell);
-        sched.submit(
-            kernel.name(),
+        Ok(sched.submit(
             self.id,
             seq,
-            Some(cmd),
-            conservative,
+            cmd,
             wait,
             false,
             false,
             dispatch,
-            Box::new(move || launch.run(Some(&waits_in_work))),
-            &waits_cell,
-        )
+            self.race.as_deref(),
+            Box::new(move |order| launch.run(Some(order))),
+        ))
     }
 
     /// `clEnqueueMarkerWithWaitList`: completes once every event in `wait`
@@ -634,76 +620,49 @@ impl CommandQueue {
             )));
         };
         let seq = self.next_seq();
-        let race = self.race.clone();
+        let cmd = Arc::new(flow::marker_command(label));
+        let record = self.race.clone().map(|rl| (rl, Arc::clone(&cmd)));
         let qid = self.id;
-        let waits_cell: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let waits_in_work = Arc::clone(&waits_cell);
-        let work = Box::new(move || {
-            if let Some(rl) = &race {
-                // Markers carry no uses — inert in pair classification, but
-                // their wait edges order transitively through them.
-                let cmd = flow::launch_command(label, (Vec::new(), true));
-                rl.push(
-                    HbRecord::command(qid, seq, cmd, false).ooo_waits(waits_in_work.lock().clone()),
-                );
+        let work = Box::new(move |order: Order| {
+            if let Some((rl, cmd)) = &record {
+                rl.push(order.record(HbRecord::command(qid, seq, (**cmd).clone(), false)));
             }
             Ok(Event::new(CommandKind::Marker, 0.0, false))
         });
-        let ev = sched.submit(
-            label,
+        Ok(sched.submit(
             self.id,
             seq,
-            None,
-            false,
+            cmd,
             wait,
             wait.is_empty(),
             barrier,
             Dispatch::Pool,
+            self.race.as_deref(),
             work,
-            &waits_cell,
-        )?;
-        Ok(ev)
+        ))
     }
 
-    /// Out-of-order queues: block until every pending command whose
-    /// footprint conflicts with `footprint` has completed, so a blocking
-    /// (in-order) host operation can safely touch the buffers. Independent
-    /// pending commands keep running. Returns the drained commands'
-    /// `(queue, seq)` pairs for happens-before recording.
-    fn drain(&self, footprint: &FlowCommand) -> Result<Vec<(u64, u64)>, ClError> {
-        let Some(sched) = &self.sched else {
-            return Ok(Vec::new());
-        };
-        let mut waits = Vec::new();
-        for e in sched.conflicting_events(footprint) {
-            if let Err(err) = e.wait(self.cfg.launch_timeout) {
-                if e.completion_tick().is_none() {
-                    // Still pending at the deadline: the wait itself timed
-                    // out — unsafe to touch the buffers.
-                    return Err(err);
-                }
-                // The dependency completed unsuccessfully: contents are
-                // undefined (as after any failed enqueue) but ordering is
-                // established, so the host operation proceeds.
-            }
-            if e.queue_id() != 0 {
-                waits.push((e.queue_id(), e.seq()));
-            }
+    /// Out-of-order queues: drain the pending commands that conflict with
+    /// `footprint` ([`Scheduler::drain`]). Returns the blocking operation's
+    /// [`Order`] for happens-before recording.
+    fn drain(&self, footprint: &FlowCommand) -> Result<Order, ClError> {
+        match &self.sched {
+            Some(sched) => sched.drain(footprint, self.race.as_deref(), self.cfg.launch_timeout),
+            None => Ok(Order::default()),
         }
-        Ok(waits)
     }
 
     /// Record a completed blocking command into the context's race log:
     /// the command plus its host-sync effect (the enqueuing thread observed
     /// completion, ordering it before everything enqueued later).
-    fn race_record(&self, rl: &RaceLog, ev: &Event, cmd: FlowCommand, waits: Vec<(u64, u64)>) {
+    fn race_record(&self, rl: &RaceLog, ev: &Event, cmd: FlowCommand, order: Order) {
         let mut rec = HbRecord::command(self.id, ev.seq, cmd, true)
             .observed(ev.profiling.started_ns, ev.profiling.completed_ns);
         if self.sched.is_some() {
             // On an out-of-order queue program order means nothing; the
-            // record carries the drained commands as explicit wait edges
-            // instead (plus its host-sync effect, from `blocking`).
-            rec = rec.ooo_waits(waits);
+            // record carries its drain's order instead (plus its host-sync
+            // effect, from `blocking`).
+            rec = order.record(rec);
         }
         rl.push(rec);
     }
@@ -721,15 +680,15 @@ impl CommandQueue {
         body: impl FnOnce() -> Result<(), ClError>,
     ) -> Result<Event, ClError> {
         let cmd = self.reads_footprints().then(footprint);
-        let waits = match &cmd {
+        let order = match &cmd {
             Some(cmd) => self.drain(cmd)?,
-            None => Vec::new(),
+            None => Order::default(),
         };
         let started_ns = trace::now_ns();
         body()?;
         let ev = self.transfer_event(kind, queued_ns, started_ns, bytes);
         if let (Some(rl), Some(cmd)) = (&self.race, cmd) {
-            self.race_record(rl, &ev, cmd, waits);
+            self.race_record(rl, &ev, cmd, order);
         }
         Ok(ev)
     }
@@ -806,20 +765,12 @@ impl CommandQueue {
         let queued_ns = trace::now_ns();
         self.check_ctx(buf)?;
         let window = self.reads_footprints().then(|| flow::transfer_use(buf));
-        let mut waits = Vec::new();
-        if let (Some(_), Some(u)) = (&self.sched, &window) {
-            // The host may read the mapped bytes from the moment the map
-            // returns, and write them through a writable mapping, so the
-            // drain covers both — although the recorded Map carries only the
-            // read, and the host's writes are recorded at Unmap.
-            let (lo, end) = (u.span.0 as i128, u.span.1 as i128);
-            let mut access = u.clone().reads(lo, end);
-            if writable {
-                access = access.writes(lo, end);
-            }
-            let op = FlowOp::Map { id: 0, writable };
-            waits = self.drain(&FlowCommand::new(op, "map", vec![access]))?;
-        }
+        let order = match (&self.sched, &window) {
+            // The mapping's race-log id is taken once the map succeeds;
+            // `conflicts` reads only the window and the map's intent.
+            (Some(_), Some(u)) => self.drain(&flow::map_command(0, u, writable))?,
+            _ => Order::default(),
+        };
         let started_ns = trace::now_ns();
         let mode = if writable {
             MapMode::ReadWrite
@@ -840,7 +791,7 @@ impl CommandQueue {
         );
         let record = self.race.as_ref().zip(window).map(|(rl, u)| {
             let id = rl.next_map_id();
-            self.race_record(rl, &ev, flow::map_command(id, &u, writable), waits);
+            self.race_record(rl, &ev, flow::map_command(id, &u, writable), order);
             (id, u)
         });
         let mapping = Mapping {
@@ -1080,7 +1031,7 @@ struct Launch {
     timeout: Option<std::time::Duration>,
     trace: Option<Arc<TraceLog>>,
     /// The context's race log and the Launch command recorded into it.
-    race: Option<(Arc<RaceLog>, FlowCommand)>,
+    race: Option<(Arc<RaceLog>, Arc<FlowCommand>)>,
     queue_id: u64,
     seq: u64,
     queued_ns: u64,
@@ -1088,9 +1039,9 @@ struct Launch {
 
 impl Launch {
     /// Execute the launch, record it in the race log, and stamp its event.
-    /// `ooo_waits` holds an out-of-order command's wait edges, which replace
-    /// program order in its race record.
-    fn run(self, ooo_waits: Option<&Mutex<Vec<(u64, u64)>>>) -> Result<Event, ClError> {
+    /// An out-of-order command's `order` replaces program order in its race
+    /// record.
+    fn run(self, order: Option<Order>) -> Result<Event, ClError> {
         let pool = self.device.pool();
         // Scoped sink install: the pool reports steals and worker lifecycle
         // events into this queue's log only while one of its traced launches
@@ -1124,10 +1075,11 @@ impl Launch {
             let (start_ns, end_ns) = res.as_ref().map_or((0, 0), |ev| {
                 (ev.profiling.started_ns, ev.profiling.completed_ns)
             });
+            let cmd = Arc::unwrap_or_clone(cmd);
             let mut rec =
                 HbRecord::command(self.queue_id, self.seq, cmd, false).observed(start_ns, end_ns);
-            if let Some(waits) = ooo_waits {
-                rec = rec.ooo_waits(waits.lock().clone());
+            if let Some(order) = order {
+                rec = order.record(rec);
             }
             rl.push(rec);
         }

@@ -9,6 +9,15 @@
 //! vector-clock layer. One queue's commands ([`RaceLog::queue_commands`])
 //! feed the single-stream dataflow analysis, [`cl_analyze::analyze_flow`].
 //!
+//! The log is also the only history of an out-of-order queue: its
+//! scheduler holds pending commands only. Each out-of-order command (and
+//! each blocking transfer or map on such a queue) carries a *stamp*, the
+//! log's push count where its dependencies were decided; commands record
+//! at completion, so everything recorded before the stamp had completed.
+//! Reading the log derives the completion-before-submission edges from the
+//! stamps ([`cl_analyze::hb::completion_waits`]); nothing on the submit or
+//! record path scans the history.
+//!
 //! Recording is opt-in per context ([`crate::context::ContextConfig`] /
 //! `CL_RACE=1`); with it off the context holds no log and every record
 //! site in the queue is a single `Option` branch (`cl-bench`'s
@@ -26,8 +35,16 @@ use crate::flow::host_access_command;
 /// An in-memory recording of a context's multi-queue command stream.
 #[derive(Default)]
 pub struct RaceLog {
-    records: Mutex<Vec<HbRecord>>,
+    records: Mutex<Records>,
     next_map_id: AtomicU64,
+}
+
+#[derive(Default)]
+struct Records {
+    held: Vec<HbRecord>,
+    /// Records dropped by [`RaceLog::clear`]: with `held.len()`, the push
+    /// count a stamp is taken from.
+    cleared: u64,
 }
 
 impl RaceLog {
@@ -35,8 +52,23 @@ impl RaceLog {
         RaceLog::default()
     }
 
-    pub(crate) fn push(&self, r: HbRecord) {
-        self.records.lock().push(r);
+    /// Append `r`. Its stamp, taken from [`RaceLog::stamp`], is rebased to
+    /// count only the records still held: a stamp taken before a `clear`
+    /// counts none of them.
+    pub(crate) fn push(&self, mut r: HbRecord) {
+        let mut log = self.records.lock();
+        if let Some(s) = &mut r.stamp {
+            *s = s.saturating_sub(log.cleared);
+        }
+        log.held.push(r);
+    }
+
+    /// How many records have ever been pushed, cleared ones included. A
+    /// command stamped with this value orders after every command already
+    /// recorded — each of them has completed.
+    pub(crate) fn stamp(&self) -> u64 {
+        let log = self.records.lock();
+        log.cleared + log.held.len() as u64
     }
 
     pub(crate) fn next_map_id(&self) -> u64 {
@@ -45,7 +77,7 @@ impl RaceLog {
 
     /// Snapshot of the recorded stream.
     pub fn records(&self) -> Vec<HbRecord> {
-        self.records.lock().clone()
+        self.records.lock().held.clone()
     }
 
     /// Queue `queue`'s commands in recording order, sync points dropped:
@@ -55,6 +87,7 @@ impl RaceLog {
     pub fn queue_commands(&self, queue: u64) -> Vec<FlowCommand> {
         self.records
             .lock()
+            .held
             .iter()
             .filter(|r| r.queue == queue)
             .filter_map(|r| match &r.op {
@@ -66,22 +99,24 @@ impl RaceLog {
 
     /// Number of recorded entries (commands and sync points).
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.records.lock().held.len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        self.records.lock().held.is_empty()
     }
 
     /// Drop all recorded entries.
     pub fn clear(&self) {
-        self.records.lock().clear();
+        let mut log = self.records.lock();
+        log.cleared += log.held.len() as u64;
+        log.held.clear();
     }
 
     /// Static layer: happens-before graph + cross-queue classification.
     pub fn analyze(&self) -> HbAnalysis {
-        analyze_hb(&self.records.lock())
+        analyze_hb(&self.records.lock().held)
     }
 
     /// Both layers: the static analysis plus the vector-clock replay of the
@@ -114,5 +149,33 @@ impl RaceLog {
 impl std::fmt::Debug for RaceLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "RaceLog({} records)", self.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cl_analyze::flow::FlowOp;
+
+    /// A stamp taken before `clear` counts none of the records still held,
+    /// and one taken after counts only those pushed since.
+    #[test]
+    fn clear_rebases_stamps() {
+        let log = RaceLog::new();
+        let cmd = || FlowCommand::new(FlowOp::WriteBuffer, "write", Vec::new());
+        let ooo = |seq, stamp| {
+            HbRecord::command(1, seq, cmd(), true)
+                .ooo_waits(Vec::new())
+                .stamped(Some(stamp))
+        };
+        log.push(HbRecord::command(1, 0, cmd(), true));
+        let before_clear = log.stamp();
+        log.clear();
+        log.push(HbRecord::command(1, 1, cmd(), true));
+        let after_clear = log.stamp();
+        log.push(ooo(2, before_clear));
+        log.push(ooo(3, after_clear));
+        let stamps: Vec<Option<u64>> = log.records().iter().map(|r| r.stamp).collect();
+        assert_eq!(stamps, [None, Some(0), Some(1)]);
     }
 }

@@ -6,11 +6,11 @@
 //! edges come from three sources:
 //!
 //! 1. explicit event wait lists (`submit_kernel(..., &[ev])`),
-//! 2. auto-inferred hazards between flow footprints — two commands whose
-//!    `cl_analyze::flow::classify_pair` hazards are empty are proven
-//!    independent and free to reorder; any hazard (must *or* may) adds a
-//!    conservative edge, so legacy in-order streams keep their semantics
-//!    while provably independent commands overlap,
+//! 2. auto-inferred hazards between flow footprints — two commands that
+//!    `cl_analyze::flow::conflicts` clears are proven independent and free
+//!    to reorder; any hazard (must *or* may), or a command without a
+//!    footprint, adds a conservative edge, so legacy in-order streams keep
+//!    their semantics while provably independent commands overlap,
 //! 3. barriers (`submit_barrier`), which order against everything pending
 //!    and everything submitted later.
 //!
@@ -19,6 +19,11 @@
 //! failed node fails only its dependent subgraph
 //! ([`ClError::DependencyFailed`]) — independent commands still complete,
 //! preserving the fault-containment story.
+//!
+//! The scheduler keeps no history: a completed node leaves the table at the
+//! next sweep. What completed before a command was submitted is the race
+//! log's to say (see [`crate::race`]) — the scheduler only hands each
+//! command's work its [`Order`].
 //!
 //! # The linearization oracle
 //!
@@ -31,18 +36,20 @@
 //! notified, so a correct scheduler can never violate it; the seeded
 //! [`SchedBug`]s exist to prove the oracle catches a scheduler that can.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use cl_analyze::flow::{classify_pair, FlowCommand};
+use cl_analyze::flow::{conflicts, FlowCommand};
+use cl_analyze::hb::HbRecord;
 use cl_pool::ThreadPool;
 use cl_util::sync::{Condvar, Mutex};
 
 use crate::error::ClError;
 use crate::event::{CommandKind, Event};
+use crate::race::RaceLog;
 
 /// Process-global completion counter backing the linearization oracle.
 /// Starts at 1 so tick 0 can mean "never completed".
@@ -477,7 +484,39 @@ impl SchedBug {
     }
 }
 
-type Work = Box<dyn FnOnce() -> Result<Event, ClError> + Send + 'static>;
+/// How the scheduler ordered one command, handed to the command's work at
+/// dispatch for its race record.
+#[derive(Default)]
+pub(crate) struct Order {
+    /// `(queue, seq)` of the same-context commands it waited on.
+    waits: Vec<(u64, u64)>,
+    /// The race log's push count where the dependencies were decided
+    /// ([`RaceLog::stamp`]); `None` without a log.
+    stamp: Option<u64>,
+}
+
+impl Order {
+    /// The order of a command that waits on `deps`, stamped from `log`.
+    fn new(deps: &[EventRef], log: Option<&RaceLog>) -> Order {
+        Order {
+            waits: deps
+                .iter()
+                .filter(|d| d.queue_id() != 0)
+                .map(|d| (d.queue_id(), d.seq()))
+                .collect(),
+            stamp: log.map(RaceLog::stamp),
+        }
+    }
+
+    /// `rec` as an out-of-order record: its wait edges replace program
+    /// order, and the stamp lets the log's reader add the commands that had
+    /// completed before these dependencies were decided.
+    pub(crate) fn record(self, rec: HbRecord) -> HbRecord {
+        rec.ooo_waits(self.waits).stamped(self.stamp)
+    }
+}
+
+type Work = Box<dyn FnOnce(Order) -> Result<Event, ClError> + Send + 'static>;
 
 /// Where a node's work runs once ready.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -490,39 +529,18 @@ pub(crate) enum Dispatch {
     Thread,
 }
 
-/// What a submitted command touches, as hazard inference sees it.
-struct Footprint {
-    /// Flow footprint used to auto-infer hazards against later submits
-    /// (`None` for markers/barriers — they order via wait lists only).
-    cmd: Option<FlowCommand>,
-    /// No usable footprint (kernel publishes no bindings): conservatively
-    /// conflicts with every other command.
-    conservative: bool,
-}
-
-impl Footprint {
-    /// Whether a command with footprint `cmd` (`None`: a marker or barrier)
-    /// must order after this one: either side has no usable footprint
-    /// (`conservative`), or `classify_pair` finds a hazard between them.
-    fn conflicts_with(&self, cmd: Option<&FlowCommand>, conservative: bool) -> bool {
-        if conservative || self.conservative {
-            return true;
-        }
-        match (cmd, &self.cmd) {
-            (Some(c), Some(nc)) => !classify_pair(nc, c).0.is_empty(),
-            _ => false,
-        }
-    }
-}
-
 struct Node {
     /// Scheduler-local id, the key [`Waiter::Node`] carries.
     id: usize,
     event: EventRef,
-    footprint: Footprint,
+    /// The command's flow footprint, which later submits and drains are
+    /// classified against ([`conflicts`]).
+    cmd: Arc<FlowCommand>,
     deps_remaining: usize,
     failed_dep: Option<ClError>,
     work: Option<Work>,
+    /// Handed to `work` at dispatch.
+    order: Order,
     dispatch: Dispatch,
     dispatched: bool,
     /// Completed; the next [`SchedState::sweep`] removes the node.
@@ -532,16 +550,13 @@ struct Node {
 struct SchedState {
     /// Nodes by id, in submission order: the auto-inference window. The
     /// pool worker that completes a node only marks it `finished`; the
-    /// next `submit`, `finish` or `conflicting_events` on the host sweeps
-    /// it out (`submit` frees what it swept after releasing the lock). The
-    /// table never outgrows the pending window, and no worker frees a node
-    /// under the lock the submit path waits on.
+    /// next `submit`, `finish` or `drain` on the host sweeps
+    /// it out and frees it after releasing the lock. The table never
+    /// outgrows the pending window, and no worker frees a node under the
+    /// lock the submit path waits on.
     nodes: Vec<Node>,
     /// Id the next submitted node gets.
     next_id: usize,
-    /// `(queue, seq)` and footprint of completed nodes by id, kept only
-    /// under `hb_retired`.
-    retired: BTreeMap<usize, (u64, u64, Footprint)>,
     /// The most recent barrier; later submits depend on it.
     barrier: Option<EventRef>,
 }
@@ -554,19 +569,11 @@ impl SchedState {
         Some(&mut self.nodes[i])
     }
 
-    /// Remove the finished nodes. With `keep_retired` each one's `(queue,
-    /// seq, footprint)` moves to `retired`; otherwise they are returned, for
-    /// the caller to drop after releasing the lock.
+    /// Remove the finished nodes and return them, for the caller to drop
+    /// after releasing the lock.
     #[must_use]
-    fn sweep(&mut self, keep_retired: bool) -> Vec<Node> {
-        let mut swept: Vec<Node> = self.nodes.extract_if(.., |n| n.finished).collect();
-        if keep_retired {
-            for n in swept.drain(..) {
-                let r = (n.event.queue_id(), n.event.seq(), n.footprint);
-                self.retired.insert(n.id, r);
-            }
-        }
-        swept
+    fn sweep(&mut self) -> Vec<Node> {
+        self.nodes.extract_if(.., |n| n.finished).collect()
     }
 }
 
@@ -578,28 +585,20 @@ pub(crate) struct Scheduler {
     cv: Condvar,
     bug: Option<SchedBug>,
     bug_used: AtomicU64,
-    /// With race recording on, completed nodes stay in
-    /// [`SchedState::retired`] and `submit` scans them for conflicts, so
-    /// the happens-before log sees completion-before-submit orderings the
-    /// live window cannot express. Off by default: the scan is O(history)
-    /// per submit and only the race layer consumes it.
-    hb_retired: bool,
 }
 
 impl Scheduler {
-    pub(crate) fn new(pool: Arc<ThreadPool>, bug: Option<SchedBug>, hb_retired: bool) -> Scheduler {
+    pub(crate) fn new(pool: Arc<ThreadPool>, bug: Option<SchedBug>) -> Scheduler {
         Scheduler {
             pool,
             state: Mutex::new(SchedState {
                 nodes: Vec::new(),
                 next_id: 0,
-                retired: BTreeMap::new(),
                 barrier: None,
             }),
             cv: Condvar::new(),
             bug,
             bug_used: AtomicU64::new(0),
-            hb_retired,
         }
     }
 
@@ -612,29 +611,26 @@ impl Scheduler {
                 .is_ok()
     }
 
-    /// Submit a command into the DAG. The `(queue, seq)` pairs of the
-    /// same-context dependencies actually used are written into `waits_out`
-    /// (for happens-before recording) *before* the node can dispatch, so
-    /// the work closure always observes them. `wait_all_pending` orders
-    /// against every live node (markers/barriers with an empty wait list);
-    /// `is_barrier` additionally makes this node an implicit dependency of
-    /// every later submit.
+    /// Submit command `cmd` (labelled by `cmd.label`) into the DAG.
+    /// `wait_all_pending` orders it against every live node
+    /// (markers/barriers with an empty wait list); `is_barrier`
+    /// additionally makes it an implicit dependency of every later submit.
+    /// The dependencies actually used, stamped from `log`, reach `work` as
+    /// its [`Order`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn submit(
         self: &Arc<Self>,
-        label: &str,
         queue: u64,
         seq: u64,
-        cmd: Option<FlowCommand>,
-        conservative: bool,
+        cmd: Arc<FlowCommand>,
         explicit: &[EventRef],
         wait_all_pending: bool,
         is_barrier: bool,
         dispatch: Dispatch,
+        log: Option<&RaceLog>,
         work: Work,
-        waits_out: &Mutex<Vec<(u64, u64)>>,
-    ) -> Result<EventRef, ClError> {
-        let event = EventRef::pending(label, queue, seq);
+    ) -> EventRef {
+        let event = EventRef::pending(cmd.label.as_str(), queue, seq);
         // Reject wait lists that already (transitively) depend on... nothing
         // yet — this event is fresh — but record links so user-event cycle
         // detection can see through queue events.
@@ -647,10 +643,9 @@ impl Scheduler {
         }
         let idx;
         let swept;
-        let mut retired_waits: Vec<(u64, u64)> = Vec::new();
         {
             let mut st = self.state.lock();
-            swept = st.sweep(self.hb_retired);
+            swept = st.sweep();
             idx = st.next_id;
             st.next_id += 1;
             if wait_all_pending {
@@ -662,30 +657,13 @@ impl Scheduler {
             } else {
                 // Auto-infer hazards against the pending window.
                 for n in &st.nodes {
-                    if n.footprint.conflicts_with(cmd.as_ref(), conservative)
-                        && seen.insert(n.event.id())
-                    {
+                    if conflicts(&n.cmd, &cmd) && seen.insert(n.event.id()) {
                         deps.push(n.event.clone());
                     }
                 }
                 if let Some(b) = &st.barrier {
                     if seen.insert(b.id()) {
                         deps.push(b.clone());
-                    }
-                }
-                if self.hb_retired {
-                    // A conflicting command that completed before this
-                    // submit has already left the live window — no dispatch
-                    // dependency is needed, but the ordering is real
-                    // (completion-before-submission) and the race log's
-                    // out-of-order records carry no program order, so it
-                    // must be spelled out as a wait edge. The retired
-                    // node's HbRecord is pushed before it leaves the
-                    // window, so the edge always points forward in the log.
-                    for (queue, seq, f) in st.retired.values() {
-                        if f.conflicts_with(cmd.as_ref(), conservative) {
-                            retired_waits.push((*queue, *seq));
-                        }
                     }
                 }
             }
@@ -695,13 +673,18 @@ impl Scheduler {
             if !deps.is_empty() && self.arm(SchedBug::DropEdge) {
                 deps.pop();
             }
+            // Stamped after the sweep, under the lock: every command that
+            // left the window has recorded, so the log holds each
+            // conflicting command that completed before this submit.
+            let order = Order::new(&deps, log);
             st.nodes.push(Node {
                 id: idx,
                 event: event.clone(),
-                footprint: Footprint { cmd, conservative },
+                cmd,
                 deps_remaining: deps.len(),
                 failed_dep: None,
                 work: Some(work),
+                order,
                 dispatch,
                 dispatched: false,
                 finished: false,
@@ -714,12 +697,6 @@ impl Scheduler {
             let mut st = event.core.state.lock();
             st.deps = deps.iter().map(|d| Arc::downgrade(&d.core)).collect();
         }
-        *waits_out.lock() = deps
-            .iter()
-            .filter(|d| d.queue_id() != 0)
-            .map(|d| (d.queue_id(), d.seq()))
-            .chain(retired_waits)
-            .collect();
         // Register as a waiter on every dependency — outside the scheduler
         // lock (completion callbacks take event lock, then scheduler lock;
         // registering under the scheduler lock would invert that order).
@@ -742,7 +719,7 @@ impl Scheduler {
         if deps.is_empty() {
             self.dispatch(idx);
         }
-        Ok(event)
+        event
     }
 
     /// A dependency of node `idx` completed (with `err` if it failed).
@@ -807,9 +784,12 @@ impl Scheduler {
                 return;
             }
             n.dispatched = true;
-            (n.work.take(), n.dispatch)
+            (
+                n.work.take().map(|w| (w, mem::take(&mut n.order))),
+                n.dispatch,
+            )
         };
-        let Some(work) = work else { return };
+        let Some((work, order)) = work else { return };
         if self.arm(SchedBug::SkipCommand) {
             // Complete without running the command — bit-exactness catches it.
             drop(work);
@@ -818,7 +798,7 @@ impl Scheduler {
         }
         let sched = Arc::clone(self);
         let run = move || {
-            let res = work();
+            let res = work(order);
             sched.finish_node(idx, res);
         };
         match how {
@@ -865,21 +845,41 @@ impl Scheduler {
         self.cv.notify_all();
     }
 
-    /// Events of pending nodes whose footprints conflict with `cmd` — the
-    /// set a blocking (in-order) operation on the queue must drain before it
-    /// can touch the buffers. Independent pending commands keep running.
-    pub(crate) fn conflicting_events(&self, cmd: &FlowCommand) -> Vec<EventRef> {
+    /// Block until every pending node whose footprint conflicts with `cmd`
+    /// has completed, so a blocking (in-order) host operation can safely
+    /// touch the buffers, and return the operation's [`Order`]: those
+    /// nodes, stamped from `log` as in [`Scheduler::submit`]. Independent
+    /// pending commands keep running.
+    pub(crate) fn drain(
+        &self,
+        cmd: &FlowCommand,
+        log: Option<&RaceLog>,
+        timeout: Option<Duration>,
+    ) -> Result<Order, ClError> {
         let mut st = self.state.lock();
-        let swept = st.sweep(self.hb_retired);
-        let events = st
+        let swept = st.sweep();
+        let events: Vec<EventRef> = st
             .nodes
             .iter()
-            .filter(|n| n.footprint.conflicts_with(Some(cmd), false))
+            .filter(|n| conflicts(&n.cmd, cmd))
             .map(|n| n.event.clone())
             .collect();
+        let order = Order::new(&events, log);
         drop(st);
         drop(swept);
-        events
+        for e in events {
+            if let Err(err) = e.wait(timeout) {
+                if e.completion_tick().is_none() {
+                    // Still pending at the deadline: the wait itself timed
+                    // out — unsafe to touch the buffers.
+                    return Err(err);
+                }
+                // The dependency completed unsuccessfully: contents are
+                // undefined (as after any failed enqueue) but ordering is
+                // established, so the host operation proceeds.
+            }
+        }
+        Ok(order)
     }
 
     /// Drain the DAG (`clFinish` analog). With a timeout, still-pending
@@ -893,7 +893,7 @@ impl Scheduler {
         loop {
             let stuck = {
                 let mut st = self.state.lock();
-                let swept = st.sweep(self.hb_retired);
+                let swept = st.sweep();
                 if st.nodes.is_empty() {
                     drop(st);
                     drop(swept);
@@ -1050,35 +1050,40 @@ mod tests {
     }
 
     /// A completed node leaves the table: after 1 000 independent submits
-    /// drain, the scheduler holds nothing, so neither memory nor the
+    /// drain, the scheduler holds nothing — on a recording context too,
+    /// whose log alone keeps the history — so neither memory nor the
     /// per-submit scans grow with the queue's history.
     #[test]
     fn finished_nodes_leave_the_table() {
         let pool = Arc::new(ThreadPool::new(cl_pool::PoolConfig::default().workers(2)).unwrap());
-        let sched = Arc::new(Scheduler::new(pool, None, false));
-        let waits = Mutex::new(Vec::new());
-        for seq in 0..1000 {
-            let work: Work = Box::new(|| Ok(Event::new(CommandKind::Marker, 0.0, false)));
-            sched
-                .submit(
-                    "marker",
+        let marker = Arc::new(crate::flow::marker_command("marker"));
+        for log in [None, Some(Arc::new(RaceLog::new()))] {
+            let sched = Arc::new(Scheduler::new(Arc::clone(&pool), None));
+            for seq in 0..1000 {
+                let (rl, cmd) = (log.clone(), Arc::clone(&marker));
+                let work: Work = Box::new(move |order| {
+                    if let Some(rl) = &rl {
+                        rl.push(order.record(HbRecord::command(1, seq, (*cmd).clone(), false)));
+                    }
+                    Ok(Event::new(CommandKind::Marker, 0.0, false))
+                });
+                let cmd = Arc::clone(&marker);
+                sched.submit(
                     1,
                     seq,
-                    None,
-                    false,
+                    cmd,
                     &[],
                     false,
                     false,
                     Dispatch::Pool,
+                    log.as_deref(),
                     work,
-                    &waits,
-                )
-                .unwrap();
+                );
+            }
+            sched.finish(None).unwrap();
+            assert_eq!(sched.state.lock().nodes.len(), 0);
+            assert_eq!(log.map_or(1000, |rl| rl.len()), 1000);
         }
-        sched.finish(None).unwrap();
-        let st = sched.state.lock();
-        assert_eq!(st.nodes.len(), 0);
-        assert!(st.retired.is_empty());
     }
 
     /// `cl-sched` keys its report rows by bug name.

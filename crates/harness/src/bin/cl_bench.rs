@@ -34,7 +34,7 @@ use std::time::Duration;
 use cl_harness::bench::{compare_pairs, median, sample, BenchRecord, BenchStats, Report};
 use cl_harness::cli::{host_workers, Cli};
 use cl_serve::{ServeConfig, Server, TenantConfig};
-use ocl_rt::{Context, GroupCtx, Kernel, MemFlags, NDRange, QueueConfig};
+use ocl_rt::{CommandQueue, Context, GroupCtx, Kernel, MemFlags, NDRange, QueueConfig};
 
 /// A kernel with an empty body: enqueueing it measures pure runtime
 /// overhead — resolve, contract checks, dispatch, completion, event
@@ -379,35 +379,30 @@ fn run_suite(workers: usize, fast: bool) -> Report {
     // compute. Catches regressions in the submit hot path — an accidental
     // O(history) scan or a lost-wakeup stall shows up directly.
     let qo = ctx.queue_with(QueueConfig::default().out_of_order(true));
-    const SCHED_BUFS: usize = 8;
-    const SCHED_CMDS: u64 = 64;
-    let sched_kernels: Vec<Arc<dyn Kernel>> = (0..SCHED_BUFS)
-        .map(|_| {
-            let buf = ctx
-                .buffer::<u32>(MemFlags::default(), 64)
-                .expect("sched bench buffer");
-            Arc::new(cl_kernels::sched::MulAdd {
-                data: buf,
-                mul: 3,
-                add: 7,
-                iters: 1,
-                label: "mul_add".into(),
-            }) as Arc<dyn Kernel>
-        })
-        .collect();
-    let sched_range = NDRange::d1(64).local1(64);
-    let stats = sample(warm, samples, SCHED_CMDS, || {
-        let gate = ocl_rt::user_event();
-        let wait = [gate.event()];
-        for i in 0..SCHED_CMDS as usize {
-            qo.submit_kernel(&sched_kernels[i % SCHED_BUFS], sched_range, &wait)
-                .expect("sched submit");
-        }
-        gate.signal();
-        qo.finish().expect("sched drain");
-        SCHED_CMDS
-    });
+    let kernels = muladd_kernels(&ctx);
+    let stats = sample(warm, samples, SCHED_CMDS, || gated_dag(&qo, &kernels));
     push("sched/ready-dispatch-ns", "ns/cmd", stats);
+
+    // --- OOO scheduler: the same DAG behind a recorded history -----------
+    // The ready-dispatch DAG on a race-recording context whose out-of-order
+    // queue has already run 4 096 commands. The scheduler holds pending
+    // commands only and the race log derives completion-before-submission
+    // edges when it is read, so the per-command cost must not grow with the
+    // history: a per-submit history scan that comes back fails the gate.
+    const HISTORY: usize = 4096;
+    let rec_ctx = Context::new_with(
+        ctx.device().clone(),
+        ocl_rt::ContextConfig::default().race_recording(true),
+    );
+    let qr = rec_ctx.queue_with(QueueConfig::default().out_of_order(true));
+    let kernels = muladd_kernels(&rec_ctx);
+    for k in kernels.iter().cycle().take(HISTORY) {
+        qr.submit_kernel(k, NDRange::d1(64).local1(64), &[])
+            .expect("history submit");
+    }
+    qr.finish().expect("history drain");
+    let stats = sample(warm, samples, SCHED_CMDS, || gated_dag(&qr, &kernels));
+    push("sched/recorded-history-ns", "ns/cmd", stats);
 
     // --- OOO scheduler: independent-DAG throughput -----------------------
     // A fan of 8 independent fixed-latency (5 ms) commands on disjoint
@@ -444,6 +439,43 @@ fn run_suite(workers: usize, fast: bool) -> Report {
     push("sched/dag-throughput", "ns/cmd", stats);
 
     Report::new(workers, benches)
+}
+
+/// Commands per sample of the gated out-of-order DAG ([`gated_dag`]).
+const SCHED_CMDS: u64 = 64;
+
+/// One tiny `MulAdd` kernel per buffer of the gated DAG, over 8 disjoint
+/// buffers of `ctx`.
+fn muladd_kernels(ctx: &Context) -> Vec<Arc<dyn Kernel>> {
+    (0..8)
+        .map(|_| {
+            let buf = ctx
+                .buffer::<u32>(MemFlags::default(), 64)
+                .expect("sched bench buffer");
+            Arc::new(cl_kernels::sched::MulAdd {
+                data: buf,
+                mul: 3,
+                add: 7,
+                iters: 1,
+                label: "mul_add".into(),
+            }) as Arc<dyn Kernel>
+        })
+        .collect()
+}
+
+/// Submit [`SCHED_CMDS`] launches round-robin over `kernels` to the
+/// out-of-order queue `q`, all behind one user-event gate, then signal it
+/// and drain: 8 independent chains of 8, whatever the host's submit pace.
+fn gated_dag(q: &CommandQueue, kernels: &[Arc<dyn Kernel>]) -> u64 {
+    let gate = ocl_rt::user_event();
+    let wait = [gate.event()];
+    for k in kernels.iter().cycle().take(SCHED_CMDS as usize) {
+        q.submit_kernel(k, NDRange::d1(64).local1(64), &wait)
+            .expect("sched submit");
+    }
+    gate.signal();
+    q.finish().expect("sched drain");
+    SCHED_CMDS
 }
 
 fn load_report(path: &Path) -> Result<Report, String> {

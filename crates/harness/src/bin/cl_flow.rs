@@ -2,12 +2,11 @@
 //! recording context and statically analyze each queue's command stream.
 //!
 //! ```text
-//! cl-flow [--workers W] [--seed S] [--out DIR] [--stable]
+//! cl-flow [--workers W] [--seed S] [--out DIR]
 //!
 //!   --workers W  pool workers of the device under test (default: min(4, cores))
 //!   --seed S     input seed for the replayed kernels (default: 7)
 //!   --out DIR    output directory for flow.md / flow.csv (default: results)
-//!   --stable     deterministic report: skip the wall-clock overhead sweep
 //! ```
 //!
 //! Three clean replays, each on its own queue of one recording context
@@ -24,11 +23,12 @@
 //! flag-contract, use-while-mapped, redundant transfer, read-before-write,
 //! unsynchronized host access — each of which the analysis (or the
 //! debug-mode enqueue gate) must catch; a missed fault exits nonzero.
-//! Finally the recording-disabled overhead is measured against run-to-run
-//! noise, the same way `cl-trace` prices the disabled-tracing path.
+//! The report carries no wall-clock cells, so it is byte-identical across
+//! runs; `cl-bench`'s `overhead/race-off` prices the recording-disabled
+//! path.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cl_analyze::flow::{analyze_flow, FlowAnalysis, FlowCommand, FlowLintKind, HazardKind};
 use cl_analyze::{Severity, Verdict};
@@ -304,7 +304,7 @@ fn seed_host_sync(ctx: &Context, seed: u64) -> Seeded {
     }
 }
 
-const USAGE: &str = "usage: cl-flow [--workers W] [--seed S] [--out DIR] [--stable]";
+const USAGE: &str = "usage: cl-flow [--workers W] [--seed S] [--out DIR]";
 
 fn main() {
     let mut cli = Cli::parse("cl-flow", USAGE);
@@ -314,9 +314,8 @@ fn main() {
     // process-global and the report prints them, so no buffer is created
     // before the scenarios; Figure 9 runs first and maps nothing, so Figure
     // 8's maps take ids #0 and #1 from the log's fresh counter.
-    let device = Device::native_cpu(workers).expect("flow device");
     let ctx = Context::new_with(
-        device.clone(),
+        Device::native_cpu(workers).expect("flow device"),
         ContextConfig::default().race_recording(true),
     );
 
@@ -356,72 +355,25 @@ fn main() {
         }
     }
 
-    // ------ Overhead: recording disabled vs enabled ------
-    // The same pricing as cl-trace's disabled-tracing measurement: a
-    // 12-launch square sweep twice without recording (noise band) and once
-    // with. With recording off the context holds no RaceLog and each record
-    // site is one skipped Option branch.
-    let sweep = |ctx: &Context| -> f64 {
-        let q = recording_queue(ctx);
-        let t0 = Instant::now();
-        for _ in 0..3 {
-            for factor in [1usize, 10, 100, 1000] {
-                let built = cl_kernels::apps::square::build(ctx, 100_000, factor, None, seed);
-                q.enqueue_kernel(&built.kernel, built.range).expect("sweep");
-            }
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    // Stable mode skips the sweep entirely: its numbers are wall-clock and
-    // would churn the committed report. `cl-bench` carries the continuous
-    // measurement as `overhead/race-off`.
-    let (noise, recording_cost) = if cli.stable() {
-        (0.0, 0.0)
-    } else {
-        let off = Context::new_with(device, ContextConfig::default());
-        let off_a = sweep(&off);
-        let off_b = sweep(&off);
-        let on = sweep(&ctx);
-        let base = off_a.min(off_b);
-        ((off_a - off_b).abs() / base, on / base - 1.0)
-    };
-
     // ------ Reports ------
-    let md = render_md(
-        &clean,
-        chain_proven,
-        &seeded,
-        noise,
-        recording_cost,
-        cli.stable(),
-    );
+    let md = render_md(&clean, chain_proven, &seeded);
     let md_path = cli.write("flow.md", md);
     cli.write("flow.csv", render_csv(&clean, &seeded));
 
     let caught = seeded.iter().filter(|s| s.caught).count();
     println!(
         "cl-flow: {} clean replays ({} violations), Figure 9 RAW {}, \
-         seeded faults caught {caught}/{}; disabled-path noise {:.2}%, \
-         recording cost {:+.2}% → {}",
+         seeded faults caught {caught}/{} → {}",
         clean.len(),
         clean.iter().map(Scenario::errors).sum::<usize>(),
         if chain_proven { "proven" } else { "NOT PROVEN" },
         seeded.len(),
-        noise * 100.0,
-        recording_cost * 100.0,
         md_path.display(),
     );
     cli.finish();
 }
 
-fn render_md(
-    clean: &[Scenario],
-    chain_proven: bool,
-    seeded: &[Seeded],
-    noise: f64,
-    recording_cost: f64,
-    stable: bool,
-) -> String {
+fn render_md(clean: &[Scenario], chain_proven: bool, seeded: &[Seeded]) -> String {
     let mut md = String::new();
     md.push_str("# Command-stream analysis (`cl-flow`)\n\n");
     md.push_str(
@@ -518,28 +470,6 @@ fn render_md(
         );
     }
 
-    md.push_str("\n## Disabled-path overhead\n\n");
-    if stable {
-        md.push_str(
-            "Skipped in stable mode: the sweep's numbers are wall-clock and \
-             would churn this committed report. The continuous measurement \
-             lives in `cl-bench` as `overhead/race-off`, gated against the \
-             parent revision by `cl-bench --pair`. With recording off the \
-             context holds no `RaceLog`, launch bindings are never queried, \
-             and every record site is one skipped `Option` branch.\n",
-        );
-    } else {
-        let _ = writeln!(
-            md,
-            "A 12-launch square coalescing sweep, run twice with recording \
-             disabled and once enabled: run-to-run noise {:.2}%, recording run \
-             {:+.2}% vs the faster disabled run. With recording off the \
-             context holds no `RaceLog`, launch bindings are never queried, \
-             and every record site is one skipped `Option` branch.",
-            noise * 100.0,
-            recording_cost * 100.0,
-        );
-    }
     md
 }
 

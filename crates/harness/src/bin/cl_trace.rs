@@ -10,9 +10,9 @@
 //!   --stable     deterministic trace.md: volatile cells (timings, steal
 //!                counts, span totals) render as "·" so the committed report
 //!                is byte-identical across machines and runs — the CI
-//!                results-drift gate regenerates it and diffs. The overhead
-//!                sweep is skipped; structural data (groups, chunks,
-//!                barriers) and the partition checks still run in full.
+//!                results-drift gate regenerates it and diffs. Structural
+//!                data (groups, chunks, barriers) and the partition checks
+//!                run in full.
 //! ```
 //!
 //! Replays two figure workloads on a traced native-CPU queue — the
@@ -25,12 +25,12 @@
 //!    (load via `chrome://tracing` or <https://ui.perfetto.dev>),
 //! 3. writes `trace.md` with per-launch profiling breakdowns (submit /
 //!    dispatch / compute / scheduler-idle) and per-phase aggregates
-//!    (schedule vs compute vs barrier vs transfer) for both workloads,
-//! 4. measures the tracing-disabled overhead of the instrumentation
-//!    against run-to-run noise on a fig1-style sweep.
+//!    (schedule vs compute vs barrier vs transfer) for both workloads.
+//!
+//! `cl-bench`'s `overhead/trace-off` prices the tracing-disabled path.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cl_harness::cli::{host_workers, Cli};
 use ocl_rt::{Context, Device, MemFlags, QueueConfig, Span, SpanKind, TraceLog};
@@ -248,34 +248,6 @@ fn main() {
     drop(m);
     let tx_spans = log.spans()[tx_start..].to_vec();
 
-    // ------ Overhead: instrumentation cost with tracing disabled ------
-    // A fig1-style coalescing sweep run three times on *untraced* queues
-    // (run-to-run noise) and once traced. The disabled path must be free:
-    // its spread should sit inside the noise band, and we report the
-    // traced run's cost alongside.
-    let sweep = |cfg: QueueConfig| -> f64 {
-        let q = ctx.queue_with(cfg.launch_timeout(Duration::from_secs(60)));
-        let t0 = Instant::now();
-        for _ in 0..3 {
-            for factor in [1usize, 10, 100, 1000] {
-                let built = cl_kernels::apps::square::build(&ctx, TABLE2_N, factor, None, seed);
-                q.enqueue_kernel(&built.kernel, built.range).expect("sweep");
-            }
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    // The overhead comparison is pure wall-clock — meaningless to commit in
-    // the deterministic report, so --stable skips the measurement.
-    let (noise, traced_cost) = if cli.stable() {
-        (0.0, 0.0)
-    } else {
-        let off_a = sweep(QueueConfig::default());
-        let off_b = sweep(QueueConfig::default());
-        let on = sweep(QueueConfig::default().tracing(true));
-        let base = off_a.min(off_b);
-        ((off_a - off_b).abs() / base, on / base - 1.0)
-    };
-
     // ------ Reports ------
     cli.write("trace.json", log.to_chrome_json());
 
@@ -284,17 +256,14 @@ fn main() {
         breakdown("Figure 6 ILP ladder", &w2_spans, workers),
         breakdown("Transfer write vs map", &tx_spans, workers),
     ];
-    let md = render_md(&cli, &rows, &phases, workers, noise, traced_cost, log.len());
+    let md = render_md(&cli, &rows, &phases, workers, log.len());
     let md_path = cli.write("trace.md", md);
 
     println!(
-        "cl-trace: {} spans across {} launches; partition checks {}; \
-         disabled-path noise {:.2}%, traced cost {:+.2}% → {}",
+        "cl-trace: {} spans across {} launches; partition checks {} → {}",
         log.len(),
         rows.len(),
         if cli.failed() { "FAILED" } else { "passed" },
-        noise * 100.0,
-        traced_cost * 100.0,
         md_path.display(),
     );
     cli.finish();
@@ -305,8 +274,6 @@ fn render_md(
     rows: &[LaunchRow],
     phases: &[PhaseBreakdown],
     workers: usize,
-    noise: f64,
-    traced_cost: f64,
     spans: usize,
 ) -> String {
     // In --stable mode every wall-clock-derived cell is masked: the
@@ -394,25 +361,5 @@ fn render_md(
         );
     }
 
-    md.push_str("\n## Disabled-path overhead\n\n");
-    if cli.stable() {
-        md.push_str(
-            "Skipped in stable mode (pure wall-clock comparison). The \
-             continuous measurement lives in `cl-bench` as \
-             `overhead/trace-off`, gated against the parent revision by \
-             `cl-bench --pair`.\n",
-        );
-    } else {
-        let _ = writeln!(
-            md,
-            "A 12-launch square coalescing sweep, run twice with tracing \
-             disabled and once enabled: run-to-run noise {:.2}%, traced run \
-             {:+.2}% vs the faster disabled run. With tracing off the queue \
-             holds no `TraceLog` and every record site is a skipped `Option` \
-             check, so the disabled spread is pure noise.",
-            noise * 100.0,
-            traced_cost * 100.0,
-        );
-    }
     md
 }

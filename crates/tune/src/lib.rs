@@ -389,8 +389,14 @@ impl Tuner {
 
     /// `CL_TUNE_CACHE=<path>` wins over the default `target/tune-cache.json`.
     pub fn cache_path_from_env() -> PathBuf {
-        std::env::var("CL_TUNE_CACHE")
-            .ok()
+        Self::cache_path_from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// The path [`Tuner::cache_path_from_env`] picks when `var` gives each
+    /// variable's value (a blank `CL_TUNE_CACHE` counts as unset). Tests
+    /// pass a closure here instead of setting a process-wide variable.
+    pub fn cache_path_from_vars(var: impl Fn(&str) -> Option<String>) -> PathBuf {
+        var("CL_TUNE_CACHE")
             .filter(|p| !p.trim().is_empty())
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("target/tune-cache.json"))

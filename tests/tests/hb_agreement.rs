@@ -293,3 +293,55 @@ fn ooo_auto_reordered_legacy_stream_stays_race_free() {
         }
     }
 }
+
+/// Both layers must find no race on `log`'s stream.
+fn assert_race_free(what: &str, log: &ocl_rt::RaceLog) {
+    let (analysis, vc) = log.check();
+    assert!(
+        !analysis.has_races(),
+        "{what}: static races: {:?}",
+        analysis.races().collect::<Vec<_>>()
+    );
+    assert!(vc.agrees(), "{what}: disagreement: {:?}", vc.disagreements);
+    assert!(vc.races.is_empty(), "{what}: dynamic races: {:?}", vc.races);
+}
+
+/// Regression: a blocking read on an out-of-order queue after a
+/// conflicting kernel that has already completed. The scheduler holds
+/// pending commands only, so the read's drain waits on nothing; the
+/// ordering — the kernel completed before the read was issued — reaches
+/// the log through the read's stamp, and neither layer may call it a race.
+#[test]
+fn ooo_read_after_completed_writer_is_race_free() {
+    for (device, ctx) in race_ctxs() {
+        let log = ctx.race().expect("recording on");
+        log.clear();
+        let q = ctx.queue_with(QueueConfig::default().out_of_order(true));
+        let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
+        q.run(fill(&buf, 0), NDRange::d1(LEN)).expect("fill");
+        let mut back = vec![0.0f32; N];
+        q.read_buffer(&buf, 0, &mut back).expect("read");
+        assert!(back[..LEN].iter().all(|&x| x == 1.0), "{device}: fill lost");
+        assert_race_free(device, log);
+    }
+}
+
+/// The same for a writable map: the host's write through the mapping,
+/// recorded at the unmap, orders after the completed kernel through the
+/// map's stamp and the unmap's wait on its map.
+#[test]
+fn ooo_map_after_completed_writer_is_race_free() {
+    for (device, ctx) in race_ctxs() {
+        let log = ctx.race().expect("recording on");
+        log.clear();
+        let q = ctx.queue_with(QueueConfig::default().out_of_order(true));
+        let buf = ctx.buffer::<f32>(MemFlags::default(), N).expect("buf");
+        q.run(fill(&buf, 0), NDRange::d1(LEN)).expect("fill");
+        {
+            let (mut m, _) = q.map_buffer_mut(&buf).expect("map");
+            assert_eq!(m[0], 1.0, "{device}: fill lost");
+            m[0] = 7.0;
+        }
+        assert_race_free(device, log);
+    }
+}

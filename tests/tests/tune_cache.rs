@@ -111,18 +111,15 @@ fn wrong_schema_version_is_ignored_wholesale() {
 
 #[test]
 fn cl_tune_cache_env_wins_over_default() {
-    // Env mutation is process-global: save and restore.
-    let saved = std::env::var("CL_TUNE_CACHE").ok();
-    std::env::set_var("CL_TUNE_CACHE", "/some/explicit/cache.json");
-    let with_env = Tuner::cache_path_from_env();
-    std::env::set_var("CL_TUNE_CACHE", "   ");
-    let blank = Tuner::cache_path_from_env();
-    std::env::remove_var("CL_TUNE_CACHE");
-    let without = Tuner::cache_path_from_env();
-    match saved {
-        Some(v) => std::env::set_var("CL_TUNE_CACHE", v),
-        None => std::env::remove_var("CL_TUNE_CACHE"),
-    }
+    let path_with = |value: Option<&str>| {
+        Tuner::cache_path_from_vars(|name| {
+            assert_eq!(name, "CL_TUNE_CACHE");
+            value.map(str::to_string)
+        })
+    };
+    let with_env = path_with(Some("/some/explicit/cache.json"));
+    let blank = path_with(Some("   "));
+    let without = path_with(None);
     assert_eq!(with_env, PathBuf::from("/some/explicit/cache.json"));
     assert_eq!(
         blank,
