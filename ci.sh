@@ -28,9 +28,8 @@
 #                 check: no file under crates/harness/src/bin may read
 #                 std::env::args itself (flags go through cl_harness::cli);
 #                 then the env-mutation check: no Rust file under crates/,
-#                 tests/ or examples/ may call set_var or remove_var, except
-#                 cl-chaos and cl-load, which set CL_EXACT_GID for their own
-#                 process (tests pass a closure to a `*_from_vars` reader)
+#                 tests/ or examples/ may call set_var or remove_var (tests
+#                 pass a closure to a `*_from_vars` reader)
 #   chaos         cl-chaos 25-round fault-injection soak -> target/ci-chaos
 #   trace         cl-trace --stable --workers 2 (regenerates results/trace.md)
 #   traced-chaos  CL_TRACE=1 soak; asserts target/chaos-traced/chaos-trace.json
@@ -190,14 +189,12 @@ one_flag_parser() {
 
 # no_env_mutation — fail when Rust code under crates/, tests/ or examples/
 # sets or removes a process environment variable: a test that does leaks the
-# value into sibling tests that read the environment mid-run. cl-chaos and
-# cl-load set CL_EXACT_GID for their own process before any thread starts.
+# value into sibling tests that read the environment mid-run.
 no_env_mutation() {
     local hits
-    hits=$(grep -rnE --include='*.rs' '\b(set_var|remove_var)\b' crates tests examples |
-        grep -vE '^crates/harness/src/bin/cl_(chaos|load)\.rs:' || true)
+    hits=$(grep -rnE --include='*.rs' '\b(set_var|remove_var)\b' crates tests examples || true)
     if [[ -n "$hits" ]]; then
-        echo "environment mutation outside cl-chaos/cl-load (pass a closure to a *_from_vars reader):" >&2
+        echo "environment mutation (pass a closure to a *_from_vars reader):" >&2
         echo "$hits" >&2
         return 1
     fi
@@ -338,9 +335,12 @@ pair_runs() {
             mkdir -p "$src"
             git archive "$rev" | tar -x -C "$src"
         fi
+        # A target directory per revision: cargo does not re-copy a fresh
+        # binary into a shared target/release, so a shared directory hands
+        # back whichever revision was built last.
         cargo build --release --quiet --offline --manifest-path "$src/Cargo.toml" \
-            --bin cl-bench --target-dir target/pair/target
-        parent="$PWD/target/pair/target/release/cl-bench"
+            --bin cl-bench --target-dir "$src/target"
+        parent="$PWD/$src/target/release/cl-bench"
     fi
     rm -rf "$out"
     mkdir -p "$out"

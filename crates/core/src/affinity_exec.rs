@@ -77,8 +77,8 @@ impl AffinityExecutor {
         let resolved = range.resolve_with(512, self.cores() * 4)?;
         let n_groups = resolved.n_groups();
         // One workgroup per lane task, run by the engine's chunk body:
-        // scalar `run_group`, no trace.
-        let state = LaunchState::new(kernel, &resolved, 1, None, None);
+        // scalar `run_group`, the build profile's gid stamping, no trace.
+        let state = LaunchState::new(kernel, &resolved, 1, None, cfg!(debug_assertions), None);
 
         let t0 = Instant::now();
         let submitted_ns = crate::trace::now_ns();
@@ -217,8 +217,8 @@ mod tests {
         let exec = AffinityExecutor::new(2).unwrap();
         let range = NDRange::d1(256).local1(32);
         // The profile's gid contract: exact item in debug, group base in
-        // release (`CL_EXACT_GID` overrides either way).
-        let gid = if crate::fault::exact_gid() { 70 } else { 64 };
+        // release.
+        let gid = if cfg!(debug_assertions) { 70 } else { 64 };
         for fatal in [false, true] {
             let kernel: Arc<dyn Kernel> = Arc::new(Boom { fault: Some(fatal) });
             match exec.enqueue_kernel_bound(&kernel, range, exec.aligned()) {

@@ -28,6 +28,8 @@ pub(crate) struct DeviceInner {
     pub(crate) null_target_groups: usize,
     pub(crate) simd_width: usize,
     pub(crate) vectorize: bool,
+    /// Whether workitem loops stamp a contained panic's gid per item.
+    pub(crate) exact_gid: bool,
     pub(crate) transfer_model: TransferModel,
 }
 
@@ -62,6 +64,7 @@ impl Device {
                 null_target_groups: pool.workers() * 4,
                 simd_width: 4,
                 vectorize: true,
+                exact_gid: cfg!(debug_assertions),
                 transfer_model: TransferModel::cpu(&spec),
                 pool,
             }),
@@ -88,6 +91,7 @@ impl Device {
                 null_target_groups,
                 simd_width,
                 vectorize: true,
+                exact_gid: cfg!(debug_assertions),
                 transfer_model,
                 pool,
             }),
@@ -113,6 +117,7 @@ impl Device {
                 null_target_groups: usize::MAX,
                 simd_width: 1,
                 vectorize: false,
+                exact_gid: cfg!(debug_assertions),
                 transfer_model,
                 pool,
             }),
@@ -154,6 +159,26 @@ impl Device {
         Arc::get_mut(&mut self.inner)
             .map(|i| i.vectorize = on)
             .expect("set_vectorize requires a uniquely owned Device");
+    }
+
+    /// Whether a contained panic names its exact workitem (see
+    /// [`Device::set_exact_gid`]).
+    pub fn exact_gid(&self) -> bool {
+        self.inner.exact_gid
+    }
+
+    /// Stamp the faulting-gid trace per workitem (`true`) or leave it at
+    /// the group's base item (`false`). Exact stamping costs a store on
+    /// every workitem of every launch to make a rare panic report
+    /// item-precise, so release builds default to coarse: a contained panic
+    /// still names the kernel, the workgroup and the group's base global
+    /// id. Debug builds default to exact. Harnesses that judge exact gids
+    /// turn it on. Like [`Device::set_vectorize`], configure the device
+    /// before building a context.
+    pub fn set_exact_gid(&mut self, on: bool) {
+        Arc::get_mut(&mut self.inner)
+            .map(|i| i.exact_gid = on)
+            .expect("set_exact_gid requires a uniquely owned Device");
     }
 
     /// The execution pool.
@@ -253,5 +278,13 @@ mod tests {
         assert!(d.vectorizes());
         d.set_vectorize(false);
         assert!(!d.vectorizes());
+    }
+
+    #[test]
+    fn exact_gid_defaults_to_the_build_profile() {
+        let mut d = Device::native_cpu(1).unwrap();
+        assert_eq!(d.exact_gid(), cfg!(debug_assertions));
+        d.set_exact_gid(true);
+        assert!(d.exact_gid());
     }
 }

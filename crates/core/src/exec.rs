@@ -74,6 +74,8 @@ pub(crate) struct LaunchState {
     panics: AtomicU64,
     /// SIMD width for `run_group_simd`; `None` runs scalar `run_group`.
     simd_width: Option<usize>,
+    /// Whether workitem loops stamp each item's gid ([`Device::exact_gid`]).
+    exact_gid: bool,
     /// The queue's trace log when tracing is enabled; `None` costs the hot
     /// path only `Option` checks.
     trace: Option<Arc<TraceLog>>,
@@ -92,6 +94,7 @@ impl LaunchState {
         range: &ResolvedRange,
         groups_per_chunk: usize,
         simd_width: Option<usize>,
+        exact_gid: bool,
         trace: Option<&Arc<TraceLog>>,
     ) -> Arc<Self> {
         let n_groups = range.n_groups();
@@ -112,6 +115,7 @@ impl LaunchState {
             items: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             simd_width,
+            exact_gid,
             trace: trace.cloned(),
             launch_id,
             started_ns: AtomicU64::new(0),
@@ -150,7 +154,7 @@ impl LaunchState {
                 group[1] * self.range.local[1],
                 group[2] * self.range.local[2],
             ];
-            let trace = GidTrace::new(base);
+            let trace = GidTrace::new(base, self.exact_gid);
             let result = catch_unwind(AssertUnwindSafe(|| {
                 let mut g = GroupCtx::with_fault(&self.range, group, &trace, &self.fault.abort);
                 g.btrace = self.trace.as_deref().map(|log| BarrierTrace {
@@ -289,12 +293,15 @@ pub(crate) fn execute_kernel(
         }
     };
     let n_chunks = n_groups.div_ceil(groups_per_chunk);
-    let simd = device.vectorizes() && range.local[1] == 1 && range.local[2] == 1;
+    // Every launch on a vectorizing device is offered to the kernel's lane
+    // body, whatever its group shape; a body without lanes for this shape
+    // or width declines and the group runs scalar.
     let state = LaunchState::new(
         kernel,
         range,
         groups_per_chunk,
-        simd.then(|| device.simd_width()),
+        device.vectorizes().then(|| device.simd_width()),
+        device.exact_gid(),
         trace_log,
     );
 
@@ -396,4 +403,100 @@ pub(crate) fn execute_kernel(
     }
     state.record_launch(profiling, true);
     Ok(state.event(duration_s, modeled, profiling))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use crate::{Context, Device, GroupCtx, Kernel, NDRange};
+
+    /// Counts how the engine runs each group, and how often each item is
+    /// visited, through lane steps, tail items or the scalar loop.
+    #[derive(Default)]
+    struct Spy {
+        simd_groups: AtomicU64,
+        scalar_groups: AtomicU64,
+        steps: AtomicU64,
+        tails: AtomicU64,
+        visits: Vec<AtomicU32>,
+    }
+
+    impl Spy {
+        fn new(items: usize) -> Self {
+            Spy {
+                visits: (0..items).map(|_| AtomicU32::new(0)).collect(),
+                ..Spy::default()
+            }
+        }
+
+        fn visit(&self, first: usize, n: usize) {
+            for v in &self.visits[first..first + n] {
+                v.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    impl Kernel for Spy {
+        fn name(&self) -> &str {
+            "spy"
+        }
+
+        fn run_group(&self, g: &mut GroupCtx) {
+            self.scalar_groups.fetch_add(1, Ordering::Relaxed);
+            g.for_each(|wi| self.visit(wi.global_linear(), 1));
+        }
+
+        fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
+            self.simd_groups.fetch_add(1, Ordering::Relaxed);
+            g.for_each_simd(
+                width,
+                |wi| {
+                    self.steps.fetch_add(1, Ordering::Relaxed);
+                    self.visit(wi.global_linear(), width);
+                },
+                |wi| {
+                    self.tails.fetch_add(1, Ordering::Relaxed);
+                    self.visit(wi.global_linear(), 1);
+                },
+            );
+            true
+        }
+    }
+
+    #[test]
+    fn two_d_groups_run_lane_steps_along_every_row() {
+        // 2×2 groups of 6×4 items: each row is one 4-wide step plus two
+        // tail items.
+        let range = NDRange::d2(12, 8).local2(6, 4);
+        let run = |vectorize: bool| {
+            let mut device = Device::native_cpu(2).unwrap();
+            device.set_vectorize(vectorize);
+            assert_eq!(device.simd_width(), 4);
+            let spy = Arc::new(Spy::new(96));
+            let kernel: Arc<dyn Kernel> = spy.clone();
+            let ev = Context::new(device)
+                .queue()
+                .enqueue_kernel(&kernel, range)
+                .unwrap();
+            let visits: Vec<u32> = spy
+                .visits
+                .iter()
+                .map(|v| v.load(Ordering::Relaxed))
+                .collect();
+            assert_eq!(visits, vec![1; 96], "vectorize={vectorize}");
+            (ev.items, spy)
+        };
+        let (lane_items, lanes) = run(true);
+        assert_eq!(lanes.simd_groups.load(Ordering::Relaxed), 4);
+        assert_eq!(lanes.scalar_groups.load(Ordering::Relaxed), 0);
+        assert_eq!(lanes.steps.load(Ordering::Relaxed), 4 * 4);
+        assert_eq!(lanes.tails.load(Ordering::Relaxed), 4 * 4 * 2);
+        let (scalar_items, scalar) = run(false);
+        assert_eq!(scalar.simd_groups.load(Ordering::Relaxed), 0);
+        assert_eq!(scalar.scalar_groups.load(Ordering::Relaxed), 4);
+        assert_eq!(lane_items, scalar_items);
+        assert_eq!(lane_items, 96);
+    }
 }

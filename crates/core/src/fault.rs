@@ -4,7 +4,6 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use cl_pool::AbortSignal;
@@ -168,23 +167,6 @@ impl Drop for LatchGuard<'_> {
     }
 }
 
-/// Whether the workitem loops stamp the faulting-gid trace per *item*
-/// (exact) or leave it at the per-group base (coarse).
-///
-/// Exact stamping costs a store on every workitem of every launch to make
-/// the one-in-a-billion panic report item-precise — a textbook case of
-/// taxing the hot path for the cold one. Release builds therefore default
-/// to coarse: a contained panic still names the kernel, workgroup, and the
-/// group's base global id. Debug builds (where the containment tests run)
-/// default to exact. `CL_EXACT_GID=1`/`0` overrides either way.
-pub(crate) fn exact_gid() -> bool {
-    static EXACT: OnceLock<bool> = OnceLock::new();
-    *EXACT.get_or_init(|| match std::env::var("CL_EXACT_GID") {
-        Ok(v) => v == "1",
-        Err(_) => cfg!(debug_assertions),
-    })
-}
-
 /// A per-chunk scratch cell the workitem loop stamps with the current global
 /// id. Lives *outside* the `catch_unwind` boundary, so when a workitem
 /// panics the id of the faulting item survives the unwind.
@@ -194,15 +176,16 @@ pub(crate) struct GidTrace {
 }
 
 impl GidTrace {
-    pub(crate) fn new(initial: [usize; 3]) -> Self {
+    pub(crate) fn new(initial: [usize; 3], exact: bool) -> Self {
         GidTrace {
             gid: Cell::new(initial),
-            exact: exact_gid(),
+            exact,
         }
     }
 
     /// Whether workitem loops should stamp this trace per item (see
-    /// [`exact_gid`]). Checked once per loop, not per item.
+    /// [`crate::Device::set_exact_gid`]). Checked once per loop, not per
+    /// item.
     #[inline]
     pub(crate) fn exact(&self) -> bool {
         self.exact

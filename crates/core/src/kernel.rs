@@ -286,44 +286,56 @@ impl<'r> GroupCtx<'r> {
         self.stats.items_run += items;
     }
 
-    /// Run `body` once per *step* of `width` consecutive workitems (1-D
-    /// ranges only) — the shape the implicit vectorizer produces. `body`
-    /// receives the global id of the first item of the step; a scalar tail
-    /// call receives single items.
+    /// Run `body` once per *step* of `width` x-adjacent workitems — the
+    /// shape the implicit vectorizer produces, for any group shape. Each
+    /// `(ly, lz)` row of the group runs its steps along dimension 0; `body`
+    /// receives the first item of each step, and the row's last
+    /// `local[0] % width` items run `tail` one at a time.
     pub fn for_each_simd(
         &mut self,
         width: usize,
-        mut body: impl FnMut(usize),
+        mut body: impl FnMut(&WorkItem),
         mut tail: impl FnMut(&WorkItem),
     ) {
         assert!(width >= 1);
         let local = self.range.local;
-        debug_assert!(local[1] == 1 && local[2] == 1, "SIMD path is 1-D");
-        let base = self.group[0] * local[0];
+        let base = [
+            self.group[0] * local[0],
+            self.group[1] * local[1],
+            self.group[2] * local[2],
+        ];
+        let item = |lx: usize, ly: usize, lz: usize| WorkItem {
+            global: [base[0] + lx, base[1] + ly, base[2] + lz],
+            local: [lx, ly, lz],
+            local_size: local,
+            global_size: self.range.global,
+        };
         let main = local[0] - local[0] % width;
         let stamp = self.trace.filter(|t| t.exact());
-        let mut lx = 0;
-        while lx < main {
-            if let Some(t) = stamp {
-                t.set([base + lx, 0, 0]);
+        for lz in 0..local[2] {
+            for ly in 0..local[1] {
+                let mut lx = 0;
+                while lx < main {
+                    let wi = item(lx, ly, lz);
+                    if let Some(t) = stamp {
+                        t.set(wi.global);
+                    }
+                    body(&wi);
+                    lx += width;
+                }
+                // Restart from `main` rather than carry the step loop's
+                // counter out: the step loop then keeps one induction
+                // variable and compiles to the tight 1-D loop.
+                for lx in main..local[0] {
+                    let wi = item(lx, ly, lz);
+                    if let Some(t) = stamp {
+                        t.set(wi.global);
+                    }
+                    tail(&wi);
+                }
             }
-            body(base + lx);
-            lx += width;
         }
-        while lx < local[0] {
-            let wi = WorkItem {
-                global: [base + lx, 0, 0],
-                local: [lx, 0, 0],
-                local_size: local,
-                global_size: self.range.global,
-            };
-            if let Some(t) = stamp {
-                t.set(wi.global);
-            }
-            tail(&wi);
-            lx += 1;
-        }
-        self.stats.items_run += local[0] as u64;
+        self.stats.items_run += self.range.wg_size() as u64;
     }
 
     /// `barrier(CLK_LOCAL_MEM_FENCE)`: marks a phase boundary. All workitems
@@ -361,9 +373,11 @@ pub trait Kernel: Send + Sync {
     fn run_group(&self, g: &mut GroupCtx);
 
     /// Optional SIMD workgroup body, processing `width` workitems per lane
-    /// step (the Intel-style implicit vectorization). Returns `false` if the
-    /// kernel has no SIMD form for `width`, in which case the runtime falls
-    /// back to [`Kernel::run_group`].
+    /// step (the Intel-style implicit vectorization; see
+    /// [`GroupCtx::for_each_simd`]). The runtime offers every launch on a
+    /// vectorizing device, whatever its group shape. Returns `false` if the
+    /// kernel has no SIMD form for `width` or for the group's shape, in
+    /// which case the runtime falls back to [`Kernel::run_group`].
     fn run_group_simd(&self, _g: &mut GroupCtx, _width: usize) -> bool {
         false
     }
@@ -435,12 +449,32 @@ mod tests {
         let mut tail_ids = Vec::new();
         g.for_each_simd(
             4,
-            |base| vec_starts.push(base),
+            |wi| vec_starts.push(wi.global_id(0)),
             |wi| tail_ids.push(wi.global_id(0)),
         );
         assert_eq!(vec_starts, vec![20, 24]);
         assert_eq!(tail_ids, vec![28, 29]);
         assert_eq!(g.stats.items_run, 10);
+    }
+
+    #[test]
+    fn simd_path_walks_every_row_of_a_2d_group() {
+        let r = NDRange::d2(12, 8).local2(6, 4).resolve(64).unwrap();
+        let mut g = GroupCtx::new(&r, [1, 1, 0]);
+        let mut steps = Vec::new();
+        let mut tails = Vec::new();
+        g.for_each_simd(
+            4,
+            |wi| steps.push((wi.global_id(0), wi.global_id(1), wi.local_linear())),
+            |wi| tails.push((wi.global_id(0), wi.global_id(1))),
+        );
+        // Group (1,1) covers x in 6..12, y in 4..8: per row, one step at
+        // x = 6 and the tail items 10, 11.
+        assert_eq!(steps, vec![(6, 4, 0), (6, 5, 6), (6, 6, 12), (6, 7, 18)]);
+        assert_eq!(tails.len(), 8);
+        assert_eq!(&tails[..2], &[(10, 4), (11, 4)]);
+        assert_eq!(tails[7], (11, 7));
+        assert_eq!(g.stats.items_run, 24);
     }
 
     #[test]

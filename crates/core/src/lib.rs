@@ -30,9 +30,10 @@
 //! kernels to (Stratton et al.) — with [`GroupCtx::barrier`] separating
 //! barrier phases, and [`GroupCtx::local`] providing workgroup-local memory.
 //! Kernels may provide a SIMD group body ([`Kernel::run_group_simd`])
-//! processing `W` workitems per step; the runtime prefers it when the device
-//! vectorizes — this is the Intel-style implicit vectorization of
-//! Section III-F.
+//! processing `W` x-adjacent workitems per step along every row of the
+//! group ([`GroupCtx::for_each_simd`]), whatever the group's shape; the
+//! runtime prefers it when the device vectorizes — this is the Intel-style
+//! implicit vectorization of Section III-F.
 //!
 //! Following the paper's methodology (Section III-A), all enqueue calls are
 //! **blocking**; [`Event`]s carry wall-clock (native devices) or modeled

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! A plain run measures the curated hot-path suite (dispatch cost across
-//! workgroup sizes, fused vs serial dispatch, disabled-path
+//! workgroup sizes, 2-D lane steps of the implicit vectorizer, fused vs
+//! serial dispatch, disabled-path
 //! instrumentation overheads, autotuner steady state, serving-layer tail
 //! latency, out-of-order scheduler overhead) and writes it to `BENCH.json`
 //! (or `--out FILE`). The fixed costs perfbench already names — empty
@@ -190,6 +191,26 @@ fn run_suite(workers: usize, fast: bool) -> Report {
         built.verify(&q).expect("sweep results");
         push(&format!("dispatch/wg{wg}"), "ns/group", stats);
     }
+
+    // --- Implicit vectorization of 2-D groups ---------------------------
+    // Tiled MatrixMul at 96², local 16×16, on its own vectorizing 2-worker
+    // device: lane steps walk every row of a 2-D group, so an engine that
+    // offers lanes to 1-D groups only runs this scalar and fails the entry.
+    let lanes_ctx = Context::new(ocl_rt::Device::native_cpu(2).expect("lanes device"));
+    let lanes_q =
+        lanes_ctx.queue_with(QueueConfig::default().launch_timeout(Duration::from_secs(60)));
+    let built = cl_kernels::apps::matrixmul::build_tiled(&lanes_ctx, 96, 96, 96, 16, 7);
+    let groups = BATCH * (96 / 16) * (96 / 16);
+    let stats = sample(warm, samples, groups, || {
+        for _ in 0..BATCH {
+            lanes_q
+                .enqueue_kernel(&built.kernel, built.range)
+                .expect("lanes enqueue");
+        }
+        groups
+    });
+    built.verify(&lanes_q).expect("lanes results");
+    push("simd/lanes-2d", "ns/group", stats);
 
     // --- Thread coarsening: fused vs serial dispatch ---------------------
     // The same Proven kernel and geometry on two queues. The default

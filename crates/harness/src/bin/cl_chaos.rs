@@ -108,18 +108,14 @@ fn main() {
     let workers = cli.workers(host_workers());
     let timeout_ms: u64 = cli.get("--timeout-ms", 250);
 
-    // The soak asserts the *exact* faulting gid in every panic report, so
-    // opt into per-item gid stamping — release builds default to coarse
-    // (group-base) attribution on the hot path. Must be set before the
-    // first launch reads the knob.
-    if std::env::var_os("CL_EXACT_GID").is_none() {
-        std::env::set_var("CL_EXACT_GID", "1");
-    }
-
     // The soak injects panics on purpose; keep them off stderr.
     cl_kernels::chaos::install_quiet_panic_hook();
 
-    let device = Device::native_cpu(workers).expect("chaos device");
+    // The soak asserts the *exact* faulting gid in every panic report, so
+    // opt into per-item gid stamping — release builds default to coarse
+    // (group-base) attribution on the hot path.
+    let mut device = Device::native_cpu(workers).expect("chaos device");
+    device.set_exact_gid(true);
     let pool = Arc::clone(device.pool());
     let ctx = Context::new(device);
     let timeout = Duration::from_millis(timeout_ms.max(1));

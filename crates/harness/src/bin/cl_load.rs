@@ -45,7 +45,7 @@ use cl_harness::cli::{host_workers, Cli};
 use cl_kernels::chaos::{reference, ChaosKernel, ChaosMode};
 use cl_serve::{ClError, RetryPolicy, ServeConfig, Server, StatsSnapshot, Tenant, TenantConfig};
 use cl_util::XorShift;
-use ocl_rt::{Kernel, MemFlags, NDRange};
+use ocl_rt::{Device, Kernel, MemFlags, NDRange};
 
 struct TenantReport {
     name: String,
@@ -97,10 +97,6 @@ fn main() {
     // violation it guards against is an *unbounded* stall.
     let stall_budget = timeout * 20 + Duration::from_secs(5);
 
-    // Faulty rounds assert the exact faulting gid; see cl-chaos.
-    if std::env::var_os("CL_EXACT_GID").is_none() {
-        std::env::set_var("CL_EXACT_GID", "1");
-    }
     cl_kernels::chaos::install_quiet_panic_hook();
 
     let t0 = Instant::now();
@@ -158,14 +154,16 @@ fn isolation_soak(
     timeout: Duration,
     stall_budget: Duration,
 ) -> Vec<TenantReport> {
-    let srv = Server::new(
-        workers,
+    // Faulty rounds assert the exact faulting gid; see cl-chaos.
+    let mut device = Device::native_cpu(workers).expect("load device");
+    device.set_exact_gid(true);
+    let srv = Server::with_device(
+        device,
         ServeConfig::default()
             // No shedding in this phase: the waiting room fits every tenant.
             .max_waiting(tenants * 2 + 8)
             .launch_timeout(timeout),
-    )
-    .expect("load device");
+    );
 
     let handles: Vec<Tenant> = (0..tenants)
         .map(|i| {

@@ -41,7 +41,8 @@ pub fn cnd(d: f32) -> f32 {
 
 /// Lane-parallel CND — the same Abramowitz–Stegun polynomial as [`cnd`],
 /// evaluated on four options at once (the shape the implicit vectorizer
-/// emits for this kernel).
+/// emits for this kernel). Each lane keeps [`cnd`]'s order of operations,
+/// so the lanes are bit-identical to it.
 #[inline]
 pub fn cnd_x4(d: VecF32<4>) -> VecF32<4> {
     let a1 = VecF32::<4>::splat(0.319_381_53);
@@ -52,7 +53,7 @@ pub fn cnd_x4(d: VecF32<4>) -> VecF32<4> {
     let rsqrt2pi = VecF32::<4>::splat(0.398_942_3);
     let one = VecF32::<4>::splat(1.0);
     let abs_d = d.max(-d);
-    let k = one / (VecF32::<4>::splat(0.231_641_9).mul_add(abs_d, one));
+    let k = one / (one + VecF32::<4>::splat(0.231_641_9) * abs_d);
     let poly = k * (a1 + k * (a2 + k * (a3 + k * (a4 + k * a5))));
     let cnd = rsqrt2pi * (VecF32::<4>::splat(-0.5) * d * d).exp() * poly;
     let mask = [d[0] > 0.0, d[1] > 0.0, d[2] > 0.0, d[3] > 0.0];
@@ -136,11 +137,11 @@ impl Kernel for BlackScholes {
     }
 
     fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        // The grid-stride loop visits contiguous option indices across
-        // adjacent workitems, so the implicit vectorizer packs 4 options
-        // per lane step. Only the 1-D lowering is implemented; 2-D launches
-        // fall back to scalar (the runtime flattens 1-D only).
-        if width != 4 || g.global_size(1) != 1 {
+        // The grid-stride loop visits contiguous option indices across the
+        // x-adjacent workitems of a row (their `global_linear` ids are
+        // consecutive), so the implicit vectorizer packs 4 options per lane
+        // step, for 1-D and 2-D groups alike.
+        if width != 4 {
             return false;
         }
         let s = self.stock.view();
@@ -150,10 +151,20 @@ impl Kernel for BlackScholes {
         let put = self.put.view_mut();
         let total_items = g.global_size(0) * g.global_size(1);
         let n = self.n_options;
+        // One item's stride walk from `first`, scalar.
+        let strided = |first: usize| {
+            let mut opt = first;
+            while opt < n {
+                let (c, p) = price(s.get(opt), x.get(opt), t.get(opt), RISK_FREE, VOLATILITY);
+                call.set(opt, c);
+                put.set(opt, p);
+                opt += total_items;
+            }
+        };
         g.for_each_simd(
             4,
-            |base| {
-                let mut opt = base;
+            |wi| {
+                let mut opt = wi.global_linear();
                 while opt + 4 <= n {
                     let vs = VecF32::<4>::load(s.slice(opt, 4), 0);
                     let vx = VecF32::<4>::load(x.slice(opt, 4), 0);
@@ -165,25 +176,10 @@ impl Kernel for BlackScholes {
                 }
                 // Ragged tail of the stride walk: finish each lane scalar.
                 for lane in 0..4 {
-                    let mut o = opt + lane;
-                    while o < n {
-                        let (c, p) = price(s.get(o), x.get(o), t.get(o), RISK_FREE, VOLATILITY);
-                        call.set(o, c);
-                        put.set(o, p);
-                        o += total_items;
-                    }
+                    strided(opt + lane);
                 }
             },
-            |wi| {
-                let tid = wi.global_linear();
-                let mut opt = tid;
-                while opt < n {
-                    let (c, p) = price(s.get(opt), x.get(opt), t.get(opt), RISK_FREE, VOLATILITY);
-                    call.set(opt, c);
-                    put.set(opt, p);
-                    opt += total_items;
-                }
-            },
+            |wi| strided(wi.global_linear()),
         );
         true
     }
@@ -361,7 +357,7 @@ mod tests {
     #[test]
     fn one_dimensional_launch_takes_the_simd_path() {
         // A 1-D range with a lane-multiple workgroup exercises
-        // run_group_simd end-to-end (2-D launches fall back to scalar).
+        // run_group_simd end-to-end.
         let ctx = ctx();
         let q = ctx.queue();
         let n_options = 4096;

@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use cl_vec::VecF32;
 use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
 use par_for::{Schedule, Team};
 
@@ -25,12 +26,15 @@ pub struct MatrixMul {
     pub k: usize,
 }
 
-impl Kernel for MatrixMul {
-    fn name(&self) -> &str {
-        "matrixMul"
-    }
-
-    fn run_group(&self, g: &mut GroupCtx) {
+impl MatrixMul {
+    /// The tiled group body shared by both lowerings: per tile, load the A
+    /// and B tiles, barrier, run `multiply` over the tile pair into the
+    /// per-item accumulators (indexed `ly·t + lx`), barrier; then store.
+    fn run_tiled(
+        &self,
+        g: &mut GroupCtx,
+        multiply: impl Fn(&mut GroupCtx, &[f32], &[f32], &mut [f32]),
+    ) {
         let t = g.local_size(0);
         assert_eq!(
             g.local_size(1),
@@ -59,14 +63,7 @@ impl Kernel for MatrixMul {
                 b_tile[ly * t + lx] = b.get((tile * t + ly) * w + col);
             });
             g.barrier();
-            g.for_each(|wi| {
-                let (lx, ly) = (wi.local_id(0), wi.local_id(1));
-                let mut s = acc[ly * t + lx];
-                for e in 0..t {
-                    s += a_tile[ly * t + e] * b_tile[e * t + lx];
-                }
-                acc[ly * t + lx] = s;
-            });
+            multiply(g, a_tile.as_slice(), b_tile.as_slice(), &mut acc);
             g.barrier();
         }
         g.for_each(|wi| {
@@ -75,6 +72,54 @@ impl Kernel for MatrixMul {
             let col = wi.global_id(0);
             c.set(row * w + col, acc[ly * t + lx]);
         });
+    }
+}
+
+impl Kernel for MatrixMul {
+    fn name(&self) -> &str {
+        "matrixMul"
+    }
+
+    fn run_group(&self, g: &mut GroupCtx) {
+        self.run_tiled(g, |g, a_tile, b_tile, acc| {
+            let t = g.local_size(0);
+            g.for_each(|wi| {
+                let (lx, ly) = (wi.local_id(0), wi.local_id(1));
+                let mut s = acc[ly * t + lx];
+                for e in 0..t {
+                    s += a_tile[ly * t + e] * b_tile[e * t + lx];
+                }
+                acc[ly * t + lx] = s;
+            });
+        });
+    }
+
+    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
+        // The multiply phase packs four x-adjacent items per step: a splat
+        // of their shared A-tile element times four contiguous B-tile
+        // values. Each lane adds in `run_group`'s order, so the results are
+        // bit-identical. A side that is not a lane multiple (or a
+        // non-square group, which `run_group` reports) runs scalar.
+        let t = g.local_size(0);
+        if width != 4 || !t.is_multiple_of(4) || g.local_size(1) != t || !self.k.is_multiple_of(t) {
+            return false;
+        }
+        self.run_tiled(g, |g, a_tile, b_tile, acc| {
+            g.for_each_simd(
+                4,
+                |wi| {
+                    let (lx, row) = (wi.local_id(0), wi.local_id(1) * t);
+                    let mut s = VecF32::<4>::load(acc, row + lx);
+                    for e in 0..t {
+                        s = s + VecF32::<4>::splat(a_tile[row + e])
+                            * VecF32::<4>::load(b_tile, e * t + lx);
+                    }
+                    s.store(acc, row + lx);
+                },
+                |_| unreachable!("a lane-multiple tile side leaves no row tail"),
+            );
+        });
+        true
     }
 
     fn profile(&self) -> KernelProfile {

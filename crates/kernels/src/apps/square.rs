@@ -64,7 +64,8 @@ impl Kernel for Square {
         let out = self.output.view_mut();
         g.for_each_simd(
             4,
-            |base| {
+            |wi| {
+                let base = wi.global_id(0);
                 let v = VecF32::<4>::load(inp.slice(base, 4), 0);
                 (v * v).store(out.slice_mut(base, 4), 0);
             },

@@ -51,7 +51,8 @@ impl Kernel for VectorAdd {
         let c = self.c.view_mut();
         g.for_each_simd(
             4,
-            |base| {
+            |wi| {
+                let base = wi.global_id(0);
                 let va = VecF32::<4>::load(a.slice(base, 4), 0);
                 let vb = VecF32::<4>::load(b.slice(base, 4), 0);
                 (va + vb).store(c.slice_mut(base, 4), 0);

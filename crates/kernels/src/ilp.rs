@@ -128,7 +128,8 @@ impl Kernel for IlpKernel {
         };
         g.for_each_simd(
             4,
-            |base| {
+            |wi| {
+                let base = wi.global_id(0);
                 let x = VecF32::<4>::load(input.slice(base, 4), 0);
                 body(x).store(output.slice_mut(base, 4), 0);
             },

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use cl_vec::VecF32;
 use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
 use par_for::{Schedule, Team};
 
@@ -56,6 +57,23 @@ fn potential_at(x: f32, y: f32, atoms: &[f32]) -> f32 {
     e
 }
 
+/// [`potential_at`] for the four x-adjacent points `x` of the row at `y`.
+/// Per atom, `dy²` and `dz²` are shared by the lanes; each lane keeps
+/// [`potential_at`]'s order of operations, so the lanes are bit-identical
+/// to it.
+#[inline]
+fn potential_x4(x: VecF32<4>, y: f32, atoms: &[f32]) -> VecF32<4> {
+    let mut e = VecF32::<4>::zero();
+    for a in atoms.chunks_exact(4) {
+        let dx = x - VecF32::splat(a[0]);
+        let dy = y - a[1];
+        let dz = SLICE_Z - a[2];
+        let r2 = dx * dx + VecF32::splat(dy * dy) + VecF32::splat(dz * dz);
+        e = e + VecF32::splat(a[3]) / r2.sqrt();
+    }
+    e
+}
+
 /// The `cenergy` kernel: `items_per_wi` grid columns per workitem in x
 /// (the paper's Figure 2 coalescing knob: 1, 2, 4).
 pub struct Cenergy {
@@ -89,6 +107,41 @@ impl Kernel for Cenergy {
                 }
             }
         });
+    }
+
+    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
+        // One grid point per workitem: a step's four x-adjacent items are
+        // four adjacent points of one row, evaluated together per atom. A
+        // coalescing loop (`items_per_wi > 1`) breaks that adjacency.
+        if width != 4 || self.items_per_wi != 1 {
+            return false;
+        }
+        let atoms_view = self.atoms.view();
+        let atoms = atoms_view.slice(0, atoms_view.len());
+        let grid = self.grid.view_mut();
+        let nx = self.nx;
+        let point = |gx: usize, gy: usize| {
+            if gx < nx {
+                let (x, y) = (gx as f32 * SPACING, gy as f32 * SPACING);
+                grid.set(gy * nx + gx, potential_at(x, y, atoms));
+            }
+        };
+        g.for_each_simd(
+            4,
+            |wi| {
+                let (gx, gy) = (wi.global_id(0), wi.global_id(1));
+                if gx + 4 > nx {
+                    // The step crosses the grid's edge: lane by lane.
+                    (gx..gx + 4).for_each(|x| point(x, gy));
+                    return;
+                }
+                let x = VecF32(std::array::from_fn(|j| (gx + j) as f32 * SPACING));
+                potential_x4(x, gy as f32 * SPACING, atoms)
+                    .store(grid.slice_mut(gy * nx + gx, 4), 0);
+            },
+            |wi| point(wi.global_id(0), wi.global_id(1)),
+        );
+        true
     }
 
     fn profile(&self) -> KernelProfile {

@@ -59,7 +59,8 @@ impl Kernel for RhoPhi {
         let n = self.n;
         g.for_each_simd(
             4,
-            |base| {
+            |wi| {
+                let base = wi.global_id(0);
                 if base + 4 <= n {
                     let a = VecF32::<4>::load(pr.slice(base, 4), 0);
                     let b = VecF32::<4>::load(pi.slice(base, 4), 0);

@@ -56,7 +56,8 @@ impl Kernel for ComputePhiMag {
         let n = self.n;
         g.for_each_simd(
             4,
-            |base| {
+            |wi| {
+                let base = wi.global_id(0);
                 if base + 4 <= n {
                     let vr = VecF32::<4>::load(r.slice(base, 4), 0);
                     let vi = VecF32::<4>::load(im.slice(base, 4), 0);

@@ -80,7 +80,8 @@ impl Kernel for NBodyStep {
         let n = self.n;
         g.for_each_simd(
             4,
-            |base| {
+            |wi| {
+                let base = wi.global_id(0);
                 if base + 4 > n {
                     return;
                 }

@@ -40,7 +40,7 @@ fn panic_is_contained_and_names_the_exact_workitem() {
             message,
         } => {
             assert_eq!(kernel, "chaos");
-            assert_eq!(gid, reported_gid(517, 64));
+            assert_eq!(gid, reported_gid(ctx.device(), 517, 64));
             assert!(message.contains("injected panic at gid 517"), "{message}");
             assert!(message.contains("workgroup 8"), "{message}");
         }
@@ -61,7 +61,7 @@ fn exploding_panic_payload_is_contained() {
     let err = q.enqueue_kernel(&k, NDRange::d1(N).local1(32)).unwrap_err();
     match err {
         ClError::KernelPanicked { gid, message, .. } => {
-            assert_eq!(gid, reported_gid(33, 32));
+            assert_eq!(gid, reported_gid(ctx.device(), 33, 32));
             assert!(message.contains("contained"), "{message}");
         }
         other => panic!("expected KernelPanicked, got {other:?}"),
@@ -157,7 +157,7 @@ fn fatal_fault_retires_a_worker_and_the_next_enqueue_heals_it() {
     let err = q.enqueue_kernel(&k, NDRange::d1(N).local1(64)).unwrap_err();
     match err {
         ClError::KernelPanicked { gid, message, .. } => {
-            assert_eq!(gid, reported_gid(100, 64));
+            assert_eq!(gid, reported_gid(ctx.device(), 100, 64));
             assert!(message.contains("fatal"), "{message}");
         }
         other => panic!("expected KernelPanicked, got {other:?}"),

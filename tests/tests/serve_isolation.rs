@@ -368,7 +368,9 @@ fn ooo_tenant_faults_are_contained_and_heal() {
 
     let (_out, bad) = chaos(&t, N, ChaosMode::PanicAt { gid: 42 }, N / 64);
     match t.launch(&bad, range) {
-        Err(ClError::KernelPanicked { gid, .. }) => assert_eq!(gid, reported_gid(42, 64)),
+        Err(ClError::KernelPanicked { gid, .. }) => {
+            assert_eq!(gid, reported_gid(srv.device(), 42, 64))
+        }
         other => panic!("expected KernelPanicked, got {other:?}"),
     }
     // The OOO queue drains and the handle heals.
