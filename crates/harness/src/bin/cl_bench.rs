@@ -7,8 +7,8 @@
 //! ```
 //!
 //! A plain run measures the curated hot-path suite (dispatch cost across
-//! workgroup sizes, 2-D lane steps of the implicit vectorizer, fused vs
-//! serial dispatch, disabled-path
+//! workgroup sizes, 2-D lane steps of the implicit vectorizer, MRI-Q's
+//! `sin`/`cos` lanes, fused vs serial dispatch, disabled-path
 //! instrumentation overheads, autotuner steady state, serving-layer tail
 //! latency, out-of-order scheduler overhead) and writes it to `BENCH.json`
 //! (or `--out FILE`). The fixed costs perfbench already names — empty
@@ -211,6 +211,22 @@ fn run_suite(workers: usize, fast: bool) -> Report {
     });
     built.verify(&lanes_q).expect("lanes results");
     push("simd/lanes-2d", "ns/group", stats);
+
+    // MRI-Q computeQ, 4096 voxels × 64 k-samples, local 256, on the same
+    // device: four voxels per lane step on `cl_vec::sin_cos`. A scalar
+    // body, or a libm call per lane, is about 4× slower and fails the entry.
+    let built = cl_kernels::parboil::mriq::build_q(&lanes_ctx, 4096, 64, 1, Some(256), 7);
+    let groups = BATCH * 4096 / 256;
+    let stats = sample(warm, samples, groups, || {
+        for _ in 0..BATCH {
+            lanes_q
+                .enqueue_kernel(&built.kernel, built.range)
+                .expect("computeq enqueue");
+        }
+        groups
+    });
+    built.verify(&lanes_q).expect("computeq results");
+    push("simd/computeq", "ns/group", stats);
 
     // --- Thread coarsening: fused vs serial dispatch ---------------------
     // The same Proven kernel and geometry on two queues. The default

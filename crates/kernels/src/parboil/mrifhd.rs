@@ -5,11 +5,13 @@
 use std::sync::Arc;
 
 use cl_vec::VecF32;
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
+use ocl_rt::{
+    BufView, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange,
+};
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
-use crate::parboil::mriq::{Trajectory, Voxels, TWO_PI};
+use crate::parboil::mriq::{phase, phase_x4, KSpace, Trajectory, Voxels, TWO_PI};
 use crate::util::{max_rel_error, random_f32};
 
 /// `RhoPhi`: `(rRho, iRho) = (φR·dR + φI·dI, φR·dI − φI·dR)`.
@@ -103,6 +105,44 @@ impl Kernel for RhoPhi {
     }
 }
 
+/// One voxel's FH sums as the kernel computes them: [`reference_fh`]'s
+/// loop with `sin`/`cos` from [`cl_vec::sin_cos`] (the references keep
+/// std's), over the kernel views.
+#[inline]
+fn fh_voxel(x: f32, y: f32, z: f32, ks: &KSpace, rr: &[f32], ri: &[f32]) -> (f32, f32) {
+    let mut fr = 0.0f32;
+    let mut fi = 0.0f32;
+    for (k, (&wr, &wi)) in ks.iter().zip(rr.iter().zip(ri)) {
+        let (s, c) = cl_vec::sin_cos(phase(k, x, y, z));
+        fr += wr * c + wi * s;
+        fi += wi * c - wr * s;
+    }
+    (fr, fi)
+}
+
+/// [`fh_voxel`] for four x-adjacent voxels: the k-sample loop runs once
+/// for all four. Each lane keeps [`fh_voxel`]'s order of operations, so
+/// the lanes are bit-identical to it.
+#[inline]
+fn fh_x4(
+    x: VecF32<4>,
+    y: VecF32<4>,
+    z: VecF32<4>,
+    ks: &KSpace,
+    rr: &[f32],
+    ri: &[f32],
+) -> [VecF32<4>; 2] {
+    let mut fr = VecF32::zero();
+    let mut fi = VecF32::zero();
+    for (k, (&wr, &wi)) in ks.iter().zip(rr.iter().zip(ri)) {
+        let (s, c) = phase_x4(k, x, y, z).sin_cos();
+        let (wr, wi) = (VecF32::splat(wr), VecF32::splat(wi));
+        fr = fr + (wr * c + wi * s);
+        fi = fi + (wi * c - wr * s);
+    }
+    [fr, fi]
+}
+
 /// `FH`: per voxel, accumulate `rRho·cos + iRho·sin` phase sums (the same
 /// loop shape as MRI-Q's ComputeQ, with the ρΦ weights).
 pub struct Fh {
@@ -128,30 +168,59 @@ impl Kernel for Fh {
     fn run_group(&self, g: &mut GroupCtx) {
         let (x, y, z) = (self.x.view(), self.y.view(), self.z.view());
         let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
-        let (rr, ri) = (self.rho_r.view(), self.rho_i.view());
+        let ks = KSpace::new(&kx, &ky, &kz);
+        let (rr_view, ri_view) = (self.rho_r.view(), self.rho_i.view());
+        let (rr, ri) = (rr_view.slice(0, ks.len()), ri_view.slice(0, ks.len()));
         let (or, oi) = (self.fh_r.view_mut(), self.fh_i.view_mut());
-        let n_k = kx.len();
         let items = self.items_per_wi;
         let n = self.n_voxels;
         g.for_each(|wi| {
             let base = wi.global_id(0) * items;
-            for j in 0..items {
-                let v = base + j;
-                if v < n {
-                    let (xv, yv, zv) = (x.get(v), y.get(v), z.get(v));
-                    let mut fr = 0.0f32;
-                    let mut fi = 0.0f32;
-                    for k in 0..n_k {
-                        let arg = TWO_PI * (kx.get(k) * xv + ky.get(k) * yv + kz.get(k) * zv);
-                        let (s, c) = arg.sin_cos();
-                        fr += rr.get(k) * c + ri.get(k) * s;
-                        fi += ri.get(k) * c - rr.get(k) * s;
-                    }
-                    or.set(v, fr);
-                    oi.set(v, fi);
-                }
+            for v in base..(base + items).min(n) {
+                let (fr, fi) = fh_voxel(x.get(v), y.get(v), z.get(v), &ks, rr, ri);
+                or.set(v, fr);
+                oi.set(v, fi);
             }
         });
+    }
+
+    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
+        // One voxel per workitem: a step's four items are four adjacent
+        // voxels, which share every k-sample.
+        if width != 4 || self.items_per_wi != 1 {
+            return false;
+        }
+        let (x, y, z) = (self.x.view(), self.y.view(), self.z.view());
+        let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
+        let ks = KSpace::new(&kx, &ky, &kz);
+        let (rr_view, ri_view) = (self.rho_r.view(), self.rho_i.view());
+        let (rr, ri) = (rr_view.slice(0, ks.len()), ri_view.slice(0, ks.len()));
+        let (or, oi) = (self.fh_r.view_mut(), self.fh_i.view_mut());
+        let n = self.n_voxels;
+        let voxel = |v: usize| {
+            if v < n {
+                let (fr, fi) = fh_voxel(x.get(v), y.get(v), z.get(v), &ks, rr, ri);
+                or.set(v, fr);
+                oi.set(v, fi);
+            }
+        };
+        g.for_each_simd(
+            4,
+            |wi| {
+                let v = wi.global_id(0);
+                if v + 4 > n {
+                    // The step crosses `n_voxels`: lane by lane.
+                    (v..v + 4).for_each(voxel);
+                    return;
+                }
+                let load = |b: &BufView<f32>| VecF32::<4>::load(b.slice(v, 4), 0);
+                let [fr, fi] = fh_x4(load(&x), load(&y), load(&z), &ks, rr, ri);
+                fr.store(or.slice_mut(v, 4), 0);
+                fi.store(oi.slice_mut(v, 4), 0);
+            },
+            |wi| voxel(wi.global_id(0)),
+        );
+        true
     }
 
     fn profile(&self) -> KernelProfile {

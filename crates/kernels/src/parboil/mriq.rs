@@ -5,7 +5,9 @@
 use std::sync::Arc;
 
 use cl_vec::VecF32;
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
+use ocl_rt::{
+    BufView, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange,
+};
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
@@ -160,6 +162,81 @@ fn q_at(x: f32, y: f32, z: f32, traj: &Trajectory) -> (f32, f32) {
     (qr, qi)
 }
 
+/// The k-space trajectory as a kernel reads it: `kx`, `ky` and `kz` cut to
+/// one length.
+#[derive(Clone, Copy)]
+pub(crate) struct KSpace<'a> {
+    kx: &'a [f32],
+    ky: &'a [f32],
+    kz: &'a [f32],
+}
+
+impl<'a> KSpace<'a> {
+    pub(crate) fn new(kx: &'a BufView<f32>, ky: &'a BufView<f32>, kz: &'a BufView<f32>) -> Self {
+        let n = kx.len();
+        KSpace {
+            kx: kx.slice(0, n),
+            ky: ky.slice(0, n),
+            kz: kz.slice(0, n),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.kx.len()
+    }
+
+    /// The samples `[kx, ky, kz]` in order.
+    #[inline]
+    pub(crate) fn iter(self) -> impl Iterator<Item = [f32; 3]> + 'a {
+        let zipped = self.kx.iter().zip(self.ky).zip(self.kz);
+        zipped.map(|((&x, &y), &z)| [x, y, z])
+    }
+}
+
+/// The phase `2π·(k·r)` of sample `k` at voxel `(x, y, z)`.
+#[inline]
+pub(crate) fn phase(k: [f32; 3], x: f32, y: f32, z: f32) -> f32 {
+    TWO_PI * (k[0] * x + k[1] * y + k[2] * z)
+}
+
+/// [`phase`] at four voxels, with the sample splatted; each lane keeps the
+/// scalar order of operations.
+#[inline]
+pub(crate) fn phase_x4(k: [f32; 3], x: VecF32<4>, y: VecF32<4>, z: VecF32<4>) -> VecF32<4> {
+    let s = VecF32::splat;
+    s(TWO_PI) * (s(k[0]) * x + s(k[1]) * y + s(k[2]) * z)
+}
+
+/// [`q_at`] as the kernel computes it: `sin`/`cos` from
+/// [`cl_vec::sin_cos`] (the serial references keep std's), over the
+/// trajectory's kernel views.
+#[inline]
+fn q_voxel(x: f32, y: f32, z: f32, ks: &KSpace, mag: &[f32]) -> (f32, f32) {
+    let mut qr = 0.0f32;
+    let mut qi = 0.0f32;
+    for (k, &m) in ks.iter().zip(mag) {
+        let (sin, cos) = cl_vec::sin_cos(phase(k, x, y, z));
+        qr += m * cos;
+        qi += m * sin;
+    }
+    (qr, qi)
+}
+
+/// [`q_voxel`] for four x-adjacent voxels: the k-sample loop runs once for
+/// all four. Each lane keeps [`q_voxel`]'s order of operations, so the
+/// lanes are bit-identical to it.
+#[inline]
+fn q_x4(x: VecF32<4>, y: VecF32<4>, z: VecF32<4>, ks: &KSpace, mag: &[f32]) -> [VecF32<4>; 2] {
+    let mut qr = VecF32::zero();
+    let mut qi = VecF32::zero();
+    for (k, &m) in ks.iter().zip(mag) {
+        let (sin, cos) = phase_x4(k, x, y, z).sin_cos();
+        qr = qr + VecF32::splat(m) * cos;
+        qi = qi + VecF32::splat(m) * sin;
+    }
+    [qr, qi]
+}
+
 /// `ComputeQ`: per voxel, accumulate the phase sum over all k-space samples.
 pub struct ComputeQ {
     pub x: Buffer<f32>,
@@ -183,30 +260,59 @@ impl Kernel for ComputeQ {
     fn run_group(&self, g: &mut GroupCtx) {
         let (x, y, z) = (self.x.view(), self.y.view(), self.z.view());
         let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
-        let mag = self.phi_mag.view();
+        let ks = KSpace::new(&kx, &ky, &kz);
+        let mag_view = self.phi_mag.view();
+        let mag = mag_view.slice(0, ks.len());
         let (qr_out, qi_out) = (self.qr.view_mut(), self.qi.view_mut());
-        let n_k = kx.len();
         let k_items = self.items_per_wi;
         let n = self.n_voxels;
         g.for_each(|wi| {
             let base = wi.global_id(0) * k_items;
-            for j in 0..k_items {
-                let v = base + j;
-                if v < n {
-                    let (xv, yv, zv) = (x.get(v), y.get(v), z.get(v));
-                    let mut qr = 0.0f32;
-                    let mut qi = 0.0f32;
-                    for k in 0..n_k {
-                        let exp = TWO_PI * (kx.get(k) * xv + ky.get(k) * yv + kz.get(k) * zv);
-                        let m = mag.get(k);
-                        qr += m * exp.cos();
-                        qi += m * exp.sin();
-                    }
-                    qr_out.set(v, qr);
-                    qi_out.set(v, qi);
-                }
+            for v in base..(base + k_items).min(n) {
+                let (qr, qi) = q_voxel(x.get(v), y.get(v), z.get(v), &ks, mag);
+                qr_out.set(v, qr);
+                qi_out.set(v, qi);
             }
         });
+    }
+
+    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
+        // One voxel per workitem: a step's four items are four adjacent
+        // voxels, which share every k-sample.
+        if width != 4 || self.items_per_wi != 1 {
+            return false;
+        }
+        let (x, y, z) = (self.x.view(), self.y.view(), self.z.view());
+        let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
+        let ks = KSpace::new(&kx, &ky, &kz);
+        let mag_view = self.phi_mag.view();
+        let mag = mag_view.slice(0, ks.len());
+        let (qr_out, qi_out) = (self.qr.view_mut(), self.qi.view_mut());
+        let n = self.n_voxels;
+        let voxel = |v: usize| {
+            if v < n {
+                let (qr, qi) = q_voxel(x.get(v), y.get(v), z.get(v), &ks, mag);
+                qr_out.set(v, qr);
+                qi_out.set(v, qi);
+            }
+        };
+        g.for_each_simd(
+            4,
+            |wi| {
+                let v = wi.global_id(0);
+                if v + 4 > n {
+                    // The step crosses `n_voxels`: lane by lane.
+                    (v..v + 4).for_each(voxel);
+                    return;
+                }
+                let load = |b: &BufView<f32>| VecF32::<4>::load(b.slice(v, 4), 0);
+                let [qr, qi] = q_x4(load(&x), load(&y), load(&z), &ks, mag);
+                qr.store(qr_out.slice_mut(v, 4), 0);
+                qi.store(qi_out.slice_mut(v, 4), 0);
+            },
+            |wi| voxel(wi.global_id(0)),
+        );
+        true
     }
 
     fn profile(&self) -> KernelProfile {

@@ -1,8 +1,9 @@
 //! Portable SIMD lane type.
 //!
-//! `VecF32<W>` is a `[f32; W]` newtype whose element-wise operators compile
-//! to SIMD at `opt-level ≥ 2` (LLVM auto-vectorizes fixed-size array loops
-//! reliably). The study's kernels use it for both the OpenCL implicit
+//! `VecF32<W>` is a `[f32; W]` newtype whose element-wise arithmetic
+//! compiles to SIMD at `opt-level ≥ 2` (LLVM auto-vectorizes fixed-size
+//! array loops reliably); [`VecF32::exp`] and [`VecF32::ln`] call libm once
+//! per lane. The study's kernels use it for both the OpenCL implicit
 //! vectorization path (lanes = adjacent workitems) and the vectorized OpenMP
 //! loops (lanes = adjacent iterations).
 
@@ -75,13 +76,13 @@ impl<const W: usize> VecF32<W> {
         VecF32(std::array::from_fn(|k| 1.0 / self.0[k].sqrt()))
     }
 
-    /// Lane-wise natural exponential.
+    /// Lane-wise natural exponential: one libm call per lane, not SIMD.
     #[inline]
     pub fn exp(self) -> Self {
         VecF32(std::array::from_fn(|k| self.0[k].exp()))
     }
 
-    /// Lane-wise natural logarithm.
+    /// Lane-wise natural logarithm: one libm call per lane, not SIMD.
     #[inline]
     pub fn ln(self) -> Self {
         VecF32(std::array::from_fn(|k| self.0[k].ln()))

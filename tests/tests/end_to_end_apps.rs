@@ -165,6 +165,10 @@ fn input(ctx: &Context, seed: u64, n: usize, lo: f32, hi: f32) -> Buffer<f32> {
         .unwrap()
 }
 
+fn output(ctx: &Context, n: usize) -> Buffer<f32> {
+    ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n).unwrap()
+}
+
 #[test]
 fn two_d_lane_bodies_are_bit_identical_to_scalar() {
     lanes_match_scalar("matrixMul 96² local 16×16", |ctx| {
@@ -221,6 +225,49 @@ fn two_d_lane_bodies_are_bit_identical_to_scalar() {
     });
 }
 
+#[test]
+fn mri_lane_bodies_are_bit_identical_to_scalar() {
+    // 1030 voxels in groups of 10: every group runs two lane steps and two
+    // tail items.
+    let (n, n_k) = (1030, 64);
+    let range = NDRange::d1(n).local1(10);
+    lanes_match_scalar("computeQ 1030 voxels local 10", |ctx| {
+        let (qr, qi) = (output(ctx, n), output(ctx, n));
+        let k = mriq::ComputeQ {
+            x: input(ctx, 1, n, -1.0, 1.0),
+            y: input(ctx, 2, n, -1.0, 1.0),
+            z: input(ctx, 3, n, -1.0, 1.0),
+            kx: input(ctx, 4, n_k, -0.5, 0.5),
+            ky: input(ctx, 5, n_k, -0.5, 0.5),
+            kz: input(ctx, 6, n_k, -0.5, 0.5),
+            phi_mag: input(ctx, 7, n_k, 0.0, 1.0),
+            qr: qr.clone(),
+            qi: qi.clone(),
+            n_voxels: n,
+            items_per_wi: 1,
+        };
+        (Arc::new(k), range, vec![qr, qi])
+    });
+    lanes_match_scalar("FH 1030 voxels local 10", |ctx| {
+        let (fr, fi) = (output(ctx, n), output(ctx, n));
+        let k = mrifhd::Fh {
+            x: input(ctx, 8, n, -1.0, 1.0),
+            y: input(ctx, 9, n, -1.0, 1.0),
+            z: input(ctx, 10, n, -1.0, 1.0),
+            kx: input(ctx, 11, n_k, -0.5, 0.5),
+            ky: input(ctx, 12, n_k, -0.5, 0.5),
+            kz: input(ctx, 13, n_k, -0.5, 0.5),
+            rho_r: input(ctx, 14, n_k, -1.0, 1.0),
+            rho_i: input(ctx, 15, n_k, -1.0, 1.0),
+            fh_r: fr.clone(),
+            fh_i: fi.clone(),
+            n_voxels: n,
+            items_per_wi: 1,
+        };
+        (Arc::new(k), range, vec![fr, fi])
+    });
+}
+
 /// Registry kernels whose profile credits SIMD (`vectorizable: true`) but
 /// which have no lane body, each with its reason. The model and the engine
 /// disagree on exactly these.
@@ -234,16 +281,6 @@ const SCALAR_DESPITE_PROFILE: &[(&str, &str, &str)] = &[
         "Reduction",
         "reduce",
         "no lane body: the tree phases halve the active items, leaving lanes idle",
-    ),
-    (
-        "MRI-Q",
-        "computeQ",
-        "no lane body yet; the k-sample loop would run four voxels per step",
-    ),
-    (
-        "MRI-FHD",
-        "FH",
-        "no lane body yet; the k-sample loop would run four voxels per step",
     ),
 ];
 
