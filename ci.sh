@@ -29,7 +29,9 @@
 #                 std::env::args itself (flags go through cl_harness::cli);
 #                 then the env-mutation check: no Rust file under crates/,
 #                 tests/ or examples/ may call set_var or remove_var (tests
-#                 pass a closure to a `*_from_vars` reader)
+#                 pass a closure to a `*_from_vars` reader); then the
+#                 one-lane-body check: no function under crates/kernels/src
+#                 or examples may take or return VecF32
 #   chaos         cl-chaos 25-round fault-injection soak -> target/ci-chaos
 #   trace         cl-trace --stable --workers 2 (regenerates results/trace.md)
 #   traced-chaos  CL_TRACE=1 soak; asserts target/chaos-traced/chaos-trace.json
@@ -172,6 +174,7 @@ stage_lint() {
     knob_census
     one_flag_parser
     no_env_mutation
+    one_lane_body
 }
 
 # one_flag_parser — fail when a harness binary reads its command line
@@ -195,6 +198,28 @@ no_env_mutation() {
     hits=$(grep -rnE --include='*.rs' '\b(set_var|remove_var)\b' crates tests examples || true)
     if [[ -n "$hits" ]]; then
         echo "environment mutation (pass a closure to a *_from_vars reader):" >&2
+        echo "$hits" >&2
+        return 1
+    fi
+}
+
+# one_lane_body — fail when a function under crates/kernels/src or examples
+# takes or returns VecF32: each kernel body is one function over
+# cl_vec::Lane, which its scalar items, lane steps and edge items all call,
+# so no hand-written lane twin can drift from it. Signatures may span lines
+# (comments are stripped first; a `;` ends one only at the end of a line).
+one_lane_body() {
+    local hits
+    hits=$(find crates/kernels/src examples -name '*.rs' -print0 | xargs -0 perl -0777 -ne '
+        s{//[^\n]*}{}g;
+        while (/\bfn\s+\w+(?:[^{;]|;(?![ \t]*\n))*/g) {
+            my $sig = $&;
+            next unless $sig =~ /\bVecF32\b/;
+            $sig =~ s/\s+/ /g;
+            print "$ARGV: $sig\n";
+        }')
+    if [[ -n "$hits" ]]; then
+        echo "lane twins (write the body once over cl_vec::Lane):" >&2
         echo "$hits" >&2
         return 1
     fi

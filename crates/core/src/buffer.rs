@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cl_mem::{AllocLocation, MemFlags, MemRegion};
+use cl_vec::Lane;
 
 use crate::error::ClError;
 
@@ -320,6 +321,29 @@ impl<T: Pod> BufViewMut<'_, T> {
         assert!(offset + count <= self.len, "slice out of bounds");
         // SAFETY: bounds checked; disjointness per the view contract.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(offset), count) }
+    }
+}
+
+impl BufView<'_, f32> {
+    /// Elements `i .. i + L::WIDTH` as one lane value: one element at
+    /// `f32`, one SIMD step at `VecF32<W>`.
+    #[inline(always)]
+    pub fn load<L: Lane>(&self, i: usize) -> L {
+        L::load(self.slice(i, L::WIDTH), 0)
+    }
+}
+
+impl BufViewMut<'_, f32> {
+    /// [`BufView::load`] through a write view.
+    #[inline(always)]
+    pub fn load<L: Lane>(&self, i: usize) -> L {
+        L::load(self.slice(i, L::WIDTH), 0)
+    }
+
+    /// Store `v` to elements `i .. i + L::WIDTH`.
+    #[inline(always)]
+    pub fn store<L: Lane>(&self, i: usize, v: L) {
+        v.store(self.slice_mut(i, L::WIDTH), 0);
     }
 }
 

@@ -452,6 +452,7 @@ mod tests {
             self.simd_groups.fetch_add(1, Ordering::Relaxed);
             g.for_each_simd(
                 width,
+                g.global_size(0),
                 |wi| {
                     self.steps.fetch_add(1, Ordering::Relaxed);
                     self.visit(wi.global_linear(), width);

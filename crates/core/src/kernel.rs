@@ -289,11 +289,14 @@ impl<'r> GroupCtx<'r> {
     /// Run `body` once per *step* of `width` x-adjacent workitems — the
     /// shape the implicit vectorizer produces, for any group shape. Each
     /// `(ly, lz)` row of the group runs its steps along dimension 0; `body`
-    /// receives the first item of each step, and the row's last
-    /// `local[0] % width` items run `tail` one at a time.
+    /// receives the first item of each step. `bound` is the kernel's x
+    /// bound (its `global_id(0) < n` guard): a step that would cross it,
+    /// and the row's last `local[0] % width` items, run `tail` one item at
+    /// a time, and the items at or past it do nothing.
     pub fn for_each_simd(
         &mut self,
         width: usize,
+        bound: usize,
         mut body: impl FnMut(&WorkItem),
         mut tail: impl FnMut(&WorkItem),
     ) {
@@ -310,7 +313,10 @@ impl<'r> GroupCtx<'r> {
             local_size: local,
             global_size: self.range.global,
         };
-        let main = local[0] - local[0] % width;
+        // Every row shares the group's x range, so its items below the
+        // bound and its full steps are counted once, not checked per step.
+        let live = local[0].min(bound.saturating_sub(base[0]));
+        let main = live - live % width;
         let stamp = self.trace.filter(|t| t.exact());
         for lz in 0..local[2] {
             for ly in 0..local[1] {
@@ -326,7 +332,7 @@ impl<'r> GroupCtx<'r> {
                 // Restart from `main` rather than carry the step loop's
                 // counter out: the step loop then keeps one induction
                 // variable and compiles to the tight 1-D loop.
-                for lx in main..local[0] {
+                for lx in main..live {
                     let wi = item(lx, ly, lz);
                     if let Some(t) = stamp {
                         t.set(wi.global);
@@ -449,6 +455,7 @@ mod tests {
         let mut tail_ids = Vec::new();
         g.for_each_simd(
             4,
+            30,
             |wi| vec_starts.push(wi.global_id(0)),
             |wi| tail_ids.push(wi.global_id(0)),
         );
@@ -465,6 +472,7 @@ mod tests {
         let mut tails = Vec::new();
         g.for_each_simd(
             4,
+            12,
             |wi| steps.push((wi.global_id(0), wi.global_id(1), wi.local_linear())),
             |wi| tails.push((wi.global_id(0), wi.global_id(1))),
         );
@@ -475,6 +483,28 @@ mod tests {
         assert_eq!(&tails[..2], &[(10, 4), (11, 4)]);
         assert_eq!(tails[7], (11, 7));
         assert_eq!(g.stats.items_run, 24);
+    }
+
+    #[test]
+    fn a_step_crossing_the_bound_runs_item_by_item() {
+        // Global 32 padded past a bound of 26, groups of 16: group 1 runs
+        // two steps (16, 20), tail items 24 and 25, and nothing past 26.
+        let r = NDRange::d2(32, 2).local2(16, 2).resolve(64).unwrap();
+        let mut g = GroupCtx::new(&r, [1, 0, 0]);
+        let mut steps = Vec::new();
+        let mut tails = Vec::new();
+        g.for_each_simd(
+            4,
+            26,
+            |wi| steps.push((wi.global_id(0), wi.global_id(1))),
+            |wi| tails.push((wi.global_id(0), wi.global_id(1))),
+        );
+        assert_eq!(steps, vec![(16, 0), (20, 0), (16, 1), (20, 1)]);
+        assert_eq!(tails, vec![(24, 0), (25, 0), (24, 1), (25, 1)]);
+        assert_eq!(g.stats.items_run, 32);
+        // A group wholly past the bound runs nothing.
+        let mut g = GroupCtx::new(&r, [1, 0, 0]);
+        g.for_each_simd(4, 10, |_| panic!("step"), |_| panic!("tail"));
     }
 
     #[test]

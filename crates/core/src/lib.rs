@@ -31,9 +31,12 @@
 //! barrier phases, and [`GroupCtx::local`] providing workgroup-local memory.
 //! Kernels may provide a SIMD group body ([`Kernel::run_group_simd`])
 //! processing `W` x-adjacent workitems per step along every row of the
-//! group ([`GroupCtx::for_each_simd`]), whatever the group's shape; the
-//! runtime prefers it when the device vectorizes — this is the Intel-style
-//! implicit vectorization of Section III-F.
+//! group ([`GroupCtx::for_each_simd`]), whatever the group's shape; a step
+//! that would cross the kernel's x bound runs item by item. The runtime
+//! prefers it when the device vectorizes — this is the Intel-style implicit
+//! vectorization of Section III-F. [`BufView::load`] and
+//! [`BufViewMut::store`] move one item or one lane step, so a kernel body
+//! written once over `cl_vec::Lane` serves both.
 //!
 //! Following the paper's methodology (Section III-A), all enqueue calls are
 //! **blocking**; [`Event`]s carry wall-clock (native devices) or modeled

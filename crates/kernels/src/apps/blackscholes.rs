@@ -8,8 +8,11 @@
 
 use std::sync::Arc;
 
-use cl_vec::VecF32;
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
+use cl_vec::{Lane, VecF32};
+use ocl_rt::{
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
+    ResolvedRange,
+};
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
@@ -21,80 +24,33 @@ pub const VOLATILITY: f32 = 0.30;
 
 /// Polynomial approximation of the cumulative normal distribution
 /// (Abramowitz–Stegun 26.2.17, the one the SDK sample uses).
-#[inline]
-pub fn cnd(d: f32) -> f32 {
+#[inline(always)]
+pub fn cnd<T: Lane>(d: T) -> T {
     const A1: f32 = 0.319_381_53;
     const A2: f32 = -0.356_563_78;
     const A3: f32 = 1.781_477_9;
     const A4: f32 = -1.821_255_9;
     const A5: f32 = 1.330_274_5;
     const RSQRT2PI: f32 = 0.398_942_3;
-    let k = 1.0 / (1.0 + 0.231_641_9 * d.abs());
-    let poly = k * (A1 + k * (A2 + k * (A3 + k * (A4 + k * A5))));
-    let cnd = RSQRT2PI * (-0.5 * d * d).exp() * poly;
-    if d > 0.0 {
-        1.0 - cnd
-    } else {
-        cnd
-    }
+    let c = T::splat;
+    let k = c(1.0) / (c(1.0) + c(0.231_641_9) * d.abs());
+    let poly = k * (c(A1) + k * (c(A2) + k * (c(A3) + k * (c(A4) + k * c(A5)))));
+    let cnd = c(RSQRT2PI) * (c(-0.5) * d * d).exp() * poly;
+    d.select_gt(c(0.0), c(1.0) - cnd, cnd)
 }
 
-/// Lane-parallel CND — the same Abramowitz–Stegun polynomial as [`cnd`],
-/// evaluated on four options at once (the shape the implicit vectorizer
-/// emits for this kernel). Each lane keeps [`cnd`]'s order of operations,
-/// so the lanes are bit-identical to it.
-#[inline]
-pub fn cnd_x4(d: VecF32<4>) -> VecF32<4> {
-    let a1 = VecF32::<4>::splat(0.319_381_53);
-    let a2 = VecF32::<4>::splat(-0.356_563_78);
-    let a3 = VecF32::<4>::splat(1.781_477_9);
-    let a4 = VecF32::<4>::splat(-1.821_255_9);
-    let a5 = VecF32::<4>::splat(1.330_274_5);
-    let rsqrt2pi = VecF32::<4>::splat(0.398_942_3);
-    let one = VecF32::<4>::splat(1.0);
-    let abs_d = d.max(-d);
-    let k = one / (one + VecF32::<4>::splat(0.231_641_9) * abs_d);
-    let poly = k * (a1 + k * (a2 + k * (a3 + k * (a4 + k * a5))));
-    let cnd = rsqrt2pi * (VecF32::<4>::splat(-0.5) * d * d).exp() * poly;
-    let mask = [d[0] > 0.0, d[1] > 0.0, d[2] > 0.0, d[3] > 0.0];
-    VecF32::<4>::select(mask, one - cnd, cnd)
-}
-
-/// Lane-parallel pricing of four options: `(calls, puts)`.
-#[inline]
-pub fn price_x4(
-    s: VecF32<4>,
-    x: VecF32<4>,
-    t: VecF32<4>,
-    r: f32,
-    v: f32,
-) -> (VecF32<4>, VecF32<4>) {
-    let vr = VecF32::<4>::splat(r);
-    let vv = VecF32::<4>::splat(v);
-    let half = VecF32::<4>::splat(0.5);
-    let one = VecF32::<4>::splat(1.0);
+/// Price one option per lane: returns `(call, put)`.
+#[inline(always)]
+pub fn price<T: Lane>(s: T, x: T, t: T, r: f32, v: f32) -> (T, T) {
+    let (r, v, one) = (T::splat(r), T::splat(v), T::splat(1.0));
     let sqrt_t = t.sqrt();
-    let d1 = ((s / x).ln() + (vr + half * vv * vv) * t) / (vv * sqrt_t);
-    let d2 = d1 - vv * sqrt_t;
-    let cnd_d1 = cnd_x4(d1);
-    let cnd_d2 = cnd_x4(d2);
-    let exp_rt = (-vr * t).exp();
-    let call = s * cnd_d1 - x * exp_rt * cnd_d2;
-    let put = x * exp_rt * (one - cnd_d2) - s * (one - cnd_d1);
-    (call, put)
-}
-
-/// Price one option: returns `(call, put)`.
-#[inline]
-pub fn price(s: f32, x: f32, t: f32, r: f32, v: f32) -> (f32, f32) {
-    let sqrt_t = t.sqrt();
-    let d1 = ((s / x).ln() + (r + 0.5 * v * v) * t) / (v * sqrt_t);
+    let d1 = ((s / x).ln() + (r + T::splat(0.5) * v * v) * t) / (v * sqrt_t);
     let d2 = d1 - v * sqrt_t;
     let cnd_d1 = cnd(d1);
     let cnd_d2 = cnd(d2);
     let exp_rt = (-r * t).exp();
     let call = s * cnd_d1 - x * exp_rt * cnd_d2;
-    let put = x * exp_rt * (1.0 - cnd_d2) - s * (1.0 - cnd_d1);
+    let put = x * exp_rt * (one - cnd_d2) - s * (one - cnd_d1);
     (call, put)
 }
 
@@ -111,29 +67,42 @@ pub struct BlackScholes {
     pub grid_items: usize,
 }
 
+/// The grid-stride walk of the `T::WIDTH` items from `first` over `n`
+/// options: `[stock, strike, years]` in, `[call, put]` out, `T::WIDTH`
+/// adjacent options every `stride`.
+#[inline]
+fn options<T: Lane>(
+    src: &[BufView<f32>; 3],
+    dst: &[BufViewMut<f32>; 2],
+    n: usize,
+    first: usize,
+    stride: usize,
+) {
+    let ([s, x, t], [call, put]) = (src, dst);
+    let mut opt = first;
+    while opt + T::WIDTH <= n {
+        let (c, p) = price::<T>(s.load(opt), x.load(opt), t.load(opt), RISK_FREE, VOLATILITY);
+        call.store(opt, c);
+        put.store(opt, p);
+        opt += stride;
+    }
+    // Lanes of a step whose last stride runs past `n` finish one by one.
+    for lane in opt..n.min(opt + T::WIDTH) {
+        options::<f32>(src, dst, n, lane, stride);
+    }
+}
+
 impl Kernel for BlackScholes {
     fn name(&self) -> &str {
         "blackScholes"
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let s = self.stock.view();
-        let x = self.strike.view();
-        let t = self.years.view();
-        let call = self.call.view_mut();
-        let put = self.put.view_mut();
-        let total_items = g.global_size(0) * g.global_size(1);
+        let src = [self.stock.view(), self.strike.view(), self.years.view()];
+        let dst = [self.call.view_mut(), self.put.view_mut()];
         let n = self.n_options;
-        g.for_each(|wi| {
-            let tid = wi.global_linear();
-            let mut opt = tid;
-            while opt < n {
-                let (c, p) = price(s.get(opt), x.get(opt), t.get(opt), RISK_FREE, VOLATILITY);
-                call.set(opt, c);
-                put.set(opt, p);
-                opt += total_items;
-            }
-        });
+        let stride = g.global_size(0) * g.global_size(1);
+        g.for_each(|wi| options::<f32>(&src, &dst, n, wi.global_linear(), stride));
     }
 
     fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
@@ -144,42 +113,15 @@ impl Kernel for BlackScholes {
         if width != 4 {
             return false;
         }
-        let s = self.stock.view();
-        let x = self.strike.view();
-        let t = self.years.view();
-        let call = self.call.view_mut();
-        let put = self.put.view_mut();
-        let total_items = g.global_size(0) * g.global_size(1);
+        let src = [self.stock.view(), self.strike.view(), self.years.view()];
+        let dst = [self.call.view_mut(), self.put.view_mut()];
         let n = self.n_options;
-        // One item's stride walk from `first`, scalar.
-        let strided = |first: usize| {
-            let mut opt = first;
-            while opt < n {
-                let (c, p) = price(s.get(opt), x.get(opt), t.get(opt), RISK_FREE, VOLATILITY);
-                call.set(opt, c);
-                put.set(opt, p);
-                opt += total_items;
-            }
-        };
+        let stride = g.global_size(0) * g.global_size(1);
         g.for_each_simd(
             4,
-            |wi| {
-                let mut opt = wi.global_linear();
-                while opt + 4 <= n {
-                    let vs = VecF32::<4>::load(s.slice(opt, 4), 0);
-                    let vx = VecF32::<4>::load(x.slice(opt, 4), 0);
-                    let vt = VecF32::<4>::load(t.slice(opt, 4), 0);
-                    let (c, p) = price_x4(vs, vx, vt, RISK_FREE, VOLATILITY);
-                    c.store(call.slice_mut(opt, 4), 0);
-                    p.store(put.slice_mut(opt, 4), 0);
-                    opt += total_items;
-                }
-                // Ragged tail of the stride walk: finish each lane scalar.
-                for lane in 0..4 {
-                    strided(opt + lane);
-                }
-            },
-            |wi| strided(wi.global_linear()),
+            g.global_size(0),
+            |wi| options::<VecF32<4>>(&src, &dst, n, wi.global_linear(), stride),
+            |wi| options::<f32>(&src, &dst, n, wi.global_linear(), stride),
         );
         true
     }
@@ -338,7 +280,7 @@ mod tests {
         let s = VecF32([10.0f32, 20.0, 15.0, 25.0]);
         let x = VecF32([12.0f32, 18.0, 15.0, 40.0]);
         let t = VecF32([0.5f32, 1.0, 2.0, 5.0]);
-        let (c, p) = price_x4(s, x, t, RISK_FREE, VOLATILITY);
+        let (c, p) = price(s, x, t, RISK_FREE, VOLATILITY);
         for lane in 0..4 {
             let (sc, sp) = price(s[lane], x[lane], t[lane], RISK_FREE, VOLATILITY);
             assert!(

@@ -8,8 +8,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::VecF32;
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
+use cl_vec::{Lane, VecF32};
+use ocl_rt::{
+    Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange, WorkItem,
+};
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
@@ -75,6 +77,19 @@ impl MatrixMul {
     }
 }
 
+/// One tile pair's products for the `T::WIDTH` items from `wi` along a
+/// row of the `t`-wide tile, added to their accumulators (indexed
+/// `ly·t + lx`) in `e` order.
+#[inline(always)]
+fn multiply<T: Lane>(a_tile: &[f32], b_tile: &[f32], acc: &mut [f32], t: usize, wi: &WorkItem) {
+    let (lx, row) = (wi.local_id(0), wi.local_id(1) * t);
+    let mut s = T::load(acc, row + lx);
+    for e in 0..t {
+        s = s + T::splat(a_tile[row + e]) * T::load(b_tile, e * t + lx);
+    }
+    s.store(acc, row + lx);
+}
+
 impl Kernel for MatrixMul {
     fn name(&self) -> &str {
         "matrixMul"
@@ -83,23 +98,15 @@ impl Kernel for MatrixMul {
     fn run_group(&self, g: &mut GroupCtx) {
         self.run_tiled(g, |g, a_tile, b_tile, acc| {
             let t = g.local_size(0);
-            g.for_each(|wi| {
-                let (lx, ly) = (wi.local_id(0), wi.local_id(1));
-                let mut s = acc[ly * t + lx];
-                for e in 0..t {
-                    s += a_tile[ly * t + e] * b_tile[e * t + lx];
-                }
-                acc[ly * t + lx] = s;
-            });
+            g.for_each(|wi| multiply::<f32>(a_tile, b_tile, acc, t, wi));
         });
     }
 
     fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
         // The multiply phase packs four x-adjacent items per step: a splat
         // of their shared A-tile element times four contiguous B-tile
-        // values. Each lane adds in `run_group`'s order, so the results are
-        // bit-identical. A side that is not a lane multiple (or a
-        // non-square group, which `run_group` reports) runs scalar.
+        // values. A side that is not a lane multiple (or a non-square
+        // group, which `run_group` reports) runs scalar.
         let t = g.local_size(0);
         if width != 4 || !t.is_multiple_of(4) || g.local_size(1) != t || !self.k.is_multiple_of(t) {
             return false;
@@ -107,15 +114,8 @@ impl Kernel for MatrixMul {
         self.run_tiled(g, |g, a_tile, b_tile, acc| {
             g.for_each_simd(
                 4,
-                |wi| {
-                    let (lx, row) = (wi.local_id(0), wi.local_id(1) * t);
-                    let mut s = VecF32::<4>::load(acc, row + lx);
-                    for e in 0..t {
-                        s = s + VecF32::<4>::splat(a_tile[row + e])
-                            * VecF32::<4>::load(b_tile, e * t + lx);
-                    }
-                    s.store(acc, row + lx);
-                },
+                g.global_size(0),
+                |wi| multiply::<VecF32<4>>(a_tile, b_tile, acc, t, wi),
                 |_| unreachable!("a lane-multiple tile side leaves no row tail"),
             );
         });

@@ -3,8 +3,11 @@
 
 use std::sync::Arc;
 
-use cl_vec::VecF32;
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
+use cl_vec::{Lane, VecF32};
+use ocl_rt::{
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
+    ResolvedRange,
+};
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
@@ -31,6 +34,13 @@ impl Square {
     }
 }
 
+/// `out = in²` on the `T::WIDTH` elements from `i`.
+#[inline(always)]
+fn square<T: Lane>(inp: &BufView<f32>, out: &BufViewMut<f32>, i: usize) {
+    let x: T = inp.load(i);
+    out.store(i, x * x);
+}
+
 impl Kernel for Square {
     fn name(&self) -> &str {
         "square"
@@ -43,12 +53,8 @@ impl Kernel for Square {
         let n = self.n;
         g.for_each(|wi| {
             let base = wi.global_id(0) * k;
-            for j in 0..k {
-                let i = base + j;
-                if i < n {
-                    let x = inp.get(i);
-                    out.set(i, x * x);
-                }
+            for i in base..(base + k).min(n) {
+                square::<f32>(&inp, &out, i);
             }
         });
     }
@@ -64,16 +70,9 @@ impl Kernel for Square {
         let out = self.output.view_mut();
         g.for_each_simd(
             4,
-            |wi| {
-                let base = wi.global_id(0);
-                let v = VecF32::<4>::load(inp.slice(base, 4), 0);
-                (v * v).store(out.slice_mut(base, 4), 0);
-            },
-            |wi| {
-                let i = wi.global_id(0);
-                let x = inp.get(i);
-                out.set(i, x * x);
-            },
+            self.n,
+            |wi| square::<VecF32<4>>(&inp, &out, wi.global_id(0)),
+            |wi| square::<f32>(&inp, &out, wi.global_id(0)),
         );
         true
     }

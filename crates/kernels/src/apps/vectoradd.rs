@@ -4,8 +4,11 @@
 
 use std::sync::Arc;
 
-use cl_vec::VecF32;
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
+use cl_vec::{Lane, VecF32};
+use ocl_rt::{
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
+    ResolvedRange,
+};
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
@@ -20,24 +23,26 @@ pub struct VectorAdd {
     pub items_per_wi: usize,
 }
 
+/// `c = a + b` on the `T::WIDTH` elements from `i`.
+#[inline(always)]
+fn add<T: Lane>(a: &BufView<f32>, b: &BufView<f32>, c: &BufViewMut<f32>, i: usize) {
+    c.store(i, a.load::<T>(i) + b.load::<T>(i));
+}
+
 impl Kernel for VectorAdd {
     fn name(&self) -> &str {
         "vectoadd"
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let a = self.a.view();
-        let b = self.b.view();
+        let (a, b) = (self.a.view(), self.b.view());
         let c = self.c.view_mut();
         let k = self.items_per_wi;
         let n = self.n;
         g.for_each(|wi| {
             let base = wi.global_id(0) * k;
-            for j in 0..k {
-                let i = base + j;
-                if i < n {
-                    c.set(i, a.get(i) + b.get(i));
-                }
+            for i in base..(base + k).min(n) {
+                add::<f32>(&a, &b, &c, i);
             }
         });
     }
@@ -46,21 +51,13 @@ impl Kernel for VectorAdd {
         if self.items_per_wi != 1 || width != 4 {
             return false;
         }
-        let a = self.a.view();
-        let b = self.b.view();
+        let (a, b) = (self.a.view(), self.b.view());
         let c = self.c.view_mut();
         g.for_each_simd(
             4,
-            |wi| {
-                let base = wi.global_id(0);
-                let va = VecF32::<4>::load(a.slice(base, 4), 0);
-                let vb = VecF32::<4>::load(b.slice(base, 4), 0);
-                (va + vb).store(c.slice_mut(base, 4), 0);
-            },
-            |wi| {
-                let i = wi.global_id(0);
-                c.set(i, a.get(i) + b.get(i));
-            },
+            self.n,
+            |wi| add::<VecF32<4>>(&a, &b, &c, wi.global_id(0)),
+            |wi| add::<f32>(&a, &b, &c, wi.global_id(0)),
         );
         true
     }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use cl_vec::VecF32;
+use cl_vec::{Lane, VecF32};
 use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange};
 
 use crate::apps::Built;
@@ -31,7 +31,7 @@ pub struct IlpKernel {
 /// `ilp`: with fewer chains, each chain receives proportionally more
 /// (dependent) updates, keeping total work constant.
 #[inline(always)]
-fn round_scalar(acc: &mut [f32; MAX_ILP], ilp: usize, a: f32, b: f32) {
+fn round<T: Lane>(acc: &mut [T; MAX_ILP], ilp: usize, a: T, b: T) {
     match ilp {
         1 => {
             // 4 dependent updates on one chain.
@@ -61,26 +61,30 @@ fn round_scalar(acc: &mut [f32; MAX_ILP], ilp: usize, a: f32, b: f32) {
     }
 }
 
+/// One workitem's result from its input `x`: `iters` rounds over the
+/// chains seeded from `x`, summed.
+#[inline(always)]
+fn chains<T: Lane>(x: T, ilp: usize, iters: usize) -> T {
+    // Constants chosen to keep the value bounded (|a| < 1).
+    let (a, b) = (T::splat(0.999_9), x * T::splat(1e-3));
+    let mut acc = [x, x + T::splat(1.0), x + T::splat(2.0), x + T::splat(3.0)];
+    for _ in 0..iters {
+        round(&mut acc, ilp, a, b);
+    }
+    acc[0] + acc[1] + acc[2] + acc[3]
+}
+
 impl Kernel for IlpKernel {
     fn name(&self) -> &str {
         "ilp_microbench"
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let input = self.input.view();
-        let output = self.output.view_mut();
+        let (input, output) = (self.input.view(), self.output.view_mut());
         let (ilp, iters) = (self.ilp, self.iters);
         g.for_each(|wi| {
             let i = wi.global_id(0);
-            let x = input.get(i);
-            // Constants chosen to keep the value bounded (|a| < 1).
-            let a = 0.999_9f32;
-            let b = x * 1e-3;
-            let mut acc = [x, x + 1.0, x + 2.0, x + 3.0];
-            for _ in 0..iters {
-                round_scalar(&mut acc, ilp, a, b);
-            }
-            output.set(i, acc[0] + acc[1] + acc[2] + acc[3]);
+            output.store(i, chains::<f32>(input.load(i), ilp, iters));
         });
     }
 
@@ -88,59 +92,18 @@ impl Kernel for IlpKernel {
         if width != 4 {
             return false;
         }
-        let input = self.input.view();
-        let output = self.output.view_mut();
+        let (input, output) = (self.input.view(), self.output.view_mut());
         let (ilp, iters) = (self.ilp, self.iters);
-        let body = |x: VecF32<4>| {
-            let a = VecF32::<4>::splat(0.999_9);
-            let b = x * VecF32::<4>::splat(1e-3);
-            let one = VecF32::<4>::splat(1.0);
-            let mut acc = [x, x + one, x + one + one, x + one + one + one];
-            for _ in 0..iters {
-                match ilp {
-                    1 => {
-                        acc[0] = acc[0].mul_add(a, b);
-                        acc[0] = acc[0].mul_add(a, b);
-                        acc[0] = acc[0].mul_add(a, b);
-                        acc[0] = acc[0].mul_add(a, b);
-                    }
-                    2 => {
-                        acc[0] = acc[0].mul_add(a, b);
-                        acc[1] = acc[1].mul_add(a, b);
-                        acc[0] = acc[0].mul_add(a, b);
-                        acc[1] = acc[1].mul_add(a, b);
-                    }
-                    3 => {
-                        acc[0] = acc[0].mul_add(a, b);
-                        acc[1] = acc[1].mul_add(a, b);
-                        acc[2] = acc[2].mul_add(a, b);
-                        acc[0] = acc[0].mul_add(a, b);
-                    }
-                    _ => {
-                        acc[0] = acc[0].mul_add(a, b);
-                        acc[1] = acc[1].mul_add(a, b);
-                        acc[2] = acc[2].mul_add(a, b);
-                        acc[3] = acc[3].mul_add(a, b);
-                    }
-                }
-            }
-            acc[0] + acc[1] + acc[2] + acc[3]
-        };
         g.for_each_simd(
             4,
+            g.global_size(0),
             |wi| {
-                let base = wi.global_id(0);
-                let x = VecF32::<4>::load(input.slice(base, 4), 0);
-                body(x).store(output.slice_mut(base, 4), 0);
+                let i = wi.global_id(0);
+                output.store(i, chains::<VecF32<4>>(input.load(i), ilp, iters));
             },
             |wi| {
                 let i = wi.global_id(0);
-                let x = input.get(i);
-                let mut acc = [x, x + 1.0, x + 2.0, x + 3.0];
-                for _ in 0..iters {
-                    round_scalar(&mut acc, ilp, 0.999_9, x * 1e-3);
-                }
-                output.set(i, acc[0] + acc[1] + acc[2] + acc[3]);
+                output.store(i, chains::<f32>(input.load(i), ilp, iters));
             },
         );
         true
@@ -159,16 +122,7 @@ pub fn flops_per_item(iters: usize) -> f64 {
 
 /// Serial reference.
 pub fn reference(input: &[f32], ilp: usize, iters: usize) -> Vec<f32> {
-    input
-        .iter()
-        .map(|&x| {
-            let mut acc = [x, x + 1.0, x + 2.0, x + 3.0];
-            for _ in 0..iters {
-                round_scalar(&mut acc, ilp, 0.999_9, x * 1e-3);
-            }
-            acc[0] + acc[1] + acc[2] + acc[3]
-        })
-        .collect()
+    input.iter().map(|&x| chains(x, ilp, iters)).collect()
 }
 
 /// Build the ILP kernel.

@@ -19,8 +19,8 @@
 use std::sync::Arc;
 
 use cl_vec::{
-    analyze_opencl_kernel, ArrayId, IndexExpr, Loop, LoopVectorizer, MathFn, Op, Operand, Stmt,
-    Temp, TripCount, VecF32, VectorizationReport, VectorizerPolicy,
+    analyze_opencl_kernel, ArrayId, IndexExpr, Lane, Loop, LoopVectorizer, MathFn, Op, Operand,
+    Stmt, Temp, TripCount, VecF32, VectorizationReport, VectorizerPolicy,
 };
 use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange};
 use par_for::{Schedule, Team};
@@ -124,209 +124,104 @@ impl MBench {
 }
 
 // ---------------------------------------------------------------------------
-// Bench bodies. Each scalar/simd pair computes identical math so outputs are
-// bit-comparable (within FP reassociation introduced by lane order, which
-// these bodies avoid by keeping per-element chains in the same order).
+// Bench bodies. Each is one function over `T: Lane`, so its scalar run
+// (`T = f32`) and SIMD run (`T = VecF32<4>`, lanes = adjacent elements)
+// are the same math and agree bit for bit.
 // ---------------------------------------------------------------------------
 
-fn mb1_scalar(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    for (k, out) in c.iter_mut().enumerate() {
-        *out = a[s + k] * b[s + k];
+/// One bench's elementwise computation.
+trait Elem {
+    /// Outputs `i .. i + T::WIDTH` from the full `a`, `b`.
+    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T;
+}
+
+/// Runs `B` over `c` (outputs `s ..`): `T::WIDTH` outputs per step, the
+/// remainder one at a time.
+fn elems<B: Elem, T: Lane>(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
+    let main = c.len() - c.len() % T::WIDTH;
+    let mut k = 0;
+    while k < main {
+        B::at::<T>(a, b, s + k).store(c, k);
+        k += T::WIDTH;
+    }
+    for (k, out) in c.iter_mut().enumerate().skip(main) {
+        *out = B::at::<f32>(a, b, s + k);
     }
 }
 
-fn mb1_simd(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    let n = c.len();
-    let main = n - n % 4;
-    let mut k = 0;
-    while k < main {
-        let va = VecF32::<4>::load(a, s + k);
-        let vb = VecF32::<4>::load(b, s + k);
-        (va * vb).store(c, k);
-        k += 4;
+struct Mb1;
+impl Elem for Mb1 {
+    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
+        T::load(a, i) * T::load(b, i)
     }
-    mb1_scalar(a, b, &mut c[main..], s + main);
 }
 
 const CHAIN: usize = 8;
 
-fn mb2_scalar(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    for (k, out) in c.iter_mut().enumerate() {
-        let base = (s + k) * CHAIN;
-        let mut acc = 1.0f32;
+struct Mb2;
+impl Elem for Mb2 {
+    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
+        // Lane `l` works on element `i + l`: its chain inputs are strided.
+        let mut acc = T::splat(1.0);
         for j in 0..CHAIN {
-            acc = acc * a[base + j] + b[base + j];
+            let at = i * CHAIN + j;
+            acc = acc * T::load_strided(a, at, CHAIN) + T::load_strided(b, at, CHAIN);
         }
-        *out = acc;
+        acc
     }
 }
 
-fn mb2_simd(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    let n = c.len();
-    let main = n - n % 4;
-    let mut k = 0;
-    while k < main {
-        let mut acc = VecF32::<4>::splat(1.0);
-        for j in 0..CHAIN {
-            // Lane l works on element (s+k+l): gather its chain inputs.
-            let idx = [
-                (s + k) * CHAIN + j,
-                (s + k + 1) * CHAIN + j,
-                (s + k + 2) * CHAIN + j,
-                (s + k + 3) * CHAIN + j,
-            ];
-            let va = VecF32::<4>::gather(a, &idx);
-            let vb = VecF32::<4>::gather(b, &idx);
-            acc = acc.mul_add(va, vb);
-        }
-        acc.store(c, k);
-        k += 4;
-    }
-    mb2_scalar(a, b, &mut c[main..], s + main);
-}
-
-fn mb3_scalar(a: &[f32], _b: &[f32], c: &mut [f32], s: usize) {
-    for (k, out) in c.iter_mut().enumerate() {
-        let i = s + k;
-        *out = a[2 * i] + a[2 * i + 1];
+struct Mb3;
+impl Elem for Mb3 {
+    fn at<T: Lane>(a: &[f32], _b: &[f32], i: usize) -> T {
+        T::load_strided(a, 2 * i, 2) + T::load_strided(a, 2 * i + 1, 2)
     }
 }
 
-fn mb3_simd(a: &[f32], _b: &[f32], c: &mut [f32], s: usize) {
-    let n = c.len();
-    let main = n - n % 4;
-    let mut k = 0;
-    while k < main {
-        let i = s + k;
-        let even = VecF32::<4>::gather(a, &[2 * i, 2 * i + 2, 2 * i + 4, 2 * i + 6]);
-        let odd = VecF32::<4>::gather(a, &[2 * i + 1, 2 * i + 3, 2 * i + 5, 2 * i + 7]);
-        (even + odd).store(c, k);
-        k += 4;
-    }
-    mb3_scalar(a, _b, &mut c[main..], s + main);
-}
-
-fn mb4_scalar(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    for (k, out) in c.iter_mut().enumerate() {
-        let i = s + k;
-        *out = a[3 * i] + b[i];
+struct Mb4;
+impl Elem for Mb4 {
+    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
+        T::load_strided(a, 3 * i, 3) + T::load(b, i)
     }
 }
 
-fn mb4_simd(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    let n = c.len();
-    let main = n - n % 4;
-    let mut k = 0;
-    while k < main {
-        let i = s + k;
-        let ga = VecF32::<4>::gather(a, &[3 * i, 3 * i + 3, 3 * i + 6, 3 * i + 9]);
-        let vb = VecF32::<4>::load(b, i);
-        (ga + vb).store(c, k);
-        k += 4;
-    }
-    mb4_scalar(a, b, &mut c[main..], s + main);
-}
-
-fn mb5_scalar(a: &[f32], _b: &[f32], c: &mut [f32], s: usize) {
-    for (k, out) in c.iter_mut().enumerate() {
-        let i = s + k;
-        *out = a[i + 1] - a[i];
+struct Mb5;
+impl Elem for Mb5 {
+    fn at<T: Lane>(a: &[f32], _b: &[f32], i: usize) -> T {
+        T::load(a, i + 1) - T::load(a, i)
     }
 }
 
-fn mb5_simd(a: &[f32], _b: &[f32], c: &mut [f32], s: usize) {
-    let n = c.len();
-    let main = n - n % 4;
-    let mut k = 0;
-    while k < main {
-        let hi = VecF32::<4>::load(a, s + k + 1);
-        let lo = VecF32::<4>::load(a, s + k);
-        (hi - lo).store(c, k);
-        k += 4;
+struct Mb6;
+impl Elem for Mb6 {
+    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
+        let (va, zero) = (T::load(a, i), T::splat(0.0));
+        va.select_gt(zero, (va * T::load(b, i)).abs().sqrt(), zero)
     }
-    mb5_scalar(a, _b, &mut c[main..], s + main);
-}
-
-fn mb6_scalar(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    for (k, out) in c.iter_mut().enumerate() {
-        let i = s + k;
-        *out = if a[i] > 0.0 {
-            (a[i] * b[i]).abs().sqrt()
-        } else {
-            0.0
-        };
-    }
-}
-
-fn mb6_simd(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    let n = c.len();
-    let main = n - n % 4;
-    let mut k = 0;
-    while k < main {
-        let va = VecF32::<4>::load(a, s + k);
-        let vb = VecF32::<4>::load(b, s + k);
-        let prod = va * vb;
-        let root = prod.max(-prod).sqrt(); // |prod|^.5, branchless
-        let mask = [va[0] > 0.0, va[1] > 0.0, va[2] > 0.0, va[3] > 0.0];
-        VecF32::<4>::select(mask, root, VecF32::<4>::zero()).store(c, k);
-        k += 4;
-    }
-    mb6_scalar(a, b, &mut c[main..], s + main);
 }
 
 const NEWTON_ITERS: usize = 6;
 
-fn mb7_scalar(a: &[f32], _b: &[f32], c: &mut [f32], s: usize) {
-    for (k, out) in c.iter_mut().enumerate() {
-        let v = a[s + k].abs() + 1.0;
+struct Mb7;
+impl Elem for Mb7 {
+    fn at<T: Lane>(a: &[f32], _b: &[f32], i: usize) -> T {
+        let v = T::load(a, i).abs() + T::splat(1.0);
         let mut x = v;
         // In the source program this loop exits on convergence (trip count
         // data-dependent); both planes execute the fixed worst case so the
         // arithmetic matches.
         for _ in 0..NEWTON_ITERS {
-            x = 0.5 * (x + v / x);
+            x = T::splat(0.5) * (x + v / x);
         }
-        *out = x;
+        x
     }
 }
 
-fn mb7_simd(a: &[f32], _b: &[f32], c: &mut [f32], s: usize) {
-    let n = c.len();
-    let main = n - n % 4;
-    let half = VecF32::<4>::splat(0.5);
-    let one = VecF32::<4>::splat(1.0);
-    let mut k = 0;
-    while k < main {
-        let va = VecF32::<4>::load(a, s + k);
-        let v = va.max(-va) + one;
-        let mut x = v;
-        for _ in 0..NEWTON_ITERS {
-            x = half * (x + v / x);
-        }
-        x.store(c, k);
-        k += 4;
+struct Mb8;
+impl Elem for Mb8 {
+    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
+        T::load(a, i).exp() * T::load(b, i)
     }
-    mb7_scalar(a, _b, &mut c[main..], s + main);
-}
-
-fn mb8_scalar(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    for (k, out) in c.iter_mut().enumerate() {
-        let i = s + k;
-        *out = a[i].exp() * b[i];
-    }
-}
-
-fn mb8_simd(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
-    let n = c.len();
-    let main = n - n % 4;
-    let mut k = 0;
-    while k < main {
-        let va = VecF32::<4>::load(a, s + k);
-        let vb = VecF32::<4>::load(b, s + k);
-        (va.exp() * vb).store(c, k);
-        k += 4;
-    }
-    mb8_scalar(a, b, &mut c[main..], s + main);
 }
 
 // ---------------------------------------------------------------------------
@@ -590,8 +485,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 1.0,
             in_factor: 1,
             in_pad: 0,
-            scalar: mb1_scalar,
-            simd: mb1_simd,
+            scalar: elems::<Mb1, f32>,
+            simd: elems::<Mb1, VecF32<4>>,
             omp_ir: ir_elementwise_mul,
         },
         MBench {
@@ -601,8 +496,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 2.0 * CHAIN as f64,
             in_factor: CHAIN,
             in_pad: 0,
-            scalar: mb2_scalar,
-            simd: mb2_simd,
+            scalar: elems::<Mb2, f32>,
+            simd: elems::<Mb2, VecF32<4>>,
             omp_ir: ir_fmul_chain,
         },
         MBench {
@@ -612,8 +507,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 1.0,
             in_factor: 2,
             in_pad: 8,
-            scalar: mb3_scalar,
-            simd: mb3_simd,
+            scalar: elems::<Mb3, f32>,
+            simd: elems::<Mb3, VecF32<4>>,
             omp_ir: ir_strided,
         },
         MBench {
@@ -623,8 +518,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 1.0,
             in_factor: 3,
             in_pad: 12,
-            scalar: mb4_scalar,
-            simd: mb4_simd,
+            scalar: elems::<Mb4, f32>,
+            simd: elems::<Mb4, VecF32<4>>,
             omp_ir: ir_gather3,
         },
         MBench {
@@ -634,8 +529,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 1.0,
             in_factor: 1,
             in_pad: 8,
-            scalar: mb5_scalar,
-            simd: mb5_simd,
+            scalar: elems::<Mb5, f32>,
+            simd: elems::<Mb5, VecF32<4>>,
             omp_ir: ir_stencil,
         },
         MBench {
@@ -645,8 +540,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 3.0,
             in_factor: 1,
             in_pad: 0,
-            scalar: mb6_scalar,
-            simd: mb6_simd,
+            scalar: elems::<Mb6, f32>,
+            simd: elems::<Mb6, VecF32<4>>,
             omp_ir: ir_branch,
         },
         MBench {
@@ -656,8 +551,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 4.0 * NEWTON_ITERS as f64,
             in_factor: 1,
             in_pad: 0,
-            scalar: mb7_scalar,
-            simd: mb7_simd,
+            scalar: elems::<Mb7, f32>,
+            simd: elems::<Mb7, VecF32<4>>,
             omp_ir: ir_uncountable,
         },
         MBench {
@@ -667,8 +562,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 10.0,
             in_factor: 1,
             in_pad: 0,
-            scalar: mb8_scalar,
-            simd: mb8_simd,
+            scalar: elems::<Mb8, f32>,
+            simd: elems::<Mb8, VecF32<4>>,
             omp_ir: ir_exp_mul,
         },
     ]

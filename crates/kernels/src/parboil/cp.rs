@@ -4,8 +4,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::VecF32;
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
+use cl_vec::{Lane, VecF32};
+use ocl_rt::{
+    BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange,
+};
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
@@ -45,33 +47,26 @@ impl Atoms {
     }
 }
 
-#[inline]
-fn potential_at(x: f32, y: f32, atoms: &[f32]) -> f32 {
-    let mut e = 0.0f32;
+/// The potential at the `T::WIDTH` points `x` of the row at `y`. Per atom,
+/// `dy²` and `dz²` are shared by the lanes.
+#[inline(always)]
+fn potential<T: Lane>(x: T, y: f32, atoms: &[f32]) -> T {
+    let mut e = T::splat(0.0);
     for a in atoms.chunks_exact(4) {
-        let dx = x - a[0];
+        let dx = x - T::splat(a[0]);
         let dy = y - a[1];
         let dz = SLICE_Z - a[2];
-        e += a[3] / (dx * dx + dy * dy + dz * dz).sqrt();
+        let r2 = dx * dx + T::splat(dy * dy) + T::splat(dz * dz);
+        e = e + T::splat(a[3]) / r2.sqrt();
     }
     e
 }
 
-/// [`potential_at`] for the four x-adjacent points `x` of the row at `y`.
-/// Per atom, `dy²` and `dz²` are shared by the lanes; each lane keeps
-/// [`potential_at`]'s order of operations, so the lanes are bit-identical
-/// to it.
-#[inline]
-fn potential_x4(x: VecF32<4>, y: f32, atoms: &[f32]) -> VecF32<4> {
-    let mut e = VecF32::<4>::zero();
-    for a in atoms.chunks_exact(4) {
-        let dx = x - VecF32::splat(a[0]);
-        let dy = y - a[1];
-        let dz = SLICE_Z - a[2];
-        let r2 = dx * dx + VecF32::splat(dy * dy) + VecF32::splat(dz * dz);
-        e = e + VecF32::splat(a[3]) / r2.sqrt();
-    }
-    e
+/// Grid points `gx .. gx + T::WIDTH` of row `gy`.
+#[inline(always)]
+fn points<T: Lane>(grid: &BufViewMut<f32>, atoms: &[f32], nx: usize, gx: usize, gy: usize) {
+    let x = T::from_fn(|j| (gx + j) as f32 * SPACING);
+    grid.store(gy * nx + gx, potential(x, gy as f32 * SPACING, atoms));
 }
 
 /// The `cenergy` kernel: `items_per_wi` grid columns per workitem in x
@@ -97,14 +92,8 @@ impl Kernel for Cenergy {
         let nx = self.nx;
         g.for_each(|wi| {
             let x0 = wi.global_id(0) * k;
-            let gy = wi.global_id(1);
-            let y = gy as f32 * SPACING;
-            for j in 0..k {
-                let gx = x0 + j;
-                if gx < nx {
-                    let x = gx as f32 * SPACING;
-                    grid.set(gy * nx + gx, potential_at(x, y, atoms));
-                }
+            for gx in x0..(x0 + k).min(nx) {
+                points::<f32>(&grid, atoms, nx, gx, wi.global_id(1));
             }
         });
     }
@@ -120,26 +109,11 @@ impl Kernel for Cenergy {
         let atoms = atoms_view.slice(0, atoms_view.len());
         let grid = self.grid.view_mut();
         let nx = self.nx;
-        let point = |gx: usize, gy: usize| {
-            if gx < nx {
-                let (x, y) = (gx as f32 * SPACING, gy as f32 * SPACING);
-                grid.set(gy * nx + gx, potential_at(x, y, atoms));
-            }
-        };
         g.for_each_simd(
             4,
-            |wi| {
-                let (gx, gy) = (wi.global_id(0), wi.global_id(1));
-                if gx + 4 > nx {
-                    // The step crosses the grid's edge: lane by lane.
-                    (gx..gx + 4).for_each(|x| point(x, gy));
-                    return;
-                }
-                let x = VecF32(std::array::from_fn(|j| (gx + j) as f32 * SPACING));
-                potential_x4(x, gy as f32 * SPACING, atoms)
-                    .store(grid.slice_mut(gy * nx + gx, 4), 0);
-            },
-            |wi| point(wi.global_id(0), wi.global_id(1)),
+            nx,
+            |wi| points::<VecF32<4>>(&grid, atoms, nx, wi.global_id(0), wi.global_id(1)),
+            |wi| points::<f32>(&grid, atoms, nx, wi.global_id(0), wi.global_id(1)),
         );
         true
     }
@@ -177,7 +151,7 @@ pub fn reference(atoms: &Atoms, nx: usize, ny: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; nx * ny];
     for gy in 0..ny {
         for gx in 0..nx {
-            out[gy * nx + gx] = potential_at(gx as f32 * SPACING, gy as f32 * SPACING, &atoms.data);
+            out[gy * nx + gx] = potential(gx as f32 * SPACING, gy as f32 * SPACING, &atoms.data);
         }
     }
     out
@@ -189,7 +163,7 @@ pub fn openmp(team: &Team, atoms: &Atoms, out: &mut [f32], nx: usize) {
     team.parallel_for_mut(&mut rows, Schedule::Dynamic { chunk: 1 }, |_, (gy, row)| {
         let y = *gy as f32 * SPACING;
         for (gx, slot) in row.iter_mut().enumerate() {
-            *slot = potential_at(gx as f32 * SPACING, y, &atoms.data);
+            *slot = potential(gx as f32 * SPACING, y, &atoms.data);
         }
     });
 }

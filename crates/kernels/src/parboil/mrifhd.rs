@@ -4,14 +4,15 @@
 
 use std::sync::Arc;
 
-use cl_vec::VecF32;
+use cl_vec::{Lane, VecF32};
 use ocl_rt::{
-    BufView, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange,
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
+    ResolvedRange,
 };
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
-use crate::parboil::mriq::{phase, phase_x4, KSpace, Trajectory, Voxels, TWO_PI};
+use crate::parboil::mriq::{phase, KSpace, Trajectory, Voxels, TWO_PI};
 use crate::util::{max_rel_error, random_f32};
 
 /// `RhoPhi`: `(rRho, iRho) = (φR·dR + φI·dI, φR·dI − φI·dR)`.
@@ -26,27 +27,34 @@ pub struct RhoPhi {
     pub items_per_wi: usize,
 }
 
+/// `(rRho, iRho)` on the `T::WIDTH` elements from `i`: `[φR, φI, dR, dI]`
+/// in, `[rRho, iRho]` out.
+#[inline(always)]
+fn rho_phi<T: Lane>(src: &[BufView<f32>; 4], [rr, ri]: &[BufViewMut<f32>; 2], i: usize) {
+    let [a, b, c, d] = src.map(|v| v.load::<T>(i));
+    rr.store(i, a * c + b * d);
+    ri.store(i, a * d - b * c);
+}
+
 impl Kernel for RhoPhi {
     fn name(&self) -> &str {
         "RhoPhi"
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let (pr, pi) = (self.phi_r.view(), self.phi_i.view());
-        let (dr, di) = (self.d_r.view(), self.d_i.view());
-        let (rr, ri) = (self.rho_r.view_mut(), self.rho_i.view_mut());
+        let src = [
+            self.phi_r.view(),
+            self.phi_i.view(),
+            self.d_r.view(),
+            self.d_i.view(),
+        ];
+        let dst = [self.rho_r.view_mut(), self.rho_i.view_mut()];
         let k = self.items_per_wi;
         let n = self.n;
         g.for_each(|wi| {
             let base = wi.global_id(0) * k;
-            for j in 0..k {
-                let i = base + j;
-                if i < n {
-                    let (a, b) = (pr.get(i), pi.get(i));
-                    let (c, d) = (dr.get(i), di.get(i));
-                    rr.set(i, a * c + b * d);
-                    ri.set(i, a * d - b * c);
-                }
+            for i in base..(base + k).min(n) {
+                rho_phi::<f32>(&src, &dst, i);
             }
         });
     }
@@ -55,39 +63,18 @@ impl Kernel for RhoPhi {
         if width != 4 || self.items_per_wi != 1 {
             return false;
         }
-        let (pr, pi) = (self.phi_r.view(), self.phi_i.view());
-        let (dr, di) = (self.d_r.view(), self.d_i.view());
-        let (rr, ri) = (self.rho_r.view_mut(), self.rho_i.view_mut());
-        let n = self.n;
+        let src = [
+            self.phi_r.view(),
+            self.phi_i.view(),
+            self.d_r.view(),
+            self.d_i.view(),
+        ];
+        let dst = [self.rho_r.view_mut(), self.rho_i.view_mut()];
         g.for_each_simd(
             4,
-            |wi| {
-                let base = wi.global_id(0);
-                if base + 4 <= n {
-                    let a = VecF32::<4>::load(pr.slice(base, 4), 0);
-                    let b = VecF32::<4>::load(pi.slice(base, 4), 0);
-                    let c = VecF32::<4>::load(dr.slice(base, 4), 0);
-                    let d = VecF32::<4>::load(di.slice(base, 4), 0);
-                    (a * c + b * d).store(rr.slice_mut(base, 4), 0);
-                    (a * d - b * c).store(ri.slice_mut(base, 4), 0);
-                } else {
-                    for i in base..n {
-                        let (a, b) = (pr.get(i), pi.get(i));
-                        let (c, d) = (dr.get(i), di.get(i));
-                        rr.set(i, a * c + b * d);
-                        ri.set(i, a * d - b * c);
-                    }
-                }
-            },
-            |wi| {
-                let i = wi.global_id(0);
-                if i < n {
-                    let (a, b) = (pr.get(i), pi.get(i));
-                    let (c, d) = (dr.get(i), di.get(i));
-                    rr.set(i, a * c + b * d);
-                    ri.set(i, a * d - b * c);
-                }
-            },
+            self.n,
+            |wi| rho_phi::<VecF32<4>>(&src, &dst, wi.global_id(0)),
+            |wi| rho_phi::<f32>(&src, &dst, wi.global_id(0)),
         );
         true
     }
@@ -105,42 +92,29 @@ impl Kernel for RhoPhi {
     }
 }
 
-/// One voxel's FH sums as the kernel computes them: [`reference_fh`]'s
-/// loop with `sin`/`cos` from [`cl_vec::sin_cos`] (the references keep
-/// std's), over the kernel views.
-#[inline]
-fn fh_voxel(x: f32, y: f32, z: f32, ks: &KSpace, rr: &[f32], ri: &[f32]) -> (f32, f32) {
-    let mut fr = 0.0f32;
-    let mut fi = 0.0f32;
-    for (k, (&wr, &wi)) in ks.iter().zip(rr.iter().zip(ri)) {
-        let (s, c) = cl_vec::sin_cos(phase(k, x, y, z));
-        fr += wr * c + wi * s;
-        fi += wi * c - wr * s;
-    }
-    (fr, fi)
-}
-
-/// [`fh_voxel`] for four x-adjacent voxels: the k-sample loop runs once
-/// for all four. Each lane keeps [`fh_voxel`]'s order of operations, so
-/// the lanes are bit-identical to it.
-#[inline]
-fn fh_x4(
-    x: VecF32<4>,
-    y: VecF32<4>,
-    z: VecF32<4>,
+/// The FH sums of the `T::WIDTH` voxels from `v` as the kernel computes
+/// them (`[x, y, z]` in, `[rFH, iFH]` out): [`reference_fh`]'s loop, run
+/// once for all lanes, with `sin`/`cos` from [`cl_vec::sin_cos`] (the
+/// references keep std's).
+#[inline(always)]
+fn fh_voxels<T: Lane>(
+    xyz: &[BufView<f32>; 3],
     ks: &KSpace,
-    rr: &[f32],
-    ri: &[f32],
-) -> [VecF32<4>; 2] {
-    let mut fr = VecF32::zero();
-    let mut fi = VecF32::zero();
+    [rr, ri]: [&[f32]; 2],
+    out: &[BufViewMut<f32>; 2],
+    v: usize,
+) {
+    let [x, y, z] = xyz.map(|b| b.load::<T>(v));
+    let mut fr = T::splat(0.0);
+    let mut fi = T::splat(0.0);
     for (k, (&wr, &wi)) in ks.iter().zip(rr.iter().zip(ri)) {
-        let (s, c) = phase_x4(k, x, y, z).sin_cos();
-        let (wr, wi) = (VecF32::splat(wr), VecF32::splat(wi));
+        let (s, c) = phase(k, x, y, z).sin_cos();
+        let (wr, wi) = (T::splat(wr), T::splat(wi));
         fr = fr + (wr * c + wi * s);
         fi = fi + (wi * c - wr * s);
     }
-    [fr, fi]
+    out[0].store(v, fr);
+    out[1].store(v, fi);
 }
 
 /// `FH`: per voxel, accumulate `rRho·cos + iRho·sin` phase sums (the same
@@ -166,20 +140,18 @@ impl Kernel for Fh {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let (x, y, z) = (self.x.view(), self.y.view(), self.z.view());
+        let xyz = [self.x.view(), self.y.view(), self.z.view()];
         let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
         let ks = KSpace::new(&kx, &ky, &kz);
         let (rr_view, ri_view) = (self.rho_r.view(), self.rho_i.view());
-        let (rr, ri) = (rr_view.slice(0, ks.len()), ri_view.slice(0, ks.len()));
-        let (or, oi) = (self.fh_r.view_mut(), self.fh_i.view_mut());
+        let rho = [rr_view.slice(0, ks.len()), ri_view.slice(0, ks.len())];
+        let out = [self.fh_r.view_mut(), self.fh_i.view_mut()];
         let items = self.items_per_wi;
         let n = self.n_voxels;
         g.for_each(|wi| {
             let base = wi.global_id(0) * items;
             for v in base..(base + items).min(n) {
-                let (fr, fi) = fh_voxel(x.get(v), y.get(v), z.get(v), &ks, rr, ri);
-                or.set(v, fr);
-                oi.set(v, fi);
+                fh_voxels::<f32>(&xyz, &ks, rho, &out, v);
             }
         });
     }
@@ -190,35 +162,17 @@ impl Kernel for Fh {
         if width != 4 || self.items_per_wi != 1 {
             return false;
         }
-        let (x, y, z) = (self.x.view(), self.y.view(), self.z.view());
+        let xyz = [self.x.view(), self.y.view(), self.z.view()];
         let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
         let ks = KSpace::new(&kx, &ky, &kz);
         let (rr_view, ri_view) = (self.rho_r.view(), self.rho_i.view());
-        let (rr, ri) = (rr_view.slice(0, ks.len()), ri_view.slice(0, ks.len()));
-        let (or, oi) = (self.fh_r.view_mut(), self.fh_i.view_mut());
-        let n = self.n_voxels;
-        let voxel = |v: usize| {
-            if v < n {
-                let (fr, fi) = fh_voxel(x.get(v), y.get(v), z.get(v), &ks, rr, ri);
-                or.set(v, fr);
-                oi.set(v, fi);
-            }
-        };
+        let rho = [rr_view.slice(0, ks.len()), ri_view.slice(0, ks.len())];
+        let out = [self.fh_r.view_mut(), self.fh_i.view_mut()];
         g.for_each_simd(
             4,
-            |wi| {
-                let v = wi.global_id(0);
-                if v + 4 > n {
-                    // The step crosses `n_voxels`: lane by lane.
-                    (v..v + 4).for_each(voxel);
-                    return;
-                }
-                let load = |b: &BufView<f32>| VecF32::<4>::load(b.slice(v, 4), 0);
-                let [fr, fi] = fh_x4(load(&x), load(&y), load(&z), &ks, rr, ri);
-                fr.store(or.slice_mut(v, 4), 0);
-                fi.store(oi.slice_mut(v, 4), 0);
-            },
-            |wi| voxel(wi.global_id(0)),
+            self.n_voxels,
+            |wi| fh_voxels::<VecF32<4>>(&xyz, &ks, rho, &out, wi.global_id(0)),
+            |wi| fh_voxels::<f32>(&xyz, &ks, rho, &out, wi.global_id(0)),
         );
         true
     }

@@ -4,9 +4,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::VecF32;
+use cl_vec::{Lane, VecF32};
 use ocl_rt::{
-    BufView, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange,
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
+    ResolvedRange,
 };
 use par_for::{Schedule, Team};
 
@@ -24,26 +25,27 @@ pub struct ComputePhiMag {
     pub items_per_wi: usize,
 }
 
+/// `phiMag = phiR² + phiI²` on the `T::WIDTH` elements from `i`.
+#[inline(always)]
+fn phi_mag<T: Lane>(r: &BufView<f32>, im: &BufView<f32>, mag: &BufViewMut<f32>, i: usize) {
+    let (re, imv): (T, T) = (r.load(i), im.load(i));
+    mag.store(i, re * re + imv * imv);
+}
+
 impl Kernel for ComputePhiMag {
     fn name(&self) -> &str {
         "ComputePhiMag"
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let r = self.phi_r.view();
-        let im = self.phi_i.view();
+        let (r, im) = (self.phi_r.view(), self.phi_i.view());
         let mag = self.phi_mag.view_mut();
         let k = self.items_per_wi;
         let n = self.n;
         g.for_each(|wi| {
             let base = wi.global_id(0) * k;
-            for j in 0..k {
-                let i = base + j;
-                if i < n {
-                    let re = r.get(i);
-                    let imv = im.get(i);
-                    mag.set(i, re * re + imv * imv);
-                }
+            for i in base..(base + k).min(n) {
+                phi_mag::<f32>(&r, &im, &mag, i);
             }
         });
     }
@@ -52,32 +54,13 @@ impl Kernel for ComputePhiMag {
         if width != 4 || self.items_per_wi != 1 {
             return false;
         }
-        let r = self.phi_r.view();
-        let im = self.phi_i.view();
+        let (r, im) = (self.phi_r.view(), self.phi_i.view());
         let mag = self.phi_mag.view_mut();
-        let n = self.n;
         g.for_each_simd(
             4,
-            |wi| {
-                let base = wi.global_id(0);
-                if base + 4 <= n {
-                    let vr = VecF32::<4>::load(r.slice(base, 4), 0);
-                    let vi = VecF32::<4>::load(im.slice(base, 4), 0);
-                    (vr * vr + vi * vi).store(mag.slice_mut(base, 4), 0);
-                } else {
-                    for i in base..n {
-                        let (re, imv) = (r.get(i), im.get(i));
-                        mag.set(i, re * re + imv * imv);
-                    }
-                }
-            },
-            |wi| {
-                let i = wi.global_id(0);
-                if i < n {
-                    let (re, imv) = (r.get(i), im.get(i));
-                    mag.set(i, re * re + imv * imv);
-                }
-            },
+            self.n,
+            |wi| phi_mag::<VecF32<4>>(&r, &im, &mag, wi.global_id(0)),
+            |wi| phi_mag::<f32>(&r, &im, &mag, wi.global_id(0)),
         );
         true
     }
@@ -193,48 +176,35 @@ impl<'a> KSpace<'a> {
     }
 }
 
-/// The phase `2π·(k·r)` of sample `k` at voxel `(x, y, z)`.
-#[inline]
-pub(crate) fn phase(k: [f32; 3], x: f32, y: f32, z: f32) -> f32 {
-    TWO_PI * (k[0] * x + k[1] * y + k[2] * z)
-}
-
-/// [`phase`] at four voxels, with the sample splatted; each lane keeps the
-/// scalar order of operations.
-#[inline]
-pub(crate) fn phase_x4(k: [f32; 3], x: VecF32<4>, y: VecF32<4>, z: VecF32<4>) -> VecF32<4> {
-    let s = VecF32::splat;
+/// The phase `2π·(k·r)` of sample `k` at voxels `(x, y, z)`.
+#[inline(always)]
+pub(crate) fn phase<T: Lane>(k: [f32; 3], x: T, y: T, z: T) -> T {
+    let s = T::splat;
     s(TWO_PI) * (s(k[0]) * x + s(k[1]) * y + s(k[2]) * z)
 }
 
-/// [`q_at`] as the kernel computes it: `sin`/`cos` from
-/// [`cl_vec::sin_cos`] (the serial references keep std's), over the
-/// trajectory's kernel views.
-#[inline]
-fn q_voxel(x: f32, y: f32, z: f32, ks: &KSpace, mag: &[f32]) -> (f32, f32) {
-    let mut qr = 0.0f32;
-    let mut qi = 0.0f32;
+/// [`q_at`] as the kernel computes it, for the `T::WIDTH` voxels from `v`
+/// (`[x, y, z]` in, `[qr, qi]` out): the k-sample loop runs once for all
+/// lanes, with `sin`/`cos` from [`cl_vec::sin_cos`] (the serial references
+/// keep std's).
+#[inline(always)]
+fn q_voxels<T: Lane>(
+    xyz: &[BufView<f32>; 3],
+    ks: &KSpace,
+    mag: &[f32],
+    out: &[BufViewMut<f32>; 2],
+    v: usize,
+) {
+    let [x, y, z] = xyz.map(|b| b.load::<T>(v));
+    let mut qr = T::splat(0.0);
+    let mut qi = T::splat(0.0);
     for (k, &m) in ks.iter().zip(mag) {
-        let (sin, cos) = cl_vec::sin_cos(phase(k, x, y, z));
-        qr += m * cos;
-        qi += m * sin;
+        let (sin, cos) = phase(k, x, y, z).sin_cos();
+        qr = qr + T::splat(m) * cos;
+        qi = qi + T::splat(m) * sin;
     }
-    (qr, qi)
-}
-
-/// [`q_voxel`] for four x-adjacent voxels: the k-sample loop runs once for
-/// all four. Each lane keeps [`q_voxel`]'s order of operations, so the
-/// lanes are bit-identical to it.
-#[inline]
-fn q_x4(x: VecF32<4>, y: VecF32<4>, z: VecF32<4>, ks: &KSpace, mag: &[f32]) -> [VecF32<4>; 2] {
-    let mut qr = VecF32::zero();
-    let mut qi = VecF32::zero();
-    for (k, &m) in ks.iter().zip(mag) {
-        let (sin, cos) = phase_x4(k, x, y, z).sin_cos();
-        qr = qr + VecF32::splat(m) * cos;
-        qi = qi + VecF32::splat(m) * sin;
-    }
-    [qr, qi]
+    out[0].store(v, qr);
+    out[1].store(v, qi);
 }
 
 /// `ComputeQ`: per voxel, accumulate the phase sum over all k-space samples.
@@ -258,20 +228,18 @@ impl Kernel for ComputeQ {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let (x, y, z) = (self.x.view(), self.y.view(), self.z.view());
+        let xyz = [self.x.view(), self.y.view(), self.z.view()];
         let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
         let ks = KSpace::new(&kx, &ky, &kz);
         let mag_view = self.phi_mag.view();
         let mag = mag_view.slice(0, ks.len());
-        let (qr_out, qi_out) = (self.qr.view_mut(), self.qi.view_mut());
+        let out = [self.qr.view_mut(), self.qi.view_mut()];
         let k_items = self.items_per_wi;
         let n = self.n_voxels;
         g.for_each(|wi| {
             let base = wi.global_id(0) * k_items;
             for v in base..(base + k_items).min(n) {
-                let (qr, qi) = q_voxel(x.get(v), y.get(v), z.get(v), &ks, mag);
-                qr_out.set(v, qr);
-                qi_out.set(v, qi);
+                q_voxels::<f32>(&xyz, &ks, mag, &out, v);
             }
         });
     }
@@ -282,35 +250,17 @@ impl Kernel for ComputeQ {
         if width != 4 || self.items_per_wi != 1 {
             return false;
         }
-        let (x, y, z) = (self.x.view(), self.y.view(), self.z.view());
+        let xyz = [self.x.view(), self.y.view(), self.z.view()];
         let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
         let ks = KSpace::new(&kx, &ky, &kz);
         let mag_view = self.phi_mag.view();
         let mag = mag_view.slice(0, ks.len());
-        let (qr_out, qi_out) = (self.qr.view_mut(), self.qi.view_mut());
-        let n = self.n_voxels;
-        let voxel = |v: usize| {
-            if v < n {
-                let (qr, qi) = q_voxel(x.get(v), y.get(v), z.get(v), &ks, mag);
-                qr_out.set(v, qr);
-                qi_out.set(v, qi);
-            }
-        };
+        let out = [self.qr.view_mut(), self.qi.view_mut()];
         g.for_each_simd(
             4,
-            |wi| {
-                let v = wi.global_id(0);
-                if v + 4 > n {
-                    // The step crosses `n_voxels`: lane by lane.
-                    (v..v + 4).for_each(voxel);
-                    return;
-                }
-                let load = |b: &BufView<f32>| VecF32::<4>::load(b.slice(v, 4), 0);
-                let [qr, qi] = q_x4(load(&x), load(&y), load(&z), &ks, mag);
-                qr.store(qr_out.slice_mut(v, 4), 0);
-                qi.store(qi_out.slice_mut(v, 4), 0);
-            },
-            |wi| voxel(wi.global_id(0)),
+            self.n_voxels,
+            |wi| q_voxels::<VecF32<4>>(&xyz, &ks, mag, &out, wi.global_id(0)),
+            |wi| q_voxels::<f32>(&xyz, &ks, mag, &out, wi.global_id(0)),
         );
         true
     }

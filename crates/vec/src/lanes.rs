@@ -1,8 +1,9 @@
-//! Portable SIMD lane type.
+//! Portable SIMD lane type and the [`Lane`] trait kernel bodies are
+//! written over.
 //!
 //! `VecF32<W>` is a `[f32; W]` newtype whose element-wise arithmetic
 //! compiles to SIMD at `opt-level ≥ 2` (LLVM auto-vectorizes fixed-size
-//! array loops reliably); [`VecF32::exp`] and [`VecF32::ln`] call libm once
+//! array loops reliably); [`Lane::exp`] and [`Lane::ln`] call libm once
 //! per lane. The study's kernels use it for both the OpenCL implicit
 //! vectorization path (lanes = adjacent workitems) and the vectorized OpenMP
 //! loops (lanes = adjacent iterations).
@@ -14,99 +15,123 @@ use std::ops::{Add, Div, Index, IndexMut, Mul, Neg, Sub};
 #[repr(align(16))]
 pub struct VecF32<const W: usize>(pub [f32; W]);
 
-/// SSE-width vector (the paper's machine: SSE 4.2, 4 × f32).
-pub type F32x4 = VecF32<4>;
-/// AVX-width vector (for the SIMD-width ablation).
-pub type F32x8 = VecF32<8>;
+/// The values a kernel body computes on: one workitem (`f32`) or `W`
+/// x-adjacent workitems, one per SIMD lane (`VecF32<W>`).
+///
+/// A body written once over `T: Lane` is the scalar item at `f32` and the
+/// lane step at `VecF32<W>`. Every `VecF32` op is the `f32` op applied to
+/// each lane, so a lane step is bit-identical to `W` scalar items.
+pub trait Lane:
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+{
+    /// Items per value.
+    const WIDTH: usize;
+    /// Every lane set to `v`.
+    fn splat(v: f32) -> Self;
+    /// Lane `k` set to `f(k)`.
+    fn from_fn(f: impl FnMut(usize) -> f32) -> Self;
+    /// `src[i .. i + WIDTH]`.
+    fn load(src: &[f32], i: usize) -> Self;
+    /// Lane `k` from `src[i + k·stride]` (the gather of non-contiguous
+    /// access the paper's Section III-F discusses).
+    #[inline(always)]
+    fn load_strided(src: &[f32], i: usize, stride: usize) -> Self {
+        Self::from_fn(|k| src[i + k * stride])
+    }
+    /// Write the lanes to `dst[i .. i + WIDTH]`.
+    fn store(self, dst: &mut [f32], i: usize);
+    fn sqrt(self) -> Self;
+    /// One libm call per lane, not SIMD.
+    fn exp(self) -> Self;
+    /// One libm call per lane, not SIMD.
+    fn ln(self) -> Self;
+    /// [`crate::sin_cos`]: branch-free, SIMD across lanes.
+    fn sin_cos(self) -> (Self, Self);
+    fn abs(self) -> Self;
+    fn min(self, o: Self) -> Self;
+    fn max(self, o: Self) -> Self;
+    /// Lane-wise `if self > rhs { then } else { other }` (branchless
+    /// divergence handling, as a predicating vectorizer emits).
+    fn select_gt(self, rhs: Self, then: Self, other: Self) -> Self;
+}
+
+impl Lane for f32 {
+    const WIDTH: usize = 1;
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        v
+    }
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f32) -> Self {
+        f(0)
+    }
+    #[inline(always)]
+    fn load(src: &[f32], i: usize) -> Self {
+        src[i]
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f32], i: usize) {
+        dst[i] = self;
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        f32::sqrt(self)
+    }
+    #[inline(always)]
+    fn exp(self) -> Self {
+        f32::exp(self)
+    }
+    #[inline(always)]
+    fn ln(self) -> Self {
+        f32::ln(self)
+    }
+    #[inline(always)]
+    fn sin_cos(self) -> (Self, Self) {
+        crate::sin_cos(self)
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        f32::abs(self)
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        f32::min(self, o)
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        f32::max(self, o)
+    }
+    #[inline(always)]
+    fn select_gt(self, rhs: Self, then: Self, other: Self) -> Self {
+        if self > rhs {
+            then
+        } else {
+            other
+        }
+    }
+}
 
 impl<const W: usize> VecF32<W> {
-    /// All lanes set to `v`.
-    #[inline]
-    pub fn splat(v: f32) -> Self {
-        VecF32([v; W])
+    #[inline(always)]
+    fn map(self, f: impl Fn(f32) -> f32) -> Self {
+        VecF32(std::array::from_fn(|k| f(self.0[k])))
     }
 
-    /// All lanes zero.
-    #[inline]
-    pub fn zero() -> Self {
-        Self::splat(0.0)
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
+        VecF32(std::array::from_fn(|k| f(self.0[k], o.0[k])))
     }
 
-    /// Load `W` consecutive elements from `src` starting at `offset`.
-    #[inline]
-    pub fn load(src: &[f32], offset: usize) -> Self {
-        let mut out = [0.0f32; W];
-        out.copy_from_slice(&src[offset..offset + W]);
-        VecF32(out)
-    }
-
-    /// Gather `src[idx[k]]` into lane `k` (the slow path of non-contiguous
-    /// access the paper's Section III-F discusses).
-    #[inline]
-    pub fn gather(src: &[f32], idx: &[usize; W]) -> Self {
-        let mut out = [0.0f32; W];
-        for k in 0..W {
-            out[k] = src[idx[k]];
-        }
-        VecF32(out)
-    }
-
-    /// Store all lanes to `dst` starting at `offset`.
-    #[inline]
-    pub fn store(self, dst: &mut [f32], offset: usize) {
-        dst[offset..offset + W].copy_from_slice(&self.0);
-    }
-
-    /// Fused-style multiply-add: `self * a + b` (lowered to FMA when the
-    /// target has it; otherwise mul+add — lane semantics are what matter).
+    /// `self * a + b` lane by lane, unfused (lane semantics are what
+    /// matter, not FMA rounding).
     #[inline]
     pub fn mul_add(self, a: Self, b: Self) -> Self {
-        VecF32(std::array::from_fn(|k| self.0[k] * a.0[k] + b.0[k]))
-    }
-
-    /// Lane-wise square root.
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        VecF32(std::array::from_fn(|k| self.0[k].sqrt()))
-    }
-
-    /// Lane-wise reciprocal square root.
-    #[inline]
-    pub fn rsqrt(self) -> Self {
-        VecF32(std::array::from_fn(|k| 1.0 / self.0[k].sqrt()))
-    }
-
-    /// Lane-wise natural exponential: one libm call per lane, not SIMD.
-    #[inline]
-    pub fn exp(self) -> Self {
-        VecF32(std::array::from_fn(|k| self.0[k].exp()))
-    }
-
-    /// Lane-wise natural logarithm: one libm call per lane, not SIMD.
-    #[inline]
-    pub fn ln(self) -> Self {
-        VecF32(std::array::from_fn(|k| self.0[k].ln()))
-    }
-
-    /// Lane-wise minimum.
-    #[inline]
-    pub fn min(self, o: Self) -> Self {
-        VecF32(std::array::from_fn(|k| self.0[k].min(o.0[k])))
-    }
-
-    /// Lane-wise maximum.
-    #[inline]
-    pub fn max(self, o: Self) -> Self {
-        VecF32(std::array::from_fn(|k| self.0[k].max(o.0[k])))
-    }
-
-    /// Lane-wise select: lane `k` is `a[k]` where `mask[k]`, else `b[k]`
-    /// (branchless divergence handling, as a predicating vectorizer emits).
-    #[inline]
-    pub fn select(mask: [bool; W], a: Self, b: Self) -> Self {
-        VecF32(std::array::from_fn(
-            |k| if mask[k] { a.0[k] } else { b.0[k] },
-        ))
+        self * a + b
     }
 
     /// Horizontal sum of all lanes.
@@ -114,10 +139,67 @@ impl<const W: usize> VecF32<W> {
     pub fn hsum(self) -> f32 {
         self.0.iter().sum()
     }
+}
 
-    /// Number of lanes.
-    pub const fn width() -> usize {
-        W
+impl<const W: usize> Lane for VecF32<W> {
+    const WIDTH: usize = W;
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        VecF32([v; W])
+    }
+    #[inline(always)]
+    fn from_fn(f: impl FnMut(usize) -> f32) -> Self {
+        VecF32(std::array::from_fn(f))
+    }
+    #[inline(always)]
+    fn load(src: &[f32], i: usize) -> Self {
+        let mut out = [0.0f32; W];
+        out.copy_from_slice(&src[i..i + W]);
+        VecF32(out)
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f32], i: usize) {
+        dst[i..i + W].copy_from_slice(&self.0);
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        self.map(f32::sqrt)
+    }
+    #[inline(always)]
+    fn exp(self) -> Self {
+        self.map(f32::exp)
+    }
+    #[inline(always)]
+    fn ln(self) -> Self {
+        self.map(f32::ln)
+    }
+    // `always`: as an out-of-line call it passes the lanes through memory.
+    #[inline(always)]
+    fn sin_cos(self) -> (Self, Self) {
+        let mut s = [0.0f32; W];
+        let mut c = [0.0f32; W];
+        for k in 0..W {
+            (s[k], c[k]) = crate::sin_cos(self.0[k]);
+        }
+        (VecF32(s), VecF32(c))
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        self.map(f32::abs)
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        self.zip(o, f32::min)
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        self.zip(o, f32::max)
+    }
+    #[inline(always)]
+    fn select_gt(self, rhs: Self, then: Self, other: Self) -> Self {
+        VecF32(std::array::from_fn(|k| {
+            self.0[k].select_gt(rhs.0[k], then.0[k], other.0[k])
+        }))
     }
 }
 
@@ -125,9 +207,9 @@ macro_rules! lane_op {
     ($trait:ident, $method:ident, $op:tt) => {
         impl<const W: usize> $trait for VecF32<W> {
             type Output = Self;
-            #[inline]
+            #[inline(always)]
             fn $method(self, rhs: Self) -> Self {
-                VecF32(std::array::from_fn(|k| self.0[k] $op rhs.0[k]))
+                self.zip(rhs, |a, b| a $op b)
             }
         }
     };
@@ -140,9 +222,9 @@ lane_op!(Div, div, /);
 
 impl<const W: usize> Neg for VecF32<W> {
     type Output = Self;
-    #[inline]
+    #[inline(always)]
     fn neg(self) -> Self {
-        VecF32(std::array::from_fn(|k| -self.0[k]))
+        self.map(|a| -a)
     }
 }
 
@@ -158,49 +240,6 @@ impl<const W: usize> IndexMut<usize> for VecF32<W> {
     #[inline]
     fn index_mut(&mut self, i: usize) -> &mut f32 {
         &mut self.0[i]
-    }
-}
-
-/// Apply `f` lane-wise over `src`, writing `dst`, in `W`-wide chunks with a
-/// scalar remainder loop — the canonical vectorized elementwise map.
-pub fn simd_apply<const W: usize>(
-    src: &[f32],
-    dst: &mut [f32],
-    f: impl Fn(VecF32<W>) -> VecF32<W>,
-    scalar: impl Fn(f32) -> f32,
-) {
-    assert_eq!(src.len(), dst.len());
-    let n = src.len();
-    let main = n - n % W;
-    let mut i = 0;
-    while i < main {
-        f(VecF32::load(src, i)).store(dst, i);
-        i += W;
-    }
-    for k in main..n {
-        dst[k] = scalar(src[k]);
-    }
-}
-
-/// Two-input variant of [`simd_apply`].
-pub fn simd_apply2<const W: usize>(
-    a: &[f32],
-    b: &[f32],
-    dst: &mut [f32],
-    f: impl Fn(VecF32<W>, VecF32<W>) -> VecF32<W>,
-    scalar: impl Fn(f32, f32) -> f32,
-) {
-    assert_eq!(a.len(), dst.len());
-    assert_eq!(b.len(), dst.len());
-    let n = a.len();
-    let main = n - n % W;
-    let mut i = 0;
-    while i < main {
-        f(VecF32::load(a, i), VecF32::load(b, i)).store(dst, i);
-        i += W;
-    }
-    for k in main..n {
-        dst[k] = scalar(a[k], b[k]);
     }
 }
 
@@ -222,25 +261,32 @@ mod tests {
     #[test]
     fn load_store_roundtrip() {
         let src = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        let v = F32x4::load(&src, 1);
+        let v = VecF32::<4>::load(&src, 1);
         assert_eq!(v.0, [1.0, 2.0, 3.0, 4.0]);
         let mut dst = [0.0f32; 6];
         v.store(&mut dst, 2);
         assert_eq!(dst, [0.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(f32::load(&src, 5), 5.0);
+        7.0f32.store(&mut dst, 0);
+        assert_eq!(dst[0], 7.0);
     }
 
     #[test]
     fn gather_pulls_scattered_lanes() {
-        let src = [10.0, 11.0, 12.0, 13.0, 14.0];
-        let v = F32x4::gather(&src, &[4, 0, 2, 2]);
-        assert_eq!(v.0, [14.0, 10.0, 12.0, 12.0]);
+        let src = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0];
+        assert_eq!(
+            VecF32::<4>::load_strided(&src, 1, 2).0,
+            [11.0, 13.0, 15.0, 17.0]
+        );
+        assert_eq!(VecF32::<4>::load_strided(&src, 0, 0).0, [10.0; 4]);
+        assert_eq!(f32::load_strided(&src, 3, 5), 13.0);
     }
 
     #[test]
     fn mul_add_and_hsum() {
-        let a = F32x4::splat(2.0);
+        let a = VecF32::<4>::splat(2.0);
         let b = VecF32([1.0, 2.0, 3.0, 4.0]);
-        let c = F32x4::splat(1.0);
+        let c = VecF32::<4>::splat(1.0);
         let r = a.mul_add(b, c);
         assert_eq!(r.0, [3.0, 5.0, 7.0, 9.0]);
         assert_eq!(r.hsum(), 24.0);
@@ -258,10 +304,13 @@ mod tests {
 
     #[test]
     fn select_blends() {
-        let a = F32x4::splat(1.0);
-        let b = F32x4::splat(2.0);
-        let r = F32x4::select([true, false, true, false], a, b);
+        let a = VecF32::<4>::splat(1.0);
+        let b = VecF32::<4>::splat(2.0);
+        let x = VecF32([1.0, -1.0, 0.5, 0.0]);
+        let r = x.select_gt(VecF32::<4>::splat(0.0), a, b);
         assert_eq!(r.0, [1.0, 2.0, 1.0, 2.0]);
+        assert_eq!(1.0f32.select_gt(0.0, 3.0, 4.0), 3.0);
+        assert_eq!(0.0f32.select_gt(0.0, 3.0, 4.0), 4.0);
     }
 
     #[test]
@@ -273,29 +322,41 @@ mod tests {
     }
 
     #[test]
-    fn simd_apply_handles_remainder() {
-        let src: Vec<f32> = (0..11).map(|i| i as f32).collect();
-        let mut dst = vec![0.0f32; 11];
-        simd_apply::<4>(&src, &mut dst, |v| v * v, |x| x * x);
-        for (i, &d) in dst.iter().enumerate() {
-            assert_eq!(d, (i * i) as f32);
-        }
-    }
-
-    #[test]
-    fn simd_apply2_adds() {
-        let a: Vec<f32> = (0..9).map(|i| i as f32).collect();
-        let b: Vec<f32> = (0..9).map(|i| (2 * i) as f32).collect();
-        let mut dst = vec![0.0f32; 9];
-        simd_apply2::<4>(&a, &b, &mut dst, |x, y| x + y, |x, y| x + y);
-        for (i, &d) in dst.iter().enumerate() {
-            assert_eq!(d, (3 * i) as f32);
-        }
-    }
-
-    #[test]
     fn width_is_const() {
-        assert_eq!(F32x4::width(), 4);
-        assert_eq!(F32x8::width(), 8);
+        assert_eq!(<f32 as Lane>::WIDTH, 1);
+        assert_eq!(VecF32::<4>::WIDTH, 4);
+        assert_eq!(VecF32::<8>::WIDTH, 8);
+    }
+
+    /// One body over `T: Lane` exercising every op.
+    fn body<T: Lane>(x: T, y: T) -> [T; 4] {
+        let d = x - y * T::splat(0.5);
+        let (s, c) = (x * T::splat(3.1)).sin_cos();
+        let m = d.abs().sqrt().min(x.max(y)) / (y.abs() + T::splat(1.0));
+        let e = (-(x * x)).exp() + (y.abs() + T::splat(0.1)).ln();
+        [m, e, d.select_gt(T::splat(0.0), s, c), s * c]
+    }
+
+    #[test]
+    fn lane_ops_are_f32_ops_bit_for_bit() {
+        let xs: Vec<f32> = (0..64).map(|i| (i as f32 - 31.5) * 0.37).collect();
+        let ys: Vec<f32> = (0..64)
+            .map(|i| ((i * 7) % 64) as f32 * 0.21 - 5.0)
+            .collect();
+        for i in (0..64).step_by(4) {
+            let lanes = body(VecF32::<4>::load(&xs, i), VecF32::<4>::load(&ys, i));
+            for k in 0..4 {
+                let scalar = body(xs[i + k], ys[i + k]);
+                for (l, s) in lanes.iter().zip(scalar) {
+                    assert_eq!(
+                        l[k].to_bits(),
+                        s.to_bits(),
+                        "x {} y {}",
+                        xs[i + k],
+                        ys[i + k]
+                    );
+                }
+            }
+        }
     }
 }

@@ -15,12 +15,14 @@
 //!
 //! Both strategies, when they succeed, execute through the same portable
 //! lane type [`VecF32`], an array-backed vector, so wall-clock experiments
-//! exercise real vector units. At `opt-level ≥ 2` LLVM lowers its
-//! arithmetic (`+ − × ÷`, `mul_add`, `min`/`max`, `sqrt`, `rsqrt`,
-//! `select`), loads, stores and [`VecF32::sin_cos`] to SIMD. `exp` and
-//! `ln` do not: they call libm once per lane (and `gather` loads lane by
-//! lane). [`sin_cos`] is the scalar twin of [`VecF32::sin_cos`],
-//! bit-identical lane by lane.
+//! exercise real vector units. Kernel bodies are written once over the
+//! [`Lane`] trait, which `f32` (one item) and `VecF32<W>` (`W` items)
+//! implement with the same per-lane ops, so a lane step is bit-identical
+//! to its scalar items. At `opt-level ≥ 2` LLVM lowers `VecF32`'s
+//! arithmetic (`+ − × ÷`, `min`/`max`, `abs`, `sqrt`, `select_gt`), loads,
+//! stores and `sin_cos` (the branch-free [`sin_cos`] per lane) to SIMD.
+//! `exp` and `ln` do not: they call libm once per lane (and
+//! `load_strided` loads lane by lane).
 
 pub mod analysis;
 pub mod estimate;
@@ -33,5 +35,5 @@ pub use analysis::{
 };
 pub use estimate::{estimate, LoopShape, SpeedupEstimate};
 pub use ir::{ArrayId, IndexExpr, Loop, MathFn, Op, Operand, Stmt, Temp, TripCount};
-pub use lanes::{simd_apply, simd_apply2, F32x4, F32x8, VecF32};
+pub use lanes::{Lane, VecF32};
 pub use trig::sin_cos;

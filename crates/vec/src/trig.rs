@@ -2,11 +2,9 @@
 //!
 //! The CPU OpenCL compiler vectorizes transcendental calls across
 //! workitems instead of calling libm once per lane (the paper's Section
-//! III-F). [`sin_cos`] is that math for one item and [`VecF32::sin_cos`]
-//! for `W` lanes: both run the same steps with no call and no branch, so a
-//! lane body and its scalar body agree bit for bit.
-
-use crate::VecF32;
+//! III-F). [`sin_cos`] is that math for one item, and `Lane::sin_cos` runs
+//! it on each of `W` lanes: the steps have no call and no branch, so they
+//! run as SIMD and a lane step agrees with its scalar items bit for bit.
 
 const SIGN: u32 = 0x8000_0000;
 const FRAC_2_PI: f32 = std::f32::consts::FRAC_2_PI;
@@ -58,25 +56,10 @@ pub fn sin_cos(x: f32) -> (f32, f32) {
     (f32::from_bits(sin), f32::from_bits(cos))
 }
 
-impl<const W: usize> VecF32<W> {
-    /// Lane-wise [`sin_cos`]: lane `k` of each result is bit-identical to
-    /// `sin_cos(self[k])`, and the lanes run as SIMD (the steps are
-    /// straight-line arithmetic and bit operations).
-    // `always`: as an out-of-line call it passes the lanes through memory.
-    #[inline(always)]
-    pub fn sin_cos(self) -> (Self, Self) {
-        let mut s = [0.0f32; W];
-        let mut c = [0.0f32; W];
-        for k in 0..W {
-            (s[k], c[k]) = sin_cos(self.0[k]);
-        }
-        (VecF32(s), VecF32(c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Lane, VecF32};
     use std::f64::consts::PI;
 
     /// Largest absolute difference of `sin_cos(x)` from f64 `sin`/`cos`.

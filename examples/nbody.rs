@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cl_util::XorShift;
-use cl_vec::VecF32;
-use ocl_rt::{Buffer, Context, Device, GroupCtx, Kernel, MemFlags, NDRange};
+use cl_vec::{Lane, VecF32};
+use ocl_rt::{BufView, BufViewMut, Buffer, Context, Device, GroupCtx, Kernel, MemFlags, NDRange};
 
 const SOFTENING: f32 = 1e-3;
 const DT: f32 = 0.01;
@@ -32,39 +32,50 @@ struct NBodyStep {
     n: usize,
 }
 
+/// The kick of the `T::WIDTH` bodies from `i`: their acceleration over
+/// all `n` bodies, then `v += a·dt`. A lane step broadcasts body `j`
+/// against its bodies (the implicit-vectorizer shape).
+#[inline(always)]
+fn kick<T: Lane>(
+    [px, py]: &[BufViewMut<f32>; 2],
+    [vx, vy]: &[BufViewMut<f32>; 2],
+    mass: &BufView<f32>,
+    n: usize,
+    i: usize,
+) {
+    let (xi, yi): (T, T) = (px.load(i), py.load(i));
+    let mut ax = T::splat(0.0);
+    let mut ay = T::splat(0.0);
+    for j in 0..n {
+        let dx = T::splat(px.get(j)) - xi;
+        let dy = T::splat(py.get(j)) - yi;
+        let inv = T::splat(1.0) / (dx * dx + dy * dy + T::splat(SOFTENING)).sqrt();
+        let f = T::splat(mass.get(j)) * inv * inv * inv;
+        ax = ax + dx * f;
+        ay = ay + dy * f;
+    }
+    // Integrate velocity now; positions integrate in a second pass
+    // would be more faithful, but for the demo the per-item update
+    // keeps the kernel self-contained (semi-implicit Euler).
+    vx.store(i, vx.load::<T>(i) + ax * T::splat(DT));
+    vy.store(i, vy.load::<T>(i) + ay * T::splat(DT));
+}
+
 impl Kernel for NBodyStep {
     fn name(&self) -> &str {
         "nbody_step"
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let px = self.px.view_mut();
-        let py = self.py.view_mut();
-        let vx = self.vx.view_mut();
-        let vy = self.vy.view_mut();
+        let pos = [self.px.view_mut(), self.py.view_mut()];
+        let vel = [self.vx.view_mut(), self.vy.view_mut()];
         let mass = self.mass.view();
         let n = self.n;
         g.for_each(|wi| {
             let i = wi.global_id(0);
-            if i >= n {
-                return;
+            if i < n {
+                kick::<f32>(&pos, &vel, &mass, n, i);
             }
-            let (xi, yi) = (px.get(i), py.get(i));
-            let mut ax = 0.0f32;
-            let mut ay = 0.0f32;
-            for j in 0..n {
-                let dx = px.get(j) - xi;
-                let dy = py.get(j) - yi;
-                let inv = 1.0 / (dx * dx + dy * dy + SOFTENING).sqrt();
-                let f = mass.get(j) * inv * inv * inv;
-                ax += dx * f;
-                ay += dy * f;
-            }
-            // Integrate velocity now; positions integrate in a second pass
-            // would be more faithful, but for the demo the per-item update
-            // keeps the kernel self-contained (semi-implicit Euler).
-            vx.set(i, vx.get(i) + ax * DT);
-            vy.set(i, vy.get(i) + ay * DT);
         });
     }
 
@@ -72,61 +83,15 @@ impl Kernel for NBodyStep {
         if width != 4 {
             return false;
         }
-        let px = self.px.view_mut();
-        let py = self.py.view_mut();
-        let vx = self.vx.view_mut();
-        let vy = self.vy.view_mut();
+        let pos = [self.px.view_mut(), self.py.view_mut()];
+        let vel = [self.vx.view_mut(), self.vy.view_mut()];
         let mass = self.mass.view();
         let n = self.n;
         g.for_each_simd(
             4,
-            |wi| {
-                let base = wi.global_id(0);
-                if base + 4 > n {
-                    return;
-                }
-                // Four bodies per lane-step; the j-loop broadcasts body j
-                // against the four i-lanes (the implicit-vectorizer shape).
-                let xi = VecF32::<4>::load(px.slice(base, 4), 0);
-                let yi = VecF32::<4>::load(py.slice(base, 4), 0);
-                let soft = VecF32::<4>::splat(SOFTENING);
-                let mut ax = VecF32::<4>::zero();
-                let mut ay = VecF32::<4>::zero();
-                for j in 0..n {
-                    let dx = VecF32::<4>::splat(px.get(j)) - xi;
-                    let dy = VecF32::<4>::splat(py.get(j)) - yi;
-                    let r2 = dx * dx + dy * dy + soft;
-                    let inv = r2.rsqrt();
-                    let f = VecF32::<4>::splat(mass.get(j)) * inv * inv * inv;
-                    ax = dx.mul_add(f, ax);
-                    ay = dy.mul_add(f, ay);
-                }
-                let dt = VecF32::<4>::splat(DT);
-                let nvx = VecF32::<4>::load(vx.slice(base, 4), 0) + ax * dt;
-                let nvy = VecF32::<4>::load(vy.slice(base, 4), 0) + ay * dt;
-                nvx.store(vx.slice_mut(base, 4), 0);
-                nvy.store(vy.slice_mut(base, 4), 0);
-            },
-            |wi| {
-                // Scalar tail: one body.
-                let i = wi.global_id(0);
-                if i >= n {
-                    return;
-                }
-                let (xi, yi) = (px.get(i), py.get(i));
-                let mut ax = 0.0f32;
-                let mut ay = 0.0f32;
-                for j in 0..n {
-                    let dx = px.get(j) - xi;
-                    let dy = py.get(j) - yi;
-                    let inv = 1.0 / (dx * dx + dy * dy + SOFTENING).sqrt();
-                    let f = mass.get(j) * inv * inv * inv;
-                    ax += dx * f;
-                    ay += dy * f;
-                }
-                vx.set(i, vx.get(i) + ax * DT);
-                vy.set(i, vy.get(i) + ay * DT);
-            },
+            n,
+            |wi| kick::<VecF32<4>>(&pos, &vel, &mass, n, wi.global_id(0)),
+            |wi| kick::<f32>(&pos, &vel, &mass, n, wi.global_id(0)),
         );
         true
     }
@@ -228,4 +193,59 @@ fn main() {
         assert!(p.abs() < 1.0, "momentum drifted: {p}");
     }
     println!("(explicit workgroup + SIMD is the paper's tuned-CPU configuration)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One kick of `n` bodies in padded groups of `wg`: `(vx, vy)`.
+    fn kick_velocities(vectorize: bool, n: usize, wg: usize) -> Vec<Vec<f32>> {
+        let mut device = Device::native_cpu(2).unwrap();
+        device.set_vectorize(vectorize);
+        let ctx = Context::new(device);
+        let q = ctx.queue();
+        let mut rng = XorShift::seed_from_u64(7);
+        let mut host = |lo, hi| (0..n).map(|_| rng.range_f32(lo, hi)).collect::<Vec<f32>>();
+        let (hx, hy, hm) = (host(-1.0, 1.0), host(-1.0, 1.0), host(0.1, 1.0));
+        let buf = |h: &[f32]| ctx.buffer_from(MemFlags::default(), h).unwrap();
+        let (vx, vy) = (buf(&vec![0.0; n]), buf(&vec![0.0; n]));
+        let kick: Arc<dyn Kernel> = Arc::new(NBodyStep {
+            px: buf(&hx),
+            py: buf(&hy),
+            vx: vx.clone(),
+            vy: vy.clone(),
+            mass: buf(&hm),
+            n,
+        });
+        q.enqueue_kernel(&kick, NDRange::d1(n.div_ceil(wg) * wg).local1(wg))
+            .unwrap();
+        [vx, vy]
+            .iter()
+            .map(|b| {
+                let mut v = vec![0.0f32; n];
+                q.read_buffer(b, 0, &mut v).unwrap();
+                v
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_kick_is_bit_identical_to_scalar_on_a_padded_launch() {
+        // 1002 bodies in groups of 256: the last group's step at 1000
+        // crosses `n`, so bodies 1000 and 1001 run item by item.
+        let (lanes, scalar) = (
+            kick_velocities(true, 1002, 256),
+            kick_velocities(false, 1002, 256),
+        );
+        for (axis, (l, s)) in ["vx", "vy"].iter().zip(lanes.iter().zip(&scalar)) {
+            for (i, (a, b)) in l.iter().zip(s).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{axis}[{i}]: lanes {a} vs scalar {b}"
+                );
+            }
+        }
+    }
 }

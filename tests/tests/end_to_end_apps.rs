@@ -268,6 +268,116 @@ fn mri_lane_bodies_are_bit_identical_to_scalar() {
     });
 }
 
+type Launch = (Arc<dyn Kernel>, NDRange, Vec<Buffer<f32>>);
+type MakeLaunch = Box<dyn Fn(&Context) -> Launch>;
+
+#[test]
+fn one_d_lane_bodies_are_bit_identical_to_scalar() {
+    // Per-item kernels guard `i < 1002` on a launch padded to 1024 in
+    // groups of 256: the last group's step at 1000 crosses the bound, so
+    // items 1000 and 1001 run one at a time and 1002.. do nothing. ILP has
+    // no bound; groups of 10 give every row two steps and two tail items.
+    // MBench pads its own range and runs its group's elements.
+    let n = 1002;
+    let padded = NDRange::d1(1024).local1(256);
+    let mut cases: Vec<(String, MakeLaunch)> = vec![
+        (
+            "square".into(),
+            Box::new(move |ctx| {
+                let out = output(ctx, n);
+                let k = square::Square {
+                    input: input(ctx, 1, n, -2.0, 2.0),
+                    output: out.clone(),
+                    n,
+                    items_per_wi: 1,
+                };
+                (Arc::new(k), padded, vec![out])
+            }),
+        ),
+        (
+            "vectoradd".into(),
+            Box::new(move |ctx| {
+                let c = output(ctx, n);
+                let k = vectoradd::VectorAdd {
+                    a: input(ctx, 2, n, -10.0, 10.0),
+                    b: input(ctx, 3, n, -10.0, 10.0),
+                    c: c.clone(),
+                    n,
+                    items_per_wi: 1,
+                };
+                (Arc::new(k), padded, vec![c])
+            }),
+        ),
+        (
+            "computePhiMag".into(),
+            Box::new(move |ctx| {
+                let mag = output(ctx, n);
+                let k = mriq::ComputePhiMag {
+                    phi_r: input(ctx, 4, n, -1.0, 1.0),
+                    phi_i: input(ctx, 5, n, -1.0, 1.0),
+                    phi_mag: mag.clone(),
+                    n,
+                    items_per_wi: 1,
+                };
+                (Arc::new(k), padded, vec![mag])
+            }),
+        ),
+        (
+            "RhoPhi".into(),
+            Box::new(move |ctx| {
+                let (rr, ri) = (output(ctx, n), output(ctx, n));
+                let k = mrifhd::RhoPhi {
+                    phi_r: input(ctx, 6, n, -1.0, 1.0),
+                    phi_i: input(ctx, 7, n, -1.0, 1.0),
+                    d_r: input(ctx, 8, n, -1.0, 1.0),
+                    d_i: input(ctx, 9, n, -1.0, 1.0),
+                    rho_r: rr.clone(),
+                    rho_i: ri.clone(),
+                    n,
+                    items_per_wi: 1,
+                };
+                (Arc::new(k), padded, vec![rr, ri])
+            }),
+        ),
+    ];
+    for ilp_k in 1..=ilp::MAX_ILP {
+        cases.push((
+            format!("ilp{ilp_k}"),
+            Box::new(move |ctx| {
+                let out = output(ctx, 1030);
+                let k = ilp::IlpKernel {
+                    input: input(ctx, 10, 1030, 0.0, 1.0),
+                    output: out.clone(),
+                    ilp: ilp_k,
+                    iters: 20,
+                };
+                (Arc::new(k), NDRange::d1(1030).local1(10), vec![out])
+            }),
+        ));
+    }
+    for bench in mbench::all() {
+        let idx = bench.id - 1;
+        let n_in = bench.input_len(n);
+        cases.push((
+            bench.name.into(),
+            Box::new(move |ctx| {
+                let c = output(ctx, n);
+                let k = mbench::MBenchKernel {
+                    bench: idx,
+                    a: input(ctx, 11, n_in, 0.1, 1.5),
+                    b: input(ctx, 12, n_in, 0.1, 1.5),
+                    c: c.clone(),
+                    n_out: n,
+                };
+                (Arc::new(k), padded, vec![c])
+            }),
+        ));
+    }
+    for (label, make) in &cases {
+        lanes_match_scalar(label, make);
+    }
+}
+
 /// Registry kernels whose profile credits SIMD (`vectorizable: true`) but
 /// which have no lane body, each with its reason. The model and the engine
 /// disagree on exactly these.
