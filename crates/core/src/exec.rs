@@ -135,6 +135,13 @@ impl LaunchState {
         }
     }
 
+    /// Add a chunk's item and barrier counts to the launch's: once per
+    /// chunk, so groups write no shared counter.
+    fn add_counts(&self, items: u64, barriers: u64) {
+        self.items.fetch_add(items, Ordering::Relaxed);
+        self.barriers.fetch_add(barriers, Ordering::Relaxed);
+    }
+
     /// Execute workgroups `chunk` (linear ids), containing any panic.
     pub(crate) fn run_chunk(&self, chunk: std::ops::Range<usize>) {
         // Count the chunk down even if a FatalFault re-raise unwinds out.
@@ -172,8 +179,6 @@ impl LaunchState {
             }));
             match result {
                 Ok(stats) => {
-                    self.barriers.fetch_add(stats.barriers, Ordering::Relaxed);
-                    self.items.fetch_add(stats.items_run, Ordering::Relaxed);
                     chunk_items += stats.items_run;
                     chunk_barriers += stats.barriers;
                 }
@@ -200,9 +205,11 @@ impl LaunchState {
                         message: message.clone(),
                     });
                     if fatal {
-                        // Close this chunk's span before the re-raise
-                        // unwinds, so the trace still accounts for every
-                        // scheduled chunk.
+                        // Count this chunk's groups and close its span
+                        // before the re-raise unwinds, so the launch totals
+                        // and the trace still account for every scheduled
+                        // chunk.
+                        self.add_counts(chunk_items, chunk_barriers);
                         if let (Some(log), Some(t0)) = (&self.trace, span_t0) {
                             log.record(Span::chunk(
                                 self.launch_id,
@@ -219,6 +226,7 @@ impl LaunchState {
                 }
             }
         }
+        self.add_counts(chunk_items, chunk_barriers);
         if let (Some(log), Some(t0)) = (&self.trace, span_t0) {
             log.record(Span::chunk(
                 self.launch_id,

@@ -8,12 +8,12 @@
 //!
 //! A plain run measures the curated hot-path suite (dispatch cost across
 //! workgroup sizes, 2-D lane steps of the implicit vectorizer, MRI-Q's
-//! `sin`/`cos` lanes, fused vs serial dispatch, disabled-path
-//! instrumentation overheads, autotuner steady state, serving-layer tail
-//! latency, out-of-order scheduler overhead) and writes it to `BENCH.json`
-//! (or `--out FILE`). The fixed costs perfbench already names — empty
-//! enqueues, transfers, the pool's steal path, the serving layer's enqueue
-//! veneer — live only there.
+//! `sin`/`cos` lanes, BlackScholes' `exp`/`ln` lanes, fused vs serial
+//! dispatch, disabled-path instrumentation overheads, autotuner steady
+//! state, serving-layer tail latency, out-of-order scheduler overhead) and
+//! writes it to `BENCH.json` (or `--out FILE`). The fixed costs perfbench
+//! already names — empty enqueues, transfers, the pool's steal path, the
+//! serving layer's enqueue veneer — live only there.
 //!
 //! * `--pair DIR` — the gate. Reads `DIR/parent-NN.json` and
 //!   `DIR/change-NN.json`, the `--out` files of alternating runs of two
@@ -227,6 +227,25 @@ fn run_suite(workers: usize, fast: bool) -> Report {
     });
     built.verify(&lanes_q).expect("computeq results");
     push("simd/computeq", "ns/group", stats);
+
+    // BlackScholes, 64×64 items pricing 16 options each, local 16×16, on
+    // the same device: four options per lane step on the branch-free
+    // `cl_vec::exp`/`ln`. A libm call per lane is about 1.5× slower and
+    // fails the entry; 16 options per item keep the launch cost out of
+    // that ratio.
+    let built =
+        cl_kernels::apps::blackscholes::build(&lanes_ctx, (64, 64), 65_536, Some((16, 16)), 7);
+    let groups = BATCH * (64 / 16) * (64 / 16);
+    let stats = sample(warm, samples, groups, || {
+        for _ in 0..BATCH {
+            lanes_q
+                .enqueue_kernel(&built.kernel, built.range)
+                .expect("blackscholes enqueue");
+        }
+        groups
+    });
+    built.verify(&lanes_q).expect("blackscholes results");
+    push("simd/blackscholes", "ns/group", stats);
 
     // --- Thread coarsening: fused vs serial dispatch ---------------------
     // The same Proven kernel and geometry on two queues. The default

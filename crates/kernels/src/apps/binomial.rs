@@ -222,7 +222,7 @@ mod tests {
         // With many steps the binomial price approaches the closed form —
         // an oracle independent of the lattice implementation.
         let (s0, x, t) = (20.0, 22.0, 1.0);
-        let bs = blackscholes::price(s0, x, t, RISK_FREE, VOLATILITY).0;
+        let bs = blackscholes::price::<blackscholes::Libm, _>(s0, x, t, RISK_FREE, VOLATILITY).0;
         let bin = reference_one(s0, x, t, 512);
         assert!(
             (bs - bin).abs() / bs < 0.01,

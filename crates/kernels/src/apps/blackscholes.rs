@@ -22,10 +22,47 @@ use crate::util::{max_rel_error, random_f32};
 pub const RISK_FREE: f32 = 0.02;
 pub const VOLATILITY: f32 = 0.30;
 
+/// The `exp` and `ln` a pricing runs on.
+pub trait Math<T> {
+    fn exp(x: T) -> T;
+    fn ln(x: T) -> T;
+}
+
+/// The kernel's `exp` and `ln`: `Lane::exp`/`Lane::ln`, the branch-free
+/// [`cl_vec::exp`] and [`cl_vec::ln`], so lane steps run as SIMD and match
+/// scalar items bit for bit.
+pub struct Poly;
+
+impl<T: Lane> Math<T> for Poly {
+    #[inline(always)]
+    fn exp(x: T) -> T {
+        x.exp()
+    }
+    #[inline(always)]
+    fn ln(x: T) -> T {
+        x.ln()
+    }
+}
+
+/// std's `f32::exp` and `f32::ln`, for the serial oracle and the par-for
+/// twin.
+pub struct Libm;
+
+impl Math<f32> for Libm {
+    #[inline(always)]
+    fn exp(x: f32) -> f32 {
+        f32::exp(x)
+    }
+    #[inline(always)]
+    fn ln(x: f32) -> f32 {
+        f32::ln(x)
+    }
+}
+
 /// Polynomial approximation of the cumulative normal distribution
 /// (Abramowitz–Stegun 26.2.17, the one the SDK sample uses).
 #[inline(always)]
-pub fn cnd<T: Lane>(d: T) -> T {
+pub fn cnd<M: Math<T>, T: Lane>(d: T) -> T {
     const A1: f32 = 0.319_381_53;
     const A2: f32 = -0.356_563_78;
     const A3: f32 = 1.781_477_9;
@@ -35,20 +72,20 @@ pub fn cnd<T: Lane>(d: T) -> T {
     let c = T::splat;
     let k = c(1.0) / (c(1.0) + c(0.231_641_9) * d.abs());
     let poly = k * (c(A1) + k * (c(A2) + k * (c(A3) + k * (c(A4) + k * c(A5)))));
-    let cnd = c(RSQRT2PI) * (c(-0.5) * d * d).exp() * poly;
+    let cnd = c(RSQRT2PI) * M::exp(c(-0.5) * d * d) * poly;
     d.select_gt(c(0.0), c(1.0) - cnd, cnd)
 }
 
-/// Price one option per lane: returns `(call, put)`.
+/// Price one option per lane on `M`'s `exp`/`ln`: returns `(call, put)`.
 #[inline(always)]
-pub fn price<T: Lane>(s: T, x: T, t: T, r: f32, v: f32) -> (T, T) {
+pub fn price<M: Math<T>, T: Lane>(s: T, x: T, t: T, r: f32, v: f32) -> (T, T) {
     let (r, v, one) = (T::splat(r), T::splat(v), T::splat(1.0));
     let sqrt_t = t.sqrt();
-    let d1 = ((s / x).ln() + (r + T::splat(0.5) * v * v) * t) / (v * sqrt_t);
+    let d1 = (M::ln(s / x) + (r + T::splat(0.5) * v * v) * t) / (v * sqrt_t);
     let d2 = d1 - v * sqrt_t;
-    let cnd_d1 = cnd(d1);
-    let cnd_d2 = cnd(d2);
-    let exp_rt = (-r * t).exp();
+    let cnd_d1 = cnd::<M, T>(d1);
+    let cnd_d2 = cnd::<M, T>(d2);
+    let exp_rt = M::exp(-r * t);
     let call = s * cnd_d1 - x * exp_rt * cnd_d2;
     let put = x * exp_rt * (one - cnd_d2) - s * (one - cnd_d1);
     (call, put)
@@ -81,7 +118,7 @@ fn options<T: Lane>(
     let ([s, x, t], [call, put]) = (src, dst);
     let mut opt = first;
     while opt + T::WIDTH <= n {
-        let (c, p) = price::<T>(s.load(opt), x.load(opt), t.load(opt), RISK_FREE, VOLATILITY);
+        let (c, p) = price::<Poly, T>(s.load(opt), x.load(opt), t.load(opt), RISK_FREE, VOLATILITY);
         call.store(opt, c);
         put.store(opt, p);
         opt += stride;
@@ -151,19 +188,19 @@ impl Kernel for BlackScholes {
     }
 }
 
-/// Serial reference: `(calls, puts)`.
+/// Serial reference on std `exp`/`ln`: `(calls, puts)`.
 pub fn reference(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
     let mut calls = Vec::with_capacity(s.len());
     let mut puts = Vec::with_capacity(s.len());
     for i in 0..s.len() {
-        let (c, p) = price(s[i], x[i], t[i], RISK_FREE, VOLATILITY);
+        let (c, p) = price::<Libm, _>(s[i], x[i], t[i], RISK_FREE, VOLATILITY);
         calls.push(c);
         puts.push(p);
     }
     (calls, puts)
 }
 
-/// OpenMP port.
+/// OpenMP port, on std `exp`/`ln` like the serial reference.
 pub fn openmp(team: &Team, s: &[f32], x: &[f32], t: &[f32], call: &mut [f32], put: &mut [f32]) {
     struct Out<'a> {
         call: &'a mut f32,
@@ -175,7 +212,7 @@ pub fn openmp(team: &Team, s: &[f32], x: &[f32], t: &[f32], call: &mut [f32], pu
         .map(|(c, p)| Out { call: c, put: p })
         .collect();
     team.parallel_for_mut(&mut outs, Schedule::default(), |i, o| {
-        let (c, p) = price(s[i], x[i], t[i], RISK_FREE, VOLATILITY);
+        let (c, p) = price::<Libm, _>(s[i], x[i], t[i], RISK_FREE, VOLATILITY);
         *o.call = c;
         *o.put = p;
     });
@@ -241,14 +278,14 @@ mod tests {
     #[test]
     fn put_call_parity_holds() {
         // C - P = S - X·e^{-rT}: an oracle independent of our own formula.
-        let (c, p) = price(20.0, 25.0, 2.0, RISK_FREE, VOLATILITY);
+        let (c, p) = price::<Libm, _>(20.0, 25.0, 2.0, RISK_FREE, VOLATILITY);
         let parity = 20.0 - 25.0 * (-RISK_FREE * 2.0f32).exp();
         assert!((c - p - parity).abs() < 1e-3, "{c} {p} {parity}");
     }
 
     #[test]
     fn deep_in_the_money_call_approaches_intrinsic() {
-        let (c, _) = price(100.0, 1.0, 0.25, RISK_FREE, VOLATILITY);
+        let (c, _) = price::<Libm, _>(100.0, 1.0, 0.25, RISK_FREE, VOLATILITY);
         assert!(c > 98.9 && c < 100.0);
     }
 
@@ -280,19 +317,11 @@ mod tests {
         let s = VecF32([10.0f32, 20.0, 15.0, 25.0]);
         let x = VecF32([12.0f32, 18.0, 15.0, 40.0]);
         let t = VecF32([0.5f32, 1.0, 2.0, 5.0]);
-        let (c, p) = price(s, x, t, RISK_FREE, VOLATILITY);
+        let (c, p) = price::<Poly, _>(s, x, t, RISK_FREE, VOLATILITY);
         for lane in 0..4 {
-            let (sc, sp) = price(s[lane], x[lane], t[lane], RISK_FREE, VOLATILITY);
-            assert!(
-                (c[lane] - sc).abs() < 1e-4,
-                "lane {lane} call {} vs {sc}",
-                c[lane]
-            );
-            assert!(
-                (p[lane] - sp).abs() < 1e-4,
-                "lane {lane} put {} vs {sp}",
-                p[lane]
-            );
+            let (sc, sp) = price::<Poly, _>(s[lane], x[lane], t[lane], RISK_FREE, VOLATILITY);
+            assert_eq!(c[lane].to_bits(), sc.to_bits(), "lane {lane} call");
+            assert_eq!(p[lane].to_bits(), sp.to_bits(), "lane {lane} put");
         }
     }
 

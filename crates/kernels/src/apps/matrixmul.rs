@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use cl_vec::{Lane, VecF32};
 use ocl_rt::{
-    Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange, WorkItem,
+    BufView, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange,
 };
 use par_for::{Schedule, Team};
 
@@ -29,14 +29,12 @@ pub struct MatrixMul {
 }
 
 impl MatrixMul {
-    /// The tiled group body shared by both lowerings: per tile, load the A
-    /// and B tiles, barrier, run `multiply` over the tile pair into the
-    /// per-item accumulators (indexed `ly·t + lx`), barrier; then store.
-    fn run_tiled(
-        &self,
-        g: &mut GroupCtx,
-        multiply: impl Fn(&mut GroupCtx, &[f32], &[f32], &mut [f32]),
-    ) {
+    /// The tiled group body shared by both lowerings: per tile, copy the A
+    /// and B tiles, barrier, add the tile pair's products to the per-item
+    /// accumulators (indexed `ly·t + lx`), barrier; then store. The two
+    /// tile phases run through [`walk`]: item by item, or with `lanes` a
+    /// tile row per step.
+    fn run_tiled(&self, g: &mut GroupCtx, lanes: bool) {
         let t = g.local_size(0);
         assert_eq!(
             g.local_size(1),
@@ -44,10 +42,9 @@ impl MatrixMul {
             "tiled matrixMul requires square workgroups"
         );
         assert_eq!(self.k % t, 0, "tile side must divide the inner dimension");
-        let a = self.a.view();
-        let b = self.b.view();
-        let c = self.c.view_mut();
         let (w, k) = (self.w, self.k);
+        // The group's first row of A and C, and first column of B and C.
+        let (row0, col0) = (g.group_id(1) * t, g.group_id(0) * t);
 
         let mut a_tile = g.local::<f32>(t * t);
         let mut b_tile = g.local::<f32>(t * t);
@@ -57,37 +54,124 @@ impl MatrixMul {
         let mut acc = vec![0.0f32; t * t];
 
         for tile in 0..k / t {
-            g.for_each(|wi| {
-                let (lx, ly) = (wi.local_id(0), wi.local_id(1));
-                let row = wi.global_id(1);
-                let col = wi.global_id(0);
-                a_tile[ly * t + lx] = a.get(row * k + tile * t + lx);
-                b_tile[ly * t + lx] = b.get((tile * t + ly) * w + col);
-            });
+            let mut load = Load {
+                a: self.a.view(),
+                b: self.b.view(),
+                a_tile: a_tile.as_mut_slice(),
+                b_tile: b_tile.as_mut_slice(),
+                t,
+                k,
+                w,
+                a0: row0 * k + tile * t,
+                b0: tile * t * w + col0,
+            };
+            walk(g, lanes, &mut load);
             g.barrier();
-            multiply(g, a_tile.as_slice(), b_tile.as_slice(), &mut acc);
+            let mut multiply = Multiply {
+                a_tile: a_tile.as_slice(),
+                b_tile: b_tile.as_slice(),
+                acc: &mut acc,
+                t,
+            };
+            walk(g, lanes, &mut multiply);
             g.barrier();
         }
+        let c = self.c.view_mut();
         g.for_each(|wi| {
             let (lx, ly) = (wi.local_id(0), wi.local_id(1));
-            let row = wi.global_id(1);
-            let col = wi.global_id(0);
-            c.set(row * w + col, acc[ly * t + lx]);
+            c.set((row0 + ly) * w + col0 + lx, acc[ly * t + lx]);
         });
     }
 }
 
-/// One tile pair's products for the `T::WIDTH` items from `wi` along a
-/// row of the `t`-wide tile, added to their accumulators (indexed
-/// `ly·t + lx`) in `e` order.
+/// One phase of the tiled group body, run on the `L::WIDTH` items from
+/// `lx` along tile row `ly`.
+trait Phase {
+    fn at<L: Lane>(&mut self, lx: usize, ly: usize);
+}
+
+/// Run `phase` over a `t`×`t` tile: item by item, or with `lanes` each
+/// tile row as one step of [`row_blocks`].
 #[inline(always)]
-fn multiply<T: Lane>(a_tile: &[f32], b_tile: &[f32], acc: &mut [f32], t: usize, wi: &WorkItem) {
-    let (lx, row) = (wi.local_id(0), wi.local_id(1) * t);
-    let mut s = T::load(acc, row + lx);
-    for e in 0..t {
-        s = s + T::splat(a_tile[row + e]) * T::load(b_tile, e * t + lx);
+fn walk(g: &mut GroupCtx, lanes: bool, phase: &mut impl Phase) {
+    let t = g.local_size(0);
+    if !lanes {
+        g.for_each(|wi| phase.at::<f32>(wi.local_id(0), wi.local_id(1)));
+        return;
     }
-    s.store(acc, row + lx);
+    g.for_each_simd(
+        t,
+        g.global_size(0),
+        |wi| {
+            let ly = wi.local_id(1);
+            for (lx, width) in row_blocks(t) {
+                match width {
+                    16 => phase.at::<VecF32<16>>(lx, ly),
+                    4 => phase.at::<VecF32<4>>(lx, ly),
+                    _ => phase.at::<f32>(lx, ly),
+                }
+            }
+        },
+        |_| unreachable!("a tile row is one step"),
+    );
+}
+
+/// A tile row of side `t` as `(lx, width)` blocks: 16-item register
+/// blocks, then 4-item lane steps, then single items.
+fn row_blocks(t: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (b16, b4) = (t - t % 16, t - t % 4);
+    let blocks =
+        |from: usize, to: usize, width: usize| (from..to).step_by(width).map(move |lx| (lx, width));
+    blocks(0, b16, 16)
+        .chain(blocks(b16, b4, 4))
+        .chain(blocks(b4, t, 1))
+}
+
+/// Copy one tile of A (rows from `a0`, stride `k`) and of B (rows from
+/// `b0`, stride `w`) into the local tiles.
+struct Load<'a> {
+    a: BufView<'a, f32>,
+    b: BufView<'a, f32>,
+    a_tile: &'a mut [f32],
+    b_tile: &'a mut [f32],
+    t: usize,
+    k: usize,
+    w: usize,
+    a0: usize,
+    b0: usize,
+}
+
+impl Phase for Load<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, lx: usize, ly: usize) {
+        let i = ly * self.t + lx;
+        let a = self.a.load::<L>(self.a0 + ly * self.k + lx);
+        a.store(self.a_tile, i);
+        let b = self.b.load::<L>(self.b0 + ly * self.w + lx);
+        b.store(self.b_tile, i);
+    }
+}
+
+/// Add one tile pair's products to the accumulators, in `e` order. A
+/// 16-item block keeps four SSE accumulators in registers per splat of
+/// the A-tile element its items share.
+struct Multiply<'a> {
+    a_tile: &'a [f32],
+    b_tile: &'a [f32],
+    acc: &'a mut [f32],
+    t: usize,
+}
+
+impl Phase for Multiply<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, lx: usize, ly: usize) {
+        let (t, row) = (self.t, ly * self.t);
+        let mut s = L::load(self.acc, row + lx);
+        for e in 0..t {
+            s = s + L::splat(self.a_tile[row + e]) * L::load(self.b_tile, e * t + lx);
+        }
+        s.store(self.acc, row + lx);
+    }
 }
 
 impl Kernel for MatrixMul {
@@ -96,29 +180,20 @@ impl Kernel for MatrixMul {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        self.run_tiled(g, |g, a_tile, b_tile, acc| {
-            let t = g.local_size(0);
-            g.for_each(|wi| multiply::<f32>(a_tile, b_tile, acc, t, wi));
-        });
+        self.run_tiled(g, false);
     }
 
     fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        // The multiply phase packs four x-adjacent items per step: a splat
-        // of their shared A-tile element times four contiguous B-tile
-        // values. A side that is not a lane multiple (or a non-square
-        // group, which `run_group` reports) runs scalar.
+        // Both tile phases walk a tile row as one step: the copies move
+        // contiguous row blocks, and the multiply keeps a 16-item block's
+        // accumulators in registers. A side below one lane
+        // step, or a non-square group (which `run_group` reports), runs
+        // scalar.
         let t = g.local_size(0);
-        if width != 4 || !t.is_multiple_of(4) || g.local_size(1) != t || !self.k.is_multiple_of(t) {
+        if width != 4 || t < 4 || g.local_size(1) != t || !self.k.is_multiple_of(t) {
             return false;
         }
-        self.run_tiled(g, |g, a_tile, b_tile, acc| {
-            g.for_each_simd(
-                4,
-                g.global_size(0),
-                |wi| multiply::<VecF32<4>>(a_tile, b_tile, acc, t, wi),
-                |_| unreachable!("a lane-multiple tile side leaves no row tail"),
-            );
-        });
+        self.run_tiled(g, true);
         true
     }
 
@@ -331,6 +406,17 @@ mod tests {
             q.enqueue_kernel(&b.kernel, b.range).unwrap();
             b.verify(&q).unwrap();
         }
+    }
+
+    #[test]
+    fn tile_rows_walk_in_register_blocks_then_lane_steps() {
+        let blocks = |t| row_blocks(t).collect::<Vec<_>>();
+        assert_eq!(blocks(4), [(0, 4)]);
+        assert_eq!(blocks(6), [(0, 4), (4, 1), (5, 1)]);
+        assert_eq!(blocks(12), [(0, 4), (4, 4), (8, 4)]);
+        assert_eq!(blocks(16), [(0, 16)]);
+        assert_eq!(blocks(22), [(0, 16), (16, 4), (20, 1), (21, 1)]);
+        assert_eq!(blocks(32), [(0, 16), (16, 16)]);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! `VecF32<W>` is a `[f32; W]` newtype whose element-wise arithmetic
 //! compiles to SIMD at `opt-level ≥ 2` (LLVM auto-vectorizes fixed-size
-//! array loops reliably); [`Lane::exp`] and [`Lane::ln`] call libm once
-//! per lane. The study's kernels use it for both the OpenCL implicit
+//! array loops reliably), transcendentals included: [`Lane::exp`],
+//! [`Lane::ln`] and [`Lane::sin_cos`] are branch-free polynomials. The
+//! study's kernels use it for both the OpenCL implicit
 //! vectorization path (lanes = adjacent workitems) and the vectorized OpenMP
 //! loops (lanes = adjacent iterations).
 
@@ -46,9 +47,9 @@ pub trait Lane:
     /// Write the lanes to `dst[i .. i + WIDTH]`.
     fn store(self, dst: &mut [f32], i: usize);
     fn sqrt(self) -> Self;
-    /// One libm call per lane, not SIMD.
+    /// [`crate::exp`]: branch-free, SIMD across lanes.
     fn exp(self) -> Self;
-    /// One libm call per lane, not SIMD.
+    /// [`crate::ln`]: branch-free, SIMD across lanes.
     fn ln(self) -> Self;
     /// [`crate::sin_cos`]: branch-free, SIMD across lanes.
     fn sin_cos(self) -> (Self, Self);
@@ -84,11 +85,11 @@ impl Lane for f32 {
     }
     #[inline(always)]
     fn exp(self) -> Self {
-        f32::exp(self)
+        crate::exp(self)
     }
     #[inline(always)]
     fn ln(self) -> Self {
-        f32::ln(self)
+        crate::ln(self)
     }
     #[inline(always)]
     fn sin_cos(self) -> (Self, Self) {
@@ -116,28 +117,26 @@ impl Lane for f32 {
     }
 }
 
+// `map` and `zip` loop over a local array rather than call
+// `std::array::from_fn`: with a closure as large as `exp`'s, LLVM leaves
+// `from_fn` out of line and the lanes pass through memory.
 impl<const W: usize> VecF32<W> {
     #[inline(always)]
     fn map(self, f: impl Fn(f32) -> f32) -> Self {
-        VecF32(std::array::from_fn(|k| f(self.0[k])))
+        let mut out = [0.0f32; W];
+        for (o, &a) in out.iter_mut().zip(&self.0) {
+            *o = f(a);
+        }
+        VecF32(out)
     }
 
     #[inline(always)]
-    fn zip(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
-        VecF32(std::array::from_fn(|k| f(self.0[k], o.0[k])))
-    }
-
-    /// `self * a + b` lane by lane, unfused (lane semantics are what
-    /// matter, not FMA rounding).
-    #[inline]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        self * a + b
-    }
-
-    /// Horizontal sum of all lanes.
-    #[inline]
-    pub fn hsum(self) -> f32 {
-        self.0.iter().sum()
+    fn zip(self, rhs: Self, f: impl Fn(f32, f32) -> f32) -> Self {
+        let mut out = [0.0f32; W];
+        for ((o, &a), &b) in out.iter_mut().zip(&self.0).zip(&rhs.0) {
+            *o = f(a, b);
+        }
+        VecF32(out)
     }
 }
 
@@ -167,11 +166,11 @@ impl<const W: usize> Lane for VecF32<W> {
     }
     #[inline(always)]
     fn exp(self) -> Self {
-        self.map(f32::exp)
+        self.map(crate::exp)
     }
     #[inline(always)]
     fn ln(self) -> Self {
-        self.map(f32::ln)
+        self.map(crate::ln)
     }
     // `always`: as an out-of-line call it passes the lanes through memory.
     #[inline(always)]
@@ -280,16 +279,6 @@ mod tests {
         );
         assert_eq!(VecF32::<4>::load_strided(&src, 0, 0).0, [10.0; 4]);
         assert_eq!(f32::load_strided(&src, 3, 5), 13.0);
-    }
-
-    #[test]
-    fn mul_add_and_hsum() {
-        let a = VecF32::<4>::splat(2.0);
-        let b = VecF32([1.0, 2.0, 3.0, 4.0]);
-        let c = VecF32::<4>::splat(1.0);
-        let r = a.mul_add(b, c);
-        assert_eq!(r.0, [3.0, 5.0, 7.0, 9.0]);
-        assert_eq!(r.hsum(), 24.0);
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //! implement with the same per-lane ops, so a lane step is bit-identical
 //! to its scalar items. At `opt-level ≥ 2` LLVM lowers `VecF32`'s
 //! arithmetic (`+ − × ÷`, `min`/`max`, `abs`, `sqrt`, `select_gt`), loads,
-//! stores and `sin_cos` (the branch-free [`sin_cos`] per lane) to SIMD.
-//! `exp` and `ln` do not: they call libm once per lane (and
-//! `load_strided` loads lane by lane).
+//! stores, `sin_cos`, `exp` and `ln` (the branch-free [`sin_cos`], [`exp`]
+//! and [`ln`] per lane) to SIMD. Only `load_strided` loads lane by lane.
 
 pub mod analysis;
 pub mod estimate;
+mod explog;
 pub mod ir;
 mod lanes;
 mod trig;
@@ -34,6 +34,7 @@ pub use analysis::{
     analyze_opencl_kernel, LoopVectorizer, Reason, VectorizationReport, VectorizerPolicy,
 };
 pub use estimate::{estimate, LoopShape, SpeedupEstimate};
+pub use explog::{exp, ln};
 pub use ir::{ArrayId, IndexExpr, Loop, MathFn, Op, Operand, Stmt, Temp, TripCount};
 pub use lanes::{Lane, VecF32};
 pub use trig::sin_cos;

@@ -171,19 +171,22 @@ fn output(ctx: &Context, n: usize) -> Buffer<f32> {
 
 #[test]
 fn two_d_lane_bodies_are_bit_identical_to_scalar() {
-    lanes_match_scalar("matrixMul 96² local 16×16", |ctx| {
-        let n = 96;
-        let c = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n * n).unwrap();
-        let k = matrixmul::MatrixMul {
-            a: input(ctx, 1, n * n, -1.0, 1.0),
-            b: input(ctx, 2, n * n, -1.0, 1.0),
-            c: c.clone(),
-            w: n,
-            h: n,
-            k: n,
-        };
-        (Arc::new(k), NDRange::d2(n, n).local2(16, 16), vec![c])
-    });
+    // Tile rows of 16 run one register block; 4, 8 and 12 run lane steps;
+    // 6 runs one lane step and two single items. Every side gets lanes.
+    for (n, t) in [(96, 16), (48, 4), (48, 6), (48, 8), (48, 12)] {
+        lanes_match_scalar(&format!("matrixMul {n}² local {t}×{t}"), |ctx| {
+            let c = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n * n).unwrap();
+            let k = matrixmul::MatrixMul {
+                a: input(ctx, 1, n * n, -1.0, 1.0),
+                b: input(ctx, 2, n * n, -1.0, 1.0),
+                c: c.clone(),
+                w: n,
+                h: n,
+                k: n,
+            };
+            (Arc::new(k), NDRange::d2(n, n).local2(t, t), vec![c])
+        });
+    }
     // Rows of 6 items: one step plus two tail items each. The second
     // launch pads x to 72 in groups of 8, so the step at x = 64 crosses
     // the grid's edge at 66.
