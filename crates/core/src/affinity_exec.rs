@@ -89,9 +89,10 @@ impl AffinityExecutor {
         }
         // Lanes are single-worker pools, so a fatal fault mid-launch leaves
         // that lane's queued groups unexecuted until the lane is respawned.
-        // Poll the latch and recover lanes once a fault trips — respawned
-        // workers then drain the remaining (aborted) groups as no-ops.
-        while !state.latch.wait_poll(Duration::from_millis(5)) {
+        // Block on the latch until the last group's wake, in 5 ms slices so
+        // that lanes are recovered once a fault trips — respawned workers
+        // then drain the remaining (aborted) groups as no-ops.
+        while !state.counters.latch.wait_poll(Duration::from_millis(5)) {
             if state.fault.abort.is_tripped() {
                 for lane in &self.lanes {
                     lane.recover();

@@ -1,13 +1,13 @@
-//! Per-launch fault machinery: fault records, the completion latch, and the
-//! global-id trace that lets a contained panic name the workitem that raised
-//! it. The fault *model* is documented in DESIGN.md §9.
+//! Per-launch fault machinery: fault records, the guard that counts a chunk
+//! down on the launch's completion latch, and the global-id trace that lets
+//! a contained panic name the workitem that raised it. The fault *model* is
+//! documented in DESIGN.md §9.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cl_pool::AbortSignal;
-use cl_util::sync::{Condvar, Mutex};
+use cl_pool::{AbortSignal, Latch};
+use cl_util::sync::Mutex;
 
 use crate::error::ClError;
 
@@ -35,8 +35,8 @@ pub(crate) struct FaultRecord {
     pub(crate) gid: [usize; 3],
     /// Linear workgroup id.
     pub(crate) group: usize,
-    /// Pool worker that contained the fault (`None`: the host thread, while
-    /// helping or when its deadline passed).
+    /// Pool worker that contained the fault (`None`: the host thread, in a
+    /// chunk it claimed or when its deadline passed).
     pub(crate) worker: Option<usize>,
     pub(crate) message: String,
 }
@@ -90,69 +90,6 @@ impl FaultRecord {
                 gid: self.gid,
                 kernel: self.kernel,
             },
-        }
-    }
-}
-
-/// Count-down completion latch for a launch's chunks. Unlike a `Scope`, the
-/// latch never re-raises panics and supports waiting with a deadline, so a
-/// timed-out launch can be reported while its stuck chunk is abandoned.
-///
-/// The count is an atomic: `count_down` is a single `fetch_sub` on every
-/// chunk but the last (which additionally takes the lock to publish the
-/// wakeup), and `is_done` — polled by the helping host between tasks — is
-/// one load. Only actual *waiting* touches the mutex/condvar pair.
-pub(crate) struct Latch {
-    remaining: AtomicU64,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Latch {
-    pub(crate) fn new(n: u64) -> Self {
-        Latch {
-            remaining: AtomicU64::new(n),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn count_down(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last chunk: serialize with waiters so the notify cannot land
-            // between a waiter's count check and its wait.
-            let _g = self.lock.lock();
-            self.cv.notify_all();
-        }
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
-    }
-
-    /// Wait until the latch reaches zero or `poll` elapses, whichever comes
-    /// first. Returns `true` when all chunks completed. Lets callers without
-    /// a deadline interleave waiting with recovery checks.
-    pub(crate) fn wait_poll(&self, poll: Duration) -> bool {
-        let deadline = Instant::now() + poll;
-        self.wait_deadline(deadline)
-    }
-
-    /// Wait until the latch reaches zero or `deadline` passes. Returns
-    /// `true` when all chunks completed.
-    pub(crate) fn wait_deadline(&self, deadline: Instant) -> bool {
-        let mut g = self.lock.lock();
-        loop {
-            if self.is_done() {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            // Cap each wait so a missed notify can only cost one tick.
-            let step = Duration::min(deadline - now, Duration::from_millis(5));
-            self.cv.wait_for(&mut g, step);
         }
     }
 }
@@ -246,18 +183,6 @@ mod tests {
         assert!(f.abort.is_tripped());
         assert_eq!(f.take().unwrap().message, "first");
         assert!(f.take().is_none());
-    }
-
-    #[test]
-    fn latch_counts_down_and_times_out() {
-        let l = Latch::new(2);
-        assert!(!l.is_done());
-        l.count_down();
-        let deadline = Instant::now() + Duration::from_millis(30);
-        assert!(!l.wait_deadline(deadline), "one chunk outstanding");
-        l.count_down();
-        assert!(l.is_done());
-        assert!(l.wait_deadline(Instant::now()));
     }
 
     #[test]

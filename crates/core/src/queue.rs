@@ -571,7 +571,8 @@ impl CommandQueue {
         let launch = self.launch(kernel, &plan, seq, queued_ns, recorded);
         // Deadline-armed launches hard-block their calling thread in the
         // watchdog wait, so they get a dedicated thread; without a deadline
-        // the launch claims chunks and helps — safe on a pool worker.
+        // the launch claims chunks until none are left, then waits only on
+        // chunks already running — safe on a pool worker.
         let dispatch = if self.cfg.launch_timeout.is_some() {
             Dispatch::Thread
         } else {

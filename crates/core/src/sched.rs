@@ -521,8 +521,11 @@ type Work = Box<dyn FnOnce(Order) -> Result<Event, ClError> + Send + 'static>;
 /// Where a node's work runs once ready.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Dispatch {
-    /// On the device's `cl-pool` — for work that never hard-blocks (it may
-    /// claim chunks and help, both of which make progress on a worker).
+    /// On the device's `cl-pool` — for work that never hard-blocks. An
+    /// unarmed launch claims chunks until its source is dry, then waits on
+    /// its latch: every chunk still outstanding is then held by a running
+    /// thread, so the wait is bounded by their run time and needs nothing
+    /// from the worker it blocks.
     Pool,
     /// On a dedicated thread — for deadline-armed launches, whose host side
     /// blocks in `wait_deadline` without helping and must not pin a worker.

@@ -7,10 +7,11 @@
 //! ```
 //!
 //! A plain run measures the curated hot-path suite (dispatch cost across
-//! workgroup sizes, 2-D lane steps of the implicit vectorizer, MRI-Q's
-//! `sin`/`cos` lanes, BlackScholes' `exp`/`ln` lanes, fused vs serial
-//! dispatch, disabled-path instrumentation overheads, autotuner steady
-//! state, serving-layer tail latency, out-of-order scheduler overhead) and
+//! workgroup sizes, the unarmed host's completion wait, 2-D lane steps of
+//! the implicit vectorizer, MRI-Q's `sin`/`cos` lanes, BlackScholes'
+//! `exp`/`ln` lanes, fused vs serial dispatch, disabled-path
+//! instrumentation overheads, autotuner steady state, serving-layer tail
+//! latency, out-of-order scheduler overhead) and
 //! writes it to `BENCH.json` (or `--out FILE`). The fixed costs perfbench
 //! already names — empty enqueues, transfers, the pool's steal path, the
 //! serving layer's enqueue veneer — live only there.
@@ -191,6 +192,34 @@ fn run_suite(workers: usize, fast: bool) -> Report {
         built.verify(&q).expect("sweep results");
         push(&format!("dispatch/wg{wg}"), "ns/group", stats);
     }
+
+    // --- The unarmed host's completion wait ------------------------------
+    // Square at 100 000 items, local 500, fused 25 groups per chunk: 8
+    // chunks of a few µs each, on a queue with no launch deadline — the
+    // host claims chunks, then waits on the launch latch for the one its
+    // worker still holds. A host that sleeps on a timer instead of being
+    // woken by the last chunk oversleeps about half the launches and fails
+    // the entry. The device has one worker so that host and worker each
+    // get a CPU on a 2-CPU host; with more threads than CPUs the
+    // scheduler's noise hides the wait. The device is dropped, and its
+    // worker joined, before the next entry runs.
+    let stats = {
+        let wait_ctx = Context::new(ocl_rt::Device::native_cpu(1).expect("host-wait device"));
+        let built = cl_kernels::apps::square::build(&wait_ctx, 100_000, 1, Some(500), 7);
+        let q_wait =
+            wait_ctx.queue_with(QueueConfig::default().coarsen(ocl_rt::CoarsenMode::Force(25)));
+        let stats = sample(warm, samples, BATCH, || {
+            for _ in 0..BATCH {
+                q_wait
+                    .enqueue_kernel(&built.kernel, built.range)
+                    .expect("host-wait enqueue");
+            }
+            BATCH
+        });
+        built.verify(&q_wait).expect("host-wait results");
+        stats
+    };
+    push("dispatch/host-wait", "ns/launch", stats);
 
     // --- Implicit vectorization of 2-D groups ---------------------------
     // Tiled MatrixMul at 96², local 16×16, on its own vectorizing 2-worker

@@ -17,7 +17,13 @@
 //!   per-worker [`deque::Worker`] queue with stealing.
 //! * Workers spin briefly, then park on a condvar; submitters unpark.
 //! * [`ThreadPool::scope`] provides structured, borrowing task spawning
-//!   (joined before the scope returns, so borrowed data stays valid).
+//!   (joined before the scope returns, so borrowed data stays valid). The
+//!   joining thread runs stealable work while there is any, then waits on
+//!   the scope's [`Latch`].
+//! * [`Latch`] is the one wait primitive: a block that the last
+//!   count-down wakes, after a bounded spin for waiters that ran part of
+//!   the work themselves. Kernel launches in `ocl-rt` wait on one per
+//!   launch; no wait path sleeps on a timer.
 //! * [`affinity::PinPolicy`] pins workers to cores for the affinity
 //!   experiment (Figure 9 of the paper).
 //!
@@ -45,6 +51,7 @@ pub mod barrier;
 pub mod chunk;
 pub mod deque;
 pub mod fault;
+mod latch;
 pub mod metrics;
 mod pool;
 mod scope;
@@ -54,6 +61,7 @@ pub use affinity::{available_cores, pin_current_thread, PinPolicy};
 pub use barrier::CentralBarrier;
 pub use chunk::{ChunkSource, GuidedSource};
 pub use fault::{AbortSignal, BarrierAborted, FatalFault};
+pub use latch::Latch;
 pub use metrics::{MetricsSnapshot, PoolMetrics};
 pub use pool::{PoolConfig, PoolError, PoolEventSink, ThreadPool};
 pub use scope::Scope;

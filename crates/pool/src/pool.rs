@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use cl_util::sync::{Condvar, Mutex};
 
@@ -473,25 +472,6 @@ impl ThreadPool {
             }
         }
     }
-
-    /// Help execute queued tasks while `cond` is false; park briefly when no
-    /// work is available. Used by scope-joining and by launch waits in
-    /// `ocl-rt`. A helping thread is never retired by a fatal fault — only
-    /// pool workers are.
-    pub fn help_until(&self, cond: impl Fn() -> bool) {
-        while !cond() {
-            if let Some(task) = self.inner.steal_task() {
-                // Outcome deliberately ignored: fatality applies to workers.
-                let _ = self.inner.execute(task);
-            } else {
-                std::thread::yield_now();
-                if cond() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(20));
-            }
-        }
-    }
 }
 
 impl Drop for ThreadPool {
@@ -504,7 +484,7 @@ impl Drop for ThreadPool {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn zero_workers_is_an_error() {
@@ -606,6 +586,37 @@ mod tests {
         let pool = ThreadPool::new(PoolConfig::default().workers(1)).unwrap();
         let v = pool.scope(|_| 42);
         assert_eq!(v, 42);
+    }
+
+    #[test]
+    fn scope_with_tasks_only_on_workers_returns_promptly() {
+        // Both tasks are running on workers before the join starts, so the
+        // joining thread finds nothing to steal and blocks on the scope's
+        // latch; the last task's count-down must end that wait.
+        let pool = ThreadPool::new(PoolConfig::default().workers(2)).unwrap();
+        let started = AtomicUsize::new(0);
+        let on_workers = AtomicUsize::new(0);
+        let t0 = Instant::now();
+        pool.scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    if crate::current_worker().is_some() {
+                        on_workers.fetch_add(1, Ordering::SeqCst);
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                });
+            }
+            while started.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+        });
+        let waited = t0.elapsed();
+        assert_eq!(on_workers.load(Ordering::SeqCst), 2);
+        assert!(
+            waited < Duration::from_secs(2),
+            "scope joined after {waited:?}"
+        );
     }
 
     #[test]

@@ -10,16 +10,25 @@ use std::any::Any;
 use std::marker::PhantomData;
 use std::mem;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cl_util::sync::Mutex;
 
 use crate::fault::FatalFault;
+use crate::latch::Latch;
 use crate::pool::ThreadPool;
 
+/// How long [`Scope::wait`] blocks before it looks for stealable work
+/// again. Work a blocked waiter must run itself only appears when every
+/// other thread is blocked too (nested scopes on a saturated pool), so the
+/// cap bounds that rare case; the common end of a wait is the last task's
+/// wake.
+const STEAL_RECHECK: Duration = Duration::from_millis(1);
+
 struct ScopeState {
-    pending: AtomicUsize,
+    /// Counts spawned tasks not yet finished.
+    pending: Latch,
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
 }
 
@@ -35,7 +44,7 @@ impl<'scope> Scope<'scope> {
     pub(crate) fn new(pool: &ThreadPool) -> Self {
         Scope {
             state: Arc::new(ScopeState {
-                pending: AtomicUsize::new(0),
+                pending: Latch::new(0),
                 panic: Mutex::new(None),
             }),
             pool: pool as *const ThreadPool,
@@ -49,7 +58,7 @@ impl<'scope> Scope<'scope> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        self.state.pending.fetch_add(1, Ordering::Release);
+        self.state.pending.count_up();
         let state = Arc::clone(&self.state);
         let boxed: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
         // SAFETY: `wait` blocks until `pending == 0`, so the closure (and
@@ -65,7 +74,7 @@ impl<'scope> Scope<'scope> {
                         *slot = Some(payload);
                     }
                 }
-                state.pending.fetch_sub(1, Ordering::Release);
+                state.pending.count_down();
                 if fatal {
                     // The payload is recorded for the host above; re-raise a
                     // fresh FatalFault so the pool still retires this worker
@@ -73,7 +82,7 @@ impl<'scope> Scope<'scope> {
                     FatalFault::raise("fatal fault re-raised from scope task");
                 }
             } else {
-                state.pending.fetch_sub(1, Ordering::Release);
+                state.pending.count_down();
             }
         });
         // SAFETY: the pool pointer is valid for the duration of the scope
@@ -85,12 +94,27 @@ impl<'scope> Scope<'scope> {
 
     /// Number of tasks not yet finished. Only a hint; racy by nature.
     pub fn pending(&self) -> usize {
-        self.state.pending.load(Ordering::Acquire)
+        self.state.pending.remaining() as usize
     }
 
+    /// Join every task: run stealable pool work while there is any (a
+    /// nested scope's tasks may be queued behind this one), and otherwise
+    /// wait on the scope's latch, spinning only the first time after each
+    /// run of work. A helping thread is never retired by a fatal fault —
+    /// only pool workers are.
     pub(crate) fn wait(self, pool: &ThreadPool) {
-        let state = &self.state;
-        pool.help_until(|| state.pending.load(Ordering::Acquire) == 0);
+        let pending = &self.state.pending;
+        let mut spin = true;
+        while !pending.is_done() {
+            if let Some(task) = pool.inner.steal_task() {
+                // Outcome deliberately ignored: fatality applies to workers.
+                let _ = pool.inner.execute(task);
+                spin = true;
+            } else {
+                pending.wait_until(Some(Instant::now() + STEAL_RECHECK), spin);
+                spin = false;
+            }
+        }
         if let Some(payload) = self.state.panic.lock().take() {
             std::panic::resume_unwind(payload);
         }
