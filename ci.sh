@@ -204,10 +204,11 @@ no_env_mutation() {
 }
 
 # one_lane_body — fail when a function under crates/kernels/src or examples
-# takes or returns VecF32: each kernel body is one function over
-# cl_vec::Lane, which its scalar items, lane steps and edge items all call,
-# so no hand-written lane twin can drift from it. Signatures may span lines
-# (comments are stripped first; a `;` ends one only at the end of a line).
+# takes or returns VecF32: each kernel phase is one ocl_rt::LaneBody, whose
+# one method over cl_vec::Lane GroupCtx::for_each_lane runs at every width
+# (lane steps, edge items, items with lanes off), so no hand-written lane
+# twin can drift from it. Signatures may span lines (comments are stripped
+# first; a `;` ends one only at the end of a line).
 one_lane_body() {
     local hits
     hits=$(find crates/kernels/src examples -name '*.rs' -print0 | xargs -0 perl -0777 -ne '
@@ -219,7 +220,7 @@ one_lane_body() {
             print "$ARGV: $sig\n";
         }')
     if [[ -n "$hits" ]]; then
-        echo "lane twins (write the body once over cl_vec::Lane):" >&2
+        echo "lane twins (write the body once as an ocl_rt::LaneBody):" >&2
         echo "$hits" >&2
         return 1
     fi

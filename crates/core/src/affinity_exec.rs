@@ -78,7 +78,7 @@ impl AffinityExecutor {
         let n_groups = resolved.n_groups();
         // One workgroup per lane task, run by the engine's chunk body:
         // scalar `run_group`, the build profile's gid stamping, no trace.
-        let state = LaunchState::new(kernel, &resolved, 1, None, cfg!(debug_assertions), None);
+        let state = LaunchState::new(kernel, &resolved, 1, false, cfg!(debug_assertions), None);
 
         let t0 = Instant::now();
         let submitted_ns = crate::trace::now_ns();

@@ -89,6 +89,10 @@ pub struct Event {
     pub barriers: u64,
     /// Total workitems executed.
     pub items: u64,
+    /// Elements run in lane steps (`VecF32` lanes) rather than one at a
+    /// time: 0 unless the device vectorizes and the kernel walks its
+    /// elements with [`crate::GroupCtx::for_each_lane`].
+    pub lane_items: u64,
     /// Bytes moved (transfer commands).
     pub bytes: u64,
     /// Workitem panics contained during this launch. A successful launch
@@ -123,6 +127,7 @@ impl Event {
             groups: 0,
             barriers: 0,
             items: 0,
+            lane_items: 0,
             bytes: 0,
             panics: 0,
             timeouts: 0,

@@ -50,7 +50,7 @@ use crate::device::{Device, DeviceKind};
 use crate::error::ClError;
 use crate::event::{CommandKind, Event, ProfilingInfo};
 use crate::fault::{panic_message, FaultKind, FaultRecord, GidTrace, LatchGuard, LaunchFault};
-use crate::kernel::{BarrierTrace, GroupCtx, Kernel};
+use crate::kernel::{BarrierTrace, GroupCtx, GroupStats, Kernel};
 use crate::ndrange::ResolvedRange;
 use crate::trace::{self, Span, TraceLog};
 
@@ -75,8 +75,8 @@ pub(crate) struct LaunchState {
     kernel: Arc<dyn Kernel>,
     range: ResolvedRange,
     pub(crate) fault: LaunchFault,
-    /// SIMD width for `run_group_simd`; `None` runs scalar `run_group`.
-    simd_width: Option<usize>,
+    /// Whether groups run lane steps ([`GroupCtx::for_each_lane`]).
+    lanes: bool,
     /// Whether workitem loops stamp each item's gid ([`Device::exact_gid`]).
     exact_gid: bool,
     /// The queue's trace log when tracing is enabled; `None` costs the hot
@@ -100,6 +100,7 @@ pub(crate) struct Counters {
     pub(crate) latch: Latch,
     barriers: AtomicU64,
     items: AtomicU64,
+    lane_items: AtomicU64,
     panics: AtomicU64,
     /// `CL_PROFILING_COMMAND_START`: stamped once by the first chunk to
     /// begin executing (0 = no chunk started yet).
@@ -114,7 +115,7 @@ impl LaunchState {
         kernel: &Arc<dyn Kernel>,
         range: &ResolvedRange,
         groups_per_chunk: usize,
-        simd_width: Option<usize>,
+        lanes: bool,
         exact_gid: bool,
         trace: Option<&Arc<TraceLog>>,
     ) -> Arc<Self> {
@@ -130,7 +131,7 @@ impl LaunchState {
             kernel: Arc::clone(kernel),
             range: *range,
             fault: LaunchFault::new(),
-            simd_width,
+            lanes,
             exact_gid,
             trace: trace.cloned(),
             launch_id,
@@ -141,6 +142,7 @@ impl LaunchState {
                 latch: Latch::new(n_chunks as u64),
                 barriers: AtomicU64::new(0),
                 items: AtomicU64::new(0),
+                lane_items: AtomicU64::new(0),
                 panics: AtomicU64::new(0),
                 started_ns: AtomicU64::new(0),
             },
@@ -160,13 +162,13 @@ impl LaunchState {
         }
     }
 
-    /// Add a chunk's item and barrier counts to the launch's: once per
-    /// chunk, so groups write no shared counter.
-    fn add_counts(&self, items: u64, barriers: u64) {
-        self.counters.items.fetch_add(items, Ordering::Relaxed);
-        self.counters
-            .barriers
-            .fetch_add(barriers, Ordering::Relaxed);
+    /// Add a chunk's counts to the launch's: once per chunk, so groups
+    /// write no shared counter.
+    fn add_counts(&self, sum: &GroupStats) {
+        let c = &self.counters;
+        c.items.fetch_add(sum.items_run, Ordering::Relaxed);
+        c.lane_items.fetch_add(sum.lane_items, Ordering::Relaxed);
+        c.barriers.fetch_add(sum.barriers, Ordering::Relaxed);
     }
 
     /// Execute workgroups `chunk` (linear ids), containing any panic.
@@ -175,8 +177,7 @@ impl LaunchState {
         let _done = LatchGuard(&self.counters.latch);
         self.mark_started();
         let span_t0 = self.trace.as_ref().map(|_| trace::now_ns());
-        let mut chunk_items = 0u64;
-        let mut chunk_barriers = 0u64;
+        let mut sum = GroupStats::default();
         for linear in chunk.clone() {
             if self.fault.abort.is_tripped() {
                 // Drain the rest of the launch as no-ops.
@@ -190,24 +191,21 @@ impl LaunchState {
             ];
             let trace = GidTrace::new(base, self.exact_gid);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut g = GroupCtx::with_fault(&self.range, group, &trace, &self.fault.abort);
+                let mut g =
+                    GroupCtx::with_fault(&self.range, group, &trace, &self.fault.abort, self.lanes);
                 g.btrace = self.trace.as_deref().map(|log| BarrierTrace {
                     log,
                     launch: self.launch_id,
                     group: linear,
                 });
-                let used_simd = self
-                    .simd_width
-                    .is_some_and(|width| self.kernel.run_group_simd(&mut g, width));
-                if !used_simd {
-                    self.kernel.run_group(&mut g);
-                }
+                self.kernel.run_group(&mut g);
                 g.stats
             }));
             match result {
                 Ok(stats) => {
-                    chunk_items += stats.items_run;
-                    chunk_barriers += stats.barriers;
+                    sum.items_run += stats.items_run;
+                    sum.lane_items += stats.lane_items;
+                    sum.barriers += stats.barriers;
                 }
                 Err(payload) => {
                     self.counters.panics.fetch_add(1, Ordering::Relaxed);
@@ -236,13 +234,13 @@ impl LaunchState {
                         // before the re-raise unwinds, so the launch totals
                         // and the trace still account for every scheduled
                         // chunk.
-                        self.add_counts(chunk_items, chunk_barriers);
+                        self.add_counts(&sum);
                         if let (Some(log), Some(t0)) = (&self.trace, span_t0) {
                             log.record(Span::chunk(
                                 self.launch_id,
                                 chunk.clone(),
-                                chunk_items,
-                                chunk_barriers,
+                                sum.items_run,
+                                sum.barriers,
                                 t0,
                             ));
                         }
@@ -253,13 +251,13 @@ impl LaunchState {
                 }
             }
         }
-        self.add_counts(chunk_items, chunk_barriers);
+        self.add_counts(&sum);
         if let (Some(log), Some(t0)) = (&self.trace, span_t0) {
             log.record(Span::chunk(
                 self.launch_id,
                 chunk,
-                chunk_items,
-                chunk_barriers,
+                sum.items_run,
+                sum.barriers,
                 t0,
             ));
         }
@@ -272,6 +270,7 @@ impl LaunchState {
         ev.groups = self.range.n_groups() as u64;
         ev.barriers = self.counters.barriers.load(Ordering::Relaxed);
         ev.items = self.counters.items.load(Ordering::Relaxed);
+        ev.lane_items = self.counters.lane_items.load(Ordering::Relaxed);
         ev.panics = self.counters.panics.load(Ordering::Relaxed);
         ev.profiling = profiling;
         ev
@@ -328,14 +327,13 @@ pub(crate) fn execute_kernel(
         }
     };
     let n_chunks = n_groups.div_ceil(groups_per_chunk);
-    // Every launch on a vectorizing device is offered to the kernel's lane
-    // body, whatever its group shape; a body without lanes for this shape
-    // or width declines and the group runs scalar.
+    // Lane walks run 4-wide steps on a vectorizing device whose lanes are
+    // 4 wide (`VecF32<4>`, SSE), whatever the group's shape.
     let state = LaunchState::new(
         kernel,
         range,
         groups_per_chunk,
-        device.vectorizes().then(|| device.simd_width()),
+        device.vectorizes() && device.simd_width() == 4,
         device.exact_gid(),
         trace_log,
     );
@@ -449,32 +447,24 @@ pub(crate) fn execute_kernel(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
-    use crate::{Context, Device, GroupCtx, Kernel, NDRange};
+    use cl_vec::Lane;
 
-    /// Counts how the engine runs each group, and how often each item is
-    /// visited, through lane steps, tail items or the scalar loop.
-    #[derive(Default)]
+    use crate::{Context, Device, GroupCtx, Kernel, LaneBody, NDRange, WorkItem};
+
+    /// Counts how often each item is visited.
     struct Spy {
-        simd_groups: AtomicU64,
-        scalar_groups: AtomicU64,
-        steps: AtomicU64,
-        tails: AtomicU64,
         visits: Vec<AtomicU32>,
     }
 
-    impl Spy {
-        fn new(items: usize) -> Self {
-            Spy {
-                visits: (0..items).map(|_| AtomicU32::new(0)).collect(),
-                ..Spy::default()
-            }
-        }
+    /// One walk of a [`Spy`]: marks each element it runs.
+    struct Visit<'a>(&'a [AtomicU32]);
 
-        fn visit(&self, first: usize, n: usize) {
-            for v in &self.visits[first..first + n] {
+    impl LaneBody for Visit<'_> {
+        fn at<L: Lane>(&mut self, _x: usize, wi: &WorkItem) {
+            for v in &self.0[wi.global_linear()..][..L::WIDTH] {
                 v.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -486,38 +476,22 @@ mod tests {
         }
 
         fn run_group(&self, g: &mut GroupCtx) {
-            self.scalar_groups.fetch_add(1, Ordering::Relaxed);
-            g.for_each(|wi| self.visit(wi.global_linear(), 1));
-        }
-
-        fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-            self.simd_groups.fetch_add(1, Ordering::Relaxed);
-            g.for_each_simd(
-                width,
-                g.global_size(0),
-                |wi| {
-                    self.steps.fetch_add(1, Ordering::Relaxed);
-                    self.visit(wi.global_linear(), width);
-                },
-                |wi| {
-                    self.tails.fetch_add(1, Ordering::Relaxed);
-                    self.visit(wi.global_linear(), 1);
-                },
-            );
-            true
+            g.for_each_lane(1, g.global_size(0), &mut Visit(&self.visits));
         }
     }
 
     #[test]
     fn two_d_groups_run_lane_steps_along_every_row() {
         // 2×2 groups of 6×4 items: each row is one 4-wide step plus two
-        // tail items.
+        // edge items.
         let range = NDRange::d2(12, 8).local2(6, 4);
         let run = |vectorize: bool| {
             let mut device = Device::native_cpu(2).unwrap();
             device.set_vectorize(vectorize);
             assert_eq!(device.simd_width(), 4);
-            let spy = Arc::new(Spy::new(96));
+            let spy = Arc::new(Spy {
+                visits: (0..96).map(|_| AtomicU32::new(0)).collect(),
+            });
             let kernel: Arc<dyn Kernel> = spy.clone();
             let ev = Context::new(device)
                 .queue()
@@ -529,17 +503,10 @@ mod tests {
                 .map(|v| v.load(Ordering::Relaxed))
                 .collect();
             assert_eq!(visits, vec![1; 96], "vectorize={vectorize}");
-            (ev.items, spy)
+            (ev.items, ev.lane_items)
         };
-        let (lane_items, lanes) = run(true);
-        assert_eq!(lanes.simd_groups.load(Ordering::Relaxed), 4);
-        assert_eq!(lanes.scalar_groups.load(Ordering::Relaxed), 0);
-        assert_eq!(lanes.steps.load(Ordering::Relaxed), 4 * 4);
-        assert_eq!(lanes.tails.load(Ordering::Relaxed), 4 * 4 * 2);
-        let (scalar_items, scalar) = run(false);
-        assert_eq!(scalar.simd_groups.load(Ordering::Relaxed), 0);
-        assert_eq!(scalar.scalar_groups.load(Ordering::Relaxed), 4);
-        assert_eq!(lane_items, scalar_items);
-        assert_eq!(lane_items, 96);
+        // 4 groups × 4 rows × one 4-wide step.
+        assert_eq!(run(true), (96, 4 * 4 * 4));
+        assert_eq!(run(false), (96, 0));
     }
 }

@@ -6,11 +6,13 @@
 //! barriers ("loop fission" / workitem coalescing — Stratton et al., SnuCL).
 //! This runtime exposes that lowered form directly: a kernel implements
 //! [`Kernel::run_group`], iterating workitems with [`GroupCtx::for_each`]
-//! and marking barrier phase boundaries with [`GroupCtx::barrier`]. Because
-//! `for_each` completes all workitems of the phase before returning, barrier
-//! semantics hold by construction.
+//! (or their elements with [`GroupCtx::for_each_lane`], which also runs
+//! lane steps) and marking barrier phase boundaries with
+//! [`GroupCtx::barrier`]. Because each walk completes all workitems of the
+//! phase before returning, barrier semantics hold by construction.
 
 use cl_pool::AbortSignal;
+use cl_vec::{Lane, VecF32};
 use perf_model::KernelProfile;
 
 use crate::buffer::{Buffer, Pod};
@@ -150,6 +152,41 @@ pub(crate) struct GroupStats {
     pub(crate) barriers: u64,
     pub(crate) local_bytes: u64,
     pub(crate) items_run: u64,
+    /// Elements [`GroupCtx::for_each_lane`] ran in lane steps.
+    pub(crate) lane_items: u64,
+}
+
+/// A workgroup phase written once over [`Lane`]: [`GroupCtx::for_each_lane`]
+/// runs it at `f32` for one element and at `VecF32<W>` for `W` adjacent
+/// elements along dimension 0, so the scalar and lane lowerings are one
+/// method. Implementations mark `at` `#[inline(always)]`: the walk calls it
+/// from one site per width and stamp mode, and each must inline.
+pub trait LaneBody {
+    /// Whether a lane launch runs each row in 16-element register blocks
+    /// (`VecF32<16>`) before its 4-element steps.
+    const BLOCKS_OF_16: bool = false;
+
+    /// Run elements `x .. x + L::WIDTH` of the row of `wi`, the workitem
+    /// that owns element `x`.
+    fn at<L: Lane>(&mut self, x: usize, wi: &WorkItem);
+}
+
+/// How a walk names its current workitem for a fault report: not at all
+/// (the trace keeps the group's base gid), or stamped per step.
+trait Stamp: Copy {
+    fn set(self, gid: [usize; 3]);
+}
+
+impl Stamp for () {
+    #[inline(always)]
+    fn set(self, _gid: [usize; 3]) {}
+}
+
+impl Stamp for &GidTrace {
+    #[inline(always)]
+    fn set(self, gid: [usize; 3]) {
+        GidTrace::set(self, gid);
+    }
 }
 
 /// Where a traced group's barrier spans go: the launch's [`TraceLog`]
@@ -174,6 +211,9 @@ pub struct GroupCtx<'r> {
     pub(crate) abort: Option<&'r AbortSignal>,
     /// Barrier-wait span sink, when the launch is traced.
     pub(crate) btrace: Option<BarrierTrace<'r>>,
+    /// Whether [`GroupCtx::for_each_lane`] runs lane steps: decided once
+    /// per launch from the device.
+    pub(crate) lanes: bool,
 }
 
 impl<'r> GroupCtx<'r> {
@@ -185,6 +225,7 @@ impl<'r> GroupCtx<'r> {
             trace: None,
             abort: None,
             btrace: None,
+            lanes: false,
         }
     }
 
@@ -193,6 +234,7 @@ impl<'r> GroupCtx<'r> {
         group: [usize; 3],
         trace: &'r GidTrace,
         abort: &'r AbortSignal,
+        lanes: bool,
     ) -> Self {
         GroupCtx {
             range,
@@ -201,6 +243,7 @@ impl<'r> GroupCtx<'r> {
             trace: Some(trace),
             abort: Some(abort),
             btrace: None,
+            lanes,
         }
     }
 
@@ -286,62 +329,99 @@ impl<'r> GroupCtx<'r> {
         self.stats.items_run += items;
     }
 
-    /// Run `body` once per *step* of `width` x-adjacent workitems — the
-    /// shape the implicit vectorizer produces, for any group shape. Each
-    /// `(ly, lz)` row of the group runs its steps along dimension 0; `body`
-    /// receives the first item of each step. `bound` is the kernel's x
-    /// bound (its `global_id(0) < n` guard): a step that would cross it,
-    /// and the row's last `local[0] % width` items, run `tail` one item at
-    /// a time, and the items at or past it do nothing.
-    pub fn for_each_simd(
-        &mut self,
-        width: usize,
-        bound: usize,
-        mut body: impl FnMut(&WorkItem),
-        mut tail: impl FnMut(&WorkItem),
-    ) {
-        assert!(width >= 1);
+    /// Run `body` over this group's elements along dimension 0, one row
+    /// of the group at a time: the implicit vectorizer's walk, for any
+    /// group shape. Workitem `w` owns elements `[w·items_per_wi,
+    /// (w+1)·items_per_wi)`, so a row's elements are one contiguous range,
+    /// visited in the order its workitems' scalar loops would visit them;
+    /// `bound` is the kernel's element bound (its `i < n` guard) and
+    /// elements at or past it do nothing. On a lane launch the row runs
+    /// `VecF32<4>` steps (after `VecF32<16>` blocks for a body that asks
+    /// for them), then `f32` edge items; otherwise every element runs at
+    /// `f32`. Every `VecF32` op is its `f32` op per lane, so both lowerings
+    /// give bit-identical results.
+    pub fn for_each_lane<B: LaneBody>(&mut self, items_per_wi: usize, bound: usize, body: &mut B) {
+        // Two monomorphs instead of a per-step branch on the stamp mode:
+        // with the branch, 1-D Square groups of 1 024 ran ~2.6× slower and
+        // cl-bench `overhead/tune-off` read 1.6× slower.
+        match self.trace.filter(|t| t.exact()) {
+            Some(trace) => self.walk(items_per_wi, bound, body, trace),
+            None => self.walk(items_per_wi, bound, body, ()),
+        }
+    }
+
+    #[inline(always)]
+    fn walk<B: LaneBody, S: Stamp>(&mut self, k: usize, bound: usize, body: &mut B, stamp: S) {
+        assert!(k >= 1, "items_per_wi must be at least 1");
         let local = self.range.local;
         let base = [
             self.group[0] * local[0],
             self.group[1] * local[1],
             self.group[2] * local[2],
         ];
-        let item = |lx: usize, ly: usize, lz: usize| WorkItem {
-            global: [base[0] + lx, base[1] + ly, base[2] + lz],
-            local: [lx, ly, lz],
-            local_size: local,
-            global_size: self.range.global,
+        // Every row covers the same x range, so its block, step and edge
+        // bounds are computed once, not checked per step.
+        let start = base[0] * k;
+        let end = ((base[0] + local[0]) * k).min(bound).max(start);
+        let (b16, b4) = if self.lanes {
+            let b16 = if B::BLOCKS_OF_16 {
+                end - (end - start) % 16
+            } else {
+                start
+            };
+            (b16, end - (end - b16) % 4)
+        } else {
+            (start, start)
         };
-        // Every row shares the group's x range, so its items below the
-        // bound and its full steps are counted once, not checked per step.
-        let live = local[0].min(bound.saturating_sub(base[0]));
-        let main = live - live % width;
-        let stamp = self.trace.filter(|t| t.exact());
+        let global_size = self.range.global;
+        let item = |x: usize, ly: usize, lz: usize| {
+            // No division per step at one element per workitem.
+            let wx = if k == 1 { x } else { x / k };
+            WorkItem {
+                global: [wx, base[1] + ly, base[2] + lz],
+                local: [wx - base[0], ly, lz],
+                local_size: local,
+                global_size,
+            }
+        };
         for lz in 0..local[2] {
             for ly in 0..local[1] {
-                let mut lx = 0;
-                while lx < main {
-                    let wi = item(lx, ly, lz);
-                    if let Some(t) = stamp {
-                        t.set(wi.global);
-                    }
-                    body(&wi);
-                    lx += width;
+                let step = |x: usize| {
+                    let wi = item(x, ly, lz);
+                    stamp.set(wi.global);
+                    wi
+                };
+                let mut x = start;
+                while x < b16 {
+                    body.at::<VecF32<16>>(x, &step(x));
+                    x += 16;
                 }
-                // Restart from `main` rather than carry the step loop's
-                // counter out: the step loop then keeps one induction
-                // variable and compiles to the tight 1-D loop.
-                for lx in main..live {
-                    let wi = item(lx, ly, lz);
-                    if let Some(t) = stamp {
-                        t.set(wi.global);
+                while x < b4 {
+                    body.at::<VecF32<4>>(x, &step(x));
+                    x += 4;
+                }
+                // How the edge loop starts steers LLVM's code for the
+                // whole walk, even where it runs no element. cl-bench
+                // pairs on 2 vCPUs, each form against this one: the
+                // restarted loop for every body made `simd/lanes-2d`
+                // (tiled MatrixMul, 16-item rows) 1.28–1.43× slower in
+                // 20 of 20 pairs; the carried loop for every body made
+                // the Square entries slower (`dispatch/wg1024` 1.41×,
+                // `overhead/coarsen-off` 1.94×, in one set of 10 pairs).
+                if B::BLOCKS_OF_16 {
+                    while x < end {
+                        body.at::<f32>(x, &step(x));
+                        x += 1;
                     }
-                    tail(&wi);
+                } else {
+                    for x in b4..end {
+                        body.at::<f32>(x, &step(x));
+                    }
                 }
             }
         }
         self.stats.items_run += self.range.wg_size() as u64;
+        self.stats.lane_items += ((b4 - start) * local[1] * local[2]) as u64;
     }
 
     /// `barrier(CLK_LOCAL_MEM_FENCE)`: marks a phase boundary. All workitems
@@ -375,18 +455,9 @@ pub trait Kernel: Send + Sync {
     /// Kernel function name.
     fn name(&self) -> &str;
 
-    /// Scalar workgroup body.
+    /// Workgroup body. Phases written with [`GroupCtx::for_each_lane`]
+    /// run lane steps on a vectorizing device and item by item elsewhere.
     fn run_group(&self, g: &mut GroupCtx);
-
-    /// Optional SIMD workgroup body, processing `width` workitems per lane
-    /// step (the Intel-style implicit vectorization; see
-    /// [`GroupCtx::for_each_simd`]). The runtime offers every launch on a
-    /// vectorizing device, whatever its group shape. Returns `false` if the
-    /// kernel has no SIMD form for `width` or for the group's shape, in
-    /// which case the runtime falls back to [`Kernel::run_group`].
-    fn run_group_simd(&self, _g: &mut GroupCtx, _width: usize) -> bool {
-        false
-    }
 
     /// Static characteristics for the analytic models and reports.
     fn profile(&self) -> KernelProfile {
@@ -447,64 +518,124 @@ mod tests {
         });
     }
 
+    /// One call of a walk: `(width, x, gid, local_linear)`.
+    type Call = (usize, usize, [usize; 3], usize);
+
+    /// Records each call of a walk.
+    #[derive(Default)]
+    struct Record<const BLOCKS: bool>(Vec<Call>);
+
+    impl<const BLOCKS: bool> LaneBody for Record<BLOCKS> {
+        const BLOCKS_OF_16: bool = BLOCKS;
+        fn at<L: Lane>(&mut self, x: usize, wi: &WorkItem) {
+            let gid = [wi.global_id(0), wi.global_id(1), wi.global_id(2)];
+            self.0.push((L::WIDTH, x, gid, wi.local_linear()));
+        }
+    }
+
+    /// Walk group `group` of `r` with lanes on or off and return the calls.
+    fn walk(
+        r: &ResolvedRange,
+        group: [usize; 3],
+        lanes: bool,
+        k: usize,
+        bound: usize,
+    ) -> (Vec<Call>, GroupStats) {
+        let mut g = GroupCtx::new(r, group);
+        g.lanes = lanes;
+        let mut rec = Record::<false>::default();
+        g.for_each_lane(k, bound, &mut rec);
+        (rec.0, g.stats)
+    }
+
     #[test]
     fn simd_path_covers_all_items_with_tail() {
         let r = NDRange::d1(30).local1(10).resolve(64).unwrap();
-        let mut g = GroupCtx::new(&r, [2, 0, 0]);
-        let mut vec_starts = Vec::new();
-        let mut tail_ids = Vec::new();
-        g.for_each_simd(
-            4,
-            30,
-            |wi| vec_starts.push(wi.global_id(0)),
-            |wi| tail_ids.push(wi.global_id(0)),
-        );
-        assert_eq!(vec_starts, vec![20, 24]);
-        assert_eq!(tail_ids, vec![28, 29]);
-        assert_eq!(g.stats.items_run, 10);
+        let (calls, stats) = walk(&r, [2, 0, 0], true, 1, 30);
+        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.1)).collect();
+        assert_eq!(shape, vec![(4, 20), (4, 24), (1, 28), (1, 29)]);
+        assert_eq!(calls[1].2, [24, 0, 0]);
+        assert_eq!(stats.items_run, 10);
+        assert_eq!(stats.lane_items, 8);
+        // The same group with lanes off: every element at f32, in order.
+        let (calls, stats) = walk(&r, [2, 0, 0], false, 1, 30);
+        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.1)).collect();
+        assert_eq!(shape, (20..30).map(|x| (1, x)).collect::<Vec<_>>());
+        assert_eq!((stats.items_run, stats.lane_items), (10, 0));
     }
 
     #[test]
     fn simd_path_walks_every_row_of_a_2d_group() {
         let r = NDRange::d2(12, 8).local2(6, 4).resolve(64).unwrap();
-        let mut g = GroupCtx::new(&r, [1, 1, 0]);
-        let mut steps = Vec::new();
-        let mut tails = Vec::new();
-        g.for_each_simd(
-            4,
-            12,
-            |wi| steps.push((wi.global_id(0), wi.global_id(1), wi.local_linear())),
-            |wi| tails.push((wi.global_id(0), wi.global_id(1))),
-        );
+        let (calls, stats) = walk(&r, [1, 1, 0], true, 1, 12);
         // Group (1,1) covers x in 6..12, y in 4..8: per row, one step at
-        // x = 6 and the tail items 10, 11.
-        assert_eq!(steps, vec![(6, 4, 0), (6, 5, 6), (6, 6, 12), (6, 7, 18)]);
-        assert_eq!(tails.len(), 8);
-        assert_eq!(&tails[..2], &[(10, 4), (11, 4)]);
-        assert_eq!(tails[7], (11, 7));
-        assert_eq!(g.stats.items_run, 24);
+        // x = 6 and the edge items 10, 11.
+        let steps: Vec<_> = calls
+            .iter()
+            .filter(|c| c.0 == 4)
+            .map(|c| (c.2, c.3))
+            .collect();
+        assert_eq!(
+            steps,
+            vec![
+                ([6, 4, 0], 0),
+                ([6, 5, 0], 6),
+                ([6, 6, 0], 12),
+                ([6, 7, 0], 18)
+            ]
+        );
+        let edges: Vec<_> = calls.iter().filter(|c| c.0 == 1).map(|c| c.2).collect();
+        assert_eq!(edges.len(), 8);
+        assert_eq!(&edges[..2], &[[10, 4, 0], [11, 4, 0]]);
+        assert_eq!(edges[7], [11, 7, 0]);
+        assert_eq!((stats.items_run, stats.lane_items), (24, 16));
     }
 
     #[test]
     fn a_step_crossing_the_bound_runs_item_by_item() {
         // Global 32 padded past a bound of 26, groups of 16: group 1 runs
-        // two steps (16, 20), tail items 24 and 25, and nothing past 26.
+        // two steps (16, 20), edge items 24 and 25, and nothing past 26.
         let r = NDRange::d2(32, 2).local2(16, 2).resolve(64).unwrap();
-        let mut g = GroupCtx::new(&r, [1, 0, 0]);
-        let mut steps = Vec::new();
-        let mut tails = Vec::new();
-        g.for_each_simd(
-            4,
-            26,
-            |wi| steps.push((wi.global_id(0), wi.global_id(1))),
-            |wi| tails.push((wi.global_id(0), wi.global_id(1))),
-        );
-        assert_eq!(steps, vec![(16, 0), (20, 0), (16, 1), (20, 1)]);
-        assert_eq!(tails, vec![(24, 0), (25, 0), (24, 1), (25, 1)]);
-        assert_eq!(g.stats.items_run, 32);
+        let (calls, stats) = walk(&r, [1, 0, 0], true, 1, 26);
+        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.2[0], c.2[1])).collect();
+        let row = |y| [(4, 16, y), (4, 20, y), (1, 24, y), (1, 25, y)];
+        assert_eq!(shape, [row(0), row(1)].concat());
+        assert_eq!((stats.items_run, stats.lane_items), (32, 16));
         // A group wholly past the bound runs nothing.
-        let mut g = GroupCtx::new(&r, [1, 0, 0]);
-        g.for_each_simd(4, 10, |_| panic!("step"), |_| panic!("tail"));
+        let (calls, stats) = walk(&r, [1, 0, 0], true, 1, 10);
+        assert!(calls.is_empty());
+        assert_eq!((stats.items_run, stats.lane_items), (32, 0));
+    }
+
+    #[test]
+    fn coalesced_workitems_step_along_their_elements() {
+        // Three elements per workitem, groups of 4: group 1 owns elements
+        // 12..24, clipped to 22. Steps at 12 and 16 (workitems 4 and 5),
+        // then edge items 20 and 21 (workitem 6, local id 2).
+        let r = NDRange::d1(8).local1(4).resolve(64).unwrap();
+        let (calls, stats) = walk(&r, [1, 0, 0], true, 3, 22);
+        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.1, c.2[0], c.3)).collect();
+        assert_eq!(
+            shape,
+            vec![(4, 12, 4, 0), (4, 16, 5, 1), (1, 20, 6, 2), (1, 21, 7, 3)]
+        );
+        assert_eq!((stats.items_run, stats.lane_items), (4, 8));
+        let (calls, _) = walk(&r, [1, 0, 0], false, 3, 22);
+        let xs: Vec<_> = calls.iter().map(|c| (c.0, c.1)).collect();
+        assert_eq!(xs, (12..22).map(|x| (1, x)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn register_blocks_come_before_steps() {
+        // 23 elements: one 16-block, one step, three edge items.
+        let r = NDRange::d1(23).local1(23).resolve(64).unwrap();
+        let mut g = GroupCtx::new(&r, [0, 0, 0]);
+        g.lanes = true;
+        let mut rec = Record::<true>::default();
+        g.for_each_lane(1, 23, &mut rec);
+        let shape: Vec<_> = rec.0.iter().map(|c| (c.0, c.1)).collect();
+        assert_eq!(shape, vec![(16, 0), (4, 16), (1, 20), (1, 21), (1, 22)]);
+        assert_eq!(g.stats.lane_items, 20);
     }
 
     #[test]

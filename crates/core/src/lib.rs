@@ -29,14 +29,14 @@
 //! **serialized** — the loop-fission form CPU OpenCL compilers lower SPMD
 //! kernels to (Stratton et al.) — with [`GroupCtx::barrier`] separating
 //! barrier phases, and [`GroupCtx::local`] providing workgroup-local memory.
-//! Kernels may provide a SIMD group body ([`Kernel::run_group_simd`])
-//! processing `W` x-adjacent workitems per step along every row of the
-//! group ([`GroupCtx::for_each_simd`]), whatever the group's shape; a step
-//! that would cross the kernel's x bound runs item by item. The runtime
-//! prefers it when the device vectorizes — this is the Intel-style implicit
-//! vectorization of Section III-F. [`BufView::load`] and
-//! [`BufViewMut::store`] move one item or one lane step, so a kernel body
-//! written once over `cl_vec::Lane` serves both.
+//! A phase written once as a [`LaneBody`] (one method generic over
+//! `cl_vec::Lane`) runs through [`GroupCtx::for_each_lane`], which walks
+//! the group's elements along every row: `W` x-adjacent elements per step
+//! when the device vectorizes, with the row's edge one element at a time
+//! — the Intel-style implicit vectorization of Section III-F — and every
+//! element at `f32` otherwise. Coalesced workitems (`items_per_wi > 1`)
+//! own contiguous elements, so they get lanes too. [`BufView::load`] and
+//! [`BufViewMut::store`] move one element or one lane step.
 //!
 //! Following the paper's methodology (Section III-A), all enqueue calls are
 //! **blocking**; [`Event`]s carry wall-clock (native devices) or modeled
@@ -45,33 +45,43 @@
 //! ## Quick example
 //!
 //! ```
-//! use ocl_rt::{Context, Device, Kernel, GroupCtx, MemFlags, NDRange};
+//! use cl_vec::Lane;
+//! use ocl_rt::{BufView, BufViewMut, Buffer, Context, Device, GroupCtx, Kernel, LaneBody};
+//! use ocl_rt::{MemFlags, NDRange, WorkItem};
 //! use std::sync::Arc;
 //!
-//! struct Square { input: ocl_rt::Buffer<f32>, output: ocl_rt::Buffer<f32> }
+//! struct Square { input: Buffer<f32>, output: Buffer<f32> }
+//!
+//! /// `out[i] = in[i]²` for the `L::WIDTH` elements from `i`.
+//! struct Body<'a> { inp: BufView<'a, f32>, out: BufViewMut<'a, f32> }
+//! impl LaneBody for Body<'_> {
+//!     #[inline(always)]
+//!     fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+//!         let x: L = self.inp.load(i);
+//!         self.out.store(i, x * x);
+//!     }
+//! }
+//!
 //! impl Kernel for Square {
 //!     fn name(&self) -> &str { "square" }
 //!     fn run_group(&self, g: &mut GroupCtx) {
-//!         let inp = self.input.view();
-//!         let out = self.output.view_mut();
-//!         g.for_each(|wi| {
-//!             let i = wi.global_id(0);
-//!             let x = inp.get(i);
-//!             out.set(i, x * x);
-//!         });
+//!         let mut body = Body { inp: self.input.view(), out: self.output.view_mut() };
+//!         g.for_each_lane(1, self.input.len(), &mut body);
 //!     }
 //! }
 //!
 //! let device = Device::native_cpu(2).unwrap();
 //! let ctx = Context::new(device);
 //! let queue = ctx.queue();
-//! let input = ctx.buffer_from(MemFlags::READ_ONLY, &[1.0f32, 2.0, 3.0, 4.0]).unwrap();
-//! let output = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, 4).unwrap();
+//! let input = ctx.buffer_from(MemFlags::READ_ONLY, &[1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+//! let output = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, 6).unwrap();
 //! let kernel: Arc<dyn Kernel> = Arc::new(Square { input: input.clone(), output: output.clone() });
-//! queue.enqueue_kernel(&kernel, NDRange::d1(4)).unwrap();
-//! let mut result = vec![0.0f32; 4];
+//! // One group of six: a lane step over elements 0..4, then 4 and 5 alone.
+//! let ev = queue.enqueue_kernel(&kernel, NDRange::d1(6).local1(6)).unwrap();
+//! assert_eq!(ev.lane_items, 4);
+//! let mut result = vec![0.0f32; 6];
 //! queue.read_buffer(&output, 0, &mut result).unwrap();
-//! assert_eq!(result, vec![1.0, 4.0, 9.0, 16.0]);
+//! assert_eq!(result, vec![1.0, 4.0, 9.0, 16.0, 25.0, 36.0]);
 //! ```
 
 mod affinity_exec;
@@ -103,7 +113,7 @@ pub use context::{Context, ContextConfig};
 pub use device::{Device, DeviceKind, Platform};
 pub use error::ClError;
 pub use event::{CommandKind, Event, ProfilingInfo};
-pub use kernel::{ArgBinding, GroupCtx, Kernel, LocalBuf, WorkItem};
+pub use kernel::{ArgBinding, GroupCtx, Kernel, LaneBody, LocalBuf, WorkItem};
 pub use ndrange::{NDRange, ResolvedRange};
 pub use program::{BuildOptions, Program};
 pub use queue::{CoarsenMode, CommandQueue, QueueConfig, TypedMap, TypedMapMut};

@@ -257,6 +257,23 @@ fn run_suite(workers: usize, fast: bool) -> Report {
     built.verify(&lanes_q).expect("computeq results");
     push("simd/computeq", "ns/group", stats);
 
+    // The same computeQ coalesced: 4 voxels per workitem, local 64 (1024
+    // workitems). A workitem's voxels are contiguous, so lane steps walk
+    // them; an engine that runs coalesced launches scalar is about 4×
+    // slower and fails the entry.
+    let built = cl_kernels::parboil::mriq::build_q(&lanes_ctx, 4096, 64, 4, Some(64), 7);
+    let groups = BATCH * 4096 / 4 / 64;
+    let stats = sample(warm, samples, groups, || {
+        for _ in 0..BATCH {
+            lanes_q
+                .enqueue_kernel(&built.kernel, built.range)
+                .expect("coalesced enqueue");
+        }
+        groups
+    });
+    built.verify(&lanes_q).expect("coalesced results");
+    push("simd/coalesced", "ns/group", stats);
+
     // BlackScholes, 64×64 items pricing 16 options each, local 16×16, on
     // the same device: four options per lane step on the branch-free
     // `cl_vec::exp`/`ln`. A libm call per lane is about 1.5× slower and

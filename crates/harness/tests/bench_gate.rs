@@ -165,7 +165,7 @@ fn real_run_roundtrip_and_seeded_regression() {
     let text = std::fs::read_to_string(&run_file).expect("read run file");
     let report = Report::from_json(&text).expect("parse run file");
     assert_eq!(report.workers, 1);
-    assert_eq!(report.benches.len(), 18);
+    assert_eq!(report.benches.len(), 19);
     for b in &report.benches {
         assert!(b.stats.median > 0.0, "{}: non-positive median", b.name);
         assert!(b.stats.samples > 0, "{}: no samples", b.name);

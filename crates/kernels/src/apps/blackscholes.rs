@@ -8,10 +8,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::{Lane, VecF32};
+use cl_vec::Lane;
 use ocl_rt::{
-    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
-    ResolvedRange,
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags,
+    NDRange, ResolvedRange, WorkItem,
 };
 use par_for::{Schedule, Team};
 
@@ -129,38 +129,39 @@ fn options<T: Lane>(
     }
 }
 
+/// The grid-stride walks of the `L::WIDTH` workitems from `wi`.
+struct Options<'a> {
+    src: [BufView<'a, f32>; 3],
+    dst: [BufViewMut<'a, f32>; 2],
+    n: usize,
+    stride: usize,
+}
+
+impl LaneBody for Options<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, _x: usize, wi: &WorkItem) {
+        let first = wi.global_linear();
+        options::<L>(&self.src, &self.dst, self.n, first, self.stride);
+    }
+}
+
 impl Kernel for BlackScholes {
     fn name(&self) -> &str {
         "blackScholes"
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let src = [self.stock.view(), self.strike.view(), self.years.view()];
-        let dst = [self.call.view_mut(), self.put.view_mut()];
-        let n = self.n_options;
-        let stride = g.global_size(0) * g.global_size(1);
-        g.for_each(|wi| options::<f32>(&src, &dst, n, wi.global_linear(), stride));
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
         // The grid-stride loop visits contiguous option indices across the
         // x-adjacent workitems of a row (their `global_linear` ids are
-        // consecutive), so the implicit vectorizer packs 4 options per lane
-        // step, for 1-D and 2-D groups alike.
-        if width != 4 {
-            return false;
-        }
-        let src = [self.stock.view(), self.strike.view(), self.years.view()];
-        let dst = [self.call.view_mut(), self.put.view_mut()];
-        let n = self.n_options;
-        let stride = g.global_size(0) * g.global_size(1);
-        g.for_each_simd(
-            4,
-            g.global_size(0),
-            |wi| options::<VecF32<4>>(&src, &dst, n, wi.global_linear(), stride),
-            |wi| options::<f32>(&src, &dst, n, wi.global_linear(), stride),
-        );
-        true
+        // consecutive), so a lane step prices 4 adjacent options per
+        // stride, for 1-D and 2-D groups alike.
+        let mut body = Options {
+            src: [self.stock.view(), self.strike.view(), self.years.view()],
+            dst: [self.call.view_mut(), self.put.view_mut()],
+            n: self.n_options,
+            stride: g.global_size(0) * g.global_size(1),
+        };
+        g.for_each_lane(1, g.global_size(0), &mut body);
     }
 
     fn profile(&self) -> KernelProfile {
@@ -327,8 +328,8 @@ mod tests {
 
     #[test]
     fn one_dimensional_launch_takes_the_simd_path() {
-        // A 1-D range with a lane-multiple workgroup exercises
-        // run_group_simd end-to-end.
+        // A 1-D range with a lane-multiple workgroup runs lane steps
+        // end-to-end.
         let ctx = ctx();
         let q = ctx.queue();
         let n_options = 4096;

@@ -8,9 +8,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::{Lane, VecF32};
+use cl_vec::Lane;
 use ocl_rt::{
-    BufView, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange,
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags,
+    NDRange, ResolvedRange, WorkItem,
 };
 use par_for::{Schedule, Team};
 
@@ -28,13 +29,70 @@ pub struct MatrixMul {
     pub k: usize,
 }
 
-impl MatrixMul {
-    /// The tiled group body shared by both lowerings: per tile, copy the A
-    /// and B tiles, barrier, add the tile pair's products to the per-item
-    /// accumulators (indexed `ly·t + lx`), barrier; then store. The two
-    /// tile phases run through [`walk`]: item by item, or with `lanes` a
-    /// tile row per step.
-    fn run_tiled(&self, g: &mut GroupCtx, lanes: bool) {
+/// Copy one tile of A (rows from `a0`, stride `k`) and of B (rows from
+/// `b0`, stride `w`) into the local tiles. The group's columns start at
+/// `col0`.
+struct Load<'a> {
+    a: BufView<'a, f32>,
+    b: BufView<'a, f32>,
+    a_tile: &'a mut [f32],
+    b_tile: &'a mut [f32],
+    t: usize,
+    k: usize,
+    w: usize,
+    a0: usize,
+    b0: usize,
+    col0: usize,
+}
+
+impl LaneBody for Load<'_> {
+    const BLOCKS_OF_16: bool = true;
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, x: usize, wi: &WorkItem) {
+        let (lx, ly) = (x - self.col0, wi.local_id(1));
+        let i = ly * self.t + lx;
+        let a = self.a.load::<L>(self.a0 + ly * self.k + lx);
+        a.store(self.a_tile, i);
+        let b = self.b.load::<L>(self.b0 + ly * self.w + lx);
+        b.store(self.b_tile, i);
+    }
+}
+
+/// Add one tile pair's products to the accumulators, in `e` order. A
+/// 16-item register block keeps four SSE accumulators in registers per
+/// splat of the A-tile element its items share.
+struct Multiply<'a> {
+    a_tile: &'a [f32],
+    b_tile: &'a [f32],
+    acc: &'a mut [f32],
+    t: usize,
+    col0: usize,
+}
+
+impl LaneBody for Multiply<'_> {
+    const BLOCKS_OF_16: bool = true;
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, x: usize, wi: &WorkItem) {
+        let (t, lx, row) = (self.t, x - self.col0, wi.local_id(1) * self.t);
+        let mut s = L::load(self.acc, row + lx);
+        for e in 0..t {
+            s = s + L::splat(self.a_tile[row + e]) * L::load(self.b_tile, e * t + lx);
+        }
+        s.store(self.acc, row + lx);
+    }
+}
+
+impl Kernel for MatrixMul {
+    fn name(&self) -> &str {
+        "matrixMul"
+    }
+
+    /// Per tile, copy the A and B tiles, barrier, add the tile pair's
+    /// products to the per-item accumulators (indexed `ly·t + lx`),
+    /// barrier; then store. On a lane launch both tile phases walk each
+    /// tile row in 16-item register blocks, then lane steps, then single
+    /// items.
+    fn run_group(&self, g: &mut GroupCtx) {
         let t = g.local_size(0);
         assert_eq!(
             g.local_size(1),
@@ -52,6 +110,7 @@ impl MatrixMul {
         // the loop-fission lowering keeps them in a per-group array indexed
         // by local id (Stratton et al.'s "thread-private" expansion).
         let mut acc = vec![0.0f32; t * t];
+        let bound = g.global_size(0);
 
         for tile in 0..k / t {
             let mut load = Load {
@@ -64,16 +123,18 @@ impl MatrixMul {
                 w,
                 a0: row0 * k + tile * t,
                 b0: tile * t * w + col0,
+                col0,
             };
-            walk(g, lanes, &mut load);
+            g.for_each_lane(1, bound, &mut load);
             g.barrier();
             let mut multiply = Multiply {
                 a_tile: a_tile.as_slice(),
                 b_tile: b_tile.as_slice(),
                 acc: &mut acc,
                 t,
+                col0,
             };
-            walk(g, lanes, &mut multiply);
+            g.for_each_lane(1, bound, &mut multiply);
             g.barrier();
         }
         let c = self.c.view_mut();
@@ -81,120 +142,6 @@ impl MatrixMul {
             let (lx, ly) = (wi.local_id(0), wi.local_id(1));
             c.set((row0 + ly) * w + col0 + lx, acc[ly * t + lx]);
         });
-    }
-}
-
-/// One phase of the tiled group body, run on the `L::WIDTH` items from
-/// `lx` along tile row `ly`.
-trait Phase {
-    fn at<L: Lane>(&mut self, lx: usize, ly: usize);
-}
-
-/// Run `phase` over a `t`×`t` tile: item by item, or with `lanes` each
-/// tile row as one step of [`row_blocks`].
-#[inline(always)]
-fn walk(g: &mut GroupCtx, lanes: bool, phase: &mut impl Phase) {
-    let t = g.local_size(0);
-    if !lanes {
-        g.for_each(|wi| phase.at::<f32>(wi.local_id(0), wi.local_id(1)));
-        return;
-    }
-    g.for_each_simd(
-        t,
-        g.global_size(0),
-        |wi| {
-            let ly = wi.local_id(1);
-            for (lx, width) in row_blocks(t) {
-                match width {
-                    16 => phase.at::<VecF32<16>>(lx, ly),
-                    4 => phase.at::<VecF32<4>>(lx, ly),
-                    _ => phase.at::<f32>(lx, ly),
-                }
-            }
-        },
-        |_| unreachable!("a tile row is one step"),
-    );
-}
-
-/// A tile row of side `t` as `(lx, width)` blocks: 16-item register
-/// blocks, then 4-item lane steps, then single items.
-fn row_blocks(t: usize) -> impl Iterator<Item = (usize, usize)> {
-    let (b16, b4) = (t - t % 16, t - t % 4);
-    let blocks =
-        |from: usize, to: usize, width: usize| (from..to).step_by(width).map(move |lx| (lx, width));
-    blocks(0, b16, 16)
-        .chain(blocks(b16, b4, 4))
-        .chain(blocks(b4, t, 1))
-}
-
-/// Copy one tile of A (rows from `a0`, stride `k`) and of B (rows from
-/// `b0`, stride `w`) into the local tiles.
-struct Load<'a> {
-    a: BufView<'a, f32>,
-    b: BufView<'a, f32>,
-    a_tile: &'a mut [f32],
-    b_tile: &'a mut [f32],
-    t: usize,
-    k: usize,
-    w: usize,
-    a0: usize,
-    b0: usize,
-}
-
-impl Phase for Load<'_> {
-    #[inline(always)]
-    fn at<L: Lane>(&mut self, lx: usize, ly: usize) {
-        let i = ly * self.t + lx;
-        let a = self.a.load::<L>(self.a0 + ly * self.k + lx);
-        a.store(self.a_tile, i);
-        let b = self.b.load::<L>(self.b0 + ly * self.w + lx);
-        b.store(self.b_tile, i);
-    }
-}
-
-/// Add one tile pair's products to the accumulators, in `e` order. A
-/// 16-item block keeps four SSE accumulators in registers per splat of
-/// the A-tile element its items share.
-struct Multiply<'a> {
-    a_tile: &'a [f32],
-    b_tile: &'a [f32],
-    acc: &'a mut [f32],
-    t: usize,
-}
-
-impl Phase for Multiply<'_> {
-    #[inline(always)]
-    fn at<L: Lane>(&mut self, lx: usize, ly: usize) {
-        let (t, row) = (self.t, ly * self.t);
-        let mut s = L::load(self.acc, row + lx);
-        for e in 0..t {
-            s = s + L::splat(self.a_tile[row + e]) * L::load(self.b_tile, e * t + lx);
-        }
-        s.store(self.acc, row + lx);
-    }
-}
-
-impl Kernel for MatrixMul {
-    fn name(&self) -> &str {
-        "matrixMul"
-    }
-
-    fn run_group(&self, g: &mut GroupCtx) {
-        self.run_tiled(g, false);
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        // Both tile phases walk a tile row as one step: the copies move
-        // contiguous row blocks, and the multiply keeps a 16-item block's
-        // accumulators in registers. A side below one lane
-        // step, or a non-square group (which `run_group` reports), runs
-        // scalar.
-        let t = g.local_size(0);
-        if width != 4 || t < 4 || g.local_size(1) != t || !self.k.is_multiple_of(t) {
-            return false;
-        }
-        self.run_tiled(g, true);
-        true
     }
 
     fn profile(&self) -> KernelProfile {
@@ -232,25 +179,42 @@ pub struct MatrixMulNaive {
     pub k: usize,
 }
 
+/// `C = A·B` at the `L::WIDTH` columns from `col` of the workitem's row:
+/// x-adjacent items share one splat of A and read adjacent B columns.
+struct NaiveBody<'a> {
+    a: BufView<'a, f32>,
+    b: BufView<'a, f32>,
+    c: BufViewMut<'a, f32>,
+    w: usize,
+    k: usize,
+}
+
+impl LaneBody for NaiveBody<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, col: usize, wi: &WorkItem) {
+        let (row, w, k) = (wi.global_id(1), self.w, self.k);
+        let mut s = L::splat(0.0);
+        for e in 0..k {
+            s = s + L::splat(self.a.get(row * k + e)) * self.b.load::<L>(e * w + col);
+        }
+        self.c.store(row * w + col, s);
+    }
+}
+
 impl Kernel for MatrixMulNaive {
     fn name(&self) -> &str {
         "matrixMul(naive)"
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let a = self.a.view();
-        let b = self.b.view();
-        let c = self.c.view_mut();
-        let (w, k) = (self.w, self.k);
-        g.for_each(|wi| {
-            let row = wi.global_id(1);
-            let col = wi.global_id(0);
-            let mut s = 0.0f32;
-            for e in 0..k {
-                s += a.get(row * k + e) * b.get(e * w + col);
-            }
-            c.set(row * w + col, s);
-        });
+        let mut body = NaiveBody {
+            a: self.a.view(),
+            b: self.b.view(),
+            c: self.c.view_mut(),
+            w: self.w,
+            k: self.k,
+        };
+        g.for_each_lane(1, self.w, &mut body);
     }
 
     fn profile(&self) -> KernelProfile {
@@ -410,13 +374,23 @@ mod tests {
 
     #[test]
     fn tile_rows_walk_in_register_blocks_then_lane_steps() {
-        let blocks = |t| row_blocks(t).collect::<Vec<_>>();
-        assert_eq!(blocks(4), [(0, 4)]);
-        assert_eq!(blocks(6), [(0, 4), (4, 1), (5, 1)]);
-        assert_eq!(blocks(12), [(0, 4), (4, 4), (8, 4)]);
-        assert_eq!(blocks(16), [(0, 16)]);
-        assert_eq!(blocks(22), [(0, 16), (16, 4), (20, 1), (21, 1)]);
-        assert_eq!(blocks(32), [(0, 16), (16, 16)]);
+        // A tile row of t items runs t − t % 4 of them in lanes: 4, 6 and
+        // 12 in steps only (6 with two single items), 16 as one block, 22
+        // as a block, a step and two single items, 32 as two blocks. Each
+        // of the t rows counts in both phases of both tiles of all 4
+        // groups.
+        let ctx = ctx();
+        let q = ctx.queue();
+        for t in [4, 6, 12, 16, 22, 32] {
+            let b = build_tiled(&ctx, 2 * t, 2 * t, 2 * t, t, 5);
+            let ev = q.enqueue_kernel(&b.kernel, b.range).unwrap();
+            b.verify(&q).unwrap_or_else(|e| panic!("t = {t}: {e}"));
+            assert_eq!(
+                ev.lane_items as usize,
+                (t - t % 4) * t * 2 * 2 * 4,
+                "t = {t}"
+            );
+        }
     }
 
     #[test]

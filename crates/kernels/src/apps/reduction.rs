@@ -4,7 +4,11 @@
 
 use std::sync::Arc;
 
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange};
+use cl_vec::Lane;
+use ocl_rt::{
+    BufView, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags, NDRange,
+    ResolvedRange, WorkItem,
+};
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
@@ -17,6 +21,30 @@ pub struct Reduction {
     pub n: usize,
 }
 
+/// `scratch[i - base] = input[i]` on the `L::WIDTH` items from `i`.
+struct Load<'a>(BufView<'a, f32>, &'a mut [f32], usize);
+
+impl LaneBody for Load<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+        self.0.load::<L>(i).store(self.1, i - self.2);
+    }
+}
+
+/// `scratch[l] += scratch[l + span]` on the `L::WIDTH` items from
+/// `l = i - base`; `l + L::WIDTH <= span`, so a step reads no lane it
+/// writes.
+struct Fold<'a>(&'a mut [f32], usize, usize);
+
+impl LaneBody for Fold<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+        let (l, span) = (i - self.1, self.2);
+        let v = L::load(self.0, l) + L::load(self.0, l + span);
+        v.store(self.0, l);
+    }
+}
+
 impl Kernel for Reduction {
     fn name(&self) -> &str {
         "reduce"
@@ -24,34 +52,28 @@ impl Kernel for Reduction {
 
     fn run_group(&self, g: &mut GroupCtx) {
         let wg = g.local_size(0);
-        let input = self.input.view();
+        let base = g.group_id(0) * wg;
         let partials = self.partials.view_mut();
-        let n = self.n;
         let mut scratch = g.local::<f32>(wg);
 
-        // Phase 1: one element per workitem (guarded tail).
-        g.for_each(|wi| {
-            let i = wi.global_id(0);
-            scratch[wi.local_id(0)] = if i < n { input.get(i) } else { 0.0 };
-        });
+        // Phase 1: one element per workitem; the zeroed scratch holds the
+        // items past `n`.
+        let mut load = Load(self.input.view(), scratch.as_mut_slice(), base);
+        g.for_each_lane(1, self.n, &mut load);
         g.barrier();
 
         // Phase 2: binary tree, halving the active span each step (the
         // classic pattern requires a power-of-two group size, as the SDK
-        // sample does).
+        // sample does). Items `l < span` are elementwise, so each step is a
+        // walk bounded at the group's base + span.
         assert!(
             wg.is_power_of_two(),
             "reduce requires a power-of-two workgroup"
         );
         let mut span = wg / 2;
         while span > 0 {
-            g.for_each(|wi| {
-                let l = wi.local_id(0);
-                if l < span {
-                    let v = scratch[l] + scratch[l + span];
-                    scratch[l] = v;
-                }
-            });
+            let mut fold = Fold(scratch.as_mut_slice(), base, span);
+            g.for_each_lane(1, base + span, &mut fold);
             g.barrier();
             span /= 2;
         }

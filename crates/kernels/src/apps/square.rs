@@ -3,10 +3,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::{Lane, VecF32};
+use cl_vec::Lane;
 use ocl_rt::{
-    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
-    ResolvedRange,
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags,
+    NDRange, ResolvedRange, WorkItem,
 };
 use par_for::{Schedule, Team};
 
@@ -34,11 +34,15 @@ impl Square {
     }
 }
 
-/// `out = in²` on the `T::WIDTH` elements from `i`.
-#[inline(always)]
-fn square<T: Lane>(inp: &BufView<f32>, out: &BufViewMut<f32>, i: usize) {
-    let x: T = inp.load(i);
-    out.store(i, x * x);
+/// `out = in²` on the `L::WIDTH` elements from `i`.
+struct Body<'a>(BufView<'a, f32>, BufViewMut<'a, f32>);
+
+impl LaneBody for Body<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+        let x: L = self.0.load(i);
+        self.1.store(i, x * x);
+    }
 }
 
 impl Kernel for Square {
@@ -47,34 +51,8 @@ impl Kernel for Square {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let inp = self.input.view();
-        let out = self.output.view_mut();
-        let k = self.items_per_wi;
-        let n = self.n;
-        g.for_each(|wi| {
-            let base = wi.global_id(0) * k;
-            for i in base..(base + k).min(n) {
-                square::<f32>(&inp, &out, i);
-            }
-        });
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        // The implicit vectorizer packs adjacent workitems; with an internal
-        // coalescing loop the packed accesses stop being contiguous, which
-        // is exactly when real kernel vectorizers bail to scalar.
-        if self.items_per_wi != 1 || width != 4 {
-            return false;
-        }
-        let inp = self.input.view();
-        let out = self.output.view_mut();
-        g.for_each_simd(
-            4,
-            self.n,
-            |wi| square::<VecF32<4>>(&inp, &out, wi.global_id(0)),
-            |wi| square::<f32>(&inp, &out, wi.global_id(0)),
-        );
-        true
+        let mut body = Body(self.input.view(), self.output.view_mut());
+        g.for_each_lane(self.items_per_wi, self.n, &mut body);
     }
 
     fn profile(&self) -> KernelProfile {

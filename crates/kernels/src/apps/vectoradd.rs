@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::{Lane, VecF32};
+use cl_vec::Lane;
 use ocl_rt::{
-    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
-    ResolvedRange,
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags,
+    NDRange, ResolvedRange, WorkItem,
 };
 use par_for::{Schedule, Team};
 
@@ -23,10 +23,15 @@ pub struct VectorAdd {
     pub items_per_wi: usize,
 }
 
-/// `c = a + b` on the `T::WIDTH` elements from `i`.
-#[inline(always)]
-fn add<T: Lane>(a: &BufView<f32>, b: &BufView<f32>, c: &BufViewMut<f32>, i: usize) {
-    c.store(i, a.load::<T>(i) + b.load::<T>(i));
+/// `c = a + b` on the `L::WIDTH` elements from `i`.
+struct Body<'a>([BufView<'a, f32>; 2], BufViewMut<'a, f32>);
+
+impl LaneBody for Body<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+        let [a, b] = &self.0;
+        self.1.store(i, a.load::<L>(i) + b.load::<L>(i));
+    }
 }
 
 impl Kernel for VectorAdd {
@@ -35,31 +40,8 @@ impl Kernel for VectorAdd {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let (a, b) = (self.a.view(), self.b.view());
-        let c = self.c.view_mut();
-        let k = self.items_per_wi;
-        let n = self.n;
-        g.for_each(|wi| {
-            let base = wi.global_id(0) * k;
-            for i in base..(base + k).min(n) {
-                add::<f32>(&a, &b, &c, i);
-            }
-        });
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        if self.items_per_wi != 1 || width != 4 {
-            return false;
-        }
-        let (a, b) = (self.a.view(), self.b.view());
-        let c = self.c.view_mut();
-        g.for_each_simd(
-            4,
-            self.n,
-            |wi| add::<VecF32<4>>(&a, &b, &c, wi.global_id(0)),
-            |wi| add::<f32>(&a, &b, &c, wi.global_id(0)),
-        );
-        true
+        let mut body = Body([self.a.view(), self.b.view()], self.c.view_mut());
+        g.for_each_lane(self.items_per_wi, self.n, &mut body);
     }
 
     fn profile(&self) -> KernelProfile {

@@ -9,8 +9,11 @@
 
 use std::sync::Arc;
 
-use cl_vec::{Lane, VecF32};
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange};
+use cl_vec::Lane;
+use ocl_rt::{
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags,
+    NDRange, WorkItem,
+};
 
 use crate::apps::Built;
 use crate::util::random_f32;
@@ -74,39 +77,35 @@ fn chains<T: Lane>(x: T, ilp: usize, iters: usize) -> T {
     acc[0] + acc[1] + acc[2] + acc[3]
 }
 
+/// `output = chains(input)` on the `L::WIDTH` items from `i`.
+struct Body<'a> {
+    input: BufView<'a, f32>,
+    output: BufViewMut<'a, f32>,
+    ilp: usize,
+    iters: usize,
+}
+
+impl LaneBody for Body<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+        let x = chains::<L>(self.input.load(i), self.ilp, self.iters);
+        self.output.store(i, x);
+    }
+}
+
 impl Kernel for IlpKernel {
     fn name(&self) -> &str {
         "ilp_microbench"
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let (input, output) = (self.input.view(), self.output.view_mut());
-        let (ilp, iters) = (self.ilp, self.iters);
-        g.for_each(|wi| {
-            let i = wi.global_id(0);
-            output.store(i, chains::<f32>(input.load(i), ilp, iters));
-        });
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        if width != 4 {
-            return false;
-        }
-        let (input, output) = (self.input.view(), self.output.view_mut());
-        let (ilp, iters) = (self.ilp, self.iters);
-        g.for_each_simd(
-            4,
-            g.global_size(0),
-            |wi| {
-                let i = wi.global_id(0);
-                output.store(i, chains::<VecF32<4>>(input.load(i), ilp, iters));
-            },
-            |wi| {
-                let i = wi.global_id(0);
-                output.store(i, chains::<f32>(input.load(i), ilp, iters));
-            },
-        );
-        true
+        let mut body = Body {
+            input: self.input.view(),
+            output: self.output.view_mut(),
+            ilp: self.ilp,
+            iters: self.iters,
+        };
+        g.for_each_lane(1, g.global_size(0), &mut body);
     }
 
     fn profile(&self) -> KernelProfile {

@@ -22,7 +22,10 @@ use cl_vec::{
     analyze_opencl_kernel, ArrayId, IndexExpr, Lane, Loop, LoopVectorizer, MathFn, Op, Operand,
     Stmt, Temp, TripCount, VecF32, VectorizationReport, VectorizerPolicy,
 };
-use ocl_rt::{Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange};
+use ocl_rt::{
+    BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags, NDRange,
+    WorkItem,
+};
 use par_for::{Schedule, Team};
 
 use crate::apps::Built;
@@ -124,103 +127,63 @@ impl MBench {
 }
 
 // ---------------------------------------------------------------------------
-// Bench bodies. Each is one function over `T: Lane`, so its scalar run
+// Bench bodies. Each is one match arm over `T: Lane`, so its scalar run
 // (`T = f32`) and SIMD run (`T = VecF32<4>`, lanes = adjacent elements)
 // are the same math and agree bit for bit.
 // ---------------------------------------------------------------------------
 
-/// One bench's elementwise computation.
-trait Elem {
-    /// Outputs `i .. i + T::WIDTH` from the full `a`, `b`.
-    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T;
+const CHAIN: usize = 8;
+const NEWTON_ITERS: usize = 6;
+
+/// MBench`ID`'s outputs `i .. i + T::WIDTH` from the full `a`, `b`.
+#[inline(always)]
+fn bench<const ID: usize, T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
+    match ID {
+        1 => T::load(a, i) * T::load(b, i),
+        2 => {
+            // Lane `l` works on element `i + l`: its chain inputs are
+            // strided.
+            let mut acc = T::splat(1.0);
+            for j in 0..CHAIN {
+                let at = i * CHAIN + j;
+                acc = acc * T::load_strided(a, at, CHAIN) + T::load_strided(b, at, CHAIN);
+            }
+            acc
+        }
+        3 => T::load_strided(a, 2 * i, 2) + T::load_strided(a, 2 * i + 1, 2),
+        4 => T::load_strided(a, 3 * i, 3) + T::load(b, i),
+        5 => T::load(a, i + 1) - T::load(a, i),
+        6 => {
+            let (va, zero) = (T::load(a, i), T::splat(0.0));
+            va.select_gt(zero, (va * T::load(b, i)).abs().sqrt(), zero)
+        }
+        7 => {
+            let v = T::load(a, i).abs() + T::splat(1.0);
+            let mut x = v;
+            // In the source program this loop exits on convergence (trip
+            // count data-dependent); both planes execute the fixed worst
+            // case so the arithmetic matches.
+            for _ in 0..NEWTON_ITERS {
+                x = T::splat(0.5) * (x + v / x);
+            }
+            x
+        }
+        8 => T::load(a, i).exp() * T::load(b, i),
+        _ => unreachable!("MBench{ID} does not exist"),
+    }
 }
 
-/// Runs `B` over `c` (outputs `s ..`): `T::WIDTH` outputs per step, the
-/// remainder one at a time.
-fn elems<B: Elem, T: Lane>(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
+/// The OpenMP plane's loop over `c` (outputs `s ..`): `T::WIDTH` outputs
+/// per iteration, the remainder one at a time.
+fn elems<const ID: usize, T: Lane>(a: &[f32], b: &[f32], c: &mut [f32], s: usize) {
     let main = c.len() - c.len() % T::WIDTH;
     let mut k = 0;
     while k < main {
-        B::at::<T>(a, b, s + k).store(c, k);
+        bench::<ID, T>(a, b, s + k).store(c, k);
         k += T::WIDTH;
     }
     for (k, out) in c.iter_mut().enumerate().skip(main) {
-        *out = B::at::<f32>(a, b, s + k);
-    }
-}
-
-struct Mb1;
-impl Elem for Mb1 {
-    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
-        T::load(a, i) * T::load(b, i)
-    }
-}
-
-const CHAIN: usize = 8;
-
-struct Mb2;
-impl Elem for Mb2 {
-    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
-        // Lane `l` works on element `i + l`: its chain inputs are strided.
-        let mut acc = T::splat(1.0);
-        for j in 0..CHAIN {
-            let at = i * CHAIN + j;
-            acc = acc * T::load_strided(a, at, CHAIN) + T::load_strided(b, at, CHAIN);
-        }
-        acc
-    }
-}
-
-struct Mb3;
-impl Elem for Mb3 {
-    fn at<T: Lane>(a: &[f32], _b: &[f32], i: usize) -> T {
-        T::load_strided(a, 2 * i, 2) + T::load_strided(a, 2 * i + 1, 2)
-    }
-}
-
-struct Mb4;
-impl Elem for Mb4 {
-    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
-        T::load_strided(a, 3 * i, 3) + T::load(b, i)
-    }
-}
-
-struct Mb5;
-impl Elem for Mb5 {
-    fn at<T: Lane>(a: &[f32], _b: &[f32], i: usize) -> T {
-        T::load(a, i + 1) - T::load(a, i)
-    }
-}
-
-struct Mb6;
-impl Elem for Mb6 {
-    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
-        let (va, zero) = (T::load(a, i), T::splat(0.0));
-        va.select_gt(zero, (va * T::load(b, i)).abs().sqrt(), zero)
-    }
-}
-
-const NEWTON_ITERS: usize = 6;
-
-struct Mb7;
-impl Elem for Mb7 {
-    fn at<T: Lane>(a: &[f32], _b: &[f32], i: usize) -> T {
-        let v = T::load(a, i).abs() + T::splat(1.0);
-        let mut x = v;
-        // In the source program this loop exits on convergence (trip count
-        // data-dependent); both planes execute the fixed worst case so the
-        // arithmetic matches.
-        for _ in 0..NEWTON_ITERS {
-            x = T::splat(0.5) * (x + v / x);
-        }
-        x
-    }
-}
-
-struct Mb8;
-impl Elem for Mb8 {
-    fn at<T: Lane>(a: &[f32], b: &[f32], i: usize) -> T {
-        T::load(a, i).exp() * T::load(b, i)
+        *out = bench::<ID, f32>(a, b, s + k);
     }
 }
 
@@ -485,8 +448,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 1.0,
             in_factor: 1,
             in_pad: 0,
-            scalar: elems::<Mb1, f32>,
-            simd: elems::<Mb1, VecF32<4>>,
+            scalar: elems::<1, f32>,
+            simd: elems::<1, VecF32<4>>,
             omp_ir: ir_elementwise_mul,
         },
         MBench {
@@ -496,8 +459,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 2.0 * CHAIN as f64,
             in_factor: CHAIN,
             in_pad: 0,
-            scalar: elems::<Mb2, f32>,
-            simd: elems::<Mb2, VecF32<4>>,
+            scalar: elems::<2, f32>,
+            simd: elems::<2, VecF32<4>>,
             omp_ir: ir_fmul_chain,
         },
         MBench {
@@ -507,8 +470,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 1.0,
             in_factor: 2,
             in_pad: 8,
-            scalar: elems::<Mb3, f32>,
-            simd: elems::<Mb3, VecF32<4>>,
+            scalar: elems::<3, f32>,
+            simd: elems::<3, VecF32<4>>,
             omp_ir: ir_strided,
         },
         MBench {
@@ -518,8 +481,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 1.0,
             in_factor: 3,
             in_pad: 12,
-            scalar: elems::<Mb4, f32>,
-            simd: elems::<Mb4, VecF32<4>>,
+            scalar: elems::<4, f32>,
+            simd: elems::<4, VecF32<4>>,
             omp_ir: ir_gather3,
         },
         MBench {
@@ -529,8 +492,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 1.0,
             in_factor: 1,
             in_pad: 8,
-            scalar: elems::<Mb5, f32>,
-            simd: elems::<Mb5, VecF32<4>>,
+            scalar: elems::<5, f32>,
+            simd: elems::<5, VecF32<4>>,
             omp_ir: ir_stencil,
         },
         MBench {
@@ -540,8 +503,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 3.0,
             in_factor: 1,
             in_pad: 0,
-            scalar: elems::<Mb6, f32>,
-            simd: elems::<Mb6, VecF32<4>>,
+            scalar: elems::<6, f32>,
+            simd: elems::<6, VecF32<4>>,
             omp_ir: ir_branch,
         },
         MBench {
@@ -551,8 +514,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 4.0 * NEWTON_ITERS as f64,
             in_factor: 1,
             in_pad: 0,
-            scalar: elems::<Mb7, f32>,
-            simd: elems::<Mb7, VecF32<4>>,
+            scalar: elems::<7, f32>,
+            simd: elems::<7, VecF32<4>>,
             omp_ir: ir_uncountable,
         },
         MBench {
@@ -562,8 +525,8 @@ pub fn all() -> Vec<MBench> {
             flops_per_elem: 10.0,
             in_factor: 1,
             in_pad: 0,
-            scalar: elems::<Mb8, f32>,
-            simd: elems::<Mb8, VecF32<4>>,
+            scalar: elems::<8, f32>,
+            simd: elems::<8, VecF32<4>>,
             omp_ir: ir_exp_mul,
         },
     ]
@@ -579,52 +542,49 @@ pub struct MBenchKernel {
     pub n_out: usize,
 }
 
+/// MBench`ID` on the `L::WIDTH` outputs from `i`.
+struct Body<'a, const ID: usize> {
+    a: &'a [f32],
+    b: &'a [f32],
+    c: BufViewMut<'a, f32>,
+}
+
+impl<const ID: usize> LaneBody for Body<'_, ID> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+        self.c.store(i, bench::<ID, L>(self.a, self.b, i));
+    }
+}
+
+impl MBenchKernel {
+    fn walk<const ID: usize>(&self, g: &mut GroupCtx) {
+        let (a, b) = (self.a.view(), self.b.view());
+        let mut body = Body::<ID> {
+            a: a.slice(0, a.len()),
+            b: b.slice(0, b.len()),
+            c: self.c.view_mut(),
+        };
+        g.for_each_lane(1, self.n_out, &mut body);
+    }
+}
+
 impl Kernel for MBenchKernel {
     fn name(&self) -> &str {
         all()[self.bench].name
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let benches = all();
-        let bench = &benches[self.bench];
-        let a = self.a.view();
-        let b = self.b.view();
-        let c = self.c.view_mut();
-        let wg = g.local_size(0);
-        let start = g.group_id(0) * wg;
-        let end = usize::min(start + wg, self.n_out);
-        if start >= end {
-            return;
+        match self.bench + 1 {
+            1 => self.walk::<1>(g),
+            2 => self.walk::<2>(g),
+            3 => self.walk::<3>(g),
+            4 => self.walk::<4>(g),
+            5 => self.walk::<5>(g),
+            6 => self.walk::<6>(g),
+            7 => self.walk::<7>(g),
+            8 => self.walk::<8>(g),
+            id => panic!("MBench{id} does not exist"),
         }
-        let a_s = a.slice(0, a.len());
-        let b_s = b.slice(0, b.len());
-        let c_s = c.slice_mut(start, end - start);
-        (bench.scalar)(a_s, b_s, c_s, start);
-        // Mark the whole group as executed in one go.
-        g.for_each(|_| {});
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        if width != 4 {
-            return false;
-        }
-        let benches = all();
-        let bench = &benches[self.bench];
-        let a = self.a.view();
-        let b = self.b.view();
-        let c = self.c.view_mut();
-        let wg = g.local_size(0);
-        let start = g.group_id(0) * wg;
-        let end = usize::min(start + wg, self.n_out);
-        if start >= end {
-            return true;
-        }
-        let a_s = a.slice(0, a.len());
-        let b_s = b.slice(0, b.len());
-        let c_s = c.slice_mut(start, end - start);
-        (bench.simd)(a_s, b_s, c_s, start);
-        g.for_each(|_| {});
-        true
     }
 
     fn profile(&self) -> KernelProfile {

@@ -4,9 +4,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::{Lane, VecF32};
+use cl_vec::Lane;
 use ocl_rt::{
-    BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange, ResolvedRange,
+    BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags, NDRange,
+    ResolvedRange, WorkItem,
 };
 use par_for::{Schedule, Team};
 
@@ -62,11 +63,22 @@ fn potential<T: Lane>(x: T, y: f32, atoms: &[f32]) -> T {
     e
 }
 
-/// Grid points `gx .. gx + T::WIDTH` of row `gy`.
-#[inline(always)]
-fn points<T: Lane>(grid: &BufViewMut<f32>, atoms: &[f32], nx: usize, gx: usize, gy: usize) {
-    let x = T::from_fn(|j| (gx + j) as f32 * SPACING);
-    grid.store(gy * nx + gx, potential(x, gy as f32 * SPACING, atoms));
+/// Grid points `gx .. gx + L::WIDTH` of the workitem's row: four adjacent
+/// points of one row are evaluated together per atom.
+struct Points<'a> {
+    grid: BufViewMut<'a, f32>,
+    atoms: &'a [f32],
+    nx: usize,
+}
+
+impl LaneBody for Points<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, gx: usize, wi: &WorkItem) {
+        let gy = wi.global_id(1);
+        let x = L::from_fn(|j| (gx + j) as f32 * SPACING);
+        let e = potential(x, gy as f32 * SPACING, self.atoms);
+        self.grid.store(gy * self.nx + gx, e);
+    }
 }
 
 /// The `cenergy` kernel: `items_per_wi` grid columns per workitem in x
@@ -85,37 +97,13 @@ impl Kernel for Cenergy {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let atoms_view = self.atoms.view();
-        let atoms = atoms_view.slice(0, atoms_view.len());
-        let grid = self.grid.view_mut();
-        let k = self.items_per_wi;
-        let nx = self.nx;
-        g.for_each(|wi| {
-            let x0 = wi.global_id(0) * k;
-            for gx in x0..(x0 + k).min(nx) {
-                points::<f32>(&grid, atoms, nx, gx, wi.global_id(1));
-            }
-        });
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        // One grid point per workitem: a step's four x-adjacent items are
-        // four adjacent points of one row, evaluated together per atom. A
-        // coalescing loop (`items_per_wi > 1`) breaks that adjacency.
-        if width != 4 || self.items_per_wi != 1 {
-            return false;
-        }
-        let atoms_view = self.atoms.view();
-        let atoms = atoms_view.slice(0, atoms_view.len());
-        let grid = self.grid.view_mut();
-        let nx = self.nx;
-        g.for_each_simd(
-            4,
-            nx,
-            |wi| points::<VecF32<4>>(&grid, atoms, nx, wi.global_id(0), wi.global_id(1)),
-            |wi| points::<f32>(&grid, atoms, nx, wi.global_id(0), wi.global_id(1)),
-        );
-        true
+        let atoms = self.atoms.view();
+        let mut body = Points {
+            grid: self.grid.view_mut(),
+            atoms: atoms.slice(0, atoms.len()),
+            nx: self.nx,
+        };
+        g.for_each_lane(self.items_per_wi, self.nx, &mut body);
     }
 
     fn profile(&self) -> KernelProfile {

@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::{Lane, VecF32};
+use cl_vec::Lane;
 use ocl_rt::{
-    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
-    ResolvedRange,
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags,
+    NDRange, ResolvedRange, WorkItem,
 };
 use par_for::{Schedule, Team};
 
@@ -27,13 +27,18 @@ pub struct RhoPhi {
     pub items_per_wi: usize,
 }
 
-/// `(rRho, iRho)` on the `T::WIDTH` elements from `i`: `[φR, φI, dR, dI]`
+/// `(rRho, iRho)` on the `L::WIDTH` elements from `i`: `[φR, φI, dR, dI]`
 /// in, `[rRho, iRho]` out.
-#[inline(always)]
-fn rho_phi<T: Lane>(src: &[BufView<f32>; 4], [rr, ri]: &[BufViewMut<f32>; 2], i: usize) {
-    let [a, b, c, d] = src.map(|v| v.load::<T>(i));
-    rr.store(i, a * c + b * d);
-    ri.store(i, a * d - b * c);
+struct RhoPhiBody<'a>([BufView<'a, f32>; 4], [BufViewMut<'a, f32>; 2]);
+
+impl LaneBody for RhoPhiBody<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+        let [a, b, c, d] = self.0.each_ref().map(|v| v.load::<L>(i));
+        let [rr, ri] = &self.1;
+        rr.store(i, a * c + b * d);
+        ri.store(i, a * d - b * c);
+    }
 }
 
 impl Kernel for RhoPhi {
@@ -49,34 +54,7 @@ impl Kernel for RhoPhi {
             self.d_i.view(),
         ];
         let dst = [self.rho_r.view_mut(), self.rho_i.view_mut()];
-        let k = self.items_per_wi;
-        let n = self.n;
-        g.for_each(|wi| {
-            let base = wi.global_id(0) * k;
-            for i in base..(base + k).min(n) {
-                rho_phi::<f32>(&src, &dst, i);
-            }
-        });
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        if width != 4 || self.items_per_wi != 1 {
-            return false;
-        }
-        let src = [
-            self.phi_r.view(),
-            self.phi_i.view(),
-            self.d_r.view(),
-            self.d_i.view(),
-        ];
-        let dst = [self.rho_r.view_mut(), self.rho_i.view_mut()];
-        g.for_each_simd(
-            4,
-            self.n,
-            |wi| rho_phi::<VecF32<4>>(&src, &dst, wi.global_id(0)),
-            |wi| rho_phi::<f32>(&src, &dst, wi.global_id(0)),
-        );
-        true
+        g.for_each_lane(self.items_per_wi, self.n, &mut RhoPhiBody(src, dst));
     }
 
     fn profile(&self) -> KernelProfile {
@@ -92,29 +70,33 @@ impl Kernel for RhoPhi {
     }
 }
 
-/// The FH sums of the `T::WIDTH` voxels from `v` as the kernel computes
+/// The FH sums of the `L::WIDTH` voxels from `v` as the kernel computes
 /// them (`[x, y, z]` in, `[rFH, iFH]` out): [`reference_fh`]'s loop, run
 /// once for all lanes, with `sin`/`cos` from [`cl_vec::sin_cos`] (the
 /// references keep std's).
-#[inline(always)]
-fn fh_voxels<T: Lane>(
-    xyz: &[BufView<f32>; 3],
-    ks: &KSpace,
-    [rr, ri]: [&[f32]; 2],
-    out: &[BufViewMut<f32>; 2],
-    v: usize,
-) {
-    let [x, y, z] = xyz.map(|b| b.load::<T>(v));
-    let mut fr = T::splat(0.0);
-    let mut fi = T::splat(0.0);
-    for (k, (&wr, &wi)) in ks.iter().zip(rr.iter().zip(ri)) {
-        let (s, c) = phase(k, x, y, z).sin_cos();
-        let (wr, wi) = (T::splat(wr), T::splat(wi));
-        fr = fr + (wr * c + wi * s);
-        fi = fi + (wi * c - wr * s);
+struct FhVoxels<'a> {
+    xyz: [BufView<'a, f32>; 3],
+    ks: KSpace<'a>,
+    rho: [&'a [f32]; 2],
+    out: [BufViewMut<'a, f32>; 2],
+}
+
+impl LaneBody for FhVoxels<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, v: usize, _wi: &WorkItem) {
+        let [x, y, z] = self.xyz.each_ref().map(|b| b.load::<L>(v));
+        let [rr, ri] = self.rho;
+        let mut fr = L::splat(0.0);
+        let mut fi = L::splat(0.0);
+        for (k, (&wr, &wi)) in self.ks.iter().zip(rr.iter().zip(ri)) {
+            let (s, c) = phase(k, x, y, z).sin_cos();
+            let (wr, wi) = (L::splat(wr), L::splat(wi));
+            fr = fr + (wr * c + wi * s);
+            fi = fi + (wi * c - wr * s);
+        }
+        self.out[0].store(v, fr);
+        self.out[1].store(v, fi);
     }
-    out[0].store(v, fr);
-    out[1].store(v, fi);
 }
 
 /// `FH`: per voxel, accumulate `rRho·cos + iRho·sin` phase sums (the same
@@ -140,41 +122,18 @@ impl Kernel for Fh {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let xyz = [self.x.view(), self.y.view(), self.z.view()];
+        // A step's four lanes are four adjacent voxels, which share every
+        // k-sample.
         let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
         let ks = KSpace::new(&kx, &ky, &kz);
-        let (rr_view, ri_view) = (self.rho_r.view(), self.rho_i.view());
-        let rho = [rr_view.slice(0, ks.len()), ri_view.slice(0, ks.len())];
-        let out = [self.fh_r.view_mut(), self.fh_i.view_mut()];
-        let items = self.items_per_wi;
-        let n = self.n_voxels;
-        g.for_each(|wi| {
-            let base = wi.global_id(0) * items;
-            for v in base..(base + items).min(n) {
-                fh_voxels::<f32>(&xyz, &ks, rho, &out, v);
-            }
-        });
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        // One voxel per workitem: a step's four items are four adjacent
-        // voxels, which share every k-sample.
-        if width != 4 || self.items_per_wi != 1 {
-            return false;
-        }
-        let xyz = [self.x.view(), self.y.view(), self.z.view()];
-        let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
-        let ks = KSpace::new(&kx, &ky, &kz);
-        let (rr_view, ri_view) = (self.rho_r.view(), self.rho_i.view());
-        let rho = [rr_view.slice(0, ks.len()), ri_view.slice(0, ks.len())];
-        let out = [self.fh_r.view_mut(), self.fh_i.view_mut()];
-        g.for_each_simd(
-            4,
-            self.n_voxels,
-            |wi| fh_voxels::<VecF32<4>>(&xyz, &ks, rho, &out, wi.global_id(0)),
-            |wi| fh_voxels::<f32>(&xyz, &ks, rho, &out, wi.global_id(0)),
-        );
-        true
+        let (rr, ri) = (self.rho_r.view(), self.rho_i.view());
+        let mut body = FhVoxels {
+            xyz: [self.x.view(), self.y.view(), self.z.view()],
+            ks,
+            rho: [rr.slice(0, ks.len()), ri.slice(0, ks.len())],
+            out: [self.fh_r.view_mut(), self.fh_i.view_mut()],
+        };
+        g.for_each_lane(self.items_per_wi, self.n_voxels, &mut body);
     }
 
     fn profile(&self) -> KernelProfile {

@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
-use cl_vec::{Lane, VecF32};
+use cl_vec::Lane;
 use ocl_rt::{
-    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, MemFlags, NDRange,
-    ResolvedRange,
+    BufView, BufViewMut, Buffer, Context, GroupCtx, Kernel, KernelProfile, LaneBody, MemFlags,
+    NDRange, ResolvedRange, WorkItem,
 };
 use par_for::{Schedule, Team};
 
@@ -25,11 +25,15 @@ pub struct ComputePhiMag {
     pub items_per_wi: usize,
 }
 
-/// `phiMag = phiR² + phiI²` on the `T::WIDTH` elements from `i`.
-#[inline(always)]
-fn phi_mag<T: Lane>(r: &BufView<f32>, im: &BufView<f32>, mag: &BufViewMut<f32>, i: usize) {
-    let (re, imv): (T, T) = (r.load(i), im.load(i));
-    mag.store(i, re * re + imv * imv);
+/// `phiMag = phiR² + phiI²` on the `L::WIDTH` elements from `i`.
+struct PhiMag<'a>([BufView<'a, f32>; 2], BufViewMut<'a, f32>);
+
+impl LaneBody for PhiMag<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+        let (re, im): (L, L) = (self.0[0].load(i), self.0[1].load(i));
+        self.1.store(i, re * re + im * im);
+    }
 }
 
 impl Kernel for ComputePhiMag {
@@ -38,31 +42,9 @@ impl Kernel for ComputePhiMag {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let (r, im) = (self.phi_r.view(), self.phi_i.view());
-        let mag = self.phi_mag.view_mut();
-        let k = self.items_per_wi;
-        let n = self.n;
-        g.for_each(|wi| {
-            let base = wi.global_id(0) * k;
-            for i in base..(base + k).min(n) {
-                phi_mag::<f32>(&r, &im, &mag, i);
-            }
-        });
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        if width != 4 || self.items_per_wi != 1 {
-            return false;
-        }
-        let (r, im) = (self.phi_r.view(), self.phi_i.view());
-        let mag = self.phi_mag.view_mut();
-        g.for_each_simd(
-            4,
-            self.n,
-            |wi| phi_mag::<VecF32<4>>(&r, &im, &mag, wi.global_id(0)),
-            |wi| phi_mag::<f32>(&r, &im, &mag, wi.global_id(0)),
-        );
-        true
+        let src = [self.phi_r.view(), self.phi_i.view()];
+        let mut body = PhiMag(src, self.phi_mag.view_mut());
+        g.for_each_lane(self.items_per_wi, self.n, &mut body);
     }
 
     fn profile(&self) -> KernelProfile {
@@ -183,28 +165,31 @@ pub(crate) fn phase<T: Lane>(k: [f32; 3], x: T, y: T, z: T) -> T {
     s(TWO_PI) * (s(k[0]) * x + s(k[1]) * y + s(k[2]) * z)
 }
 
-/// [`q_at`] as the kernel computes it, for the `T::WIDTH` voxels from `v`
+/// [`q_at`] as the kernel computes it, for the `L::WIDTH` voxels from `v`
 /// (`[x, y, z]` in, `[qr, qi]` out): the k-sample loop runs once for all
 /// lanes, with `sin`/`cos` from [`cl_vec::sin_cos`] (the serial references
 /// keep std's).
-#[inline(always)]
-fn q_voxels<T: Lane>(
-    xyz: &[BufView<f32>; 3],
-    ks: &KSpace,
-    mag: &[f32],
-    out: &[BufViewMut<f32>; 2],
-    v: usize,
-) {
-    let [x, y, z] = xyz.map(|b| b.load::<T>(v));
-    let mut qr = T::splat(0.0);
-    let mut qi = T::splat(0.0);
-    for (k, &m) in ks.iter().zip(mag) {
-        let (sin, cos) = phase(k, x, y, z).sin_cos();
-        qr = qr + T::splat(m) * cos;
-        qi = qi + T::splat(m) * sin;
+struct QVoxels<'a> {
+    xyz: [BufView<'a, f32>; 3],
+    ks: KSpace<'a>,
+    mag: &'a [f32],
+    out: [BufViewMut<'a, f32>; 2],
+}
+
+impl LaneBody for QVoxels<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, v: usize, _wi: &WorkItem) {
+        let [x, y, z] = self.xyz.each_ref().map(|b| b.load::<L>(v));
+        let mut qr = L::splat(0.0);
+        let mut qi = L::splat(0.0);
+        for (k, &m) in self.ks.iter().zip(self.mag) {
+            let (sin, cos) = phase(k, x, y, z).sin_cos();
+            qr = qr + L::splat(m) * cos;
+            qi = qi + L::splat(m) * sin;
+        }
+        self.out[0].store(v, qr);
+        self.out[1].store(v, qi);
     }
-    out[0].store(v, qr);
-    out[1].store(v, qi);
 }
 
 /// `ComputeQ`: per voxel, accumulate the phase sum over all k-space samples.
@@ -228,41 +213,18 @@ impl Kernel for ComputeQ {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let xyz = [self.x.view(), self.y.view(), self.z.view()];
+        // A step's four lanes are four adjacent voxels, which share every
+        // k-sample.
         let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
         let ks = KSpace::new(&kx, &ky, &kz);
-        let mag_view = self.phi_mag.view();
-        let mag = mag_view.slice(0, ks.len());
-        let out = [self.qr.view_mut(), self.qi.view_mut()];
-        let k_items = self.items_per_wi;
-        let n = self.n_voxels;
-        g.for_each(|wi| {
-            let base = wi.global_id(0) * k_items;
-            for v in base..(base + k_items).min(n) {
-                q_voxels::<f32>(&xyz, &ks, mag, &out, v);
-            }
-        });
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        // One voxel per workitem: a step's four items are four adjacent
-        // voxels, which share every k-sample.
-        if width != 4 || self.items_per_wi != 1 {
-            return false;
-        }
-        let xyz = [self.x.view(), self.y.view(), self.z.view()];
-        let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
-        let ks = KSpace::new(&kx, &ky, &kz);
-        let mag_view = self.phi_mag.view();
-        let mag = mag_view.slice(0, ks.len());
-        let out = [self.qr.view_mut(), self.qi.view_mut()];
-        g.for_each_simd(
-            4,
-            self.n_voxels,
-            |wi| q_voxels::<VecF32<4>>(&xyz, &ks, mag, &out, wi.global_id(0)),
-            |wi| q_voxels::<f32>(&xyz, &ks, mag, &out, wi.global_id(0)),
-        );
-        true
+        let mag = self.phi_mag.view();
+        let mut body = QVoxels {
+            xyz: [self.x.view(), self.y.view(), self.z.view()],
+            ks,
+            mag: mag.slice(0, ks.len()),
+            out: [self.qr.view_mut(), self.qi.view_mut()],
+        };
+        g.for_each_lane(self.items_per_wi, self.n_voxels, &mut body);
     }
 
     fn profile(&self) -> KernelProfile {

@@ -14,8 +14,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cl_util::XorShift;
-use cl_vec::{Lane, VecF32};
-use ocl_rt::{BufView, BufViewMut, Buffer, Context, Device, GroupCtx, Kernel, MemFlags, NDRange};
+use cl_vec::Lane;
+use ocl_rt::{
+    BufView, BufViewMut, Buffer, Context, Device, GroupCtx, Kernel, LaneBody, MemFlags, NDRange,
+    WorkItem,
+};
 
 const SOFTENING: f32 = 1e-3;
 const DT: f32 = 0.01;
@@ -32,33 +35,37 @@ struct NBodyStep {
     n: usize,
 }
 
-/// The kick of the `T::WIDTH` bodies from `i`: their acceleration over
+/// The kick of the `L::WIDTH` bodies from `i`: their acceleration over
 /// all `n` bodies, then `v += a·dt`. A lane step broadcasts body `j`
 /// against its bodies (the implicit-vectorizer shape).
-#[inline(always)]
-fn kick<T: Lane>(
-    [px, py]: &[BufViewMut<f32>; 2],
-    [vx, vy]: &[BufViewMut<f32>; 2],
-    mass: &BufView<f32>,
+struct Kick<'a> {
+    pos: [BufViewMut<'a, f32>; 2],
+    vel: [BufViewMut<'a, f32>; 2],
+    mass: BufView<'a, f32>,
     n: usize,
-    i: usize,
-) {
-    let (xi, yi): (T, T) = (px.load(i), py.load(i));
-    let mut ax = T::splat(0.0);
-    let mut ay = T::splat(0.0);
-    for j in 0..n {
-        let dx = T::splat(px.get(j)) - xi;
-        let dy = T::splat(py.get(j)) - yi;
-        let inv = T::splat(1.0) / (dx * dx + dy * dy + T::splat(SOFTENING)).sqrt();
-        let f = T::splat(mass.get(j)) * inv * inv * inv;
-        ax = ax + dx * f;
-        ay = ay + dy * f;
+}
+
+impl LaneBody for Kick<'_> {
+    #[inline(always)]
+    fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
+        let ([px, py], [vx, vy]) = (&self.pos, &self.vel);
+        let (xi, yi): (L, L) = (px.load(i), py.load(i));
+        let mut ax = L::splat(0.0);
+        let mut ay = L::splat(0.0);
+        for j in 0..self.n {
+            let dx = L::splat(px.get(j)) - xi;
+            let dy = L::splat(py.get(j)) - yi;
+            let inv = L::splat(1.0) / (dx * dx + dy * dy + L::splat(SOFTENING)).sqrt();
+            let f = L::splat(self.mass.get(j)) * inv * inv * inv;
+            ax = ax + dx * f;
+            ay = ay + dy * f;
+        }
+        // Integrate velocity now; positions integrate in a second pass
+        // would be more faithful, but for the demo the per-item update
+        // keeps the kernel self-contained (semi-implicit Euler).
+        vx.store(i, vx.load::<L>(i) + ax * L::splat(DT));
+        vy.store(i, vy.load::<L>(i) + ay * L::splat(DT));
     }
-    // Integrate velocity now; positions integrate in a second pass
-    // would be more faithful, but for the demo the per-item update
-    // keeps the kernel self-contained (semi-implicit Euler).
-    vx.store(i, vx.load::<T>(i) + ax * T::splat(DT));
-    vy.store(i, vy.load::<T>(i) + ay * T::splat(DT));
 }
 
 impl Kernel for NBodyStep {
@@ -67,33 +74,13 @@ impl Kernel for NBodyStep {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        let pos = [self.px.view_mut(), self.py.view_mut()];
-        let vel = [self.vx.view_mut(), self.vy.view_mut()];
-        let mass = self.mass.view();
-        let n = self.n;
-        g.for_each(|wi| {
-            let i = wi.global_id(0);
-            if i < n {
-                kick::<f32>(&pos, &vel, &mass, n, i);
-            }
-        });
-    }
-
-    fn run_group_simd(&self, g: &mut GroupCtx, width: usize) -> bool {
-        if width != 4 {
-            return false;
-        }
-        let pos = [self.px.view_mut(), self.py.view_mut()];
-        let vel = [self.vx.view_mut(), self.vy.view_mut()];
-        let mass = self.mass.view();
-        let n = self.n;
-        g.for_each_simd(
-            4,
-            n,
-            |wi| kick::<VecF32<4>>(&pos, &vel, &mass, n, wi.global_id(0)),
-            |wi| kick::<f32>(&pos, &vel, &mass, n, wi.global_id(0)),
-        );
-        true
+        let mut kick = Kick {
+            pos: [self.px.view_mut(), self.py.view_mut()],
+            vel: [self.vx.view_mut(), self.vy.view_mut()],
+            mass: self.mass.view(),
+            n: self.n,
+        };
+        g.for_each_lane(1, self.n, &mut kick);
     }
 }
 

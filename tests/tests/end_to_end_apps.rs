@@ -13,7 +13,7 @@ use cl_kernels::parboil::{cp, mrifhd, mriq};
 use cl_kernels::registry::{AppEntry, LocalSpec};
 use cl_kernels::util::random_f32;
 use cl_kernels::{ilp, mbench, parboil_kernels, simple_apps};
-use integration_tests::{all_ctxs, LaneSpy};
+use integration_tests::all_ctxs;
 use ocl_rt::{Buffer, Context, Device, Kernel, MemFlags, NDRange};
 
 #[test]
@@ -116,30 +116,59 @@ fn native(vectorize: bool) -> Context {
     Context::new(device)
 }
 
+/// How every group of a launch walks its rows: `per_wi` elements per
+/// workitem, clipped to the kernel's `bound`, `times` walks per group.
+#[derive(Clone, Copy)]
+struct Walk {
+    per_wi: usize,
+    bound: usize,
+    times: usize,
+}
+
+impl Walk {
+    fn once(per_wi: usize, bound: usize) -> Self {
+        Walk {
+            per_wi,
+            bound,
+            times: 1,
+        }
+    }
+
+    /// The elements a lane launch of `range` runs in lane steps: on every
+    /// row of every group, per walk, the row's elements below the bound
+    /// less their remainder modulo 4.
+    fn lane_items(self, range: NDRange) -> u64 {
+        let (global, local) = (range.global(), range.local().unwrap());
+        let row: usize = (0..global[0] / local[0])
+            .map(|gx| {
+                let start = gx * local[0] * self.per_wi;
+                let end = ((gx + 1) * local[0] * self.per_wi)
+                    .min(self.bound)
+                    .max(start);
+                (end - start) - (end - start) % 4
+            })
+            .sum();
+        (self.times * row * global[1] * global[2]) as u64
+    }
+}
+
 /// Run the launch `make` builds once with lanes and once with the
 /// vectorizer off, and require every output bit-identical. The lane side
-/// must run every group through the kernel's lane body.
+/// must run every element `walk` allows in lane steps, and the other side
+/// none.
 fn lanes_match_scalar(
     label: &str,
+    walk: Walk,
     make: impl Fn(&Context) -> (Arc<dyn Kernel>, NDRange, Vec<Buffer<f32>>),
 ) {
     let run = |vectorize: bool| {
         let ctx = native(vectorize);
         let q = ctx.queue();
         let (kernel, range, outs) = make(&ctx);
-        let spy = LaneSpy::new(kernel);
-        let k: Arc<dyn Kernel> = spy.clone();
-        q.enqueue_kernel(&k, range).unwrap();
-        if vectorize {
-            assert!(spy.lane_groups() > 0, "{label}: no lane body ran");
-            assert_eq!(spy.scalar_groups(), 0, "{label}: a group ran scalar");
-        } else {
-            assert_eq!(
-                spy.lane_groups(),
-                0,
-                "{label}: lanes with the vectorizer off"
-            );
-        }
+        let ev = q.enqueue_kernel(&kernel, range).unwrap();
+        let want = if vectorize { walk.lane_items(range) } else { 0 };
+        assert!(!vectorize || want > 0, "{label}: the case has no lane step");
+        assert_eq!(ev.lane_items, want, "{label}: elements in lane steps");
         outs.iter()
             .map(|buf| {
                 let mut host = vec![0.0f32; buf.len()];
@@ -174,7 +203,12 @@ fn two_d_lane_bodies_are_bit_identical_to_scalar() {
     // Tile rows of 16 run one register block; 4, 8 and 12 run lane steps;
     // 6 runs one lane step and two single items. Every side gets lanes.
     for (n, t) in [(96, 16), (48, 4), (48, 6), (48, 8), (48, 12)] {
-        lanes_match_scalar(&format!("matrixMul {n}² local {t}×{t}"), |ctx| {
+        let walk = Walk {
+            per_wi: 1,
+            bound: n,
+            times: 2 * n / t,
+        };
+        lanes_match_scalar(&format!("matrixMul {n}² local {t}×{t}"), walk, |ctx| {
             let c = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n * n).unwrap();
             let k = matrixmul::MatrixMul {
                 a: input(ctx, 1, n * n, -1.0, 1.0),
@@ -191,7 +225,8 @@ fn two_d_lane_bodies_are_bit_identical_to_scalar() {
     // launch pads x to 72 in groups of 8, so the step at x = 64 crosses
     // the grid's edge at 66.
     for (global_x, local) in [(66, (6, 8)), (72, (8, 8))] {
-        lanes_match_scalar(&format!("cenergy x{global_x} local {local:?}"), |ctx| {
+        let label = format!("cenergy x{global_x} local {local:?}");
+        lanes_match_scalar(&label, Walk::once(1, 66), |ctx| {
             let (nx, ny) = (66, 32);
             let atoms = cp::Atoms::generate(3, 64, nx as f32 * cp::SPACING);
             let grid = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, nx * ny).unwrap();
@@ -206,26 +241,30 @@ fn two_d_lane_bodies_are_bit_identical_to_scalar() {
             (Arc::new(k), range, vec![grid])
         });
     }
-    lanes_match_scalar("blackScholes 64×64 local 16×16", |ctx| {
-        // Six options past four per item: the last stride step is ragged.
-        let n = 64 * 64 * 4 + 6;
-        let call = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n).unwrap();
-        let put = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n).unwrap();
-        let k = blackscholes::BlackScholes {
-            stock: input(ctx, 4, n, 5.0, 30.0),
-            strike: input(ctx, 5, n, 1.0, 100.0),
-            years: input(ctx, 6, n, 0.25, 10.0),
-            call: call.clone(),
-            put: put.clone(),
-            n_options: n,
-            grid_items: 64 * 64,
-        };
-        (
-            Arc::new(k),
-            NDRange::d2(64, 64).local2(16, 16),
-            vec![call, put],
-        )
-    });
+    lanes_match_scalar(
+        "blackScholes 64×64 local 16×16",
+        Walk::once(1, 64),
+        |ctx| {
+            // Six options past four per item: the last stride step is ragged.
+            let n = 64 * 64 * 4 + 6;
+            let call = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n).unwrap();
+            let put = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n).unwrap();
+            let k = blackscholes::BlackScholes {
+                stock: input(ctx, 4, n, 5.0, 30.0),
+                strike: input(ctx, 5, n, 1.0, 100.0),
+                years: input(ctx, 6, n, 0.25, 10.0),
+                call: call.clone(),
+                put: put.clone(),
+                n_options: n,
+                grid_items: 64 * 64,
+            };
+            (
+                Arc::new(k),
+                NDRange::d2(64, 64).local2(16, 16),
+                vec![call, put],
+            )
+        },
+    );
 }
 
 #[test]
@@ -234,7 +273,7 @@ fn mri_lane_bodies_are_bit_identical_to_scalar() {
     // tail items.
     let (n, n_k) = (1030, 64);
     let range = NDRange::d1(n).local1(10);
-    lanes_match_scalar("computeQ 1030 voxels local 10", |ctx| {
+    lanes_match_scalar("computeQ 1030 voxels local 10", Walk::once(1, n), |ctx| {
         let (qr, qi) = (output(ctx, n), output(ctx, n));
         let k = mriq::ComputeQ {
             x: input(ctx, 1, n, -1.0, 1.0),
@@ -251,7 +290,7 @@ fn mri_lane_bodies_are_bit_identical_to_scalar() {
         };
         (Arc::new(k), range, vec![qr, qi])
     });
-    lanes_match_scalar("FH 1030 voxels local 10", |ctx| {
+    lanes_match_scalar("FH 1030 voxels local 10", Walk::once(1, n), |ctx| {
         let (fr, fi) = (output(ctx, n), output(ctx, n));
         let k = mrifhd::Fh {
             x: input(ctx, 8, n, -1.0, 1.0),
@@ -283,9 +322,10 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
     // MBench pads its own range and runs its group's elements.
     let n = 1002;
     let padded = NDRange::d1(1024).local1(256);
-    let mut cases: Vec<(String, MakeLaunch)> = vec![
+    let mut cases: Vec<(String, Walk, MakeLaunch)> = vec![
         (
             "square".into(),
+            Walk::once(1, n),
             Box::new(move |ctx| {
                 let out = output(ctx, n);
                 let k = square::Square {
@@ -299,6 +339,7 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
         ),
         (
             "vectoradd".into(),
+            Walk::once(1, n),
             Box::new(move |ctx| {
                 let c = output(ctx, n);
                 let k = vectoradd::VectorAdd {
@@ -313,6 +354,7 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
         ),
         (
             "computePhiMag".into(),
+            Walk::once(1, n),
             Box::new(move |ctx| {
                 let mag = output(ctx, n);
                 let k = mriq::ComputePhiMag {
@@ -327,6 +369,7 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
         ),
         (
             "RhoPhi".into(),
+            Walk::once(1, n),
             Box::new(move |ctx| {
                 let (rr, ri) = (output(ctx, n), output(ctx, n));
                 let k = mrifhd::RhoPhi {
@@ -346,6 +389,7 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
     for ilp_k in 1..=ilp::MAX_ILP {
         cases.push((
             format!("ilp{ilp_k}"),
+            Walk::once(1, 1030),
             Box::new(move |ctx| {
                 let out = output(ctx, 1030);
                 let k = ilp::IlpKernel {
@@ -363,6 +407,7 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
         let n_in = bench.input_len(n);
         cases.push((
             bench.name.into(),
+            Walk::once(1, n),
             Box::new(move |ctx| {
                 let c = output(ctx, n);
                 let k = mbench::MBenchKernel {
@@ -376,26 +421,10 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
             }),
         ));
     }
-    for (label, make) in &cases {
-        lanes_match_scalar(label, make);
+    for (label, walk, make) in &cases {
+        lanes_match_scalar(label, *walk, make);
     }
 }
-
-/// Registry kernels whose profile credits SIMD (`vectorizable: true`) but
-/// which have no lane body, each with its reason. The model and the engine
-/// disagree on exactly these.
-const SCALAR_DESPITE_PROFILE: &[(&str, &str, &str)] = &[
-    (
-        "MatrixmulNaive",
-        "matrixMul",
-        "no lane body yet; four x-adjacent items would share A and read four adjacent B columns",
-    ),
-    (
-        "Reduction",
-        "reduce",
-        "no lane body: the tree phases halve the active items, leaving lanes idle",
-    ),
-];
 
 /// A small launch of `entry`'s kernel at the entry's local shape.
 fn small_build(ctx: &Context, entry: &AppEntry) -> Built {
@@ -428,36 +457,139 @@ fn small_build(ctx: &Context, entry: &AppEntry) -> Built {
 
 #[test]
 fn registry_kernels_credited_with_simd_run_lane_bodies() {
+    // The profile credits SIMD exactly when lane steps ran.
     let ctx = native(true);
     assert_eq!(ctx.device().simd_width(), 4);
     let q = ctx.queue();
     for entry in simple_apps().into_iter().chain(parboil_kernels()) {
         let label = format!("{}/{}", entry.benchmark, entry.kernel);
         let built = small_build(&ctx, &entry);
-        let spy = LaneSpy::new(Arc::clone(&built.kernel));
-        let k: Arc<dyn Kernel> = spy.clone();
-        q.enqueue_kernel(&k, built.range)
+        let ev = q
+            .enqueue_kernel(&built.kernel, built.range)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         built.verify(&q).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let exempt = SCALAR_DESPITE_PROFILE
-            .iter()
-            .any(|&(b, k, _)| (b, k) == (entry.benchmark, entry.kernel));
-        let (lanes, scalar) = (spy.lane_groups(), spy.scalar_groups());
-        match (built.kernel.profile().vectorizable, exempt) {
-            (true, false) => assert!(
-                lanes > 0 && scalar == 0,
-                "{label}: the profile credits SIMD but {scalar} groups ran scalar \
-                 ({lanes} through lanes); give it a lane body or list it, with \
-                 its reason, in SCALAR_DESPITE_PROFILE"
-            ),
-            (true, true) => assert_eq!(
-                lanes, 0,
-                "{label}: runs lanes now; drop it from SCALAR_DESPITE_PROFILE"
-            ),
-            (false, false) => assert_eq!(lanes, 0, "{label}: ran lanes the model does not credit"),
-            (false, true) => {
-                panic!("{label}: listed in SCALAR_DESPITE_PROFILE but its profile is scalar")
-            }
+        assert_eq!(
+            built.kernel.profile().vectorizable,
+            ev.lane_items > 0,
+            "{label}: the profile's SIMD credit disagrees with the engine \
+             ({} of {} items in lane steps)",
+            ev.lane_items,
+            ev.items
+        );
+    }
+}
+
+/// A 1-D range of `ceil(n / k)` workitems padded to groups of `local`.
+fn coalesced_range(n: usize, k: usize, local: usize) -> NDRange {
+    NDRange::d1(n.div_ceil(k).div_ceil(local) * local).local1(local)
+}
+
+/// The coalesced variants of Figs 1 and 2 (Square at 10 and 100 elements
+/// per workitem; computeQ, FH, `cenergy`, computePhiMag and RhoPhi at 2
+/// and 4) run lane steps, bit-identical to the vectorizer off. Every
+/// launch is padded: the last workitems' windows cross the bound.
+#[test]
+fn coalesced_launches_run_lanes_bit_identical_to_scalar() {
+    // Voxels and elements, and k-space samples.
+    const N: usize = 1002;
+    const N_K: usize = 64;
+    type MakeCoalesced = fn(&Context, usize) -> Launch;
+    // Each case: its name, its element bound, its elements per workitem.
+    let cases: [(&str, usize, &[usize], MakeCoalesced); 6] = [
+        ("square", 4006, &[10, 100], |ctx, k| {
+            let out = output(ctx, 4006);
+            let kernel = square::Square {
+                input: input(ctx, 1, 4006, -2.0, 2.0),
+                output: out.clone(),
+                n: 4006,
+                items_per_wi: k,
+            };
+            (Arc::new(kernel), coalesced_range(4006, k, 64), vec![out])
+        }),
+        ("computeQ", N, &[2, 4], |ctx, k| {
+            let (qr, qi) = (output(ctx, N), output(ctx, N));
+            let kernel = mriq::ComputeQ {
+                x: input(ctx, 1, N, -1.0, 1.0),
+                y: input(ctx, 2, N, -1.0, 1.0),
+                z: input(ctx, 3, N, -1.0, 1.0),
+                kx: input(ctx, 4, N_K, -0.5, 0.5),
+                ky: input(ctx, 5, N_K, -0.5, 0.5),
+                kz: input(ctx, 6, N_K, -0.5, 0.5),
+                phi_mag: input(ctx, 7, N_K, 0.0, 1.0),
+                qr: qr.clone(),
+                qi: qi.clone(),
+                n_voxels: N,
+                items_per_wi: k,
+            };
+            (Arc::new(kernel), coalesced_range(N, k, 64), vec![qr, qi])
+        }),
+        ("FH", N, &[2, 4], |ctx, k| {
+            let (fr, fi) = (output(ctx, N), output(ctx, N));
+            let kernel = mrifhd::Fh {
+                x: input(ctx, 8, N, -1.0, 1.0),
+                y: input(ctx, 9, N, -1.0, 1.0),
+                z: input(ctx, 10, N, -1.0, 1.0),
+                kx: input(ctx, 11, N_K, -0.5, 0.5),
+                ky: input(ctx, 12, N_K, -0.5, 0.5),
+                kz: input(ctx, 13, N_K, -0.5, 0.5),
+                rho_r: input(ctx, 14, N_K, -1.0, 1.0),
+                rho_i: input(ctx, 15, N_K, -1.0, 1.0),
+                fh_r: fr.clone(),
+                fh_i: fi.clone(),
+                n_voxels: N,
+                items_per_wi: k,
+            };
+            (Arc::new(kernel), coalesced_range(N, k, 64), vec![fr, fi])
+        }),
+        ("cenergy", 66, &[2, 4], |ctx, k| {
+            // 66 columns: x pads to groups of 4 workitems past the grid.
+            let (nx, ny) = (66, 16);
+            let atoms = cp::Atoms::generate(3, 64, nx as f32 * cp::SPACING);
+            let grid = output(ctx, nx * ny);
+            let kernel = cp::Cenergy {
+                atoms: ctx.buffer_from(MemFlags::READ_ONLY, &atoms.data).unwrap(),
+                grid: grid.clone(),
+                nx,
+                ny,
+                items_per_wi: k,
+            };
+            let gx = nx.div_ceil(k).div_ceil(4) * 4;
+            (
+                Arc::new(kernel),
+                NDRange::d2(gx, ny).local2(4, 8),
+                vec![grid],
+            )
+        }),
+        ("computePhiMag", N, &[2, 4], |ctx, k| {
+            let mag = output(ctx, N);
+            let kernel = mriq::ComputePhiMag {
+                phi_r: input(ctx, 4, N, -1.0, 1.0),
+                phi_i: input(ctx, 5, N, -1.0, 1.0),
+                phi_mag: mag.clone(),
+                n: N,
+                items_per_wi: k,
+            };
+            (Arc::new(kernel), coalesced_range(N, k, 64), vec![mag])
+        }),
+        ("RhoPhi", N, &[2, 4], |ctx, k| {
+            let (rr, ri) = (output(ctx, N), output(ctx, N));
+            let kernel = mrifhd::RhoPhi {
+                phi_r: input(ctx, 6, N, -1.0, 1.0),
+                phi_i: input(ctx, 7, N, -1.0, 1.0),
+                d_r: input(ctx, 8, N, -1.0, 1.0),
+                d_i: input(ctx, 9, N, -1.0, 1.0),
+                rho_r: rr.clone(),
+                rho_i: ri.clone(),
+                n: N,
+                items_per_wi: k,
+            };
+            (Arc::new(kernel), coalesced_range(N, k, 64), vec![rr, ri])
+        }),
+    ];
+    for (name, bound, factors, make) in cases {
+        for &k in factors {
+            let label = format!("{name} at {k} per workitem");
+            lanes_match_scalar(&label, Walk::once(k, bound), |ctx| make(ctx, k));
         }
     }
 }
