@@ -175,6 +175,7 @@ stage_lint() {
     one_flag_parser
     no_env_mutation
     one_lane_body
+    blocks_only_for_probes
 }
 
 # one_flag_parser — fail when a harness binary reads its command line
@@ -224,6 +225,31 @@ one_lane_body() {
         echo "$hits" >&2
         return 1
     fi
+}
+
+# blocks_only_for_probes — fail when a file under crates/kernels/src or
+# examples sets ocl_rt::LaneBody::BLOCKS_OF_16, other than ilp.rs and
+# mbench.rs, or when those two stop turning it off: 16-item register blocks
+# are the walk's default for every lane kernel, and only the ILP (Fig 6)
+# and MBench (Fig 10) probes stay 4 wide, because those figures measure
+# 4-wide implicit vectorization.
+blocks_only_for_probes() {
+    local probes='crates/kernels/src/(ilp|mbench)\.rs' hits p
+    hits=$(grep -rnE --include='*.rs' '\bBLOCKS_OF_16[[:space:]]*:' crates/kernels/src examples |
+        grep -vE "^$probes:" || true)
+    if [[ -n "$hits" ]]; then
+        echo "BLOCKS_OF_16 set outside the ILP and MBench probes (blocks are the" \
+            "default; only Fig 6 and Fig 10 measure 4-wide steps):" >&2
+        echo "$hits" >&2
+        return 1
+    fi
+    for p in crates/kernels/src/ilp.rs crates/kernels/src/mbench.rs; do
+        if ! grep -qE 'const BLOCKS_OF_16: bool = false;' "$p"; then
+            echo "$p: must set BLOCKS_OF_16 = false (Fig 6 / Fig 10 measure" \
+                "4-wide implicit vectorization)" >&2
+            return 1
+        fi
+    done
 }
 
 # OpenCL API names the docs cite; they name no knob of this runtime.

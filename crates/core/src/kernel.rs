@@ -163,8 +163,13 @@ pub(crate) struct GroupStats {
 /// from one site per width and stamp mode, and each must inline.
 pub trait LaneBody {
     /// Whether a lane launch runs each row in 16-element register blocks
-    /// (`VecF32<16>`) before its 4-element steps.
-    const BLOCKS_OF_16: bool = false;
+    /// (`VecF32<16>`, four independent SSE chains) before its 4-element
+    /// steps. On by default: the out-of-order core overlaps a block's
+    /// chains, so every lane kernel runs faster per group (DESIGN.md,
+    /// "Implicit vectorization"). Only the ILP and MBench probes turn it
+    /// off: Figs 6 and 10 measure 4-wide implicit vectorization, and a
+    /// block's extra chains flatten Fig 6's ILP curve.
+    const BLOCKS_OF_16: bool = true;
 
     /// Run elements `x .. x + L::WIDTH` of the row of `wi`, the workitem
     /// that owns element `x`.
@@ -336,10 +341,11 @@ impl<'r> GroupCtx<'r> {
     /// visited in the order its workitems' scalar loops would visit them;
     /// `bound` is the kernel's element bound (its `i < n` guard) and
     /// elements at or past it do nothing. On a lane launch the row runs
-    /// `VecF32<4>` steps (after `VecF32<16>` blocks for a body that asks
-    /// for them), then `f32` edge items; otherwise every element runs at
-    /// `f32`. Every `VecF32` op is its `f32` op per lane, so both lowerings
-    /// give bit-identical results.
+    /// `VecF32<16>` blocks (unless the body turns
+    /// [`LaneBody::BLOCKS_OF_16`] off), then `VecF32<4>` steps, then `f32`
+    /// edge items; otherwise every element runs at `f32`. Every `VecF32`
+    /// op is its `f32` op per lane, so both lowerings give bit-identical
+    /// results.
     pub fn for_each_lane<B: LaneBody>(&mut self, items_per_wi: usize, bound: usize, body: &mut B) {
         // Two monomorphs instead of a per-step branch on the stamp mode:
         // with the branch, 1-D Square groups of 1 024 ran ~2.6× slower and
@@ -400,23 +406,14 @@ impl<'r> GroupCtx<'r> {
                     body.at::<VecF32<4>>(x, &step(x));
                     x += 4;
                 }
-                // How the edge loop starts steers LLVM's code for the
-                // whole walk, even where it runs no element. cl-bench
-                // pairs on 2 vCPUs, each form against this one: the
-                // restarted loop for every body made `simd/lanes-2d`
-                // (tiled MatrixMul, 16-item rows) 1.28–1.43× slower in
-                // 20 of 20 pairs; the carried loop for every body made
-                // the Square entries slower (`dispatch/wg1024` 1.41×,
-                // `overhead/coarsen-off` 1.94×, in one set of 10 pairs).
-                if B::BLOCKS_OF_16 {
-                    while x < end {
-                        body.at::<f32>(x, &step(x));
-                        x += 1;
-                    }
-                } else {
-                    for x in b4..end {
-                        body.at::<f32>(x, &step(x));
-                    }
+                // The edge loop carries the counter on. How it starts
+                // steers LLVM's code for the whole walk, even where it
+                // runs no element: restarting it (`for x in b4..end`)
+                // made tiled MatrixMul's `simd/lanes-2d` (16-item rows)
+                // 1.28–1.43× slower in 20 of 20 cl-bench pairs on 2 vCPUs.
+                while x < end {
+                    body.at::<f32>(x, &step(x));
+                    x += 1;
                 }
             }
         }
@@ -521,74 +518,103 @@ mod tests {
     /// One call of a walk: `(width, x, gid, local_linear)`.
     type Call = (usize, usize, [usize; 3], usize);
 
-    /// Records each call of a walk.
+    /// Records each call of a walk; blocks stay at their default.
     #[derive(Default)]
-    struct Record<const BLOCKS: bool>(Vec<Call>);
+    struct Record(Vec<Call>);
 
-    impl<const BLOCKS: bool> LaneBody for Record<BLOCKS> {
-        const BLOCKS_OF_16: bool = BLOCKS;
+    impl LaneBody for Record {
         fn at<L: Lane>(&mut self, x: usize, wi: &WorkItem) {
             let gid = [wi.global_id(0), wi.global_id(1), wi.global_id(2)];
             self.0.push((L::WIDTH, x, gid, wi.local_linear()));
         }
     }
 
-    /// Walk group `group` of `r` with lanes on or off and return the calls.
+    /// The same record with blocks off, as the ILP and MBench probes run.
+    #[derive(Default)]
+    struct Record4(Record);
+
+    impl LaneBody for Record4 {
+        const BLOCKS_OF_16: bool = false;
+        fn at<L: Lane>(&mut self, x: usize, wi: &WorkItem) {
+            self.0.at::<L>(x, wi);
+        }
+    }
+
+    /// Walk group `group` of `r` with lanes on or off, with blocks (the
+    /// default) or 4-wide only, and return the calls.
     fn walk(
         r: &ResolvedRange,
         group: [usize; 3],
         lanes: bool,
+        blocks: bool,
         k: usize,
         bound: usize,
     ) -> (Vec<Call>, GroupStats) {
         let mut g = GroupCtx::new(r, group);
         g.lanes = lanes;
-        let mut rec = Record::<false>::default();
-        g.for_each_lane(k, bound, &mut rec);
-        (rec.0, g.stats)
+        let calls = if blocks {
+            let mut rec = Record::default();
+            g.for_each_lane(k, bound, &mut rec);
+            rec.0
+        } else {
+            let mut rec = Record4::default();
+            g.for_each_lane(k, bound, &mut rec);
+            rec.0 .0
+        };
+        (calls, g.stats)
     }
+
+    /// `(width, x)` of each call.
+    fn widths(calls: &[Call]) -> Vec<(usize, usize)> {
+        calls.iter().map(|c| (c.0, c.1)).collect()
+    }
+
+    // Rows shorter than a block walk the same with blocks on or off, so
+    // the next four cases run both bodies.
 
     #[test]
     fn simd_path_covers_all_items_with_tail() {
         let r = NDRange::d1(30).local1(10).resolve(64).unwrap();
-        let (calls, stats) = walk(&r, [2, 0, 0], true, 1, 30);
-        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.1)).collect();
-        assert_eq!(shape, vec![(4, 20), (4, 24), (1, 28), (1, 29)]);
-        assert_eq!(calls[1].2, [24, 0, 0]);
-        assert_eq!(stats.items_run, 10);
-        assert_eq!(stats.lane_items, 8);
-        // The same group with lanes off: every element at f32, in order.
-        let (calls, stats) = walk(&r, [2, 0, 0], false, 1, 30);
-        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.1)).collect();
-        assert_eq!(shape, (20..30).map(|x| (1, x)).collect::<Vec<_>>());
-        assert_eq!((stats.items_run, stats.lane_items), (10, 0));
+        for blocks in [true, false] {
+            let (calls, stats) = walk(&r, [2, 0, 0], true, blocks, 1, 30);
+            assert_eq!(widths(&calls), vec![(4, 20), (4, 24), (1, 28), (1, 29)]);
+            assert_eq!(calls[1].2, [24, 0, 0]);
+            assert_eq!(stats.items_run, 10);
+            assert_eq!(stats.lane_items, 8);
+            // The same group with lanes off: every element at f32, in order.
+            let (calls, stats) = walk(&r, [2, 0, 0], false, blocks, 1, 30);
+            assert_eq!(widths(&calls), (20..30).map(|x| (1, x)).collect::<Vec<_>>());
+            assert_eq!((stats.items_run, stats.lane_items), (10, 0));
+        }
     }
 
     #[test]
     fn simd_path_walks_every_row_of_a_2d_group() {
         let r = NDRange::d2(12, 8).local2(6, 4).resolve(64).unwrap();
-        let (calls, stats) = walk(&r, [1, 1, 0], true, 1, 12);
-        // Group (1,1) covers x in 6..12, y in 4..8: per row, one step at
-        // x = 6 and the edge items 10, 11.
-        let steps: Vec<_> = calls
-            .iter()
-            .filter(|c| c.0 == 4)
-            .map(|c| (c.2, c.3))
-            .collect();
-        assert_eq!(
-            steps,
-            vec![
-                ([6, 4, 0], 0),
-                ([6, 5, 0], 6),
-                ([6, 6, 0], 12),
-                ([6, 7, 0], 18)
-            ]
-        );
-        let edges: Vec<_> = calls.iter().filter(|c| c.0 == 1).map(|c| c.2).collect();
-        assert_eq!(edges.len(), 8);
-        assert_eq!(&edges[..2], &[[10, 4, 0], [11, 4, 0]]);
-        assert_eq!(edges[7], [11, 7, 0]);
-        assert_eq!((stats.items_run, stats.lane_items), (24, 16));
+        for blocks in [true, false] {
+            let (calls, stats) = walk(&r, [1, 1, 0], true, blocks, 1, 12);
+            // Group (1,1) covers x in 6..12, y in 4..8: per row, one step
+            // at x = 6 and the edge items 10, 11.
+            let steps: Vec<_> = calls
+                .iter()
+                .filter(|c| c.0 == 4)
+                .map(|c| (c.2, c.3))
+                .collect();
+            assert_eq!(
+                steps,
+                vec![
+                    ([6, 4, 0], 0),
+                    ([6, 5, 0], 6),
+                    ([6, 6, 0], 12),
+                    ([6, 7, 0], 18)
+                ]
+            );
+            let edges: Vec<_> = calls.iter().filter(|c| c.0 == 1).map(|c| c.2).collect();
+            assert_eq!(edges.len(), 8);
+            assert_eq!(&edges[..2], &[[10, 4, 0], [11, 4, 0]]);
+            assert_eq!(edges[7], [11, 7, 0]);
+            assert_eq!((stats.items_run, stats.lane_items), (24, 16));
+        }
     }
 
     #[test]
@@ -596,15 +622,17 @@ mod tests {
         // Global 32 padded past a bound of 26, groups of 16: group 1 runs
         // two steps (16, 20), edge items 24 and 25, and nothing past 26.
         let r = NDRange::d2(32, 2).local2(16, 2).resolve(64).unwrap();
-        let (calls, stats) = walk(&r, [1, 0, 0], true, 1, 26);
-        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.2[0], c.2[1])).collect();
-        let row = |y| [(4, 16, y), (4, 20, y), (1, 24, y), (1, 25, y)];
-        assert_eq!(shape, [row(0), row(1)].concat());
-        assert_eq!((stats.items_run, stats.lane_items), (32, 16));
-        // A group wholly past the bound runs nothing.
-        let (calls, stats) = walk(&r, [1, 0, 0], true, 1, 10);
-        assert!(calls.is_empty());
-        assert_eq!((stats.items_run, stats.lane_items), (32, 0));
+        for blocks in [true, false] {
+            let (calls, stats) = walk(&r, [1, 0, 0], true, blocks, 1, 26);
+            let shape: Vec<_> = calls.iter().map(|c| (c.0, c.2[0], c.2[1])).collect();
+            let row = |y| [(4, 16, y), (4, 20, y), (1, 24, y), (1, 25, y)];
+            assert_eq!(shape, [row(0), row(1)].concat());
+            assert_eq!((stats.items_run, stats.lane_items), (32, 16));
+            // A group wholly past the bound runs nothing.
+            let (calls, stats) = walk(&r, [1, 0, 0], true, blocks, 1, 10);
+            assert!(calls.is_empty());
+            assert_eq!((stats.items_run, stats.lane_items), (32, 0));
+        }
     }
 
     #[test]
@@ -613,29 +641,86 @@ mod tests {
         // 12..24, clipped to 22. Steps at 12 and 16 (workitems 4 and 5),
         // then edge items 20 and 21 (workitem 6, local id 2).
         let r = NDRange::d1(8).local1(4).resolve(64).unwrap();
-        let (calls, stats) = walk(&r, [1, 0, 0], true, 3, 22);
-        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.1, c.2[0], c.3)).collect();
-        assert_eq!(
-            shape,
-            vec![(4, 12, 4, 0), (4, 16, 5, 1), (1, 20, 6, 2), (1, 21, 7, 3)]
-        );
-        assert_eq!((stats.items_run, stats.lane_items), (4, 8));
-        let (calls, _) = walk(&r, [1, 0, 0], false, 3, 22);
-        let xs: Vec<_> = calls.iter().map(|c| (c.0, c.1)).collect();
-        assert_eq!(xs, (12..22).map(|x| (1, x)).collect::<Vec<_>>());
+        for blocks in [true, false] {
+            let (calls, stats) = walk(&r, [1, 0, 0], true, blocks, 3, 22);
+            let shape: Vec<_> = calls.iter().map(|c| (c.0, c.1, c.2[0], c.3)).collect();
+            assert_eq!(
+                shape,
+                vec![(4, 12, 4, 0), (4, 16, 5, 1), (1, 20, 6, 2), (1, 21, 7, 3)]
+            );
+            assert_eq!((stats.items_run, stats.lane_items), (4, 8));
+            let (calls, _) = walk(&r, [1, 0, 0], false, blocks, 3, 22);
+            assert_eq!(widths(&calls), (12..22).map(|x| (1, x)).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn register_blocks_come_before_steps() {
-        // 23 elements: one 16-block, one step, three edge items.
+        // 23 elements: one 16-block, one step, three edge items; 4-wide
+        // only, five steps and the same edge items.
         let r = NDRange::d1(23).local1(23).resolve(64).unwrap();
-        let mut g = GroupCtx::new(&r, [0, 0, 0]);
-        g.lanes = true;
-        let mut rec = Record::<true>::default();
-        g.for_each_lane(1, 23, &mut rec);
-        let shape: Vec<_> = rec.0.iter().map(|c| (c.0, c.1)).collect();
-        assert_eq!(shape, vec![(16, 0), (4, 16), (1, 20), (1, 21), (1, 22)]);
-        assert_eq!(g.stats.lane_items, 20);
+        let (calls, stats) = walk(&r, [0, 0, 0], true, true, 1, 23);
+        assert_eq!(
+            widths(&calls),
+            vec![(16, 0), (4, 16), (1, 20), (1, 21), (1, 22)]
+        );
+        assert_eq!(stats.lane_items, 20);
+        let (calls, stats) = walk(&r, [0, 0, 0], true, false, 1, 23);
+        let steps = (0..20).step_by(4).map(|x| (4, x));
+        let edges = (20..23).map(|x| (1, x));
+        assert_eq!(widths(&calls), steps.chain(edges).collect::<Vec<_>>());
+        assert_eq!(stats.lane_items, 20);
+        // Rows of 38 in a 2-D group: two blocks, one step and two edge
+        // items on each row.
+        let r = NDRange::d2(38, 2).local2(38, 2).resolve(128).unwrap();
+        let (calls, stats) = walk(&r, [0, 0, 0], true, true, 1, 38);
+        let row = [(16, 0), (16, 16), (4, 32), (1, 36), (1, 37)];
+        assert_eq!(widths(&calls), [row, row].concat());
+        assert_eq!(calls[5].2, [0, 1, 0]);
+        assert_eq!((stats.items_run, stats.lane_items), (76, 72));
+    }
+
+    #[test]
+    fn blocks_and_steps_crossing_the_bound_run_narrower() {
+        // Groups of 32 in 2-D, group 1 covers x in 32..64. Bound 58: one
+        // block (32), steps 48 and 52, and the step at 56 would cross the
+        // bound, so 56 and 57 run item by item.
+        let r = NDRange::d2(64, 2).local2(32, 2).resolve(128).unwrap();
+        let (calls, stats) = walk(&r, [1, 0, 0], true, true, 1, 58);
+        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.2[0], c.2[1])).collect();
+        let row = |y| [(16, 32, y), (4, 48, y), (4, 52, y), (1, 56, y), (1, 57, y)];
+        assert_eq!(shape, [row(0), row(1)].concat());
+        assert_eq!((stats.items_run, stats.lane_items), (64, 48));
+        // Bound 44: the block at 32 would cross it, so 12 elements run as
+        // three steps.
+        let (calls, stats) = walk(&r, [1, 0, 0], true, true, 1, 44);
+        let row = [(4, 32), (4, 36), (4, 40)];
+        assert_eq!(widths(&calls), [row, row].concat());
+        assert_eq!((stats.items_run, stats.lane_items), (64, 24));
+        // A group wholly past the bound runs nothing.
+        let (calls, stats) = walk(&r, [1, 0, 0], true, true, 1, 20);
+        assert!(calls.is_empty());
+        assert_eq!((stats.items_run, stats.lane_items), (64, 0));
+    }
+
+    #[test]
+    fn coalesced_workitems_run_blocks_along_their_elements() {
+        // Three elements per workitem, groups of 8: group 1 owns elements
+        // 24..48, clipped to 45. A block at 24 (workitem 8, local 0), a
+        // step at 40 (workitem 13) and an edge item 44 (workitem 14).
+        let r = NDRange::d1(16).local1(8).resolve(64).unwrap();
+        let (calls, stats) = walk(&r, [1, 0, 0], true, true, 3, 45);
+        let shape: Vec<_> = calls.iter().map(|c| (c.0, c.1, c.2[0], c.3)).collect();
+        assert_eq!(shape, vec![(16, 24, 8, 0), (4, 40, 13, 5), (1, 44, 14, 6)]);
+        assert_eq!((stats.items_run, stats.lane_items), (8, 20));
+        // 4-wide only: five steps, then the same edge item.
+        let (calls, stats) = walk(&r, [1, 0, 0], true, false, 3, 45);
+        let steps = (24..44).step_by(4).map(|x| (4, x));
+        assert_eq!(widths(&calls), steps.chain([(1, 44)]).collect::<Vec<_>>());
+        assert_eq!(stats.lane_items, 20);
+        // Lanes off: every element at f32.
+        let (calls, _) = walk(&r, [1, 0, 0], false, true, 3, 45);
+        assert_eq!(widths(&calls), (24..45).map(|x| (1, x)).collect::<Vec<_>>());
     }
 
     #[test]

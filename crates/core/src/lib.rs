@@ -31,12 +31,15 @@
 //! barrier phases, and [`GroupCtx::local`] providing workgroup-local memory.
 //! A phase written once as a [`LaneBody`] (one method generic over
 //! `cl_vec::Lane`) runs through [`GroupCtx::for_each_lane`], which walks
-//! the group's elements along every row: `W` x-adjacent elements per step
-//! when the device vectorizes, with the row's edge one element at a time
-//! — the Intel-style implicit vectorization of Section III-F — and every
-//! element at `f32` otherwise. Coalesced workitems (`items_per_wi > 1`)
-//! own contiguous elements, so they get lanes too. [`BufView::load`] and
-//! [`BufViewMut::store`] move one element or one lane step.
+//! the group's elements along every row when the device vectorizes —
+//! the Intel-style implicit vectorization of Section III-F — in
+//! 16-element register blocks, then `W`-element steps, then the row's
+//! edge one element at a time, and every element at `f32` otherwise.
+//! Only the ILP and MBench probes turn the blocks off
+//! ([`LaneBody::BLOCKS_OF_16`]): Figs 6 and 10 measure 4-wide steps.
+//! Coalesced workitems (`items_per_wi > 1`) own contiguous elements, so
+//! they get lanes too. [`BufView::load`] and [`BufViewMut::store`] move
+//! one element or one lane step.
 //!
 //! Following the paper's methodology (Section III-A), all enqueue calls are
 //! **blocking**; [`Event`]s carry wall-clock (native devices) or modeled

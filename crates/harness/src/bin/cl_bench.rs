@@ -8,10 +8,10 @@
 //!
 //! A plain run measures the curated hot-path suite (dispatch cost across
 //! workgroup sizes, the unarmed host's completion wait, 2-D lane steps of
-//! the implicit vectorizer, MRI-Q's `sin`/`cos` lanes, BlackScholes'
-//! `exp`/`ln` lanes, fused vs serial dispatch, disabled-path
-//! instrumentation overheads, autotuner steady state, serving-layer tail
-//! latency, out-of-order scheduler overhead) and
+//! the implicit vectorizer, MRI-Q's `sin`/`cos` lanes, VectorAdd's
+//! load/store lanes, BlackScholes' `exp`/`ln` lanes, fused vs serial
+//! dispatch, disabled-path instrumentation overheads, autotuner steady
+//! state, serving-layer tail latency, out-of-order scheduler overhead) and
 //! writes it to `BENCH.json` (or `--out FILE`). The fixed costs perfbench
 //! already names — empty enqueues, transfers, the pool's steal path, the
 //! serving layer's enqueue veneer — live only there.
@@ -242,8 +242,9 @@ fn run_suite(workers: usize, fast: bool) -> Report {
     push("simd/lanes-2d", "ns/group", stats);
 
     // MRI-Q computeQ, 4096 voxels × 64 k-samples, local 256, on the same
-    // device: four voxels per lane step on `cl_vec::sin_cos`. A scalar
-    // body, or a libm call per lane, is about 4× slower and fails the entry.
+    // device: 16 voxels per block on `cl_vec::sin_cos` (rows of 256 run no
+    // step). A scalar body, or a libm call per lane, is about 4× slower
+    // and fails the entry.
     let built = cl_kernels::parboil::mriq::build_q(&lanes_ctx, 4096, 64, 1, Some(256), 7);
     let groups = BATCH * 4096 / 256;
     let stats = sample(warm, samples, groups, || {
@@ -256,6 +257,27 @@ fn run_suite(workers: usize, fast: bool) -> Report {
     });
     built.verify(&lanes_q).expect("computeq results");
     push("simd/computeq", "ns/group", stats);
+
+    // VectorAdd, 64 000 elements in 1-D groups of 1 000, on the same
+    // device: a memory-light body whose blocks and steps are plain loads
+    // and stores, so the walk's own code sets its time. Lanes lowered to
+    // scalar loads and stores (the body's `at` run as `L::WIDTH` `f32`
+    // items) read 1.97× slower and fail the entry in 10 of 10 pairs. Two
+    // smaller changes pass it: the body at 4 wide only (1.18×, 5/10; the
+    // `lint` stage's `blocks_only_for_probes` catches that one) and counted
+    // block and step loops in the walk (1.00).
+    let built = cl_kernels::apps::vectoradd::build(&lanes_ctx, 64_000, 1, Some(1000), 7);
+    let groups = BATCH * 64;
+    let stats = sample(warm, samples, groups, || {
+        for _ in 0..BATCH {
+            lanes_q
+                .enqueue_kernel(&built.kernel, built.range)
+                .expect("vectoradd enqueue");
+        }
+        groups
+    });
+    built.verify(&lanes_q).expect("vectoradd results");
+    push("simd/vectoradd", "ns/group", stats);
 
     // The same computeQ coalesced: 4 voxels per workitem, local 64 (1024
     // workitems). A workitem's voxels are contiguous, so lane steps walk
@@ -275,10 +297,10 @@ fn run_suite(workers: usize, fast: bool) -> Report {
     push("simd/coalesced", "ns/group", stats);
 
     // BlackScholes, 64×64 items pricing 16 options each, local 16×16, on
-    // the same device: four options per lane step on the branch-free
-    // `cl_vec::exp`/`ln`. A libm call per lane is about 1.5× slower and
-    // fails the entry; 16 options per item keep the launch cost out of
-    // that ratio.
+    // the same device: 16 options per block (rows of 16 run no step) on
+    // the branch-free `cl_vec::exp`/`ln`. A libm call per lane is about
+    // 1.8× slower and fails the entry (10 of 10 pairs); 16 options per
+    // item keep the launch cost out of that ratio.
     let built =
         cl_kernels::apps::blackscholes::build(&lanes_ctx, (64, 64), 65_536, Some((16, 16)), 7);
     let groups = BATCH * (64 / 16) * (64 / 16);

@@ -153,8 +153,9 @@ impl Kernel for BlackScholes {
     fn run_group(&self, g: &mut GroupCtx) {
         // The grid-stride loop visits contiguous option indices across the
         // x-adjacent workitems of a row (their `global_linear` ids are
-        // consecutive), so a lane step prices 4 adjacent options per
-        // stride, for 1-D and 2-D groups alike.
+        // consecutive), so a call at `L` prices `L::WIDTH` adjacent
+        // options per stride (16 in a block, 4 in a step), for 1-D and
+        // 2-D groups alike.
         let mut body = Options {
             src: [self.stock.view(), self.strike.view(), self.years.view()],
             dst: [self.call.view_mut(), self.put.view_mut()],

@@ -46,7 +46,6 @@ struct Load<'a> {
 }
 
 impl LaneBody for Load<'_> {
-    const BLOCKS_OF_16: bool = true;
     #[inline(always)]
     fn at<L: Lane>(&mut self, x: usize, wi: &WorkItem) {
         let (lx, ly) = (x - self.col0, wi.local_id(1));
@@ -70,7 +69,6 @@ struct Multiply<'a> {
 }
 
 impl LaneBody for Multiply<'_> {
-    const BLOCKS_OF_16: bool = true;
     #[inline(always)]
     fn at<L: Lane>(&mut self, x: usize, wi: &WorkItem) {
         let (t, lx, row) = (self.t, x - self.col0, wi.local_id(1) * self.t);

@@ -6,7 +6,8 @@
 //! 1. **OpenCL kernel** — an [`ocl_rt::Kernel`] with a scalar group body
 //!    and, where the Intel implicit vectorizer would succeed, a SIMD group
 //!    body; both call the kernel's one body written over [`cl_vec::Lane`],
-//!    at `f32` per item and at `VecF32<4>` per lane step;
+//!    at `f32` per item and at `VecF32<16>`/`VecF32<4>` per register
+//!    block/lane step;
 //! 2. **OpenMP port** — the same computation as a [`par_for::Team`]
 //!    worksharing loop (the conventional-model baseline of Figure 10);
 //! 3. **Serial reference** — the oracle for correctness tests.

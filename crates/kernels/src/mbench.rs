@@ -550,6 +550,11 @@ struct Body<'a, const ID: usize> {
 }
 
 impl<const ID: usize> LaneBody for Body<'_, ID> {
+    // Fig 10 sets the OpenMP loop vectorizer against 4-wide implicit
+    // vectorization, one SIMD-width bundle of workitems per step; 16-item
+    // blocks would add ILP that neither plane of the figure has.
+    const BLOCKS_OF_16: bool = false;
+
     #[inline(always)]
     fn at<L: Lane>(&mut self, i: usize, _wi: &WorkItem) {
         self.c.store(i, bench::<ID, L>(self.a, self.b, i));

@@ -63,8 +63,9 @@ fn potential<T: Lane>(x: T, y: f32, atoms: &[f32]) -> T {
     e
 }
 
-/// Grid points `gx .. gx + L::WIDTH` of the workitem's row: four adjacent
-/// points of one row are evaluated together per atom.
+/// Grid points `gx .. gx + L::WIDTH` of the workitem's row: `L::WIDTH`
+/// adjacent points of one row (16 in a block, 4 in a step) are evaluated
+/// together per atom.
 struct Points<'a> {
     grid: BufViewMut<'a, f32>,
     atoms: &'a [f32],

@@ -213,7 +213,7 @@ impl Kernel for ComputeQ {
     }
 
     fn run_group(&self, g: &mut GroupCtx) {
-        // A step's four lanes are four adjacent voxels, which share every
+        // A block's or step's lanes are adjacent voxels, which share every
         // k-sample.
         let (kx, ky, kz) = (self.kx.view(), self.ky.view(), self.kz.view());
         let ks = KSpace::new(&kx, &ky, &kz);

@@ -223,8 +223,9 @@ fn two_d_lane_bodies_are_bit_identical_to_scalar() {
     }
     // Rows of 6 items: one step plus two tail items each. The second
     // launch pads x to 72 in groups of 8, so the step at x = 64 crosses
-    // the grid's edge at 66.
-    for (global_x, local) in [(66, (6, 8)), (72, (8, 8))] {
+    // the grid's edge at 66. Rows of 22 run one register block, one step
+    // and two edge items.
+    for (global_x, local) in [(66, (6, 8)), (72, (8, 8)), (66, (22, 8))] {
         let label = format!("cenergy x{global_x} local {local:?}");
         lanes_match_scalar(&label, Walk::once(1, 66), |ctx| {
             let (nx, ny) = (66, 32);
@@ -241,12 +242,14 @@ fn two_d_lane_bodies_are_bit_identical_to_scalar() {
             (Arc::new(k), range, vec![grid])
         });
     }
-    lanes_match_scalar(
-        "blackScholes 64×64 local 16×16",
-        Walk::once(1, 64),
-        |ctx| {
+    // Rows of 16 items run one register block; rows of 22 a block, a step
+    // and two edge items.
+    for (grid, local) in [((64, 64), (16, 16)), ((44, 16), (22, 8))] {
+        let label = format!("blackScholes {grid:?} local {local:?}");
+        lanes_match_scalar(&label, Walk::once(1, grid.0), |ctx| {
             // Six options past four per item: the last stride step is ragged.
-            let n = 64 * 64 * 4 + 6;
+            let items = grid.0 * grid.1;
+            let n = items * 4 + 6;
             let call = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n).unwrap();
             let put = ctx.buffer::<f32>(MemFlags::WRITE_ONLY, n).unwrap();
             let k = blackscholes::BlackScholes {
@@ -256,13 +259,29 @@ fn two_d_lane_bodies_are_bit_identical_to_scalar() {
                 call: call.clone(),
                 put: put.clone(),
                 n_options: n,
-                grid_items: 64 * 64,
+                grid_items: items,
             };
-            (
-                Arc::new(k),
-                NDRange::d2(64, 64).local2(16, 16),
-                vec![call, put],
-            )
+            let range = NDRange::d2(grid.0, grid.1).local2(local.0, local.1);
+            (Arc::new(k), range, vec![call, put])
+        });
+    }
+    // Naive MatrixMul 44 columns wide in rows of 22: a block, a step and
+    // two edge items per row.
+    lanes_match_scalar(
+        "matrixMul(naive) 44×8 local 22×4",
+        Walk::once(1, 44),
+        |ctx| {
+            let (w, h, k) = (44, 8, 12);
+            let c = output(ctx, w * h);
+            let kernel = matrixmul::MatrixMulNaive {
+                a: input(ctx, 7, h * k, -1.0, 1.0),
+                b: input(ctx, 8, k * w, -1.0, 1.0),
+                c: c.clone(),
+                w,
+                h,
+                k,
+            };
+            (Arc::new(kernel), NDRange::d2(w, h).local2(22, 4), vec![c])
         },
     );
 }
@@ -270,10 +289,20 @@ fn two_d_lane_bodies_are_bit_identical_to_scalar() {
 #[test]
 fn mri_lane_bodies_are_bit_identical_to_scalar() {
     // 1030 voxels in groups of 10: every group runs two lane steps and two
-    // tail items.
+    // tail items. Padded to 1034 in groups of 22: one register block, one
+    // step and two edge items, and the last group, clipped to 18 voxels, a
+    // block and two edge items.
     let (n, n_k) = (1030, 64);
-    let range = NDRange::d1(n).local1(10);
-    lanes_match_scalar("computeQ 1030 voxels local 10", Walk::once(1, n), |ctx| {
+    for (global, local) in [(n, 10), (1034, 22)] {
+        mri_cases(n, n_k, NDRange::d1(global).local1(local));
+    }
+}
+
+/// computeQ and FH on `n` voxels and `n_k` k-space samples over `range`.
+fn mri_cases(n: usize, n_k: usize, range: NDRange) {
+    let local = range.local().unwrap()[0];
+    let label = |name: &str| format!("{name} {n} voxels local {local}");
+    lanes_match_scalar(&label("computeQ"), Walk::once(1, n), |ctx| {
         let (qr, qi) = (output(ctx, n), output(ctx, n));
         let k = mriq::ComputeQ {
             x: input(ctx, 1, n, -1.0, 1.0),
@@ -290,7 +319,7 @@ fn mri_lane_bodies_are_bit_identical_to_scalar() {
         };
         (Arc::new(k), range, vec![qr, qi])
     });
-    lanes_match_scalar("FH 1030 voxels local 10", Walk::once(1, n), |ctx| {
+    lanes_match_scalar(&label("FH"), Walk::once(1, n), |ctx| {
         let (fr, fi) = (output(ctx, n), output(ctx, n));
         let k = mrifhd::Fh {
             x: input(ctx, 8, n, -1.0, 1.0),
@@ -316,15 +345,21 @@ type MakeLaunch = Box<dyn Fn(&Context) -> Launch>;
 #[test]
 fn one_d_lane_bodies_are_bit_identical_to_scalar() {
     // Per-item kernels guard `i < 1002` on a launch padded to 1024 in
-    // groups of 256: the last group's step at 1000 crosses the bound, so
-    // items 1000 and 1001 run one at a time and 1002.. do nothing. ILP has
-    // no bound; groups of 10 give every row two steps and two tail items.
+    // groups of 256: the last group (234 items) runs register blocks, its
+    // step at 1000 crosses the bound, so items 1000 and 1001 run one at a
+    // time and 1002.. do nothing. In groups of 38 (padded to 1026) every
+    // row runs two blocks, one step and two edge items, and the last,
+    // clipped to 14 items, three steps and two edge items. ILP has no
+    // bound; groups of 10 give every row two steps and two tail items.
     // MBench pads its own range and runs its group's elements.
     let n = 1002;
     let padded = NDRange::d1(1024).local1(256);
-    let mut cases: Vec<(String, Walk, MakeLaunch)> = vec![
-        (
-            "square".into(),
+    let mut cases: Vec<(String, Walk, MakeLaunch)> = Vec::new();
+    for range in [padded, NDRange::d1(1026).local1(38)] {
+        let local = range.local().unwrap()[0];
+        let label = |name: &str| format!("{name} local {local}");
+        cases.push((
+            label("square"),
             Walk::once(1, n),
             Box::new(move |ctx| {
                 let out = output(ctx, n);
@@ -334,11 +369,11 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
                     n,
                     items_per_wi: 1,
                 };
-                (Arc::new(k), padded, vec![out])
+                (Arc::new(k), range, vec![out])
             }),
-        ),
-        (
-            "vectoradd".into(),
+        ));
+        cases.push((
+            label("vectoradd"),
             Walk::once(1, n),
             Box::new(move |ctx| {
                 let c = output(ctx, n);
@@ -349,11 +384,11 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
                     n,
                     items_per_wi: 1,
                 };
-                (Arc::new(k), padded, vec![c])
+                (Arc::new(k), range, vec![c])
             }),
-        ),
-        (
-            "computePhiMag".into(),
+        ));
+        cases.push((
+            label("computePhiMag"),
             Walk::once(1, n),
             Box::new(move |ctx| {
                 let mag = output(ctx, n);
@@ -364,11 +399,11 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
                     n,
                     items_per_wi: 1,
                 };
-                (Arc::new(k), padded, vec![mag])
+                (Arc::new(k), range, vec![mag])
             }),
-        ),
-        (
-            "RhoPhi".into(),
+        ));
+        cases.push((
+            label("RhoPhi"),
             Walk::once(1, n),
             Box::new(move |ctx| {
                 let (rr, ri) = (output(ctx, n), output(ctx, n));
@@ -382,10 +417,10 @@ fn one_d_lane_bodies_are_bit_identical_to_scalar() {
                     n,
                     items_per_wi: 1,
                 };
-                (Arc::new(k), padded, vec![rr, ri])
+                (Arc::new(k), range, vec![rr, ri])
             }),
-        ),
-    ];
+        ));
+    }
     for ilp_k in 1..=ilp::MAX_ILP {
         cases.push((
             format!("ilp{ilp_k}"),
@@ -487,16 +522,22 @@ fn coalesced_range(n: usize, k: usize, local: usize) -> NDRange {
 /// The coalesced variants of Figs 1 and 2 (Square at 10 and 100 elements
 /// per workitem; computeQ, FH, `cenergy`, computePhiMag and RhoPhi at 2
 /// and 4) run lane steps, bit-identical to the vectorizer off. Every
-/// launch is padded: the last workitems' windows cross the bound.
+/// launch is padded: the last workitems' windows cross the bound. Groups
+/// of 11 workitems at 2 per workitem give rows of 22 elements: one
+/// register block, one step and two edge items.
 #[test]
 fn coalesced_launches_run_lanes_bit_identical_to_scalar() {
     // Voxels and elements, and k-space samples.
     const N: usize = 1002;
     const N_K: usize = 64;
-    type MakeCoalesced = fn(&Context, usize) -> Launch;
-    // Each case: its name, its element bound, its elements per workitem.
-    let cases: [(&str, usize, &[usize], MakeCoalesced); 6] = [
-        ("square", 4006, &[10, 100], |ctx, k| {
+    type MakeCoalesced = fn(&Context, usize, usize) -> Launch;
+    // Elements per workitem, workitems per group.
+    type Shape = (usize, usize);
+    // Each case: its name, its element bound, its shapes.
+    let cases: [(&str, usize, &[Shape], MakeCoalesced); 6] = [
+        // Rows of 640 and 6 400 elements: the clipped groups (166 and
+        // 4 006 elements) run blocks, a step and two edge items.
+        ("square", 4006, &[(10, 64), (100, 64)], |ctx, k, local| {
             let out = output(ctx, 4006);
             let kernel = square::Square {
                 input: input(ctx, 1, 4006, -2.0, 2.0),
@@ -504,26 +545,31 @@ fn coalesced_launches_run_lanes_bit_identical_to_scalar() {
                 n: 4006,
                 items_per_wi: k,
             };
-            (Arc::new(kernel), coalesced_range(4006, k, 64), vec![out])
+            (Arc::new(kernel), coalesced_range(4006, k, local), vec![out])
         }),
-        ("computeQ", N, &[2, 4], |ctx, k| {
-            let (qr, qi) = (output(ctx, N), output(ctx, N));
-            let kernel = mriq::ComputeQ {
-                x: input(ctx, 1, N, -1.0, 1.0),
-                y: input(ctx, 2, N, -1.0, 1.0),
-                z: input(ctx, 3, N, -1.0, 1.0),
-                kx: input(ctx, 4, N_K, -0.5, 0.5),
-                ky: input(ctx, 5, N_K, -0.5, 0.5),
-                kz: input(ctx, 6, N_K, -0.5, 0.5),
-                phi_mag: input(ctx, 7, N_K, 0.0, 1.0),
-                qr: qr.clone(),
-                qi: qi.clone(),
-                n_voxels: N,
-                items_per_wi: k,
-            };
-            (Arc::new(kernel), coalesced_range(N, k, 64), vec![qr, qi])
-        }),
-        ("FH", N, &[2, 4], |ctx, k| {
+        (
+            "computeQ",
+            N,
+            &[(2, 64), (4, 64), (2, 11)],
+            |ctx, k, local| {
+                let (qr, qi) = (output(ctx, N), output(ctx, N));
+                let kernel = mriq::ComputeQ {
+                    x: input(ctx, 1, N, -1.0, 1.0),
+                    y: input(ctx, 2, N, -1.0, 1.0),
+                    z: input(ctx, 3, N, -1.0, 1.0),
+                    kx: input(ctx, 4, N_K, -0.5, 0.5),
+                    ky: input(ctx, 5, N_K, -0.5, 0.5),
+                    kz: input(ctx, 6, N_K, -0.5, 0.5),
+                    phi_mag: input(ctx, 7, N_K, 0.0, 1.0),
+                    qr: qr.clone(),
+                    qi: qi.clone(),
+                    n_voxels: N,
+                    items_per_wi: k,
+                };
+                (Arc::new(kernel), coalesced_range(N, k, local), vec![qr, qi])
+            },
+        ),
+        ("FH", N, &[(2, 64), (4, 64), (2, 11)], |ctx, k, local| {
             let (fr, fi) = (output(ctx, N), output(ctx, N));
             let kernel = mrifhd::Fh {
                 x: input(ctx, 8, N, -1.0, 1.0),
@@ -539,57 +585,72 @@ fn coalesced_launches_run_lanes_bit_identical_to_scalar() {
                 n_voxels: N,
                 items_per_wi: k,
             };
-            (Arc::new(kernel), coalesced_range(N, k, 64), vec![fr, fi])
+            (Arc::new(kernel), coalesced_range(N, k, local), vec![fr, fi])
         }),
-        ("cenergy", 66, &[2, 4], |ctx, k| {
-            // 66 columns: x pads to groups of 4 workitems past the grid.
-            let (nx, ny) = (66, 16);
-            let atoms = cp::Atoms::generate(3, 64, nx as f32 * cp::SPACING);
-            let grid = output(ctx, nx * ny);
-            let kernel = cp::Cenergy {
-                atoms: ctx.buffer_from(MemFlags::READ_ONLY, &atoms.data).unwrap(),
-                grid: grid.clone(),
-                nx,
-                ny,
-                items_per_wi: k,
-            };
-            let gx = nx.div_ceil(k).div_ceil(4) * 4;
-            (
-                Arc::new(kernel),
-                NDRange::d2(gx, ny).local2(4, 8),
-                vec![grid],
-            )
-        }),
-        ("computePhiMag", N, &[2, 4], |ctx, k| {
-            let mag = output(ctx, N);
-            let kernel = mriq::ComputePhiMag {
-                phi_r: input(ctx, 4, N, -1.0, 1.0),
-                phi_i: input(ctx, 5, N, -1.0, 1.0),
-                phi_mag: mag.clone(),
-                n: N,
-                items_per_wi: k,
-            };
-            (Arc::new(kernel), coalesced_range(N, k, 64), vec![mag])
-        }),
-        ("RhoPhi", N, &[2, 4], |ctx, k| {
-            let (rr, ri) = (output(ctx, N), output(ctx, N));
-            let kernel = mrifhd::RhoPhi {
-                phi_r: input(ctx, 6, N, -1.0, 1.0),
-                phi_i: input(ctx, 7, N, -1.0, 1.0),
-                d_r: input(ctx, 8, N, -1.0, 1.0),
-                d_i: input(ctx, 9, N, -1.0, 1.0),
-                rho_r: rr.clone(),
-                rho_i: ri.clone(),
-                n: N,
-                items_per_wi: k,
-            };
-            (Arc::new(kernel), coalesced_range(N, k, 64), vec![rr, ri])
-        }),
+        (
+            "cenergy",
+            66,
+            &[(2, 4), (4, 4), (2, 11)],
+            |ctx, k, local| {
+                // 66 columns: x pads to whole groups past the grid.
+                let (nx, ny) = (66, 16);
+                let atoms = cp::Atoms::generate(3, 64, nx as f32 * cp::SPACING);
+                let grid = output(ctx, nx * ny);
+                let kernel = cp::Cenergy {
+                    atoms: ctx.buffer_from(MemFlags::READ_ONLY, &atoms.data).unwrap(),
+                    grid: grid.clone(),
+                    nx,
+                    ny,
+                    items_per_wi: k,
+                };
+                let gx = nx.div_ceil(k).div_ceil(local) * local;
+                (
+                    Arc::new(kernel),
+                    NDRange::d2(gx, ny).local2(local, 8),
+                    vec![grid],
+                )
+            },
+        ),
+        (
+            "computePhiMag",
+            N,
+            &[(2, 64), (4, 64), (2, 11)],
+            |ctx, k, local| {
+                let mag = output(ctx, N);
+                let kernel = mriq::ComputePhiMag {
+                    phi_r: input(ctx, 4, N, -1.0, 1.0),
+                    phi_i: input(ctx, 5, N, -1.0, 1.0),
+                    phi_mag: mag.clone(),
+                    n: N,
+                    items_per_wi: k,
+                };
+                (Arc::new(kernel), coalesced_range(N, k, local), vec![mag])
+            },
+        ),
+        (
+            "RhoPhi",
+            N,
+            &[(2, 64), (4, 64), (2, 11)],
+            |ctx, k, local| {
+                let (rr, ri) = (output(ctx, N), output(ctx, N));
+                let kernel = mrifhd::RhoPhi {
+                    phi_r: input(ctx, 6, N, -1.0, 1.0),
+                    phi_i: input(ctx, 7, N, -1.0, 1.0),
+                    d_r: input(ctx, 8, N, -1.0, 1.0),
+                    d_i: input(ctx, 9, N, -1.0, 1.0),
+                    rho_r: rr.clone(),
+                    rho_i: ri.clone(),
+                    n: N,
+                    items_per_wi: k,
+                };
+                (Arc::new(kernel), coalesced_range(N, k, local), vec![rr, ri])
+            },
+        ),
     ];
-    for (name, bound, factors, make) in cases {
-        for &k in factors {
-            let label = format!("{name} at {k} per workitem");
-            lanes_match_scalar(&label, Walk::once(k, bound), |ctx| make(ctx, k));
+    for (name, bound, shapes, make) in cases {
+        for &(k, local) in shapes {
+            let label = format!("{name} at {k} per workitem, local {local}");
+            lanes_match_scalar(&label, Walk::once(k, bound), |ctx| make(ctx, k, local));
         }
     }
 }
